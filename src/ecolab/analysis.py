@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import itertools
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
@@ -43,7 +41,6 @@ __all__ = [
     "SweepReport",
     "sweep",
     "sweep_epidemic",
-    "worker_count",
 ]
 
 
@@ -104,6 +101,12 @@ def jacobian_of(
     return jac
 
 
+def _array_rhs(scenario: Scenario) -> Callable[[np.ndarray], np.ndarray]:
+    """The compiled community derivative, taking and returning arrays."""
+    rhs = community_rhs(scenario)
+    return lambda x: np.asarray(rhs(x.tolist()))
+
+
 def jacobian_at(scenario: Scenario, point: Sequence[float], fd_step: float = 1e-5) -> np.ndarray:
     """Jacobian of the community derivative at a state vector."""
     point = np.asarray(point, dtype=float)
@@ -111,7 +114,7 @@ def jacobian_at(scenario: Scenario, point: Sequence[float], fd_step: float = 1e-
         raise ValueError(
             f"point has shape {point.shape}, scenario declares {len(scenario.species)} species"
         )
-    return jacobian_of(community_rhs(scenario), point, fd_step)
+    return jacobian_of(_array_rhs(scenario), point, fd_step)
 
 
 def _as_classical_pair(scenario: Scenario):
@@ -198,7 +201,7 @@ def find_fixed_points(
         interior[pred_idx] = growth / encounter
         return [np.zeros(n), interior]
 
-    f = community_rhs(scenario)
+    f = _array_rhs(scenario)
     roots: list[np.ndarray] = []
     scale = max(1.0, max((abs(g) for g in scenario.initial_state()), default=1.0))
     converged_any = False
@@ -428,25 +431,6 @@ class SweepReport:
     transitions: tuple[tuple[float, float], ...]
 
 
-def worker_count() -> int:
-    """Sweep parallelism from ECOLAB_THREADS (0 = auto, default serial)."""
-    raw = os.environ.get("ECOLAB_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
-
-
-def _map_points(job, grid, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(job, range(len(grid))))
-    return [job(k) for k in range(len(grid))]
-
-
 def _attractor_classification(scenario: Scenario, final: np.ndarray) -> Classification | None:
     points = find_fixed_points(scenario, extra_starts=[final])
     if not points:
@@ -460,15 +444,13 @@ def sweep(
     parameter_path: str,
     grid: Sequence[float],
     metric: Callable[[Scenario, Trajectory], float] | None = None,
-    threads: int | None = None,
 ) -> SweepReport:
     """Re-validate and re-analyze a scenario across a parameter grid.
 
     Each point integrates the updated scenario, classifies the fixed
     point nearest the trajectory's final state (the attractor the run
     settled toward) and evaluates the optional user metric.  Points are
-    independent and may run on a worker pool; the report is ordered by
-    grid index regardless of completion order.
+    independent; they run, and are reported, in grid order.
     """
     grid = tuple(float(g) for g in grid)
     if len(grid) < 2:
@@ -477,7 +459,6 @@ def sweep(
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("grid must be strictly monotone")
     set_parameter(scenario, parameter_path, grid[0])  # fail fast on bad paths
-    threads = worker_count() if threads is None else max(1, threads)
 
     def job(idx: int) -> PointSummary:
         updated = validate_scenario(set_parameter(scenario, parameter_path, grid[idx]))
@@ -495,7 +476,7 @@ def sweep(
             metric=metric_value,
         )
 
-    points = _map_points(job, grid, threads)
+    points = [job(k) for k in range(len(grid))]
     transitions = tuple(
         (grid[k], grid[k + 1])
         for k in range(len(grid) - 1)
@@ -523,8 +504,6 @@ def sweep_epidemic(
     infection alive at the horizon; classifications do not apply, so the
     report never contains transitions.
     """
-    from dataclasses import replace as _replace
-
     from .epidemic import EpidemicModel, persistence_fraction, run_seed
 
     if not isinstance(model, EpidemicModel):
@@ -541,7 +520,7 @@ def sweep_epidemic(
         raise ValueError("grid must be strictly monotone")
 
     def job(idx: int) -> PointSummary:
-        updated = _replace(model, **{parameter_path: grid[idx]})
+        updated = replace(model, **{parameter_path: grid[idx]})
         fraction = persistence_fraction(
             updated.graph,
             updated.beta,
@@ -554,7 +533,7 @@ def sweep_epidemic(
         )
         return PointSummary(value=grid[idx], classification=None, metric=fraction)
 
-    points = _map_points(job, grid, worker_count())
+    points = [job(k) for k in range(len(grid))]
     return SweepReport(
         parameter_path=parameter_path,
         grid=grid,

@@ -253,7 +253,7 @@ def _cmd_threshold(args) -> int:
         raise ValueError("threshold analysis needs an epidemic document")
     model = document.model
     critical = mean_field_threshold(model.graph, model.gamma)
-    print(f"mean-field threshold beta_c = {critical!r}")
+    _say(args, f"mean-field threshold beta_c = {critical!r}")
     if args.empirical:
         low = args.beta_min if args.beta_min is not None else critical / 10.0
         high = args.beta_max if args.beta_max is not None else critical * 10.0
@@ -266,10 +266,11 @@ def _cmd_threshold(args) -> int:
             n_bisections=args.bisections,
             master_seed=args.seed if args.seed is not None else 0,
         )
-        print(
+        _say(
+            args,
             f"empirical threshold beta ~ {estimate.beta:.6g} "
             f"(bracket [{estimate.bracket[0]:.6g}, {estimate.bracket[1]:.6g}], "
-            f"width {estimate.bracket_width:.3g})"
+            f"width {estimate.bracket_width:.3g})",
         )
     return 0
 

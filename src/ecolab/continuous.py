@@ -146,15 +146,21 @@ def lv_first_integral(x: float, y: float, p: LotkaVolterraParams) -> float:
     )
 
 
-def _response_value(fr: FunctionalResponse, x: float) -> float:
-    # bare formula, no domain check: root finding and finite differences
-    # probe slightly negative states
+def _response_fn(fr: FunctionalResponse) -> Callable[[float], float]:
+    """The response as a one-argument function of prey density.
+
+    Bare formula, no domain check: root finding and finite differences
+    probe slightly negative states.
+    """
     if isinstance(fr, LinearResponse):
-        return fr.rate * x
+        rate = fr.rate
+        return lambda x: rate * x
     if isinstance(fr, HollingTypeII):
-        return fr.rate * x / (1.0 + fr.rate * fr.handling * x)
+        rate, rate_handling = fr.rate, fr.rate * fr.handling
+        return lambda x: rate * x / (1.0 + rate_handling * x)
     if isinstance(fr, IvlevResponse):
-        return fr.rate * (1.0 - math.exp(-fr.saturation * x))
+        rate, neg_saturation = fr.rate, -fr.saturation
+        return lambda x: rate * (1.0 - math.exp(neg_saturation * x))
     raise TypeError(f"unknown functional response {fr!r}")
 
 
@@ -164,7 +170,7 @@ def functional_response(fr: FunctionalResponse, x: float) -> float:
     All variants are 0 at x = 0 and monotone non-decreasing in x.
     """
     x = _check_density("prey density", x)
-    return _response_value(fr, x)
+    return _response_fn(fr)(x)
 
 
 @dataclass(frozen=True)
@@ -230,7 +236,7 @@ def continuum_interaction(species_i: str, species_j: str, p: ContinuumParams) ->
     )
 
 
-def community_rhs(scenario: Scenario) -> Callable[[np.ndarray], np.ndarray]:
+def community_rhs(scenario: Scenario) -> Callable[[Sequence[float]], list[float]]:
     """Compile the scenario into a derivative function over state vectors.
 
     Each species i follows
@@ -243,42 +249,45 @@ def community_rhs(scenario: Scenario) -> Callable[[np.ndarray], np.ndarray]:
     competition subtracts and symbiosis/cooperation adds the mass-action
     term coeff * x_i * x_j on each side with its own coefficient.
 
+    The compiled function takes a sequence of Python floats and returns
+    a list of floats; callers that hold arrays convert at the boundary.
+    Terms are added in a fixed order (growth, self-limitation, trophic
+    entries in declaration order, then mass-action entries).
+
     On a two-species predation pair with a linear response and no
     self-limitation this reproduces `lv_derivative` exactly.
     """
     index = {sp.id: k for k, sp in enumerate(scenario.species)}
-    n = len(scenario.species)
     growth = [
         (sp.growth_rate if sp.role == Role.PRODUCER else -sp.growth_rate)
         for sp in scenario.species
     ]
-    limit = [sp.self_limitation for sp in scenario.species]
+    limited = [
+        (k, sp.self_limitation) for k, sp in enumerate(scenario.species) if sp.self_limitation != 0.0
+    ]
     trophic = []
     mass_action = []
     for entry in scenario.interactions:
         i, j = index[entry.species_i], index[entry.species_j]
         if entry.kind in TROPHIC_KINDS:
-            trophic.append((i, j, entry.coeff_i, entry.response))
+            trophic.append((i, j, entry.coeff_i, _response_fn(entry.response)))
         elif entry.kind == InteractionKind.COMPETITION:
             mass_action.append((i, j, -entry.coeff_i, -entry.coeff_j))
         else:
             mass_action.append((i, j, entry.coeff_i, entry.coeff_j))
 
-    def rhs(state: np.ndarray) -> np.ndarray:
-        x = [float(v) for v in state]
-        d = [0.0] * n
-        for k in range(n):
-            d[k] = growth[k] * x[k]
-            if limit[k] != 0.0:
-                d[k] -= limit[k] * x[k] * x[k]
+    def rhs(x: Sequence[float]) -> list[float]:
+        d = [r * v for r, v in zip(growth, x)]
+        for k, s in limited:
+            d[k] -= s * x[k] * x[k]
         for agg, victim, conversion, response in trophic:
-            consumed = _response_value(response, x[victim])
+            consumed = response(x[victim])
             d[victim] -= consumed * x[agg]
             d[agg] += conversion * consumed * x[agg]
         for i, j, ci, cj in mass_action:
             d[i] += ci * x[i] * x[j]
             d[j] += cj * x[i] * x[j]
-        return np.array(d, dtype=float)
+        return d
 
     return rhs
 
@@ -293,7 +302,7 @@ def glv_derivative(state: Sequence[float], scenario: Scenario) -> np.ndarray:
         )
     if np.any(state < 0):
         raise ValueError("state densities must be >= 0")
-    return community_rhs(scenario)(state)
+    return np.asarray(community_rhs(scenario)(state.tolist()))
 
 
 @dataclass(frozen=True)
@@ -307,8 +316,7 @@ class IntegrationResult:
 
 def _clamp_extinctions(state, t, epsilon, names, extinct, extinctions):
     """Clamp sub-epsilon or negative densities to exactly 0, once per species."""
-    for k in range(state.shape[0]):
-        v = state[k]
+    for k, v in enumerate(state):
         if v != 0.0 and v < epsilon:
             state[k] = 0.0
             if k not in extinct:
@@ -316,12 +324,19 @@ def _clamp_extinctions(state, t, epsilon, names, extinct, extinctions):
                 extinctions.append((names[k], t))
 
 
-def _rk4_step(f, y, h):
-    k1 = f(y)
-    k2 = f(y + (0.5 * h) * k1)
-    k3 = f(y + (0.5 * h) * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (k1, k2, k3, k4)
+def _all_finite(values) -> bool:
+    # a finite sum proves every term finite; an overflowing sum falls back to the per-value test
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
+def _max_exceeds(values, bound: float) -> bool:
+    """np.max(values) > bound: a NaN anywhere makes the maximum NaN, which exceeds nothing."""
+    return max(values) > bound and not any(map(math.isnan, values))
+
+
+def _min_below(values, bound: float) -> bool:
+    """np.min(values) < bound, with the same NaN rule as `_max_exceeds`."""
+    return min(values) < bound and not any(map(math.isnan, values))
 
 
 def _integrate_rk4(f, y0, cfg, horizon, names):
@@ -330,26 +345,35 @@ def _integrate_rk4(f, y0, cfg, horizon, names):
     remainder = horizon - n_full * h
     if remainder < 1e-12 * max(1.0, horizon):
         remainder = 0.0
+    epsilon = cfg.extinction_epsilon
     extinct: set[int] = set()
     extinctions: list[tuple[str, float]] = []
-    y = y0.copy()
-    _clamp_extinctions(y, 0.0, cfg.extinction_epsilon, names, extinct, extinctions)
+    y = list(y0)
+    _clamp_extinctions(y, 0.0, epsilon, names, extinct, extinctions)
     times = [0.0]
-    states = [y.copy()]
+    states = [y]
     steps = [(k, h) for k in range(n_full)]
     if remainder > 0.0:
         steps.append((n_full, remainder))
     for k, hk in steps:
         t_next = horizon if (hk != h or (k + 1 == n_full and remainder == 0.0)) else (k + 1) * h
-        y_next, ks = _rk4_step(f, y, hk)
-        for stage in ks:
-            if not np.all(np.isfinite(stage)):
-                raise NonFiniteDerivativeError(k * h, y)
-        _clamp_extinctions(y_next, t_next, cfg.extinction_epsilon, names, extinct, extinctions)
-        if np.max(y_next) > DIVERGENCE_LIMIT:
+        half, sixth = 0.5 * hk, hk / 6.0
+        k1 = f(y)
+        k2 = f([v + half * d for v, d in zip(y, k1)])
+        k3 = f([v + half * d for v, d in zip(y, k2)])
+        k4 = f([v + hk * d for v, d in zip(y, k3)])
+        y_next = [
+            v + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+            for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
+        ]
+        # a non-finite stage always leaves the new state non-finite
+        if not _all_finite(y_next) and not all(map(_all_finite, (k1, k2, k3, k4))):
+            raise NonFiniteDerivativeError(k * h, y)
+        _clamp_extinctions(y_next, t_next, epsilon, names, extinct, extinctions)
+        if _max_exceeds(y_next, DIVERGENCE_LIMIT):
             raise DivergenceError(t_next, y_next)
         times.append(t_next)
-        states.append(y_next.copy())
+        states.append(y_next)
         y = y_next
     return times, states, extinctions
 
@@ -370,45 +394,52 @@ _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 
 def _integrate_rk45(f, y0, cfg, horizon, names):
     t = 0.0
-    y = y0.copy()
+    y = list(y0)
     h = min(cfg.step, horizon)
+    epsilon = cfg.extinction_epsilon
     extinct: set[int] = set()
     extinctions: list[tuple[str, float]] = []
-    _clamp_extinctions(y, 0.0, cfg.extinction_epsilon, names, extinct, extinctions)
+    _clamp_extinctions(y, 0.0, epsilon, names, extinct, extinctions)
     times = [0.0]
-    states = [y.copy()]
+    states = [y]
     err_prev = 1.0
     while t < horizon * (1.0 - 1e-14):
         h = min(h, horizon - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflowError(f"step size underflow at t={t:g}")
         ks = []
-        for s in range(6):
-            ys = y.copy()
-            for j, a in enumerate(_RKF_A[s]):
-                ys = ys + (h * a) * ks[j]
+        for row in _RKF_A:
+            ys = y
+            for a, k in zip(row, ks):
+                ha = h * a
+                ys = [v + ha * d for v, d in zip(ys, k)]
             k = f(ys)
-            if not np.all(np.isfinite(k)):
+            if not _all_finite(k):
                 raise NonFiniteDerivativeError(t, ys)
             ks.append(k)
-        y5 = y.copy()
-        y4 = y.copy()
+        y5 = y
+        y4 = y
         for b5, b4, k in zip(_RKF_B5, _RKF_B4, ks):
-            y5 = y5 + (h * b5) * k
-            y4 = y4 + (h * b4) * k
-        if np.any(y5 < 0.0) and np.min(y5) < -cfg.extinction_epsilon:
+            hb5, hb4 = h * b5, h * b4
+            y5 = [v + hb5 * d for v, d in zip(y5, k)]
+            y4 = [v + hb4 * d for v, d in zip(y4, k)]
+        if _min_below(y5, -epsilon):
             h *= 0.5
             continue
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
+        scaled = [
+            (v5 - v4) / (cfg.abs_tol + cfg.rel_tol * max(abs(v), abs(v5)))
+            for v, v5, v4 in zip(y, y5, y4)
+        ]
+        # np.mean, not sum: from eight terms on, numpy adds in its own pairwise order
+        err = float(np.sqrt(np.mean([e * e for e in scaled])))
         if err <= 1.0:
             t = t + h
             y = y5
-            _clamp_extinctions(y, t, cfg.extinction_epsilon, names, extinct, extinctions)
-            if np.max(y) > DIVERGENCE_LIMIT:
+            _clamp_extinctions(y, t, epsilon, names, extinct, extinctions)
+            if _max_exceeds(y, DIVERGENCE_LIMIT):
                 raise DivergenceError(t, y)
             times.append(t)
-            states.append(y.copy())
+            states.append(y)
             factor = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
             err_prev = max(err, 1e-10)
         else:
@@ -417,6 +448,15 @@ def _integrate_rk45(f, y0, cfg, horizon, names):
     if times[-1] != horizon:
         times[-1] = horizon
     return times, states, extinctions
+
+
+def _on_floats(derivative_fn, n):
+    """Adapt an array derivative (array in, array-like out) to the float step loop."""
+
+    def f(y):
+        return np.broadcast_to(np.asarray(derivative_fn(np.array(y)), dtype=float), (n,)).tolist()
+
+    return f
 
 
 def integrate_report(
@@ -428,11 +468,16 @@ def integrate_report(
     Samples sit at the integrator's accepted steps (every `step` for
     rk4_fixed, the accepted adaptive steps plus the horizon endpoint for
     rk45_adaptive).  The run is deterministic for identical inputs.
+    The step loop runs on Python floats; a `derivative_fn` receives and
+    returns arrays as before.
     """
     validate_scenario(scenario)
-    f = derivative_fn if derivative_fn is not None else community_rhs(scenario)
-    y0 = scenario.initial_state()
+    y0 = scenario.initial_state().tolist()
     names = tuple(sp.id for sp in scenario.species)
+    if derivative_fn is None:
+        f = community_rhs(scenario)
+    else:
+        f = _on_floats(derivative_fn, len(names))
     cfg = scenario.integrator
     if cfg.method == "rk4_fixed":
         times, states, extinctions = _integrate_rk4(f, y0, cfg, scenario.horizon, names)

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -238,8 +236,7 @@ class PrevalenceTrajectory:
 def run_seed(master_seed: int, run_index: int) -> int:
     """Stable per-run seed derived from a master seed and a run index.
 
-    A cryptographic mix keeps sweeps reproducible across platforms and
-    independent of worker scheduling.
+    A cryptographic mix keeps sweeps reproducible across platforms.
     """
     mask = (1 << 64) - 1
     digest = hashlib.sha256(
@@ -392,17 +389,6 @@ def mean_field_threshold(graph: Graph, gamma: float = 1.0) -> float:
     return float(gamma * degrees.mean() / (degrees**2).mean())
 
 
-def _threads() -> int:
-    raw = os.environ.get("ECOLAB_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
-
-
 def default_initial_infected(graph: Graph) -> frozenset[int]:
     """A tenth of the nodes (at least one), used by threshold estimation."""
     return frozenset(range(max(1, graph.n_nodes // 10)))
@@ -420,8 +406,8 @@ def persistence_fraction(
 ) -> float:
     """Fraction of seeded runs with infected individuals alive at the horizon.
 
-    Run k uses the derived seed run_seed(master_seed, k); the aggregate
-    is a count, so worker scheduling cannot change the answer.
+    Run k uses the derived seed run_seed(master_seed, k), so the answer
+    depends on the inputs and master_seed alone.
     """
     if initial_infected is None:
         initial_infected = default_initial_infected(graph)
@@ -433,12 +419,7 @@ def persistence_fraction(
         model = replace(base, seed=run_seed(master_seed, k))
         return simulate_epidemic(model, horizon, sample_dt=horizon).extinction_time is None
 
-    threads = _threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            alive = sum(pool.map(one, range(n_runs)))
-    else:
-        alive = sum(one(k) for k in range(n_runs))
+    alive = sum(one(k) for k in range(n_runs))
     return alive / n_runs
 
 

@@ -1,20 +1,31 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders and reference implementations for the test suite."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from ecolab import (
+    DivergenceError,
+    HollingTypeII,
+    IntegrationResult,
     IntegratorConfig,
     InteractionKind,
     InteractionSpec,
+    IvlevResponse,
     LinearResponse,
+    NonFiniteDerivativeError,
     Role,
     Scenario,
     SpeciesSpec,
+    StepSizeUnderflowError,
+    Trajectory,
+    validate_scenario,
 )
+from ecolab.continuous import DIVERGENCE_LIMIT
+from ecolab.core import TROPHIC_KINDS
 
 
 def predation_scenario(
@@ -140,3 +151,198 @@ def binomial_band(n_runs: int, p: float, tail: float) -> tuple[int, int]:
         above += pmf[high]
         high -= 1
     return low, high
+
+
+# Reference integration path: the array-based derivative and Runge-Kutta
+# loops that the float step loop in ecolab.continuous replaced, kept
+# verbatim so equivalence tests can compare the two bit for bit.
+
+
+def _reference_response_value(fr, x):
+    if isinstance(fr, LinearResponse):
+        return fr.rate * x
+    if isinstance(fr, HollingTypeII):
+        return fr.rate * x / (1.0 + fr.rate * fr.handling * x)
+    if isinstance(fr, IvlevResponse):
+        return fr.rate * (1.0 - math.exp(-fr.saturation * x))
+    raise TypeError(f"unknown functional response {fr!r}")
+
+
+def reference_community_rhs(scenario: Scenario):
+    index = {sp.id: k for k, sp in enumerate(scenario.species)}
+    n = len(scenario.species)
+    growth = [
+        (sp.growth_rate if sp.role == Role.PRODUCER else -sp.growth_rate)
+        for sp in scenario.species
+    ]
+    limit = [sp.self_limitation for sp in scenario.species]
+    trophic = []
+    mass_action = []
+    for entry in scenario.interactions:
+        i, j = index[entry.species_i], index[entry.species_j]
+        if entry.kind in TROPHIC_KINDS:
+            trophic.append((i, j, entry.coeff_i, entry.response))
+        elif entry.kind == InteractionKind.COMPETITION:
+            mass_action.append((i, j, -entry.coeff_i, -entry.coeff_j))
+        else:
+            mass_action.append((i, j, entry.coeff_i, entry.coeff_j))
+
+    def rhs(state: np.ndarray) -> np.ndarray:
+        x = [float(v) for v in state]
+        d = [0.0] * n
+        for k in range(n):
+            d[k] = growth[k] * x[k]
+            if limit[k] != 0.0:
+                d[k] -= limit[k] * x[k] * x[k]
+        for agg, victim, conversion, response in trophic:
+            consumed = _reference_response_value(response, x[victim])
+            d[victim] -= consumed * x[agg]
+            d[agg] += conversion * consumed * x[agg]
+        for i, j, ci, cj in mass_action:
+            d[i] += ci * x[i] * x[j]
+            d[j] += cj * x[i] * x[j]
+        return np.array(d, dtype=float)
+
+    return rhs
+
+
+def _clamp_extinctions(state, t, epsilon, names, extinct, extinctions):
+    """Clamp sub-epsilon or negative densities to exactly 0, once per species."""
+    for k in range(state.shape[0]):
+        v = state[k]
+        if v != 0.0 and v < epsilon:
+            state[k] = 0.0
+            if k not in extinct:
+                extinct.add(k)
+                extinctions.append((names[k], t))
+
+
+def _rk4_step(f, y, h):
+    k1 = f(y)
+    k2 = f(y + (0.5 * h) * k1)
+    k3 = f(y + (0.5 * h) * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (k1, k2, k3, k4)
+
+
+def _integrate_rk4(f, y0, cfg, horizon, names):
+    h = cfg.step
+    n_full = int(math.floor(horizon / h + 1e-9))
+    remainder = horizon - n_full * h
+    if remainder < 1e-12 * max(1.0, horizon):
+        remainder = 0.0
+    extinct: set[int] = set()
+    extinctions: list[tuple[str, float]] = []
+    y = y0.copy()
+    _clamp_extinctions(y, 0.0, cfg.extinction_epsilon, names, extinct, extinctions)
+    times = [0.0]
+    states = [y.copy()]
+    steps = [(k, h) for k in range(n_full)]
+    if remainder > 0.0:
+        steps.append((n_full, remainder))
+    for k, hk in steps:
+        t_next = horizon if (hk != h or (k + 1 == n_full and remainder == 0.0)) else (k + 1) * h
+        y_next, ks = _rk4_step(f, y, hk)
+        for stage in ks:
+            if not np.all(np.isfinite(stage)):
+                raise NonFiniteDerivativeError(k * h, y)
+        _clamp_extinctions(y_next, t_next, cfg.extinction_epsilon, names, extinct, extinctions)
+        if np.max(y_next) > DIVERGENCE_LIMIT:
+            raise DivergenceError(t_next, y_next)
+        times.append(t_next)
+        states.append(y_next.copy())
+        y = y_next
+    return times, states, extinctions
+
+
+# Runge-Kutta-Fehlberg 4(5) tableau.
+_RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
+_RKF_A = (
+    (),
+    (1 / 4,),
+    (3 / 32, 9 / 32),
+    (1932 / 2197, -7200 / 2197, 7296 / 2197),
+    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
+)
+_RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
+_RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+
+
+def _integrate_rk45(f, y0, cfg, horizon, names):
+    t = 0.0
+    y = y0.copy()
+    h = min(cfg.step, horizon)
+    extinct: set[int] = set()
+    extinctions: list[tuple[str, float]] = []
+    _clamp_extinctions(y, 0.0, cfg.extinction_epsilon, names, extinct, extinctions)
+    times = [0.0]
+    states = [y.copy()]
+    err_prev = 1.0
+    while t < horizon * (1.0 - 1e-14):
+        h = min(h, horizon - t)
+        if h < 1e-14 * max(1.0, abs(t)):
+            raise StepSizeUnderflowError(f"step size underflow at t={t:g}")
+        ks = []
+        for s in range(6):
+            ys = y.copy()
+            for j, a in enumerate(_RKF_A[s]):
+                ys = ys + (h * a) * ks[j]
+            k = f(ys)
+            if not np.all(np.isfinite(k)):
+                raise NonFiniteDerivativeError(t, ys)
+            ks.append(k)
+        y5 = y.copy()
+        y4 = y.copy()
+        for b5, b4, k in zip(_RKF_B5, _RKF_B4, ks):
+            y5 = y5 + (h * b5) * k
+            y4 = y4 + (h * b4) * k
+        if np.any(y5 < 0.0) and np.min(y5) < -cfg.extinction_epsilon:
+            h *= 0.5
+            continue
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
+        if err <= 1.0:
+            t = t + h
+            y = y5
+            _clamp_extinctions(y, t, cfg.extinction_epsilon, names, extinct, extinctions)
+            if np.max(y) > DIVERGENCE_LIMIT:
+                raise DivergenceError(t, y)
+            times.append(t)
+            states.append(y.copy())
+            factor = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
+            err_prev = max(err, 1e-10)
+        else:
+            factor = max(0.2, 0.9 * err ** -0.2)
+        h *= min(5.0, max(0.2, factor))
+    if times[-1] != horizon:
+        times[-1] = horizon
+    return times, states, extinctions
+
+
+def reference_integrate_report(scenario: Scenario, derivative_fn=None) -> IntegrationResult:
+    validate_scenario(scenario)
+    f = derivative_fn if derivative_fn is not None else reference_community_rhs(scenario)
+    y0 = scenario.initial_state()
+    names = tuple(sp.id for sp in scenario.species)
+    cfg = scenario.integrator
+    if cfg.method == "rk4_fixed":
+        times, states, extinctions = _integrate_rk4(f, y0, cfg, scenario.horizon, names)
+    else:
+        times, states, extinctions = _integrate_rk45(f, y0, cfg, scenario.horizon, names)
+    trajectory = Trajectory(names, np.array(times), np.array(states))
+    return IntegrationResult(trajectory=trajectory, extinctions=tuple(extinctions))
+
+
+def saturating_chain_scenario(method="rk4_fixed") -> Scenario:
+    """Three-level chain fed through a Holling II and an Ivlev response."""
+    chain = chain_scenario(horizon=120.0)
+    grazing, hunting = chain.interactions
+    return replace(
+        chain,
+        interactions=(
+            replace(grazing, response=HollingTypeII(0.2, 0.5)),
+            replace(hunting, response=IvlevResponse(0.25, 1.0)),
+        ),
+        integrator=IntegratorConfig(method=method, step=0.01),
+    )

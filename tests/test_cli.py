@@ -118,6 +118,25 @@ def test_threshold_on_complete_graph(tmp_path, capsys):
     assert abs(value - 1.0 / 49.0) < 1e-12
 
 
+def test_threshold_quiet_prints_nothing(tmp_path, capsys):
+    document = {
+        "kind": "epidemic",
+        "graph": {"generator": "complete", "n": 20},
+        "model": "sis",
+        "beta": 0.1,
+        "gamma": 1.0,
+        "initial_infected": [0],
+        "horizon": 20.0,
+    }
+    path = tmp_path / "k20.json"
+    path.write_text(json.dumps(document))
+    argv = ("threshold", str(path), "--empirical", "--runs", "8", "--bisections", "2", "--horizon", "20")
+    assert run_cli(*argv, "--quiet") == 0
+    assert capsys.readouterr().out == ""
+    assert run_cli(*argv) == 0
+    assert "empirical threshold" in capsys.readouterr().out
+
+
 def test_threshold_requires_epidemic(tmp_path, capsys):
     path = tmp_path / "lv.json"
     path.write_text(serialize_scenario(demo_document("lv-classic")))

@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ecolab import (
     ContinuumParams,
@@ -15,9 +17,11 @@ from ecolab import (
     IvlevResponse,
     LinearResponse,
     LotkaVolterraParams,
+    NonFiniteDerivativeError,
     Role,
     Scenario,
     SpeciesSpec,
+    StepSizeUnderflowError,
     community_rhs,
     continuum_interaction,
     functional_response,
@@ -28,8 +32,18 @@ from ecolab import (
     lv_equilibrium,
     lv_first_integral,
     lv_scenario,
+    set_parameter,
 )
-from helpers import chain_equilibrium_oracle, chain_scenario, predation_scenario, single_species
+from ecolab.core import METHODS, TROPHIC_KINDS
+from ecolab.demos import demo_document
+from helpers import (
+    chain_equilibrium_oracle,
+    chain_scenario,
+    predation_scenario,
+    reference_integrate_report,
+    saturating_chain_scenario,
+    single_species,
+)
 
 CANONICAL = LotkaVolterraParams(
     prey_growth=1.0, encounter_rate=0.1, predator_decline=0.5, predator_gain=0.02
@@ -407,3 +421,210 @@ def test_lv_scenario_roundtrip_parameters():
     rhs = community_rhs(scenario)
     d = rhs(np.array([25.0, 10.0]))
     assert d == pytest.approx([0.0, 0.0], abs=1e-14)
+
+
+# The float step loop against the array-based reference path it replaced
+# (tests/helpers.py): every sample, extinction and error must be identical.
+
+_RUN_ERRORS = (DivergenceError, NonFiniteDerivativeError, StepSizeUnderflowError, ValueError)
+
+
+def _outcome(run):
+    try:
+        result = run()
+    except _RUN_ERRORS as exc:
+        return type(exc), str(exc), getattr(exc, "time", None), getattr(exc, "state", None)
+    return result
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple), f"reference raised {want[0].__name__}, got a result"
+        assert got[:3] == want[:3]
+        assert np.array_equal(got[3], want[3], equal_nan=True) if want[3] is not None else got[3] is None
+        return
+    assert not isinstance(got, tuple), f"raised {got[0].__name__}: {got[1]}"
+    assert np.array_equal(got.trajectory.times, want.trajectory.times)
+    assert np.array_equal(got.trajectory.values, want.trajectory.values)
+    assert got.extinctions == want.extinctions
+
+
+_RATES = st.floats(0.0, 2.0)
+_DENSITIES = st.sampled_from([0.0, 1e-12, 5e-10]) | st.floats(0.1, 10.0)
+_RESPONSES = st.one_of(
+    st.builds(LinearResponse, _RATES),
+    st.builds(HollingTypeII, _RATES, _RATES),
+    st.builds(IvlevResponse, _RATES, _RATES),
+)
+_KINDS = [kind for kind in InteractionKind if kind != InteractionKind.SEXUAL]
+
+
+@st.composite
+def _scenarios(draw):
+    n = draw(st.integers(1, 5))
+    species = []
+    for k in range(n):
+        role = draw(st.sampled_from(Role))
+        species.append(
+            SpeciesSpec(
+                id=f"s{k}",
+                role=role,
+                trophic_level=0 if role == Role.PRODUCER else 1,
+                growth_rate=draw(_RATES),
+                self_limitation=draw(st.just(0.0) | _RATES),
+            )
+        )
+    interactions = []
+    for i, j in itertools.combinations(range(n), 2):
+        kind = draw(st.none() | st.sampled_from(_KINDS))
+        if kind is None:
+            continue
+        if draw(st.booleans()):
+            i, j = j, i
+        if kind in TROPHIC_KINDS:
+            entry = InteractionSpec(f"s{i}", f"s{j}", kind, coeff_i=draw(_RATES), response=draw(_RESPONSES))
+        else:
+            entry = InteractionSpec(f"s{i}", f"s{j}", kind, coeff_i=draw(_RATES), coeff_j=draw(_RATES))
+        interactions.append(entry)
+    method = draw(st.sampled_from(METHODS))
+    return Scenario(
+        species=tuple(species),
+        interactions=tuple(interactions),
+        initial_densities={sp.id: draw(_DENSITIES) for sp in species},
+        integrator=IntegratorConfig(method=method, step=draw(st.sampled_from([0.01, 0.07]))),
+        horizon=draw(st.sampled_from([0.5, 2.0, 2.05])),
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_scenarios())
+def test_float_loop_matches_reference_path(scenario):
+    _assert_same_outcome(
+        _outcome(lambda: integrate_report(scenario)),
+        _outcome(lambda: reference_integrate_report(scenario)),
+    )
+
+
+def test_rk45_error_norm_matches_reference_path_on_many_species():
+    # from eight terms on, numpy's mean adds in a different order from Python's sum
+    rng = random.Random(3)
+    n = 9
+    species = tuple(
+        SpeciesSpec(
+            id=f"s{k}",
+            role=Role.PRODUCER if k % 3 == 0 else Role.CONSUMER,
+            trophic_level=0 if k % 3 == 0 else 1,
+            growth_rate=rng.uniform(0.1, 1.0),
+            self_limitation=rng.uniform(0.05, 0.2),
+        )
+        for k in range(n)
+    )
+    interactions = tuple(
+        InteractionSpec(f"s{k + 1}", f"s{k}", InteractionKind.PREDATION, coeff_i=0.5, response=LinearResponse(0.3))
+        if k % 3 != 2
+        else InteractionSpec(f"s{k}", f"s{k + 1}", InteractionKind.COMPETITION, coeff_i=0.1, coeff_j=0.2)
+        for k in range(n - 1)
+    )
+    scenario = Scenario(
+        species=species,
+        interactions=interactions,
+        initial_densities={sp.id: rng.uniform(0.5, 5.0) for sp in species},
+        integrator=IntegratorConfig(method="rk45_adaptive", step=0.1),
+        horizon=30.0,
+    )
+    got = integrate_report(scenario)
+    want = reference_integrate_report(scenario)
+    assert want.trajectory.n_samples > 20
+    _assert_same_outcome(got, want)
+
+
+def _symbiosis_pair(method):
+    return Scenario(
+        species=(
+            SpeciesSpec(id="a", role=Role.PRODUCER, growth_rate=1.0),
+            SpeciesSpec(id="b", role=Role.PRODUCER, growth_rate=1.0),
+        ),
+        interactions=(InteractionSpec("a", "b", InteractionKind.SYMBIOSIS, coeff_i=3.0, coeff_j=1.0),),
+        initial_densities={"a": 1.0, "b": 1.0},
+        integrator=IntegratorConfig(method=method, step=0.01),
+        horizon=10.0,
+    )
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_divergence_matches_reference_path(method):
+    scenario = _symbiosis_pair(method)
+    got = _outcome(lambda: integrate_report(scenario))
+    want = _outcome(lambda: reference_integrate_report(scenario))
+    assert want[0] is DivergenceError
+    _assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "derivative",
+    [
+        lambda s: np.full(s.shape, np.nan),
+        lambda s: np.where(s > 40.0, np.inf, s),  # finite until the prey passes 40
+    ],
+    ids=["nan-everywhere", "inf-after-growth"],
+)
+def test_non_finite_derivative_matches_reference_path(method, derivative):
+    scenario = predation_scenario(method=method)
+    got = _outcome(lambda: integrate_report(scenario, derivative))
+    want = _outcome(lambda: reference_integrate_report(scenario, derivative))
+    assert want[0] is NonFiniteDerivativeError
+    _assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_overflowing_step_matches_reference_path(method):
+    # every stage is finite but the step overflows: no derivative error, the
+    # divergence check sees the infinite state
+    scenario = predation_scenario(method=method, step=1.0)
+    derivative = lambda s: np.full(s.shape, 1e308)
+    got = _outcome(lambda: integrate_report(scenario, derivative))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _outcome(lambda: reference_integrate_report(scenario, derivative))
+    _assert_same_outcome(got, want)
+
+
+# Independent oracle: scipy's DOP853 at tight tolerances, sampled where
+# the integrator sampled.  Error is relative to max(1, |y|).
+_ORACLE_BOUND = {"rk4_fixed": 1e-8, "rk45_adaptive": 1e-5}
+
+
+def _oracle_scenarios():
+    arms = demo_document("arms-race")
+    path = "interaction.attacker:victim.alpha"
+    return {
+        "food-chain": demo_document("food-chain"),
+        "arms-race+0.5": set_parameter(arms, path, 0.5),
+        "arms-race-0.5": set_parameter(arms, path, -0.5),
+        "holling-ivlev-chain": saturating_chain_scenario(),
+    }
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("name", list(_oracle_scenarios()))
+def test_integrators_match_dop853(name, method):
+    integrate_ivp = pytest.importorskip("scipy.integrate")
+    scenario = _oracle_scenarios()[name]
+    scenario = replace(scenario, integrator=replace(scenario.integrator, method=method))
+    result = integrate_report(scenario)
+    assert result.extinctions == ()
+    times = result.trajectory.times
+    rhs = community_rhs(scenario)
+    solution = integrate_ivp.solve_ivp(
+        lambda t, y: rhs(y.tolist()),
+        (0.0, scenario.horizon),
+        scenario.initial_state(),
+        method="DOP853",
+        rtol=1e-12,
+        atol=1e-12,
+        t_eval=times,
+    )
+    assert solution.success
+    expected = solution.y.T
+    error = np.max(np.abs(result.trajectory.values - expected) / np.maximum(1.0, np.abs(expected)))
+    assert error < _ORACLE_BOUND[method]

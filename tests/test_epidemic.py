@@ -264,12 +264,21 @@ def test_persistence_fraction_deterministic():
     assert a == b
 
 
-def test_persistence_fraction_worker_pool_same_answer(monkeypatch):
+def test_persistence_fraction_counts_run_seed_runs():
+    # run k is the simulation seeded with run_seed(master_seed, k)
     graph = complete_graph(20)
-    serial = persistence_fraction(graph, 0.1, 1.0, 20.0, 12, master_seed=8)
-    monkeypatch.setenv("ECOLAB_THREADS", "4")
-    pooled = persistence_fraction(graph, 0.1, 1.0, 20.0, 12, master_seed=8)
-    assert pooled == serial
+    initial = frozenset(range(2))  # default_initial_infected: a tenth of the nodes
+    alive = [
+        simulate_epidemic(
+            EpidemicModel(graph=graph, beta=0.1, gamma=1.0, initial_infected=initial, seed=run_seed(8, k)),
+            20.0,
+            sample_dt=20.0,
+        ).extinction_time
+        is None
+        for k in range(12)
+    ]
+    assert 0 < sum(alive) < 12
+    assert persistence_fraction(graph, 0.1, 1.0, 20.0, 12, master_seed=8) == sum(alive) / 12
 
 
 def test_sis_complete_persistence_matches_generator_expm():
