@@ -1,11 +1,24 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecolab import (
+    ContinuumParams,
+    EpidemicKind,
+    EpidemicModel,
+    HollingTypeII,
+    IntegratorConfig,
+    InteractionKind,
+    InteractionSpec,
+    IvlevResponse,
+    LinearResponse,
+    NicholsonBaileyParams,
     ParseError,
+    Role,
     Scenario,
     ScenarioValidationError,
     Trajectory,
@@ -13,11 +26,17 @@ from ecolab import (
     read_csv,
     render_svg,
     scenario_digest,
+    SpeciesSpec,
+    barabasi_albert,
+    complete_graph,
+    continuum_interaction,
+    erdos_renyi,
+    from_edges,
     serialize_scenario,
     write_csv,
 )
 from ecolab.demos import DEMO_NAMES, demo_document
-from ecolab.scenario_io import DiscreteBundle, EpidemicBundle, SelectionBundle
+from ecolab.scenario_io import DiscreteBundle, EpidemicBundle, GradientSpec, SelectionBundle
 
 MINIMAL_COMMUNITY = {
     "kind": "community",
@@ -266,3 +285,464 @@ class TestSvg:
         traj = Trajectory(("alpha<x>",), [0.0, 1.0], [[1.0], [2.0]])
         svg = render_svg(traj)
         assert "alpha&lt;x&gt;" in svg
+
+
+# ---------------------------------------------------------------------------
+# The document format, pinned: one malformed document per error the parser
+# raises, with its exact message, and the exact bytes serialize writes.
+
+# Copies of the benchmark's selection, discrete and adaptive food-chain documents.
+SELECTION = {
+    "kind": "selection",
+    "means": {"display": 1.0, "preference": 1.0, "fitness": 0.0},
+    "covariance": {
+        "v_display": 1.0,
+        "v_preference": 1.0,
+        "v_fitness": 0.0,
+        "c_display_preference": 0.9,
+    },
+    "natural_gradient": {"type": "constant", "value": [-0.05, 0, 0]},
+    "sexual_gradient": {
+        "type": "linear",
+        "intercept": [0, 0, 0],
+        "matrix": [[0, 0.1, 0], [0, 0, 0], [0, 0, 0]],
+    },
+    "mutation": [0, 0, 0],
+    "steps": 100,
+}
+DISCRETE = {
+    "kind": "discrete",
+    "map": "nicholson_bailey",
+    "params": {"growth_factor": 2.0, "search_efficiency": 0.1, "conversion": 1.0},
+    "initial": {"host": 14.0, "parasitoid": 7.0},
+    "generations": 50,
+}
+FOOD_CHAIN_RK45 = {
+    "kind": "community",
+    "species": [
+        {"id": "plant", "role": "producer", "growth_rate": 1.0, "self_limitation": 0.1},
+        {"id": "grazer", "role": "consumer", "trophic_level": 1, "growth_rate": 0.2,
+         "self_limitation": 0.05},
+        {"id": "carnivore", "role": "consumer", "trophic_level": 2, "growth_rate": 0.1,
+         "self_limitation": 0.05},
+    ],
+    "interactions": [
+        {"species_i": "grazer", "species_j": "plant", "kind": "predation", "coeff_i": 0.5,
+         "response": {"type": "holling2", "rate": 0.2, "handling": 0.5}},
+        {"species_i": "carnivore", "species_j": "grazer", "kind": "predation", "coeff_i": 0.4,
+         "response": {"type": "ivlev", "rate": 0.25, "saturation": 1.0}},
+    ],
+    "initial_densities": {"plant": 6.0, "grazer": 2.0, "carnivore": 1.0},
+    "integrator": {"method": "rk45_adaptive", "step": 0.01},
+    "horizon": 120.0,
+}
+CONTINUUM = {
+    "kind": "community",
+    "species": [
+        {"id": "a", "role": "producer", "growth_rate": 1.0, "self_limitation": 1.0},
+        {"id": "b", "role": "producer", "growth_rate": 1.0, "self_limitation": 1.0},
+    ],
+    "interactions": [
+        {"species_i": "a", "species_j": "b", "kind": "continuum", "alpha": -0.5, "base_strength": 0.4}
+    ],
+    "initial_densities": {"a": 1.0, "b": 1.0},
+    "horizon": 5.0,
+}
+EPIDEMIC = {
+    "kind": "epidemic",
+    "graph": {"generator": "explicit", "n": 3, "edges": [[0, 1], [1, 2]]},
+    "model": "sis",
+    "beta": 0.5,
+    "gamma": 1.0,
+    "initial_infected": [0],
+    "horizon": 10.0,
+}
+
+DELETE = object()
+
+
+def patched(base: dict, *changes) -> str:
+    """base as JSON text after each (path, value) change; DELETE removes the key."""
+    document = json.loads(json.dumps(base))
+    for path, value in changes:
+        *parents, last = path
+        target = document
+        for key in parents:
+            target = target[key]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
+    return json.dumps(document)
+
+
+def graph(spec: dict) -> str:
+    return patched(EPIDEMIC, (("graph",), spec))
+
+
+NAN = float("nan")
+
+MALFORMED = [
+    # document level
+    ("root-not-object", "[]", "ParseError", "document: expected an object, got list"),
+    ("json-syntax", '{"kind": "community",}', "ParseError",
+     "JSON syntax error at line 1, column 22: Expecting property name enclosed in double quotes"),
+    ("unknown-kind", patched(MINIMAL_COMMUNITY, (("kind",), "communty")), "ParseError",
+     "unknown kind 'communty'; valid kinds: community, discrete, epidemic, selection"),
+    ("unhashable-kind", patched(MINIMAL_COMMUNITY, (("kind",), [])), "ParseError",
+     "unknown kind []; valid kinds: community, discrete, epidemic, selection"),
+    ("schema-version", patched(MINIMAL_COMMUNITY, (("schema_version",), 99)), "ParseError",
+     "unsupported schema_version 99 (current: 1)"),
+    ("schema-version-type", patched(MINIMAL_COMMUNITY, (("schema_version",), "1")), "ParseError",
+     "document.schema_version: expected an integer"),
+    ("unknown-field", patched(MINIMAL_COMMUNITY, (("extra_knob",), 1)), "ParseError",
+     "document: unknown field(s) extra_knob (valid fields: horizon, initial_densities, integrator, "
+     "interactions, kind, schema_version, species)"),
+    ("missing-field", patched(MINIMAL_COMMUNITY, (("horizon",), DELETE)), "ParseError",
+     "document: missing required field(s) horizon"),
+    ("horizon-type", patched(MINIMAL_COMMUNITY, (("horizon",), "x")), "ParseError",
+     "document.horizon: expected a number"),
+    ("horizon-nan", patched(MINIMAL_COMMUNITY, (("horizon",), NAN)), "ParseError",
+     "document.horizon: must be finite"),
+    # community
+    ("species-not-list", patched(MINIMAL_COMMUNITY, (("species",), {})), "ParseError",
+     "document.species: expected a list"),
+    ("species-not-object", patched(MINIMAL_COMMUNITY, (("species", 0), 1)), "ParseError",
+     "species[0]: expected an object, got int"),
+    ("species-role", patched(MINIMAL_COMMUNITY, (("species", 0, "role"), "x")), "ParseError",
+     "species[0].role: expected 'producer' or 'consumer', got 'x'"),
+    ("species-id-type", patched(MINIMAL_COMMUNITY, (("species", 0, "id"), 5)), "ParseError",
+     "species[0].id: expected a string"),
+    ("species-trophic-level-type",
+     patched(MINIMAL_COMMUNITY, (("species", 1, "trophic_level"), 1.5)), "ParseError",
+     "species[1].trophic_level: expected an integer"),
+    ("species-unknown-field", patched(MINIMAL_COMMUNITY, (("species", 0, "growthrate"), 2.0)),
+     "ParseError",
+     "species[0]: unknown field(s) growthrate (valid fields: growth_rate, id, name, role, "
+     "self_limitation, trophic_level)"),
+    ("interactions-not-list", patched(MINIMAL_COMMUNITY, (("interactions",), {})), "ParseError",
+     "document.interactions: expected a list"),
+    ("interaction-kind", patched(MINIMAL_COMMUNITY, (("interactions", 0, "kind"), "eat")),
+     "ParseError",
+     "interactions[0].kind: unknown kind 'eat' (valid: predation, parasitism, competition, "
+     "symbiosis, cooperation, sexual, continuum)"),
+    ("mass-action-missing-coeff",
+     patched(MINIMAL_COMMUNITY, (("interactions", 0, "kind"), "competition")), "ParseError",
+     "interactions[0]: unknown field(s) response (valid fields: coeff_i, coeff_j, kind, "
+     "species_i, species_j)"),
+    ("response-type",
+     patched(MINIMAL_COMMUNITY, (("interactions", 0, "response", "type"), "hill")), "ParseError",
+     "interactions[0].response.type: unknown response type 'hill' (linear, holling2, ivlev)"),
+    ("response-unknown-field",
+     patched(MINIMAL_COMMUNITY, (("interactions", 0, "response", "handling"), 1.0)), "ParseError",
+     "interactions[0].response: unknown field(s) handling (valid fields: rate, type)"),
+    ("response-missing-field",
+     patched(FOOD_CHAIN_RK45, (("interactions", 1, "response", "saturation"), DELETE)),
+     "ParseError", "interactions[1].response: missing required field(s) saturation"),
+    ("continuum-unknown-species",
+     patched(CONTINUUM, (("interactions", 0, "species_j"), "zz")), "ParseError",
+     "interactions[0]: unknown species 'zz'"),
+    ("continuum-params", patched(CONTINUUM, (("interactions", 0, "alpha"), 2)), "ParseError",
+     "interactions[0]: alpha must lie in [-1, 1], got 2.0"),
+    ("continuum-self-limitation",
+     patched(CONTINUUM, (("species", 1, "self_limitation"), 0)), "ParseError",
+     "interactions[0]: self_limitation_j must be > 0 (needed for boundedness)"),
+    ("continuum-alpha-type", patched(CONTINUUM, (("interactions", 0, "alpha"), "x")),
+     "ParseError", "interactions[0]: interactions[0].alpha: expected a number"),
+    ("continuum-strength-nan",
+     patched(CONTINUUM, (("interactions", 0, "base_strength"), NAN)), "ParseError",
+     "interactions[0]: interactions[0].base_strength: must be finite"),
+    ("density-type", patched(MINIMAL_COMMUNITY, (("initial_densities", "prey"), "x")),
+     "ParseError", "document.initial_densities.prey: expected a number"),
+    ("densities-not-object", patched(MINIMAL_COMMUNITY, (("initial_densities",), [])),
+     "ParseError", "document.initial_densities: expected an object, got list"),
+    ("integrator-unknown-field", patched(FOOD_CHAIN_RK45, (("integrator", "mthod"), "rk4_fixed")),
+     "ParseError",
+     "document.integrator: unknown field(s) mthod (valid fields: abs_tol, extinction_epsilon, "
+     "method, rel_tol, step)"),
+    ("integrator-method-type", patched(FOOD_CHAIN_RK45, (("integrator", "method"), 4)),
+     "ParseError", "document.integrator.method: expected a string"),
+    ("integrator-step-type", patched(FOOD_CHAIN_RK45, (("integrator", "step"), "x")),
+     "ParseError", "document.integrator.step: expected a number"),
+    # epidemic
+    ("graph-not-object", graph([]), "ParseError",
+     "document.graph: expected an object, got list"),
+    ("graph-generator", graph({"generator": "smallworld", "n": 10}), "ParseError",
+     "document.graph.generator: unknown generator 'smallworld' (complete, erdos_renyi, "
+     "barabasi_albert, explicit)"),
+    ("graph-unknown-field", graph({"generator": "complete", "n": 5, "seed": 1}), "ParseError",
+     "document.graph: unknown field(s) seed (valid fields: generator, n)"),
+    ("graph-n-type", graph({"generator": "barabasi_albert", "n": "5", "m": 1}), "ParseError",
+     "document.graph.n: expected an integer"),
+    ("graph-p-type", graph({"generator": "erdos_renyi", "n": 5, "p": "x"}), "ParseError",
+     "document.graph.p: expected a number"),
+    ("graph-edges-not-list", graph({"generator": "explicit", "n": 3, "edges": {}}), "ParseError",
+     "document.graph.edges: expected a list of [u, v] pairs"),
+    ("graph-edge-pair", graph({"generator": "explicit", "n": 3, "edges": [[0]]}), "ParseError",
+     "document.graph.edges[0]: expected [u, v] with integer nodes"),
+    ("graph-complete-empty", graph({"generator": "complete", "n": 0}), "ValueError",
+     "n_nodes must be positive"),
+    ("graph-erdos-renyi-p", graph({"generator": "erdos_renyi", "n": 5, "p": 1.5}), "ValueError",
+     "edge probability must lie in [0, 1]"),
+    ("graph-barabasi-albert-m", graph({"generator": "barabasi_albert", "n": 3, "m": 3}),
+     "ValueError", "need 1 <= m < n"),
+    ("graph-self-loop", graph({"generator": "explicit", "n": 3, "edges": [[1, 1]]}), "ValueError",
+     "self-loop at node 1"),
+    ("graph-edge-range", graph({"generator": "explicit", "n": 3, "edges": [[0, 9]]}),
+     "ValueError", "edge (0, 9) outside node range [0, 3)"),
+    ("epidemic-model", patched(EPIDEMIC, (("model",), "seir")), "ParseError",
+     "document.model: expected 'sis' or 'sir', got 'seir'"),
+    ("initial-infected-type", patched(EPIDEMIC, (("initial_infected",), [True])), "ParseError",
+     "document.initial_infected: expected a list of node indices"),
+    ("initial-infected-empty", patched(EPIDEMIC, (("initial_infected",), [])), "ParseError",
+     "document: initial_infected must not be empty"),
+    ("gamma-zero", patched(EPIDEMIC, (("gamma",), 0)), "ParseError",
+     "document: gamma must be finite and > 0"),
+    ("beta-type", patched(EPIDEMIC, (("beta",), "x")), "ParseError",
+     "document: document.beta: expected a number"),
+    ("gamma-nan", patched(EPIDEMIC, (("gamma",), NAN)), "ParseError",
+     "document: document.gamma: must be finite"),
+    ("seed-type", patched(EPIDEMIC, (("seed",), 1.5)), "ParseError",
+     "document: document.seed: expected an integer"),
+    ("epidemic-horizon", patched(EPIDEMIC, (("horizon",), 0)), "ParseError",
+     "document.horizon: must be > 0"),
+    ("sample-dt", patched(EPIDEMIC, (("sample_dt",), -1)), "ParseError",
+     "document.sample_dt: must be > 0"),
+    # selection
+    ("means-missing-trait", patched(SELECTION, (("means", "fitness"), DELETE)), "ParseError",
+     "document.means: missing required field(s) fitness"),
+    ("means-type", patched(SELECTION, (("means", "display"), None)), "ParseError",
+     "document.means.display: expected a number"),
+    ("covariance-unknown-field", patched(SELECTION, (("covariance", "c_fitness_display"), 0)),
+     "ParseError",
+     "document.covariance: unknown field(s) c_fitness_display (valid fields: c_display_fitness, "
+     "c_display_preference, c_preference_fitness, v_display, v_fitness, v_preference)"),
+    ("covariance-type", patched(SELECTION, (("covariance", "c_display_fitness"), "x")),
+     "ParseError", "document.covariance.c_display_fitness: expected a number"),
+    ("mutation-length", patched(SELECTION, (("mutation",), [0, 0])), "ParseError",
+     "document.mutation: expected a list of 3 numbers"),
+    ("mutation-item", patched(SELECTION, (("mutation", 1), "x")), "ParseError",
+     "document.mutation[1]: expected a number"),
+    ("gradient-type", patched(SELECTION, (("natural_gradient", "type"), "quadratic")),
+     "ParseError",
+     "document.natural_gradient.type: unknown gradient type 'quadratic' (constant, linear)"),
+    ("gradient-unknown-field", patched(SELECTION, (("natural_gradient", "matrix"), [])),
+     "ParseError",
+     "document.natural_gradient: unknown field(s) matrix (valid fields: type, value)"),
+    ("gradient-matrix-rows", patched(SELECTION, (("sexual_gradient", "matrix"), [[0, 0, 0]])),
+     "ParseError", "document.sexual_gradient.matrix: expected 3 rows of 3 numbers"),
+    ("gradient-matrix-row", patched(SELECTION, (("sexual_gradient", "matrix", 1), [0, 0])),
+     "ParseError", "document.sexual_gradient.matrix[1]: expected 3 numbers"),
+    ("gradient-matrix-item", patched(SELECTION, (("sexual_gradient", "matrix", 0, 2), True)),
+     "ParseError", "document.sexual_gradient.matrix[0]: expected 3 numbers"),
+    ("steps-negative", patched(SELECTION, (("steps",), -1)), "ParseError",
+     "document.steps: must be >= 0"),
+    ("not-psd", patched(SELECTION, (("covariance", "c_display_preference"), 2.0)), "ParseError",
+     "document: g_matrix is not positive semi-definite (min eigenvalue -1.000e+00)"),
+    # discrete
+    ("map", patched(DISCRETE, (("map",), "logistic")), "ParseError",
+     "document.map: unknown map 'logistic' (nicholson_bailey)"),
+    ("params-missing", patched(DISCRETE, (("params", "conversion"), DELETE)), "ParseError",
+     "document.params: missing required field(s) conversion"),
+    ("params-value", patched(DISCRETE, (("params", "growth_factor"), 0)), "ParseError",
+     "document.params: growth_factor must be a finite value > 0, got 0.0"),
+    ("growth-factor-type", patched(DISCRETE, (("params", "growth_factor"), "x")), "ParseError",
+     "document.params: document.params.growth_factor: expected a number"),
+    ("conversion-nan", patched(DISCRETE, (("params", "conversion"), NAN)), "ParseError",
+     "document.params: document.params.conversion: must be finite"),
+    ("initial-negative", patched(DISCRETE, (("initial", "host"), -1)), "ParseError",
+     "document.initial: densities must be >= 0"),
+    ("generations-negative", patched(DISCRETE, (("generations",), -1)), "ParseError",
+     "document.generations: must be >= 0"),
+    ("generations-type", patched(DISCRETE, (("generations",), 1.5)), "ParseError",
+     "document.generations: expected an integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, error, message", [pytest.param(*row[1:], id=row[0]) for row in MALFORMED]
+)
+def test_malformed_document_message(text, error, message):
+    with pytest.raises(ValueError) as err:
+        parse_scenario(text)
+    assert (type(err.value).__name__, str(err.value)) == (error, message)
+
+
+SERIALIZED_SHA256 = {
+    "lv-classic": "87c435ce2fa1e111b57e98029f5eebec61de907e80464278f70b022c56fe84fc",
+    "food-chain": "57916aac70e47e69814f1ad526aaca4a954110828f31d6b6d694105bc5812728",
+    "arms-race": "7c25ade184805ecae0a747ace81b2a0fb710c3a589a502faba49d3ec66910e89",
+    "malware-epidemic": "7f09088ae2acca89db4abd3f627d8703a0633f487e4b7b6ee49c5b9f69098310",
+    "selection": "242e866f6b79c09919e9e34cd790d1cdaea4508e9fb523166a13ef37df2e536c",
+    "discrete": "d86a26c13559f2d6a447ec1c5e743421ca96c0cce281116b04f450f3ccc5f033",
+    "food-chain-rk45": "886b3e7b81175d568639d89dab3e3b27df4838bc3247aa37a0b98b93b5125152",
+}
+
+
+def pinned_document(name: str):
+    documents = {"selection": SELECTION, "discrete": DISCRETE, "food-chain-rk45": FOOD_CHAIN_RK45}
+    if name in documents:
+        return parse_scenario(json.dumps(documents[name]))
+    return demo_document(name)
+
+
+@pytest.mark.parametrize("name", sorted(SERIALIZED_SHA256))
+def test_serialized_bytes_pinned(name):
+    text = serialize_scenario(pinned_document(name))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SERIALIZED_SHA256[name]
+
+
+# ---------------------------------------------------------------------------
+# parse(serialize(d)) == d over generated valid documents of every kind.
+
+SMALL = st.floats(min_value=-1e3, max_value=1e3)
+NON_NEGATIVE = st.floats(min_value=0.0, max_value=1e3)
+POSITIVE = st.floats(min_value=1e-6, max_value=1e3)
+VECTOR = st.tuples(SMALL, SMALL, SMALL)
+RESPONSES = st.one_of(
+    st.builds(LinearResponse, NON_NEGATIVE),
+    st.builds(HollingTypeII, NON_NEGATIVE, NON_NEGATIVE),
+    st.builds(IvlevResponse, NON_NEGATIVE, NON_NEGATIVE),
+)
+
+
+@st.composite
+def communities(draw) -> Scenario:
+    species = []
+    for k in range(draw(st.integers(1, 4))):
+        role = draw(st.sampled_from(Role))
+        species.append(
+            SpeciesSpec(
+                id=f"s{k}",
+                name=draw(st.sampled_from(["", f"Species {k}"])),
+                role=role,
+                trophic_level=0 if role == Role.PRODUCER else draw(st.integers(0, 3)),
+                growth_rate=draw(SMALL),
+                self_limitation=draw(st.just(0.0) | POSITIVE),
+            )
+        )
+    pairs = [(a, b) for a in species for b in species if a.id < b.id]
+    interactions = []
+    for a, b in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []:
+        if draw(st.booleans()):
+            a, b = b, a
+        form = draw(st.sampled_from(["trophic", "mass-action", "continuum"]))
+        if form == "continuum" and a.self_limitation > 0 and b.self_limitation > 0:
+            params = ContinuumParams(
+                alpha=draw(st.floats(-1.0, 1.0)),
+                base_strength=draw(POSITIVE),
+                self_limitation_i=a.self_limitation,
+                self_limitation_j=b.self_limitation,
+            )
+            interactions.append(continuum_interaction(a.id, b.id, params))
+        elif form == "trophic":
+            interactions.append(
+                InteractionSpec(
+                    a.id,
+                    b.id,
+                    draw(st.sampled_from([InteractionKind.PREDATION, InteractionKind.PARASITISM])),
+                    coeff_i=draw(NON_NEGATIVE),
+                    response=draw(RESPONSES),
+                )
+            )
+        else:
+            kinds = [InteractionKind.COMPETITION, InteractionKind.SYMBIOSIS, InteractionKind.COOPERATION]
+            interactions.append(
+                InteractionSpec(
+                    a.id,
+                    b.id,
+                    draw(st.sampled_from(kinds)),
+                    coeff_i=draw(NON_NEGATIVE),
+                    coeff_j=draw(NON_NEGATIVE),
+                )
+            )
+    integrator = IntegratorConfig(
+        method=draw(st.sampled_from(["rk4_fixed", "rk45_adaptive"])),
+        step=draw(POSITIVE),
+        rel_tol=draw(POSITIVE),
+        abs_tol=draw(POSITIVE),
+        extinction_epsilon=draw(NON_NEGATIVE),
+    )
+    return Scenario(
+        species=tuple(species),
+        interactions=tuple(interactions),
+        initial_densities={sp.id: draw(NON_NEGATIVE) for sp in species},
+        integrator=integrator,
+        horizon=draw(POSITIVE),
+    )
+
+
+@st.composite
+def epidemics(draw) -> EpidemicBundle:
+    n = draw(st.integers(2, 30))
+    seed = draw(st.integers(0, 2**31))
+    generator = draw(st.sampled_from(["complete", "erdos_renyi", "barabasi_albert", "explicit"]))
+    if generator == "complete":
+        spec = {"generator": generator, "n": n}
+        contacts = complete_graph(n)
+    elif generator == "erdos_renyi":
+        spec = {"generator": generator, "n": n, "p": draw(st.floats(0.0, 1.0)), "seed": seed}
+        contacts = erdos_renyi(n, spec["p"], seed)
+    elif generator == "barabasi_albert":
+        spec = {"generator": generator, "n": n, "m": draw(st.integers(1, n - 1)), "seed": seed}
+        contacts = barabasi_albert(n, spec["m"], seed)
+    else:
+        node = st.integers(0, n - 1)
+        edges = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=40))
+        spec = {"generator": generator, "n": n, "edges": sorted(tuple(sorted(e)) for e in edges)}
+        contacts = from_edges(n, edges)
+    model = EpidemicModel(
+        graph=contacts,
+        kind=draw(st.sampled_from(EpidemicKind)),
+        beta=draw(NON_NEGATIVE),
+        gamma=draw(POSITIVE),
+        initial_infected=frozenset(draw(st.lists(st.integers(0, n - 1), min_size=1))),
+        seed=seed,
+    )
+    return EpidemicBundle(model, draw(POSITIVE), draw(POSITIVE), graph_spec=spec)
+
+
+GRADIENTS = st.one_of(
+    st.builds(lambda value: GradientSpec("constant", value=value), VECTOR),
+    st.builds(
+        lambda intercept, matrix: GradientSpec("linear", intercept=intercept, matrix=matrix),
+        VECTOR,
+        st.tuples(VECTOR, VECTOR, VECTOR),
+    ),
+)
+
+
+@st.composite
+def selections(draw) -> SelectionBundle:
+    unit = st.floats(-1.0, 1.0)
+    c_dp, c_df, c_pf = draw(unit), draw(unit), draw(unit)
+    # diagonally dominant with a non-negative diagonal, hence positive semi-definite
+    variances = tuple(
+        abs(x) + abs(y) + draw(NON_NEGATIVE) for x, y in ((c_dp, c_df), (c_dp, c_pf), (c_df, c_pf))
+    )
+    return SelectionBundle(
+        means=draw(VECTOR),
+        covariance=variances + (c_dp, c_df, c_pf),
+        natural=draw(GRADIENTS),
+        sexual=draw(GRADIENTS),
+        mutation=draw(VECTOR),
+        steps=draw(st.integers(0, 1000)),
+    )
+
+
+DISCRETES = st.builds(
+    DiscreteBundle,
+    st.builds(NicholsonBaileyParams, POSITIVE, POSITIVE, POSITIVE),
+    NON_NEGATIVE,
+    NON_NEGATIVE,
+    st.integers(0, 1000),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(communities(), epidemics(), selections(), DISCRETES))
+def test_serialize_parse_round_trip(document):
+    text = serialize_scenario(document)
+    again = parse_scenario(text)
+    assert again == document
+    assert serialize_scenario(again) == text
