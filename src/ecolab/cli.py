@@ -47,7 +47,6 @@ class RunReport:
     digest: str
     trajectory_ref: str
     extinctions: tuple[tuple[str, float], ...]
-    warnings: tuple[str, ...]
     duration_s: float
 
 
@@ -92,7 +91,6 @@ def _run_document(document: Document, args) -> RunReport:
     digest = scenario_digest(document)
     started = time.perf_counter()
     extinctions: tuple[tuple[str, float], ...] = ()
-    warnings: tuple[str, ...] = ()
 
     if isinstance(document, Scenario):
         result = integrate_report(document)
@@ -150,7 +148,6 @@ def _run_document(document: Document, args) -> RunReport:
         digest=digest,
         trajectory_ref=ref,
         extinctions=extinctions,
-        warnings=warnings,
         duration_s=duration,
     )
     _say(args, f"digest: {report.digest}")

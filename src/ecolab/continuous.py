@@ -311,7 +311,6 @@ class IntegrationResult:
 
     trajectory: Trajectory
     extinctions: tuple[tuple[str, float], ...] = ()
-    warnings: tuple[str, ...] = ()
 
 
 def _clamp_extinctions(state, t, epsilon, names, extinct, extinctions):

@@ -10,7 +10,7 @@ Units are dimensionless throughout (both time and density).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Union
 
@@ -202,9 +202,6 @@ class Scenario:
             [self.initial_densities[s.id] for s in self.species], dtype=float
         )
 
-    def with_horizon(self, horizon: float) -> "Scenario":
-        return replace(self, horizon=horizon)
-
 
 class ScenarioValidationError(ValueError):
     """Raised with the complete list of invariant violations found."""
@@ -219,18 +216,13 @@ def _finite(x) -> bool:
 
 
 def _response_errors(response: FunctionalResponse, where: str) -> list[str]:
-    errors = []
-    if isinstance(response, LinearResponse):
-        params = {"rate": response.rate}
-    elif isinstance(response, HollingTypeII):
-        params = {"rate": response.rate, "handling": response.handling}
-    elif isinstance(response, IvlevResponse):
-        params = {"rate": response.rate, "saturation": response.saturation}
-    else:
+    if not isinstance(response, FunctionalResponse):
         return [f"{where}: unknown functional response {response!r}"]
-    for name, value in params.items():
+    errors = []
+    for f in fields(response):
+        value = getattr(response, f.name)
         if not _finite(value) or value < 0:
-            errors.append(f"{where}: response {name} must be a finite value >= 0")
+            errors.append(f"{where}: response {f.name} must be a finite value >= 0")
     return errors
 
 
@@ -259,7 +251,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         if not _finite(sp.self_limitation) or sp.self_limitation < 0:
             errors.append(f"species '{sp.id}' needs self_limitation >= 0 and finite")
 
-    ids = {sp.id for sp in scenario.species}
+    ids = dict.fromkeys(sp.id for sp in scenario.species)  # declaration order, for the messages
     for sp_id in ids:
         if sp_id not in scenario.initial_densities:
             errors.append(f"missing initial density for '{sp_id}'")

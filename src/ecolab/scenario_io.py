@@ -12,12 +12,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from enum import Enum
 from typing import Any, Union
 
 import numpy as np
 
 from .core import (
+    TROPHIC_KINDS,
     HollingTypeII,
     IntegratorConfig,
     InteractionKind,
@@ -27,7 +29,6 @@ from .core import (
     Role,
     Scenario,
     SpeciesSpec,
-    Trajectory,
     validate_scenario,
 )
 from .continuous import ContinuumParams, continuum_interaction
@@ -41,7 +42,13 @@ from .epidemic import (
     erdos_renyi,
     from_edges,
 )
-from .selection import SelectionState, constant_gradient, linear_gradient, make_g_matrix
+from .selection import (
+    TRAIT_NAMES,
+    SelectionState,
+    constant_gradient,
+    linear_gradient,
+    make_g_matrix,
+)
 
 __all__ = [
     "ParseError",
@@ -58,7 +65,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-KINDS = ("community", "discrete", "epidemic", "selection")
 
 
 class ParseError(ValueError):
@@ -126,16 +132,25 @@ class DiscreteBundle:
 
 Document = Union[Scenario, EpidemicBundle, SelectionBundle, DiscreteBundle]
 
+#: The JSON "type" of each functional response.
+_RESPONSES = {"linear": LinearResponse, "holling2": HollingTypeII, "ivlev": IvlevResponse}
+
+#: The keys of SelectionBundle.covariance, in make_g_matrix's argument
+#: order; the three variances are required, the covariances default to 0.
+_COVARIANCE_KEYS = (
+    "v_display",
+    "v_preference",
+    "v_fitness",
+    "c_display_preference",
+    "c_display_fitness",
+    "c_preference_fitness",
+)
+
 
 def document_kind(document: Document) -> str:
-    if isinstance(document, Scenario):
-        return "community"
-    if isinstance(document, EpidemicBundle):
-        return "epidemic"
-    if isinstance(document, SelectionBundle):
-        return "selection"
-    if isinstance(document, DiscreteBundle):
-        return "discrete"
+    for kind, (document_type, _, _) in _CODECS.items():
+        if isinstance(document, document_type):
+            return kind
     raise TypeError(f"not a scenario document: {document!r}")
 
 
@@ -201,53 +216,47 @@ def _vector(data: dict, key: str, path: str, length: int, default=None):
     return tuple(out)
 
 
+#: Reader for each field annotation a record may carry; the record modules
+#: postpone annotation evaluation, so the annotations are these strings.
+_READERS = {"float": _number, "int": _integer, "str": _string}
+
+
+def _record(record_type, data: dict, path: str, tags: frozenset[str] = frozenset()):
+    """Build a dataclass from the JSON object holding one key per field.
+
+    Fields are read in declaration order by their annotation; a field
+    with a default is optional.  `tags` are further required keys that
+    the caller reads.  A ValueError from the constructor is reported at
+    `path`.
+    """
+    spec = fields(record_type)
+    required = {f.name for f in spec if f.default is MISSING}
+    _check_keys(data, path, required | tags, {f.name for f in spec} - required)
+    values = {f.name: _READERS[f.type](data, f.name, path, f.default) for f in spec}
+    try:
+        return record_type(**values)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _record_json(record) -> dict:
+    """A dataclass as the JSON object that `_record` reads back."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        out[f.name] = value.value if isinstance(value, Enum) else value
+    return out
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
-def parse_scenario(text: str) -> Document:
-    """Parse a scenario document; see the module docstring for the schema.
-
-    Raises ParseError with line/column on JSON syntax errors and with a
-    field path on schema violations; community invariant violations come
-    through as ScenarioValidationError from validate_scenario.
-    """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"JSON syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    data = _require_object(data, "document")
-    kind = data.get("kind")
-    if kind not in KINDS:
-        raise ParseError(
-            f"unknown kind {kind!r}; valid kinds: {', '.join(KINDS)}"
-        )
-    version = _integer(data, "schema_version", "document", default=SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema_version {version} (current: {SCHEMA_VERSION})")
-    if kind == "community":
-        return _parse_community(data)
-    if kind == "epidemic":
-        return _parse_epidemic(data)
-    if kind == "selection":
-        return _parse_selection(data)
-    return _parse_discrete(data)
-
-
 def _parse_response(data: Any, path: str):
     data = _require_object(data, path)
-    kind = _string(data, "type", path)
-    if kind == "linear":
-        _check_keys(data, path, {"type", "rate"}, set())
-        return LinearResponse(rate=_number(data, "rate", path))
-    if kind == "holling2":
-        _check_keys(data, path, {"type", "rate", "handling"}, set())
-        return HollingTypeII(rate=_number(data, "rate", path), handling=_number(data, "handling", path))
-    if kind == "ivlev":
-        _check_keys(data, path, {"type", "rate", "saturation"}, set())
-        return IvlevResponse(rate=_number(data, "rate", path), saturation=_number(data, "saturation", path))
-    raise ParseError(f"{path}.type: unknown response type {kind!r} (linear, holling2, ivlev)")
+    tag = _string(data, "type", path)
+    if tag not in _RESPONSES:
+        raise ParseError(f"{path}.type: unknown response type {tag!r} ({', '.join(_RESPONSES)})")
+    return _record(_RESPONSES[tag], data, path, frozenset({"type"}))
 
 
 def _parse_community(data: dict) -> Scenario:
@@ -303,10 +312,12 @@ def _parse_community(data: dict) -> Scenario:
             for sp_id in (i_id, j_id):
                 if sp_id not in by_id:
                     raise ParseError(f"{path}: unknown species '{sp_id}'")
+            alpha = _number(raw, "alpha", path)
+            base_strength = _number(raw, "base_strength", path)
             try:
                 params = ContinuumParams(
-                    alpha=_number(raw, "alpha", path),
-                    base_strength=_number(raw, "base_strength", path),
+                    alpha=alpha,
+                    base_strength=base_strength,
                     self_limitation_i=by_id[i_id].self_limitation,
                     self_limitation_j=by_id[j_id].self_limitation,
                 )
@@ -319,25 +330,16 @@ def _parse_community(data: dict) -> Scenario:
         except ValueError:
             valid = ", ".join([k.value for k in InteractionKind] + ["continuum"])
             raise ParseError(f"{path}.kind: unknown kind {kind_raw!r} (valid: {valid})") from None
-        if kind in (InteractionKind.PREDATION, InteractionKind.PARASITISM):
-            _check_keys(raw, path, {"species_i", "species_j", "kind", "coeff_i", "response"}, set())
-            entry = InteractionSpec(
-                species_i=_string(raw, "species_i", path),
-                species_j=_string(raw, "species_j", path),
-                kind=kind,
-                coeff_i=_number(raw, "coeff_i", path),
-                response=_parse_response(raw["response"], f"{path}.response"),
-            )
+        victim_side = "response" if kind in TROPHIC_KINDS else "coeff_j"
+        _check_keys(raw, path, {"species_i", "species_j", "kind", "coeff_i", victim_side}, set())
+        pair = _string(raw, "species_i", path), _string(raw, "species_j", path)
+        coeff_i = _number(raw, "coeff_i", path)
+        if kind in TROPHIC_KINDS:
+            response = _parse_response(raw["response"], f"{path}.response")
+            interactions.append(InteractionSpec(*pair, kind, coeff_i, response=response))
         else:
-            _check_keys(raw, path, {"species_i", "species_j", "kind", "coeff_i", "coeff_j"}, set())
-            entry = InteractionSpec(
-                species_i=_string(raw, "species_i", path),
-                species_j=_string(raw, "species_j", path),
-                kind=kind,
-                coeff_i=_number(raw, "coeff_i", path),
-                coeff_j=_number(raw, "coeff_j", path),
-            )
-        interactions.append(entry)
+            coeff_j = _number(raw, "coeff_j", path)
+            interactions.append(InteractionSpec(*pair, kind, coeff_i, coeff_j=coeff_j))
 
     densities_raw = _require_object(data["initial_densities"], "document.initial_densities")
     densities = {}
@@ -346,62 +348,35 @@ def _parse_community(data: dict) -> Scenario:
             raise ParseError(f"document.initial_densities.{key}: expected a number")
         densities[key] = float(value)
 
-    integrator = IntegratorConfig()
-    if "integrator" in data:
-        raw = _require_object(data["integrator"], "document.integrator")
-        _check_keys(
-            raw,
-            "document.integrator",
-            set(),
-            {"method", "step", "rel_tol", "abs_tol", "extinction_epsilon"},
-        )
-        method = _string(raw, "method", "document.integrator", default="rk4_fixed")
-        integrator = IntegratorConfig(
-            method=method,
-            step=_number(raw, "step", "document.integrator", default=0.01),
-            rel_tol=_number(raw, "rel_tol", "document.integrator", default=1e-6),
-            abs_tol=_number(raw, "abs_tol", "document.integrator", default=1e-9),
-            extinction_epsilon=_number(
-                raw, "extinction_epsilon", "document.integrator", default=1e-9
-            ),
-        )
-
+    integrator_raw = _require_object(data.get("integrator", {}), "document.integrator")
     scenario = Scenario(
         species=tuple(species),
         interactions=tuple(interactions),
         initial_densities=densities,
-        integrator=integrator,
+        integrator=_record(IntegratorConfig, integrator_raw, "document.integrator"),
         horizon=_number(data, "horizon", "document"),
     )
     return validate_scenario(scenario)
 
 
+#: Generated graphs: generator -> (function, its parameters in call order
+#: with their readers).  "seed" is optional and defaults to 0.
+_GENERATORS = {
+    "complete": (complete_graph, {"n": _integer}),
+    "erdos_renyi": (erdos_renyi, {"n": _integer, "p": _number, "seed": _integer}),
+    "barabasi_albert": (barabasi_albert, {"n": _integer, "m": _integer, "seed": _integer}),
+}
+
+
 def _build_graph(raw: dict, path: str) -> tuple[Graph, dict]:
     raw = _require_object(raw, path)
     generator = _string(raw, "generator", path)
-    if generator == "complete":
-        _check_keys(raw, path, {"generator", "n"}, set())
-        spec = {"generator": "complete", "n": _integer(raw, "n", path)}
-        return complete_graph(spec["n"]), spec
-    if generator == "erdos_renyi":
-        _check_keys(raw, path, {"generator", "n", "p"}, {"seed"})
-        spec = {
-            "generator": "erdos_renyi",
-            "n": _integer(raw, "n", path),
-            "p": _number(raw, "p", path),
-            "seed": _integer(raw, "seed", path, default=0),
-        }
-        return erdos_renyi(spec["n"], spec["p"], spec["seed"]), spec
-    if generator == "barabasi_albert":
-        _check_keys(raw, path, {"generator", "n", "m"}, {"seed"})
-        spec = {
-            "generator": "barabasi_albert",
-            "n": _integer(raw, "n", path),
-            "m": _integer(raw, "m", path),
-            "seed": _integer(raw, "seed", path, default=0),
-        }
-        return barabasi_albert(spec["n"], spec["m"], spec["seed"]), spec
-    if generator == "explicit":
+    if generator in _GENERATORS:
+        build, params = _GENERATORS[generator]
+        _check_keys(raw, path, {"generator", *params} - {"seed"}, {"seed"} & set(params))
+        args = [read(raw, key, path, 0) for key, read in params.items()]
+        spec = {"generator": generator, **dict(zip(params, args))}
+    elif generator == "explicit":
         _check_keys(raw, path, {"generator", "n", "edges"}, set())
         edges_raw = raw["edges"]
         if not isinstance(edges_raw, list):
@@ -417,11 +392,16 @@ def _build_graph(raw: dict, path: str) -> tuple[Graph, dict]:
             edges.append((pair[0], pair[1]))
         n = _integer(raw, "n", path)
         spec = {"generator": "explicit", "n": n, "edges": sorted(tuple(sorted(e)) for e in edges)}
-        return from_edges(n, edges), spec
-    raise ParseError(
-        f"{path}.generator: unknown generator {generator!r} "
-        "(complete, erdos_renyi, barabasi_albert, explicit)"
-    )
+        build, args = from_edges, (n, edges)
+    else:
+        raise ParseError(
+            f"{path}.generator: unknown generator {generator!r} "
+            f"({', '.join([*_GENERATORS, 'explicit'])})"
+        )
+    try:
+        return build(*args), spec
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _parse_epidemic(data: dict) -> EpidemicBundle:
@@ -440,14 +420,17 @@ def _parse_epidemic(data: dict) -> EpidemicBundle:
         isinstance(x, int) and not isinstance(x, bool) for x in infected_raw
     ):
         raise ParseError("document.initial_infected: expected a list of node indices")
+    beta = _number(data, "beta", "document")
+    gamma = _number(data, "gamma", "document")
+    seed = _integer(data, "seed", "document", default=0)
     try:
         model = EpidemicModel(
             graph=graph,
             kind=EpidemicKind(model_raw),
-            beta=_number(data, "beta", "document"),
-            gamma=_number(data, "gamma", "document"),
+            beta=beta,
+            gamma=gamma,
             initial_infected=frozenset(infected_raw),
-            seed=_integer(data, "seed", "document", default=0),
+            seed=seed,
         )
     except ValueError as exc:
         raise ParseError(f"document: {exc}") from None
@@ -495,23 +478,12 @@ def _parse_selection(data: dict) -> SelectionBundle:
         {"schema_version", "mutation", "steps"},
     )
     means_raw = _require_object(data["means"], "document.means")
-    _check_keys(means_raw, "document.means", {"display", "preference", "fitness"}, set())
-    means = tuple(_number(means_raw, key, "document.means") for key in ("display", "preference", "fitness"))
-    cov_raw = _require_object(data["covariance"], "document.covariance")
-    _check_keys(
-        cov_raw,
-        "document.covariance",
-        {"v_display", "v_preference", "v_fitness"},
-        {"c_display_preference", "c_display_fitness", "c_preference_fitness"},
-    )
-    covariance = (
-        _number(cov_raw, "v_display", "document.covariance"),
-        _number(cov_raw, "v_preference", "document.covariance"),
-        _number(cov_raw, "v_fitness", "document.covariance"),
-        _number(cov_raw, "c_display_preference", "document.covariance", default=0.0),
-        _number(cov_raw, "c_display_fitness", "document.covariance", default=0.0),
-        _number(cov_raw, "c_preference_fitness", "document.covariance", default=0.0),
-    )
+    _check_keys(means_raw, "document.means", set(TRAIT_NAMES), set())
+    means = tuple(_number(means_raw, key, "document.means") for key in TRAIT_NAMES)
+    path = "document.covariance"
+    cov_raw = _require_object(data["covariance"], path)
+    _check_keys(cov_raw, path, set(_COVARIANCE_KEYS[:3]), set(_COVARIANCE_KEYS[3:]))
+    covariance = tuple(_number(cov_raw, key, path, default=0.0) for key in _COVARIANCE_KEYS)
     steps = _integer(data, "steps", "document", default=100)
     if steps < 0:
         raise ParseError("document.steps: must be >= 0")
@@ -541,20 +513,7 @@ def _parse_discrete(data: dict) -> DiscreteBundle:
     if map_name != "nicholson_bailey":
         raise ParseError(f"document.map: unknown map {map_name!r} (nicholson_bailey)")
     params_raw = _require_object(data["params"], "document.params")
-    _check_keys(
-        params_raw,
-        "document.params",
-        {"growth_factor", "search_efficiency", "conversion"},
-        set(),
-    )
-    try:
-        params = NicholsonBaileyParams(
-            growth_factor=_number(params_raw, "growth_factor", "document.params"),
-            search_efficiency=_number(params_raw, "search_efficiency", "document.params"),
-            conversion=_number(params_raw, "conversion", "document.params"),
-        )
-    except ValueError as exc:
-        raise ParseError(f"document.params: {exc}") from None
+    params = _record(NicholsonBaileyParams, params_raw, "document.params")
     initial_raw = _require_object(data["initial"], "document.initial")
     _check_keys(initial_raw, "document.initial", {"host", "parasitoid"}, set())
     host = _number(initial_raw, "host", "document.initial")
@@ -573,29 +532,17 @@ def _parse_discrete(data: dict) -> DiscreteBundle:
 # serialization
 
 def _response_to_json(response) -> dict:
-    if isinstance(response, LinearResponse):
-        return {"type": "linear", "rate": response.rate}
-    if isinstance(response, HollingTypeII):
-        return {"type": "holling2", "rate": response.rate, "handling": response.handling}
-    return {"type": "ivlev", "rate": response.rate, "saturation": response.saturation}
+    tag = next(tag for tag, cls in _RESPONSES.items() if isinstance(response, cls))
+    return {"type": tag, **_record_json(response)}
 
 
 def _entry_to_json(entry: InteractionSpec) -> dict:
+    out = {"species_i": entry.species_i, "species_j": entry.species_j}
     if entry.continuum_alpha is not None:
-        return {
-            "species_i": entry.species_i,
-            "species_j": entry.species_j,
-            "kind": "continuum",
-            "alpha": entry.continuum_alpha,
-            "base_strength": entry.continuum_strength,
-        }
-    out = {
-        "species_i": entry.species_i,
-        "species_j": entry.species_j,
-        "kind": entry.kind.value,
-        "coeff_i": entry.coeff_i,
-    }
-    if entry.kind in (InteractionKind.PREDATION, InteractionKind.PARASITISM):
+        alpha, strength = entry.continuum_alpha, entry.continuum_strength
+        return {**out, "kind": "continuum", "alpha": alpha, "base_strength": strength}
+    out.update(kind=entry.kind.value, coeff_i=entry.coeff_i)
+    if entry.kind in TROPHIC_KINDS:
         out["response"] = _response_to_json(entry.response)
     else:
         out["coeff_j"] = entry.coeff_j
@@ -604,28 +551,10 @@ def _entry_to_json(entry: InteractionSpec) -> dict:
 
 def _community_to_json(scenario: Scenario) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "community",
-        "species": [
-            {
-                "id": sp.id,
-                "name": sp.name,
-                "role": sp.role.value,
-                "trophic_level": sp.trophic_level,
-                "growth_rate": sp.growth_rate,
-                "self_limitation": sp.self_limitation,
-            }
-            for sp in scenario.species
-        ],
+        "species": [_record_json(sp) for sp in scenario.species],
         "interactions": [_entry_to_json(entry) for entry in scenario.interactions],
         "initial_densities": {sp.id: scenario.initial_densities[sp.id] for sp in scenario.species},
-        "integrator": {
-            "method": scenario.integrator.method,
-            "step": scenario.integrator.step,
-            "rel_tol": scenario.integrator.rel_tol,
-            "abs_tol": scenario.integrator.abs_tol,
-            "extinction_epsilon": scenario.integrator.extinction_epsilon,
-        },
+        "integrator": _record_json(scenario.integrator),
         "horizon": scenario.horizon,
     }
 
@@ -643,8 +572,6 @@ def _graph_to_json(bundle: EpidemicBundle) -> dict:
 def _epidemic_to_json(bundle: EpidemicBundle) -> dict:
     model = bundle.model
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "epidemic",
         "graph": _graph_to_json(bundle),
         "model": model.kind.value,
         "beta": model.beta,
@@ -668,17 +595,8 @@ def _gradient_to_json(spec: GradientSpec) -> dict:
 
 def _selection_to_json(bundle: SelectionBundle) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "selection",
-        "means": dict(zip(("display", "preference", "fitness"), bundle.means)),
-        "covariance": {
-            "v_display": bundle.covariance[0],
-            "v_preference": bundle.covariance[1],
-            "v_fitness": bundle.covariance[2],
-            "c_display_preference": bundle.covariance[3],
-            "c_display_fitness": bundle.covariance[4],
-            "c_preference_fitness": bundle.covariance[5],
-        },
+        "means": dict(zip(TRAIT_NAMES, bundle.means)),
+        "covariance": dict(zip(_COVARIANCE_KEYS, bundle.covariance)),
         "natural_gradient": _gradient_to_json(bundle.natural),
         "sexual_gradient": _gradient_to_json(bundle.sexual),
         "mutation": list(bundle.mutation),
@@ -688,30 +606,52 @@ def _selection_to_json(bundle: SelectionBundle) -> dict:
 
 def _discrete_to_json(bundle: DiscreteBundle) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "discrete",
         "map": "nicholson_bailey",
-        "params": {
-            "growth_factor": bundle.params.growth_factor,
-            "search_efficiency": bundle.params.search_efficiency,
-            "conversion": bundle.params.conversion,
-        },
+        "params": _record_json(bundle.params),
         "initial": {"host": bundle.initial_host, "parasitoid": bundle.initial_parasitoid},
         "generations": bundle.generations,
     }
 
 
+#: Document kind -> (type, parser of the document object, writer of the
+#: fields that follow "schema_version" and "kind").
+_CODECS = {
+    "community": (Scenario, _parse_community, _community_to_json),
+    "discrete": (DiscreteBundle, _parse_discrete, _discrete_to_json),
+    "epidemic": (EpidemicBundle, _parse_epidemic, _epidemic_to_json),
+    "selection": (SelectionBundle, _parse_selection, _selection_to_json),
+}
+
+
+def parse_scenario(text: str) -> Document:
+    """Parse a scenario document; see the module docstring for the schema.
+
+    Raises ParseError with line/column on JSON syntax errors and with a
+    field path on schema violations; community invariant violations come
+    through as ScenarioValidationError from validate_scenario.
+    """
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"JSON syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    data = _require_object(data, "document")
+    kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _CODECS:
+        raise ParseError(f"unknown kind {kind!r}; valid kinds: {', '.join(_CODECS)}")
+    version = _integer(data, "schema_version", "document", default=SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise ParseError(f"unsupported schema_version {version} (current: {SCHEMA_VERSION})")
+    _, parse, _ = _CODECS[kind]
+    return parse(data)
+
+
 def serialize_scenario(document: Document) -> str:
     """Canonical JSON text for a document; parse(serialize(x)) equals x."""
     kind = document_kind(document)
-    if kind == "community":
-        payload = _community_to_json(document)
-    elif kind == "epidemic":
-        payload = _epidemic_to_json(document)
-    elif kind == "selection":
-        payload = _selection_to_json(document)
-    else:
-        payload = _discrete_to_json(document)
+    _, _, write = _CODECS[kind]
+    payload = {"schema_version": SCHEMA_VERSION, "kind": kind, **write(document)}
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ecolab
 from ecolab import (
     InteractionKind,
     InteractionSpec,
@@ -212,3 +217,32 @@ class TestTrajectory:
         traj = Trajectory(("a",), [0.0, 1.0], [[1.0], [2.0]])
         with pytest.raises(KeyError):
             traj.column("zz")
+
+
+_PARSE_FOOD_CHAIN_WITHOUT_DENSITIES = """
+import json
+from ecolab import ScenarioValidationError, parse_scenario, serialize_scenario
+from ecolab.demos import demo_document
+document = json.loads(serialize_scenario(demo_document("food-chain")))
+document["initial_densities"] = {}
+try:
+    parse_scenario(json.dumps(document))
+except ScenarioValidationError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_errors_reported_in_declaration_order_whatever_the_hash_seed(hash_seed):
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(ecolab.__file__)), env.get("PYTHONPATH", "")]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _PARSE_FOOD_CHAIN_WITHOUT_DENSITIES],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out == (
+        "missing initial density for 'plant'; missing initial density for 'grazer'; "
+        "missing initial density for 'carnivore'\n"
+    )

@@ -448,10 +448,10 @@ MALFORMED = [
      patched(CONTINUUM, (("species", 1, "self_limitation"), 0)), "ParseError",
      "interactions[0]: self_limitation_j must be > 0 (needed for boundedness)"),
     ("continuum-alpha-type", patched(CONTINUUM, (("interactions", 0, "alpha"), "x")),
-     "ParseError", "interactions[0]: interactions[0].alpha: expected a number"),
+     "ParseError", "interactions[0].alpha: expected a number"),
     ("continuum-strength-nan",
      patched(CONTINUUM, (("interactions", 0, "base_strength"), NAN)), "ParseError",
-     "interactions[0]: interactions[0].base_strength: must be finite"),
+     "interactions[0].base_strength: must be finite"),
     ("density-type", patched(MINIMAL_COMMUNITY, (("initial_densities", "prey"), "x")),
      "ParseError", "document.initial_densities.prey: expected a number"),
     ("densities-not-object", patched(MINIMAL_COMMUNITY, (("initial_densities",), [])),
@@ -480,16 +480,16 @@ MALFORMED = [
      "document.graph.edges: expected a list of [u, v] pairs"),
     ("graph-edge-pair", graph({"generator": "explicit", "n": 3, "edges": [[0]]}), "ParseError",
      "document.graph.edges[0]: expected [u, v] with integer nodes"),
-    ("graph-complete-empty", graph({"generator": "complete", "n": 0}), "ValueError",
-     "n_nodes must be positive"),
-    ("graph-erdos-renyi-p", graph({"generator": "erdos_renyi", "n": 5, "p": 1.5}), "ValueError",
-     "edge probability must lie in [0, 1]"),
+    ("graph-complete-empty", graph({"generator": "complete", "n": 0}), "ParseError",
+     "document.graph: n_nodes must be positive"),
+    ("graph-erdos-renyi-p", graph({"generator": "erdos_renyi", "n": 5, "p": 1.5}), "ParseError",
+     "document.graph: edge probability must lie in [0, 1]"),
     ("graph-barabasi-albert-m", graph({"generator": "barabasi_albert", "n": 3, "m": 3}),
-     "ValueError", "need 1 <= m < n"),
-    ("graph-self-loop", graph({"generator": "explicit", "n": 3, "edges": [[1, 1]]}), "ValueError",
-     "self-loop at node 1"),
+     "ParseError", "document.graph: need 1 <= m < n"),
+    ("graph-self-loop", graph({"generator": "explicit", "n": 3, "edges": [[1, 1]]}), "ParseError",
+     "document.graph: self-loop at node 1"),
     ("graph-edge-range", graph({"generator": "explicit", "n": 3, "edges": [[0, 9]]}),
-     "ValueError", "edge (0, 9) outside node range [0, 3)"),
+     "ParseError", "document.graph: edge (0, 9) outside node range [0, 3)"),
     ("epidemic-model", patched(EPIDEMIC, (("model",), "seir")), "ParseError",
      "document.model: expected 'sis' or 'sir', got 'seir'"),
     ("initial-infected-type", patched(EPIDEMIC, (("initial_infected",), [True])), "ParseError",
@@ -499,11 +499,11 @@ MALFORMED = [
     ("gamma-zero", patched(EPIDEMIC, (("gamma",), 0)), "ParseError",
      "document: gamma must be finite and > 0"),
     ("beta-type", patched(EPIDEMIC, (("beta",), "x")), "ParseError",
-     "document: document.beta: expected a number"),
+     "document.beta: expected a number"),
     ("gamma-nan", patched(EPIDEMIC, (("gamma",), NAN)), "ParseError",
-     "document: document.gamma: must be finite"),
+     "document.gamma: must be finite"),
     ("seed-type", patched(EPIDEMIC, (("seed",), 1.5)), "ParseError",
-     "document: document.seed: expected an integer"),
+     "document.seed: expected an integer"),
     ("epidemic-horizon", patched(EPIDEMIC, (("horizon",), 0)), "ParseError",
      "document.horizon: must be > 0"),
     ("sample-dt", patched(EPIDEMIC, (("sample_dt",), -1)), "ParseError",
@@ -547,9 +547,9 @@ MALFORMED = [
     ("params-value", patched(DISCRETE, (("params", "growth_factor"), 0)), "ParseError",
      "document.params: growth_factor must be a finite value > 0, got 0.0"),
     ("growth-factor-type", patched(DISCRETE, (("params", "growth_factor"), "x")), "ParseError",
-     "document.params: document.params.growth_factor: expected a number"),
+     "document.params.growth_factor: expected a number"),
     ("conversion-nan", patched(DISCRETE, (("params", "conversion"), NAN)), "ParseError",
-     "document.params: document.params.conversion: must be finite"),
+     "document.params.conversion: must be finite"),
     ("initial-negative", patched(DISCRETE, (("initial", "host"), -1)), "ParseError",
      "document.initial: densities must be >= 0"),
     ("generations-negative", patched(DISCRETE, (("generations",), -1)), "ParseError",
