@@ -160,7 +160,14 @@ def _response_fn(fr: FunctionalResponse) -> Callable[[float], float]:
         return lambda x: rate * x / (1.0 + rate_handling * x)
     if isinstance(fr, IvlevResponse):
         rate, neg_saturation = fr.rate, -fr.saturation
-        return lambda x: rate * (1.0 - math.exp(neg_saturation * x))
+
+        def ivlev(x):
+            try:
+                return rate * (1.0 - math.exp(neg_saturation * x))
+            except OverflowError:  # a diverging stage far below 0: exp is +inf, as in IEEE
+                return rate * -math.inf
+
+        return ivlev
     raise TypeError(f"unknown functional response {fr!r}")
 
 

@@ -164,7 +164,10 @@ def _reference_response_value(fr, x):
     if isinstance(fr, HollingTypeII):
         return fr.rate * x / (1.0 + fr.rate * fr.handling * x)
     if isinstance(fr, IvlevResponse):
-        return fr.rate * (1.0 - math.exp(-fr.saturation * x))
+        try:
+            return fr.rate * (1.0 - math.exp(-fr.saturation * x))
+        except OverflowError:
+            return fr.rate * -math.inf
     raise TypeError(f"unknown functional response {fr!r}")
 
 

@@ -589,6 +589,27 @@ def test_overflowing_step_matches_reference_path(method):
     _assert_same_outcome(got, want)
 
 
+def test_ivlev_overflow_is_a_non_finite_derivative():
+    # The symbiosis pair s2-s3 diverges; s3 preys on s4 through an Ivlev
+    # response, so an RK4 stage drives s4 far below 0 and exp(-saturation*x)
+    # overflows.  That is a non-finite derivative, not an OverflowError.
+    species = tuple(SpeciesSpec(id=f"s{k}", role=Role.PRODUCER) for k in range(3))
+    scenario = Scenario(
+        species=species,
+        interactions=(
+            InteractionSpec("s0", "s1", InteractionKind.SYMBIOSIS, coeff_i=1.0, coeff_j=1.0),
+            InteractionSpec("s1", "s2", InteractionKind.PREDATION, response=IvlevResponse(1.0, 1.0)),
+        ),
+        initial_densities={"s0": 1.0, "s1": 1.0, "s2": 1.0},
+        integrator=IntegratorConfig(method="rk4_fixed", step=0.07),
+        horizon=2.0,
+    )
+    got = _outcome(lambda: integrate_report(scenario))
+    want = _outcome(lambda: reference_integrate_report(scenario))
+    assert want[0] is NonFiniteDerivativeError
+    _assert_same_outcome(got, want)
+
+
 # Independent oracle: scipy's DOP853 at tight tolerances, sampled where
 # the integrator sampled.  Error is relative to max(1, |y|).
 _ORACLE_BOUND = {"rk4_fixed": 1e-8, "rk45_adaptive": 1e-5}
