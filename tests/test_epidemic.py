@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -303,3 +305,70 @@ def test_binomial_band_tails():
     pmf = [math.comb(100, k) * p**k * (1 - p) ** (100 - k) for k in range(101)]
     assert sum(pmf[:low]) <= 5e-4 < sum(pmf[: low + 1])
     assert sum(pmf[high + 1 :]) <= 5e-4 < sum(pmf[high:])
+
+
+def edge_digest(graph) -> str:
+    return hashlib.sha256(repr(sorted(graph.edges)).encode()).hexdigest()
+
+
+def trajectory_digest(traj) -> str:
+    data = traj.times.tobytes() + traj.infected_fraction.tobytes()
+    if traj.recovered_fraction is not None:
+        data += traj.recovered_fraction.tobytes()
+    return hashlib.sha256(data + repr(traj.extinction_time).encode()).hexdigest()
+
+
+# Digests of the linear-scan generator and simulator: a faster sampler
+# must reproduce them bit for bit.  (3000, 3, 0) is the bench's
+# epidemic-large graph and carries its edge-set pin.
+BA_EDGE_SHA256 = {
+    (10, 1, 0): "2705a0b27df4d2f3281607035f1fa800c726d47dbab83471eca8c827b33b5b63",
+    (60, 2, 7): "7ee21d45bcdfcfde2f1d951892468af95d2646e82ab2fd4035a9699f0dee584b",
+    (200, 5, 3): "3d559f289dcd6e1f652602aabbadd8bee25fc1148d5956fd7996e69b80085f2b",
+    (500, 4, 11): "4e6a54d3116cce8630876edeb4287eff8c7e7660219c3bd86da0b67cb62415e6",
+    (3000, 3, 0): "27e738a39f4e0e954f1d11cf734dbceea32630072809f807d46d0c1ca51788a7",
+}
+
+
+@pytest.mark.parametrize("n, m, seed", sorted(BA_EDGE_SHA256))
+def test_barabasi_albert_edges_pinned(n, m, seed):
+    assert edge_digest(barabasi_albert(n, m, seed=seed)) == BA_EDGE_SHA256[n, m, seed]
+
+
+def pinned_epidemic_cases() -> dict:
+    ba = barabasi_albert(700, 3, seed=1)
+    spread = frozenset(range(0, 700, 10))
+    return {
+        "sis-k50": (EpidemicModel(complete_graph(50), "sis", 0.05, 1.0, frozenset(range(5)), 3), 15.0, 0.5),
+        "sir-k130": (EpidemicModel(complete_graph(130), "sir", 0.03, 1.0, frozenset({0, 64, 129}), 5), 12.0, 0.25),
+        "sis-ba700": (EpidemicModel(ba, "sis", 3 * mean_field_threshold(ba), 1.0, spread, 2), 10.0, 0.25),
+        "sis-ba700-extinct": (EpidemicModel(ba, "sis", 0.5 * mean_field_threshold(ba), 1.0, spread, 6), 30.0, 1.0),
+        "sir-er100": (EpidemicModel(erdos_renyi(100, 0.05, seed=2), "sir", 0.5, 1.0, frozenset({1, 2, 3}), 4), 20.0, 0.5),
+    }
+
+
+TRAJECTORY_SHA256 = {
+    "sis-k50": "1022d8f90945f52a1b2a31d2e0f42d3c47ed7a3b8803717c2990db0369cff8cf",
+    "sir-k130": "33028f77ae741250417b0b6635cf4cf0fa00182731f4df0a994cd02a775e9bdb",
+    "sis-ba700": "ee4068a3bb6bd8d48f5f515de1af42d9b808068625a19dc408ba03ed733efc37",
+    "sis-ba700-extinct": "06f5b7479523c1282699bd24bc2b9d58670a15838a5a92420265a59c059ef6ad",
+    "sir-er100": "23cb755a92251716076404b22a8a3cbbd562009f4c7733a965da43a4d3ec165d",
+}
+
+
+def test_trajectories_pinned():
+    digests = {
+        name: trajectory_digest(simulate_epidemic(model, horizon, sample_dt))
+        for name, (model, horizon, sample_dt) in pinned_epidemic_cases().items()
+    }
+    assert digests == TRAJECTORY_SHA256
+
+
+def test_bench_epidemic_large_prevalence_pinned():
+    # the bench's epidemic-large pass at seed 0, digested as the bench does
+    graph = barabasi_albert(3000, 3, seed=0)
+    initial = frozenset(random.Random(0).sample(range(3000), 300))
+    model = EpidemicModel(graph, "sis", 3.0 * mean_field_threshold(graph, 1.0), 1.0, initial, 0)
+    traj = simulate_epidemic(model, 20.0, 0.1)
+    data = traj.infected_fraction.tobytes() + repr(traj.extinction_time).encode()
+    assert hashlib.sha256(data).hexdigest() == "6cc43493687a2e7be3d6608408ec5df516301ccdc8cff778ec578bf6edbf3388"
