@@ -93,39 +93,70 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     return Graph(n_nodes=n, edges=frozenset(edges), generator_tag=f"erdos_renyi(p={p!r})")
 
 
+class _FenwickTree:
+    """Integer weights at positions 0..size-1 with O(log size) prefix sums (Fenwick 1994)."""
+
+    __slots__ = ("tree", "top")
+
+    def __init__(self, size: int) -> None:
+        self.tree = [0] * (size + 1)
+        self.top = 1 << (size.bit_length() - 1)
+
+    def add(self, pos: int, delta: int) -> None:
+        tree = self.tree
+        size = len(tree)
+        i = pos + 1
+        while i < size:
+            tree[i] += delta
+            i += i & -i
+
+    def find(self, target: float) -> int:
+        """Smallest position whose prefix sum, itself included, exceeds target.
+
+        The prefix is an exact integer compared with the float target, so
+        this picks what a left-to-right `target < acc` scan picks.
+        """
+        tree = self.tree
+        size = len(tree) - 1
+        pos = 0
+        acc = 0
+        step = self.top
+        while step:
+            up = pos + step
+            if up <= size and acc + tree[up] <= target:
+                pos = up
+                acc += tree[up]
+            step >>= 1
+        return pos
+
+
 def barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
     """Preferential attachment growth, deterministic for a given seed.
 
     Starts from a clique on m+1 nodes; every later node attaches exactly
     m edges to distinct targets drawn proportionally to degree (sampling
-    without replacement, degrees taken as of the node's arrival).
+    without replacement, degrees taken as of the node's arrival).  A
+    Fenwick tree over the degrees makes each draw O(log n).
     """
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
     rng = random.Random(seed)
     edges: set[tuple[int, int]] = set()
-    degree = [0] * n
+    degree = _FenwickTree(n)
     for u in range(m + 1):
         for v in range(u + 1, m + 1):
             edges.add((u, v))
-            degree[u] += 1
-            degree[v] += 1
-    total = 2 * len(edges)
+        degree.add(u, m)
+    total = m * (m + 1)
     for new in range(m + 1, n):
         targets: set[int] = set()
         while len(targets) < m:
-            pick = rng.random() * total
-            acc = 0.0
-            for node in range(new):
-                acc += degree[node]
-                if pick < acc:
-                    targets.add(node)
-                    break
+            targets.add(degree.find(rng.random() * total))
         for t in targets:
-            edges.add((t, new) if t < new else (new, t))
-            degree[t] += 1
-            degree[new] += 1
-            total += 2
+            edges.add((t, new))
+            degree.add(t, 1)
+        degree.add(new, m)
+        total += 2 * m
     return Graph(n_nodes=n, edges=frozenset(edges), generator_tag=f"barabasi_albert(m={m})")
 
 
@@ -246,6 +277,10 @@ def run_seed(master_seed: int, run_index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+#: Each block sum covers 2**_BLOCK_BITS consecutive slots of the infected list.
+_BLOCK_BITS = 6
+
+
 def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1.0) -> PrevalenceTrajectory:
     """Exact continuous-time simulation sampled on a uniform grid.
 
@@ -280,25 +315,29 @@ def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1
         sus_count[node] = count
         total_si += count
 
+    # blocks[b] sums sus_count over infected[b * width:(b + 1) * width], so
+    # an infection source is found by walking the blocks and then scanning
+    # one.  While the whole list fits in one block they cannot shorten the
+    # scan, so graphs of at most `width` nodes skip their upkeep.
+    bits = _BLOCK_BITS
+    width = 1 << bits
+    blocked = n > width
+    blocks = [0] * -(-n // width)
+    if blocked:
+        for pos, node in enumerate(infected):
+            blocks[pos >> bits] += sus_count[node]
+
     n_samples = int(math.floor(horizon / sample_dt + 1e-9)) + 1
-    sample_times = np.arange(n_samples) * sample_dt
     infected_counts = np.empty(n_samples, dtype=float)
-    recovered_counts = np.empty(n_samples, dtype=float) if sir else None
+    recovered_counts = np.empty(n_samples, dtype=float)
 
     beta, gamma = model.beta, model.gamma
     t = 0.0
     k = 0
+    next_sample = 0.0
     n_infected = len(infected)
     n_recovered = 0
     extinction_time: float | None = None
-
-    def emit_until(limit: float) -> None:
-        nonlocal k
-        while k < n_samples and sample_times[k] <= limit:
-            infected_counts[k] = n_infected
-            if sir:
-                recovered_counts[k] = n_recovered
-            k += 1
 
     while True:
         if n_infected == 0:
@@ -307,24 +346,30 @@ def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1
         total_rate = beta * total_si + gamma * n_infected
         t_next = t + rng.expovariate(total_rate)
         if t_next > horizon:
-            emit_until(horizon)
             break
-        emit_until(math.nextafter(t_next, -math.inf))
+        # every grid time before the event sees the state before it
+        while next_sample < t_next and k < n_samples:
+            infected_counts[k] = n_infected
+            recovered_counts[k] = n_recovered
+            k += 1
+            next_sample = k * sample_dt
         pick = rng.random() * total_rate
         if pick < beta * total_si:
             # infection: weighted choice of an infected node by its
             # susceptible-neighbor count, then a uniform susceptible neighbor
             target_weight = rng.random() * total_si
             acc = 0
-            source = -1
-            for node in infected:
-                acc += sus_count[node]
+            scan = infected
+            if blocked:
+                b = 0
+                while target_weight >= acc + blocks[b]:
+                    acc += blocks[b]
+                    b += 1
+                scan = infected[b << bits:(b + 1) << bits]
+            for source in scan:
+                acc += sus_count[source]
                 if target_weight < acc:
-                    source = node
                     break
-            if source < 0:
-                # unreachable with exact integer weights; guard roundoff anyway
-                source = next(nd for nd in reversed(infected) if sus_count[nd] > 0)
             which = rng.randrange(sus_count[source])
             new = -1
             for nb in adjacency[source]:
@@ -334,9 +379,8 @@ def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1
                         break
                     which -= 1
             status[new] = I
-            position[new] = len(infected)
+            position[new] = n_infected
             infected.append(new)
-            n_infected += 1
             count = 0
             for nb in adjacency[new]:
                 nb_status = status[nb]
@@ -345,16 +389,25 @@ def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1
                 elif nb_status == I:
                     sus_count[nb] -= 1
                     total_si -= 1
+                    if blocked:
+                        blocks[position[nb] >> bits] -= 1
             sus_count[new] = count
             total_si += count
+            if blocked:
+                blocks[n_infected >> bits] += count
+            n_infected += 1
         else:
             node = infected[rng.randrange(n_infected)]
             last = infected[-1]
-            infected[position[node]] = last
-            position[last] = position[node]
+            pos = position[node]
+            infected[pos] = last
+            position[last] = pos
             infected.pop()
             position[node] = -1
             n_infected -= 1
+            if blocked:
+                blocks[pos >> bits] += sus_count[last] - sus_count[node]
+                blocks[n_infected >> bits] -= sus_count[last]
             total_si -= sus_count[node]
             sus_count[node] = 0
             if sir:
@@ -366,13 +419,18 @@ def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1
                     if status[nb] == I:
                         sus_count[nb] += 1
                         total_si += 1
+                        if blocked:
+                            blocks[position[nb] >> bits] += 1
         t = t_next
 
-    emit_until(horizon)
+    # nothing happens between the last event and the horizon, and a last
+    # grid time rounded past the horizon still gets the state at the horizon
+    infected_counts[k:] = n_infected
+    recovered_counts[k:] = n_recovered
     return PrevalenceTrajectory(
-        times=sample_times,
+        times=np.arange(n_samples) * sample_dt,
         infected_fraction=infected_counts / n,
-        recovered_fraction=None if not sir else recovered_counts / n,
+        recovered_fraction=recovered_counts / n if sir else None,
         extinction_time=extinction_time,
     )
 

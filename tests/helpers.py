@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 
 from ecolab import (
     DivergenceError,
+    EpidemicKind,
+    EpidemicModel,
+    Graph,
     HollingTypeII,
     IntegrationResult,
     IntegratorConfig,
@@ -17,6 +21,7 @@ from ecolab import (
     IvlevResponse,
     LinearResponse,
     NonFiniteDerivativeError,
+    PrevalenceTrajectory,
     Role,
     Scenario,
     SpeciesSpec,
@@ -348,4 +353,178 @@ def saturating_chain_scenario(method="rk4_fixed") -> Scenario:
             replace(hunting, response=IvlevResponse(0.25, 1.0)),
         ),
         integrator=IntegratorConfig(method=method, step=0.01),
+    )
+
+
+# Reference epidemic samplers: the linear-scan generator and simulator that
+# the Fenwick tree and the block sums in ecolab.epidemic replaced, kept
+# verbatim (but for the horizon fill noted below) so equivalence tests can
+# compare the two bit for bit.
+
+
+def reference_barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
+    """Preferential attachment growth, deterministic for a given seed.
+
+    Starts from a clique on m+1 nodes; every later node attaches exactly
+    m edges to distinct targets drawn proportionally to degree (sampling
+    without replacement, degrees taken as of the node's arrival).
+    """
+    if not 1 <= m < n:
+        raise ValueError("need 1 <= m < n")
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    degree = [0] * n
+    for u in range(m + 1):
+        for v in range(u + 1, m + 1):
+            edges.add((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    total = 2 * len(edges)
+    for new in range(m + 1, n):
+        targets: set[int] = set()
+        while len(targets) < m:
+            pick = rng.random() * total
+            acc = 0.0
+            for node in range(new):
+                acc += degree[node]
+                if pick < acc:
+                    targets.add(node)
+                    break
+        for t in targets:
+            edges.add((t, new) if t < new else (new, t))
+            degree[t] += 1
+            degree[new] += 1
+            total += 2
+    return Graph(n_nodes=n, edges=frozenset(edges), generator_tag=f"barabasi_albert(m={m})")
+
+
+def reference_simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1.0) -> PrevalenceTrajectory:
+    """Exact continuous-time simulation sampled on a uniform grid.
+
+    Waiting times are exponential in the total event rate; each event is
+    an infection across a uniformly chosen susceptible-infected edge or
+    the recovery of a uniformly chosen infected node.  No discretization
+    enters anywhere, so threshold experiments see no step-size bias.
+    Identical (model, seed) pairs give bit-identical trajectories.
+    """
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be > 0")
+    if not (math.isfinite(sample_dt) and sample_dt > 0):
+        raise ValueError("sample_dt must be > 0")
+    graph = model.graph
+    n = graph.n_nodes
+    adjacency = graph.adjacency
+    rng = random.Random(model.seed)
+    sir = model.kind == EpidemicKind.SIR
+
+    S, I, R = 0, 1, 2
+    status = [S] * n
+    infected: list[int] = []
+    position = [-1] * n
+    for node in sorted(model.initial_infected):
+        status[node] = I
+        position[node] = len(infected)
+        infected.append(node)
+    sus_count = [0] * n
+    total_si = 0
+    for node in infected:
+        count = sum(1 for nb in adjacency[node] if status[nb] == S)
+        sus_count[node] = count
+        total_si += count
+
+    n_samples = int(math.floor(horizon / sample_dt + 1e-9)) + 1
+    sample_times = np.arange(n_samples) * sample_dt
+    infected_counts = np.empty(n_samples, dtype=float)
+    recovered_counts = np.empty(n_samples, dtype=float) if sir else None
+
+    beta, gamma = model.beta, model.gamma
+    t = 0.0
+    k = 0
+    n_infected = len(infected)
+    n_recovered = 0
+    extinction_time: float | None = None
+
+    def emit_until(limit: float) -> None:
+        nonlocal k
+        while k < n_samples and sample_times[k] <= limit:
+            infected_counts[k] = n_infected
+            if sir:
+                recovered_counts[k] = n_recovered
+            k += 1
+
+    while True:
+        if n_infected == 0:
+            extinction_time = t
+            break
+        total_rate = beta * total_si + gamma * n_infected
+        t_next = t + rng.expovariate(total_rate)
+        if t_next > horizon:
+            emit_until(horizon)
+            break
+        emit_until(math.nextafter(t_next, -math.inf))
+        pick = rng.random() * total_rate
+        if pick < beta * total_si:
+            # infection: weighted choice of an infected node by its
+            # susceptible-neighbor count, then a uniform susceptible neighbor
+            target_weight = rng.random() * total_si
+            acc = 0
+            source = -1
+            for node in infected:
+                acc += sus_count[node]
+                if target_weight < acc:
+                    source = node
+                    break
+            if source < 0:
+                # unreachable with exact integer weights; guard roundoff anyway
+                source = next(nd for nd in reversed(infected) if sus_count[nd] > 0)
+            which = rng.randrange(sus_count[source])
+            new = -1
+            for nb in adjacency[source]:
+                if status[nb] == S:
+                    if which == 0:
+                        new = nb
+                        break
+                    which -= 1
+            status[new] = I
+            position[new] = len(infected)
+            infected.append(new)
+            n_infected += 1
+            count = 0
+            for nb in adjacency[new]:
+                nb_status = status[nb]
+                if nb_status == S:
+                    count += 1
+                elif nb_status == I:
+                    sus_count[nb] -= 1
+                    total_si -= 1
+            sus_count[new] = count
+            total_si += count
+        else:
+            node = infected[rng.randrange(n_infected)]
+            last = infected[-1]
+            infected[position[node]] = last
+            position[last] = position[node]
+            infected.pop()
+            position[node] = -1
+            n_infected -= 1
+            total_si -= sus_count[node]
+            sus_count[node] = 0
+            if sir:
+                status[node] = R
+                n_recovered += 1
+            else:
+                status[node] = S
+                for nb in adjacency[node]:
+                    if status[nb] == I:
+                        sus_count[nb] += 1
+                        total_si += 1
+        t = t_next
+
+    # fixed: a last grid time rounded past the horizon was left unset
+    emit_until(math.inf)
+    return PrevalenceTrajectory(
+        times=sample_times,
+        infected_fraction=infected_counts / n,
+        recovered_fraction=None if not sir else recovered_counts / n,
+        extinction_time=extinction_time,
     )

@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import math
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ecolab import (
     EpidemicKind,
@@ -21,7 +23,13 @@ from ecolab import (
     run_seed,
     simulate_epidemic,
 )
-from helpers import binomial_band, sis_complete_persistence
+from ecolab.epidemic import _FenwickTree
+from helpers import (
+    binomial_band,
+    reference_barabasi_albert,
+    reference_simulate_epidemic,
+    sis_complete_persistence,
+)
 
 
 class TestGraphs:
@@ -372,3 +380,116 @@ def test_bench_epidemic_large_prevalence_pinned():
     traj = simulate_epidemic(model, 20.0, 0.1)
     data = traj.infected_fraction.tobytes() + repr(traj.extinction_time).encode()
     assert hashlib.sha256(data).hexdigest() == "6cc43493687a2e7be3d6608408ec5df516301ccdc8cff778ec578bf6edbf3388"
+
+
+@pytest.mark.parametrize("horizon, sample_dt", [(0.7, 0.1), (0.3, 0.1), (0.6, 0.2)])
+@pytest.mark.parametrize("kind", list(EpidemicKind))
+def test_last_sample_rounded_past_the_horizon_holds_the_state_there(horizon, sample_dt, kind):
+    n_samples = int(math.floor(horizon / sample_dt + 1e-9)) + 1
+    assert (n_samples - 1) * sample_dt > horizon  # e.g. 7 * 0.1 == 0.7000000000000001
+    # no event before the horizon: every sample is the initial state
+    quiet = EpidemicModel(complete_graph(30), kind, 0.0, 1e-9, frozenset(range(3)), seed=1)
+    traj = simulate_epidemic(quiet, horizon, sample_dt)
+    assert list(traj.infected_fraction) == [0.1] * n_samples
+    if kind == EpidemicKind.SIR:
+        assert list(traj.recovered_fraction) == [0.0] * n_samples
+    # with events: the state at the horizon, read off a one-interval grid
+    # (the event sequence does not depend on the sampling grid)
+    busy = EpidemicModel(complete_graph(30), kind, 0.3, 1.0, frozenset(range(3)), seed=2)
+    traj = simulate_epidemic(busy, horizon, sample_dt)
+    at_horizon = simulate_epidemic(busy, horizon, horizon)
+    assert traj.infected_fraction[-1] == at_horizon.infected_fraction[-1]
+    if kind == EpidemicKind.SIR:
+        assert traj.recovered_fraction[-1] == at_horizon.recovered_fraction[-1]
+
+
+@given(weights=st.lists(st.integers(0, 20), min_size=1, max_size=70).filter(any), data=st.data())
+def test_fenwick_find_is_the_first_prefix_above_the_target(weights, data):
+    tree = _FenwickTree(len(weights))
+    for pos, weight in enumerate(weights):
+        tree.add(pos, weight)
+    total = sum(weights)
+    prefixes = list(itertools.accumulate(weights))
+    # whole prefix sums are the ties a `<` scan must break the same way
+    target = data.draw(st.one_of(st.integers(0, total - 1).map(float), st.floats(0.0, total, exclude_max=True)))
+    assert tree.find(target) == next(k for k, acc in enumerate(prefixes) if target < acc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 5), extra=st.integers(1, 300), seed=st.integers(0, 2**32))
+def test_barabasi_albert_matches_linear_scan(m, extra, seed):
+    n = m + extra
+    assert barabasi_albert(n, m, seed=seed).edges == reference_barabasi_albert(n, m, seed=seed).edges
+
+
+def assert_same_trajectory(model, horizon, sample_dt):
+    fast = simulate_epidemic(model, horizon, sample_dt)
+    slow = reference_simulate_epidemic(model, horizon, sample_dt)
+    assert fast.times.tobytes() == slow.times.tobytes()
+    assert fast.infected_fraction.tobytes() == slow.infected_fraction.tobytes()
+    if slow.recovered_fraction is None:
+        assert fast.recovered_fraction is None
+    else:
+        assert fast.recovered_fraction.tobytes() == slow.recovered_fraction.tobytes()
+    assert repr(fast.extinction_time) == repr(slow.extinction_time)
+    return fast
+
+
+@st.composite
+def contact_graphs(draw):
+    family = draw(st.sampled_from(["complete-small", "complete-large", "erdos_renyi", "barabasi_albert"]))
+    if family == "complete-small":
+        return complete_graph(draw(st.integers(2, 64)))
+    if family == "complete-large":
+        return complete_graph(draw(st.integers(65, 140)))
+    if family == "erdos_renyi":
+        n = draw(st.integers(2, 250))
+        return erdos_renyi(n, min(1.0, draw(st.floats(0.0, 8.0)) / n), seed=draw(st.integers(0, 1000)))
+    return barabasi_albert(draw(st.integers(5, 400)), draw(st.integers(1, 4)), seed=draw(st.integers(0, 1000)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    graph=contact_graphs(),
+    kind=st.sampled_from(list(EpidemicKind)),
+    beta_scale=st.floats(0.0, 4.0),
+    infected_share=st.floats(0.0, 0.6),
+    horizon=st.sampled_from([0.3, 0.7, 2.0, 5.0, 12.5]),
+    grid=st.sampled_from([1, 3, 7, 10, 40]),
+    seed=st.integers(0, 2**32),
+)
+def test_simulation_matches_linear_scan(graph, kind, beta_scale, infected_share, horizon, grid, seed):
+    degrees = graph.degrees()
+    beta = beta_scale / max(1.0, float(degrees.max()))
+    initial = frozenset(range(max(1, int(infected_share * graph.n_nodes))))
+    model = EpidemicModel(graph, kind, beta, 1.0, initial, seed)
+    assert_same_trajectory(model, horizon, horizon / grid)
+
+
+@pytest.mark.parametrize(
+    "graph, kind, beta, infected",
+    [
+        (complete_graph(130), EpidemicKind.SIS, 0.03, 60),
+        (complete_graph(130), EpidemicKind.SIR, 0.05, 10),
+        (barabasi_albert(600, 3, seed=4), EpidemicKind.SIS, 0.25, 50),
+        (barabasi_albert(600, 3, seed=4), EpidemicKind.SIR, 0.4, 100),
+    ],
+)
+def test_infected_list_crosses_block_boundaries(graph, kind, beta, infected):
+    # the infected list grows past and falls back below the first 64-slot block
+    model = EpidemicModel(graph, kind, beta, 1.0, frozenset(range(infected)), seed=3)
+    counts = [
+        np.rint(assert_same_trajectory(replace(model, seed=seed), 10.0, 0.05).infected_fraction * graph.n_nodes)
+        for seed in range(3)
+    ]
+    assert all(c.max() > 64 and c.min() < 64 for c in counts)
+
+
+@pytest.mark.parametrize("graph", [complete_graph(40), complete_graph(100), barabasi_albert(400, 2, seed=8)])
+def test_extinct_runs_match_linear_scan(graph):
+    beta = 0.5 * mean_field_threshold(graph, 1.0)
+    extinct = 0
+    for seed in range(10):
+        model = EpidemicModel(graph, EpidemicKind.SIS, beta, 1.0, frozenset(range(0, graph.n_nodes, 4)), seed)
+        extinct += assert_same_trajectory(model, 30.0, 0.5).extinction_time is not None
+    assert extinct > 0
