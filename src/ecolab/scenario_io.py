@@ -212,6 +212,8 @@ def _vector(data: dict, key: str, path: str, length: int, default=None):
     for k, item in enumerate(value):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ParseError(f"{path}.{key}[{k}]: expected a number")
+        if not math.isfinite(item):
+            raise ParseError(f"{path}.{key}[{k}]: must be finite")
         out.append(float(item))
     return tuple(out)
 
@@ -461,6 +463,8 @@ def _parse_gradient(raw: Any, path: str) -> GradientSpec:
             for item in row:
                 if isinstance(item, bool) or not isinstance(item, (int, float)):
                     raise ParseError(f"{path}.matrix[{k}]: expected 3 numbers")
+                if not math.isfinite(item):
+                    raise ParseError(f"{path}.matrix[{k}]: must be finite")
             rows.append(tuple(float(v) for v in row))
         return GradientSpec(
             type="linear",

@@ -381,6 +381,7 @@ def graph(spec: dict) -> str:
 
 
 NAN = float("nan")
+INF = float("inf")
 
 MALFORMED = [
     # document level
@@ -523,6 +524,12 @@ MALFORMED = [
      "document.mutation: expected a list of 3 numbers"),
     ("mutation-item", patched(SELECTION, (("mutation", 1), "x")), "ParseError",
      "document.mutation[1]: expected a number"),
+    ("mutation-nan", patched(SELECTION, (("mutation", 0), NAN)), "ParseError",
+     "document.mutation[0]: must be finite"),
+    ("gradient-value-inf", patched(SELECTION, (("natural_gradient", "value", 2), INF)), "ParseError",
+     "document.natural_gradient.value[2]: must be finite"),
+    ("gradient-intercept-nan", patched(SELECTION, (("sexual_gradient", "intercept", 1), NAN)),
+     "ParseError", "document.sexual_gradient.intercept[1]: must be finite"),
     ("gradient-type", patched(SELECTION, (("natural_gradient", "type"), "quadratic")),
      "ParseError",
      "document.natural_gradient.type: unknown gradient type 'quadratic' (constant, linear)"),
@@ -535,6 +542,10 @@ MALFORMED = [
      "ParseError", "document.sexual_gradient.matrix[1]: expected 3 numbers"),
     ("gradient-matrix-item", patched(SELECTION, (("sexual_gradient", "matrix", 0, 2), True)),
      "ParseError", "document.sexual_gradient.matrix[0]: expected 3 numbers"),
+    ("gradient-matrix-nan", patched(SELECTION, (("sexual_gradient", "matrix", 2, 0), NAN)),
+     "ParseError", "document.sexual_gradient.matrix[2]: must be finite"),
+    ("gradient-matrix-inf", patched(SELECTION, (("sexual_gradient", "matrix", 1, 1), -INF)),
+     "ParseError", "document.sexual_gradient.matrix[1]: must be finite"),
     ("steps-negative", patched(SELECTION, (("steps",), -1)), "ParseError",
      "document.steps: must be >= 0"),
     ("not-psd", patched(SELECTION, (("covariance", "c_display_preference"), 2.0)), "ParseError",
