@@ -329,7 +329,7 @@ def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1
 
     n_samples = int(math.floor(horizon / sample_dt + 1e-9)) + 1
     infected_counts = np.empty(n_samples, dtype=float)
-    recovered_counts = np.empty(n_samples, dtype=float)
+    recovered_counts = np.empty(n_samples, dtype=float) if sir else None
 
     beta, gamma = model.beta, model.gamma
     t = 0.0
@@ -350,7 +350,8 @@ def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1
         # every grid time before the event sees the state before it
         while next_sample < t_next and k < n_samples:
             infected_counts[k] = n_infected
-            recovered_counts[k] = n_recovered
+            if sir:
+                recovered_counts[k] = n_recovered
             k += 1
             next_sample = k * sample_dt
         pick = rng.random() * total_rate
@@ -426,11 +427,12 @@ def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1
     # nothing happens between the last event and the horizon, and a last
     # grid time rounded past the horizon still gets the state at the horizon
     infected_counts[k:] = n_infected
-    recovered_counts[k:] = n_recovered
+    if sir:
+        recovered_counts[k:] = n_recovered
     return PrevalenceTrajectory(
         times=np.arange(n_samples) * sample_dt,
         infected_fraction=infected_counts / n,
-        recovered_fraction=recovered_counts / n if sir else None,
+        recovered_fraction=None if not sir else recovered_counts / n,
         extinction_time=extinction_time,
     )
 
