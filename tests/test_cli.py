@@ -1,9 +1,13 @@
+import hashlib
 import json
+import re
 
+import numpy as np
 import pytest
 
-from ecolab import cli_main, parse_scenario, serialize_scenario
+from ecolab import cli_main, iterate_selection, parse_scenario, read_csv, serialize_scenario
 from ecolab.demos import DEMO_NAMES, demo_document
+from ecolab.selection import TRAIT_NAMES
 
 
 def run_cli(*argv) -> int:
@@ -298,3 +302,42 @@ def test_selection_document_runs(tmp_path):
     assert lines[0] == "time,display,preference,fitness"
     assert len(lines) == 52
     assert svg.read_text().startswith("<?xml")
+
+
+# A selection run whose constant natural gradient drives display below 0:
+# the signed case every sampled series must carry through CSV and SVG.
+SIGNED_SELECTION = {
+    "kind": "selection",
+    "means": {"display": 0.5, "preference": 0.2, "fitness": 0.0},
+    "covariance": {"v_display": 1.0, "v_preference": 0.5, "v_fitness": 0.0, "c_display_preference": 0.3},
+    "natural_gradient": {"type": "constant", "value": [-0.07, 0.0, 0.0]},
+    "sexual_gradient": {"type": "constant", "value": [0.0, 0.01, 0.0]},
+    "steps": 40,
+}
+
+
+def test_signed_selection_run_pinned(tmp_path, capsys):
+    path = tmp_path / "signed.json"
+    path.write_text(json.dumps(SIGNED_SELECTION))
+    csv, svg = tmp_path / "signed.csv", tmp_path / "signed.svg"
+    assert run_cli("run", str(path), "--csv", str(csv), "--svg", str(svg)) == 0
+    # the wall-clock line is the one part of stdout that is not deterministic
+    stdout = re.sub(r"wall clock: .* ms", "wall clock: - ms", capsys.readouterr().out)
+
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    assert sha(csv.read_bytes()) == "dd92e0956bf730453411c83e55223b8e13f294f0a1d91d6df1db00c9672dc045"
+    assert sha(svg.read_bytes()) == "86d8307aa719be9025468f74225dc286fb2b41ed629062b418ff2780fa646fcc"
+    assert sha(stdout.encode("utf-8")) == "841b146a5eec16a57a7496f2d63ffb5bed081a8349c512c4fad584f7e89fbfae"
+
+    bundle = parse_scenario(path.read_text())
+    history = iterate_selection(
+        bundle.initial_state(), bundle.steps, natural=bundle.natural.callable(), sexual=bundle.sexual.callable()
+    )
+    table = read_csv(csv.read_text())
+    assert table.variable_names == TRAIT_NAMES
+    assert table.times.tobytes() == history.times.tobytes()
+    values = np.column_stack([history.column(name) for name in TRAIT_NAMES])
+    assert table.values.tobytes() == values.tobytes()
+    assert values[:, 0].min() < 0.0
