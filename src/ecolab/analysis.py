@@ -439,6 +439,17 @@ def _attractor_classification(scenario: Scenario, final: np.ndarray) -> Classifi
     return stability_report(scenario, nearest).classification
 
 
+def _monotone_grid(grid: Sequence[float]) -> tuple[float, ...]:
+    """The grid as floats, checked to hold two or more strictly monotone points."""
+    grid = tuple(float(g) for g in grid)
+    if len(grid) < 2:
+        raise ValueError("grid needs at least two points")
+    diffs = np.diff(grid)
+    if not (np.all(diffs > 0) or np.all(diffs < 0)):
+        raise ValueError("grid must be strictly monotone")
+    return grid
+
+
 def sweep(
     scenario: Scenario,
     parameter_path: str,
@@ -452,31 +463,26 @@ def sweep(
     settled toward) and evaluates the optional user metric.  Points are
     independent; they run, and are reported, in grid order.
     """
-    grid = tuple(float(g) for g in grid)
-    if len(grid) < 2:
-        raise ValueError("grid needs at least two points")
-    diffs = np.diff(grid)
-    if not (np.all(diffs > 0) or np.all(diffs < 0)):
-        raise ValueError("grid must be strictly monotone")
+    grid = _monotone_grid(grid)
     set_parameter(scenario, parameter_path, grid[0])  # fail fast on bad paths
-
-    def job(idx: int) -> PointSummary:
-        updated = validate_scenario(set_parameter(scenario, parameter_path, grid[idx]))
+    points = []
+    for value in grid:
+        updated = validate_scenario(set_parameter(scenario, parameter_path, value))
         result = integrate_report(updated)
         final = result.trajectory.final_state()
         classification = _attractor_classification(updated, final)
         metric_value = None
         if metric is not None:
             metric_value = float(metric(updated, result.trajectory))
-        return PointSummary(
-            value=grid[idx],
-            classification=classification,
-            final_state=tuple(float(v) for v in final),
-            extinctions=result.extinctions,
-            metric=metric_value,
+        points.append(
+            PointSummary(
+                value=value,
+                classification=classification,
+                final_state=tuple(float(v) for v in final),
+                extinctions=result.extinctions,
+                metric=metric_value,
+            )
         )
-
-    points = [job(k) for k in range(len(grid))]
     transitions = tuple(
         (grid[k], grid[k + 1])
         for k in range(len(grid) - 1)
@@ -512,15 +518,10 @@ def sweep_epidemic(
         raise ValueError(
             f"unresolvable parameter path '{parameter_path}' for an epidemic (beta, gamma)"
         )
-    grid = tuple(float(g) for g in grid)
-    if len(grid) < 2:
-        raise ValueError("grid needs at least two points")
-    diffs = np.diff(grid)
-    if not (np.all(diffs > 0) or np.all(diffs < 0)):
-        raise ValueError("grid must be strictly monotone")
-
-    def job(idx: int) -> PointSummary:
-        updated = replace(model, **{parameter_path: grid[idx]})
+    grid = _monotone_grid(grid)
+    points = []
+    for idx, value in enumerate(grid):
+        updated = replace(model, **{parameter_path: value})
         fraction = persistence_fraction(
             updated.graph,
             updated.beta,
@@ -531,9 +532,7 @@ def sweep_epidemic(
             kind=updated.kind,
             initial_infected=updated.initial_infected,
         )
-        return PointSummary(value=grid[idx], classification=None, metric=fraction)
-
-    points = [job(k) for k in range(len(grid))]
+        points.append(PointSummary(value=value, classification=None, metric=fraction))
     return SweepReport(
         parameter_path=parameter_path,
         grid=grid,

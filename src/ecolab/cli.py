@@ -18,12 +18,11 @@ import numpy as np
 
 from .analysis import SweepReport, analyze_scenario, sweep, sweep_epidemic
 from .continuous import integrate_report
-from .core import Scenario, ScenarioValidationError
+from .core import Scenario, ScenarioValidationError, Trajectory
 from .demos import DEMO_NAMES, demo_document, mimicry_table
 from .discrete import iterate_map, nicholson_bailey_map
 from .epidemic import estimate_threshold, mean_field_threshold, simulate_epidemic
 from .scenario_io import (
-    CsvSeries,
     DiscreteBundle,
     Document,
     EpidemicBundle,
@@ -34,7 +33,7 @@ from .scenario_io import (
     serialize_scenario,
     write_csv,
 )
-from .selection import TRAIT_NAMES, iterate_selection
+from .selection import iterate_selection
 from .svg import polyline_chart, render_svg
 
 __all__ = ["RunReport", "main", "cli_main"]
@@ -77,13 +76,13 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _write_outputs(args, traj_like, title: str) -> str:
+def _write_outputs(args, trajectory: Trajectory, title: str) -> str:
     ref = "-"
     if args.csv:
-        _atomic_write(args.csv, write_csv(traj_like))
+        _atomic_write(args.csv, write_csv(trajectory))
         ref = args.csv
     if args.svg:
-        _atomic_write(args.svg, render_svg(traj_like, title=title))
+        _atomic_write(args.svg, render_svg(trajectory, title=title))
     return ref
 
 
@@ -91,58 +90,48 @@ def _run_document(document: Document, args) -> RunReport:
     digest = scenario_digest(document)
     started = time.perf_counter()
     extinctions: tuple[tuple[str, float], ...] = ()
+    final_label = None  # the epidemic branch writes its own summary
 
     if isinstance(document, Scenario):
         result = integrate_report(document)
-        traj_like = result.trajectory
-        extinctions = result.extinctions
-        title = "community densities"
-        final = ", ".join(
-            f"{name}={value:.6g}"
-            for name, value in zip(traj_like.variable_names, traj_like.final_state())
-        )
-        summary = f"final densities: {final}"
+        trajectory, extinctions = result.trajectory, result.extinctions
+        title, final_label = "community densities", "final densities"
     elif isinstance(document, EpidemicBundle):
         model = document.model
         if args.seed is not None:
             model = replace(model, seed=args.seed)
         prevalence = simulate_epidemic(model, document.horizon, document.sample_dt)
-        traj_like = prevalence.as_trajectory()
+        trajectory = prevalence.as_trajectory()
         title = "epidemic prevalence"
         if prevalence.extinction_time is None:
             summary = f"infection alive at horizon, final prevalence {prevalence.infected_fraction[-1]:.4f}"
         else:
             summary = f"infection extinct at t={prevalence.extinction_time:.4g}"
     elif isinstance(document, SelectionBundle):
-        history = iterate_selection(
+        trajectory = iterate_selection(
             document.initial_state(),
             document.steps,
             natural=document.natural.callable(),
             sexual=document.sexual.callable(),
         )
-        traj_like = CsvSeries(TRAIT_NAMES, history.times, history.means)
-        title = "trait means"
-        final = ", ".join(
-            f"{name}={value:.6g}" for name, value in zip(TRAIT_NAMES, history.means[-1])
-        )
-        summary = f"final trait means: {final}"
+        title, final_label = "trait means", "final trait means"
     elif isinstance(document, DiscreteBundle):
-        traj_like = iterate_map(
+        trajectory = iterate_map(
             nicholson_bailey_map(document.params),
             (document.initial_host, document.initial_parasitoid),
             document.generations,
             variable_names=("host", "parasitoid"),
         )
-        title = "host-parasitoid generations"
-        final = ", ".join(
-            f"{name}={value:.6g}"
-            for name, value in zip(traj_like.variable_names, traj_like.final_state())
-        )
-        summary = f"final generation: {final}"
+        title, final_label = "host-parasitoid generations", "final generation"
     else:
         raise TypeError(f"cannot run document {document!r}")
+    if final_label is not None:
+        final = ", ".join(
+            f"{name}={value:.6g}" for name, value in zip(trajectory.variable_names, trajectory.final_state())
+        )
+        summary = f"{final_label}: {final}"
 
-    ref = _write_outputs(args, traj_like, title)
+    ref = _write_outputs(args, trajectory, title)
     duration = time.perf_counter() - started
     report = RunReport(
         digest=digest,

@@ -456,34 +456,24 @@ def _integrate_rk45(f, y0, cfg, horizon, names):
     return times, states, extinctions
 
 
-def _on_floats(derivative_fn, n):
-    """Adapt an array derivative (array in, array-like out) to the float step loop."""
-
-    def f(y):
-        return np.broadcast_to(np.asarray(derivative_fn(np.array(y)), dtype=float), (n,)).tolist()
-
-    return f
-
-
 def integrate_report(
     scenario: Scenario,
-    derivative_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+    derivative_fn: Callable[[Sequence[float]], list[float]] | None = None,
 ) -> IntegrationResult:
     """Integrate a validated scenario and report extinctions alongside.
 
     Samples sit at the integrator's accepted steps (every `step` for
     rk4_fixed, the accepted adaptive steps plus the horizon endpoint for
     rk45_adaptive).  The run is deterministic for identical inputs.
-    The step loop runs on Python floats; a `derivative_fn` receives and
-    returns arrays as before.
+    The step loop runs on Python floats; a `derivative_fn` replaces the
+    scenario's own `community_rhs` and keeps its contract (a sequence of
+    floats in, a list of floats out).  Clamping every density below
+    `extinction_epsilon` to 0 keeps the samples nonnegative.
     """
     validate_scenario(scenario)
     y0 = scenario.initial_state().tolist()
     names = tuple(sp.id for sp in scenario.species)
-    if derivative_fn is None:
-        f = community_rhs(scenario)
-    else:
-        f = _on_floats(derivative_fn, len(names))
+    f = community_rhs(scenario) if derivative_fn is None else derivative_fn
     cfg = scenario.integrator
     if cfg.method == "rk4_fixed":
         times, states, extinctions = _integrate_rk4(f, y0, cfg, scenario.horizon, names)
@@ -495,7 +485,7 @@ def integrate_report(
 
 def integrate(
     scenario: Scenario,
-    derivative_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+    derivative_fn: Callable[[Sequence[float]], list[float]] | None = None,
 ) -> Trajectory:
     """Integrate a validated scenario; see `integrate_report` for details."""
     return integrate_report(scenario, derivative_fn).trajectory

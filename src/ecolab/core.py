@@ -321,11 +321,14 @@ def validate_scenario(scenario: Scenario) -> Scenario:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-indexed nonnegative state samples, one column per variable.
+    """Named variables sampled at times from 0, one column per variable.
 
-    The invariants (strictly increasing times starting at 0, matching
-    shapes, finite nonnegative values) are enforced here so that every
-    trajectory in the system is safe to serialize or plot as-is.
+    Every sampled run is one: community densities, epidemic fractions,
+    host-parasitoid generations and trait means, which may be negative.
+    The invariants (at least one sample, matching shapes, strictly
+    increasing times starting at 0, finite values) are enforced here so
+    that every trajectory is safe to serialize or plot as-is; ranges are
+    the producers' business.
     """
 
     variable_names: tuple[str, ...]
@@ -353,8 +356,6 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
         if not np.all(np.isfinite(values)):
             raise ValueError("trajectory values must be finite")
-        if np.any(values < 0):
-            raise ValueError("trajectory values must be >= 0")
         times.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "variable_names", names)

@@ -93,7 +93,8 @@ def iterate_map(
     """Iterate a map for n generations; times are the indices 0..n.
 
     Raises ValueError (naming the generation) if the step function ever
-    returns a non-finite value.
+    returns a non-finite value, and if any state, the initial one
+    included, holds a negative density.
     """
     if n_generations < 0:
         raise ValueError("n_generations must be >= 0")
@@ -106,5 +107,7 @@ def iterate_map(
         if not all(math.isfinite(v) for v in state):
             raise ValueError(f"step function returned a non-finite value at generation {generation + 1}")
         rows.append(state)
-    times = np.arange(len(rows), dtype=float)
-    return Trajectory(tuple(variable_names), times, np.array(rows, dtype=float))
+    values = np.array(rows, dtype=float)
+    if np.any(values < 0):
+        raise ValueError("trajectory values must be >= 0")
+    return Trajectory(tuple(variable_names), np.arange(len(rows), dtype=float), values)

@@ -284,6 +284,9 @@ _BLOCK_BITS = 6
 def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1.0) -> PrevalenceTrajectory:
     """Exact continuous-time simulation sampled on a uniform grid.
 
+    Samples sit at k * sample_dt up to the horizon; a last grid time that
+    rounds past the horizon is labelled with the horizon itself.
+
     Waiting times are exponential in the total event rate; each event is
     an infection across a uniformly chosen susceptible-infected edge or
     the recovery of a uniformly chosen infected node.  No discretization
@@ -429,8 +432,10 @@ def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1
     infected_counts[k:] = n_infected
     if sir:
         recovered_counts[k:] = n_recovered
+    times = np.arange(n_samples) * sample_dt
+    times[-1] = min(times[-1], horizon)
     return PrevalenceTrajectory(
-        times=np.arange(n_samples) * sample_dt,
+        times=times,
         infected_fraction=infected_counts / n,
         recovered_fraction=None if not sir else recovered_counts / n,
         extinction_time=extinction_time,

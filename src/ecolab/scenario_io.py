@@ -29,6 +29,7 @@ from .core import (
     Role,
     Scenario,
     SpeciesSpec,
+    Trajectory,
     validate_scenario,
 )
 from .continuous import ContinuumParams, continuum_interaction
@@ -673,30 +674,25 @@ def _format_value(x: float) -> str:
     return repr(x)
 
 
-def write_csv(trajectory) -> str:
+def write_csv(trajectory: Trajectory) -> str:
     """Comma-separated samples, one row per time, shortest round-trip decimals.
 
-    The header is "time,<name1>,<name2>,..." in declaration order; values
-    parse back bit-exactly.
+    The header is "time,<name1>,<name2>,..." in variable order; `read_csv`
+    reads the text back into an equal trajectory, bit for bit.
     """
-    names = tuple(trajectory.variable_names)
-    lines = ["time," + ",".join(names)]
-    values = np.asarray(trajectory.values, dtype=float)
-    for t, row in zip(trajectory.times, values):
-        lines.append(",".join([_format_value(float(t))] + [_format_value(float(v)) for v in row]))
+    lines = ["time," + ",".join(trajectory.variable_names)]
+    for t, row in zip(trajectory.times.tolist(), trajectory.values.tolist()):
+        lines.append(",".join([_format_value(t)] + [_format_value(v) for v in row]))
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class CsvSeries:
-    """Trajectory-shaped table read back from CSV (not validated)."""
+def read_csv(text: str) -> Trajectory:
+    """Read `write_csv` text back into its trajectory.
 
-    variable_names: tuple[str, ...]
-    times: np.ndarray
-    values: np.ndarray
-
-
-def read_csv(text: str) -> CsvSeries:
+    Raises ValueError for text that is not such a table, including rows
+    that do not form a trajectory (none at all, times that do not start
+    at 0 or do not increase, non-finite values).
+    """
     lines = [line for line in text.splitlines() if line]
     if not lines:
         raise ValueError("empty CSV")
@@ -712,4 +708,4 @@ def read_csv(text: str) -> CsvSeries:
             raise ValueError(f"row has {len(cells)} cells, expected {len(names) + 1}")
         times.append(float(cells[0]))
         rows.append([float(c) for c in cells[1:]])
-    return CsvSeries(names, np.array(times), np.array(rows))
+    return Trajectory(names, np.array(times), np.array(rows).reshape(len(rows), len(names)))

@@ -14,12 +14,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .core import Trajectory
+
 __all__ = [
     "TRAIT_NAMES",
     "SelectionState",
     "selection_step",
     "iterate_selection",
-    "SelectionHistory",
     "constant_gradient",
     "linear_gradient",
     "KinSelectionParams",
@@ -152,28 +153,18 @@ def linear_gradient(intercept: Sequence[float], coefficients) -> GradientFn:
     return fn
 
 
-@dataclass(frozen=True)
-class SelectionHistory:
-    """Trait means over generations 0..n."""
-
-    times: np.ndarray
-    means: np.ndarray
-    final_state: SelectionState
-
-    def column(self, trait: str) -> np.ndarray:
-        return self.means[:, TRAIT_NAMES.index(trait)]
-
-
 def iterate_selection(
     state: SelectionState,
     n_steps: int,
     natural: GradientFn | None = None,
     sexual: GradientFn | None = None,
-) -> SelectionHistory:
+) -> Trajectory:
     """Run the recursion, optionally recomputing gradients each step.
 
     When `natural`/`sexual` are omitted the state's stored gradient
-    vectors are used as constants.
+    vectors are used as constants.  Returns the trait means of
+    generations 0..n_steps, one column per name in TRAIT_NAMES; they
+    may go negative.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -185,8 +176,7 @@ def iterate_selection(
             state = replace(state, sexual_gradient=sexual(state.means))
         _, state = selection_step(state)
         rows.append(state.means.copy())
-    times = np.arange(len(rows), dtype=float)
-    return SelectionHistory(times=times, means=np.array(rows), final_state=state)
+    return Trajectory(TRAIT_NAMES, np.arange(len(rows), dtype=float), np.array(rows))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+from .core import Trajectory
+
 __all__ = ["render_svg", "polyline_chart"]
 
 PALETTE = (
@@ -146,10 +148,10 @@ def polyline_chart(
     return "\n".join(parts) + "\n"
 
 
-def render_svg(trajectory, title: str | None = None, x_label: str = "time") -> str:
-    """Render any trajectory-shaped object (names, times, values) as SVG."""
+def render_svg(trajectory: Trajectory, title: str | None = None, x_label: str = "time") -> str:
+    """Chart a trajectory, one polyline per variable against its times."""
     return polyline_chart(
-        tuple(trajectory.variable_names),
+        trajectory.variable_names,
         trajectory.times,
         trajectory.values,
         title=title,

@@ -520,8 +520,10 @@ def reference_simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt:
                         total_si += 1
         t = t_next
 
-    # fixed: a last grid time rounded past the horizon was left unset
+    # fixed: a last grid time rounded past the horizon was left unset, and
+    # labelled with a time after the horizon
     emit_until(math.inf)
+    sample_times[-1] = min(sample_times[-1], horizon)
     return PrevalenceTrajectory(
         times=sample_times,
         infected_fraction=infected_counts / n,

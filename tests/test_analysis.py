@@ -212,6 +212,15 @@ class TestSetParameter:
         assert set_parameter(predation_scenario(), "horizon", 7.0).horizon == 7.0
 
 
+# Both sweeps share their grid checks.
+_GRID_SWEEPS = {
+    "sweep": lambda grid: sweep(predation_scenario(horizon=2.0), "horizon", grid),
+    "sweep_epidemic": lambda grid: sweep_epidemic(
+        EpidemicModel(graph=complete_graph(5), beta=0.1, gamma=1.0), "beta", grid, horizon=2.0
+    ),
+}
+
+
 class TestSweep:
     def test_inert_parameter_changes_nothing(self):
         scenario = predation_scenario(horizon=5.0)
@@ -235,9 +244,15 @@ class TestSweep:
         assert math.isclose(low, -0.3, abs_tol=1e-9)
         assert math.isclose(high, -0.4, abs_tol=1e-9)
 
-    def test_monotone_grid_required(self):
-        with pytest.raises(ValueError, match="monotone"):
-            sweep(predation_scenario(horizon=2.0), "horizon", [1.0, 3.0, 2.0])
+    @pytest.mark.parametrize("run", _GRID_SWEEPS.values(), ids=_GRID_SWEEPS)
+    def test_monotone_grid_required(self, run):
+        with pytest.raises(ValueError, match="grid must be strictly monotone"):
+            run([1.0, 3.0, 2.0])
+
+    @pytest.mark.parametrize("run", _GRID_SWEEPS.values(), ids=_GRID_SWEEPS)
+    def test_grid_needs_two_points(self, run):
+        with pytest.raises(ValueError, match="grid needs at least two points"):
+            run([1.0])
 
     def test_descending_grid_allowed(self):
         report = sweep(predation_scenario(horizon=2.0), "initial.prey", [30.0, 20.0])

@@ -263,6 +263,28 @@ def test_sir_run_writes_recovered_column(tmp_path):
     assert len(lines) == 17
 
 
+def test_epidemic_csv_labels_the_last_sample_with_the_horizon(tmp_path):
+    # 7 * 0.1 rounds to 0.7000000000000001; the row holds the state at 0.7
+    document = {
+        "kind": "epidemic",
+        "graph": {"generator": "complete", "n": 30},
+        "model": "sis",
+        "beta": 0.3,
+        "gamma": 1.0,
+        "initial_infected": [0, 1, 2],
+        "seed": 2,
+        "horizon": 0.7,
+        "sample_dt": 0.1,
+    }
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(document))
+    out = tmp_path / "short.csv"
+    assert run_cli("run", str(path), "--csv", str(out), "--quiet") == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 9
+    assert lines[-1].startswith("0.7,")
+
+
 def test_discrete_document_runs(tmp_path):
     document = {
         "kind": "discrete",

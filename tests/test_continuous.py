@@ -347,6 +347,13 @@ class TestIntegrate:
         assert 19.0 < when < 22.0  # exp(-t) crosses 1e-9 near t = 20.7
         assert result.trajectory.values[-1, 0] == 0.0
 
+    def test_step_overshooting_below_zero_is_clamped(self):
+        # Trajectory does not check signs: one RK4 step of x' = -2x^2 from
+        # x = 1 with h = 1 lands on -1/3, and the clamp must catch it
+        result = integrate_report(single_species(growth=0.0, limit=2.0, initial=1.0, horizon=3.0, step=1.0))
+        assert list(result.trajectory.values[:, 0]) == [1.0, 0.0, 0.0, 0.0]
+        assert result.extinctions == (("only", 1.0),)
+
     def test_no_negative_values_anywhere(self):
         result = integrate_report(chain_scenario(horizon=80.0))
         assert np.all(result.trajectory.values >= 0.0)
@@ -499,10 +506,11 @@ def _scenarios(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_scenarios())
 def test_float_loop_matches_reference_path(scenario):
-    _assert_same_outcome(
-        _outcome(lambda: integrate_report(scenario)),
-        _outcome(lambda: reference_integrate_report(scenario)),
-    )
+    got = _outcome(lambda: integrate_report(scenario))
+    _assert_same_outcome(got, _outcome(lambda: reference_integrate_report(scenario)))
+    # the integrators alone keep the samples nonnegative; Trajectory does not check it
+    if not isinstance(got, tuple):
+        assert np.all(got.trajectory.values >= 0)
 
 
 def test_rk45_error_norm_matches_reference_path_on_many_species():
@@ -571,7 +579,7 @@ def test_divergence_matches_reference_path(method):
 )
 def test_non_finite_derivative_matches_reference_path(method, derivative):
     scenario = predation_scenario(method=method)
-    got = _outcome(lambda: integrate_report(scenario, derivative))
+    got = _outcome(lambda: integrate_report(scenario, lambda y: derivative(np.array(y)).tolist()))
     want = _outcome(lambda: reference_integrate_report(scenario, derivative))
     assert want[0] is NonFiniteDerivativeError
     _assert_same_outcome(got, want)
@@ -583,7 +591,7 @@ def test_overflowing_step_matches_reference_path(method):
     # divergence check sees the infinite state
     scenario = predation_scenario(method=method, step=1.0)
     derivative = lambda s: np.full(s.shape, 1e308)
-    got = _outcome(lambda: integrate_report(scenario, derivative))
+    got = _outcome(lambda: integrate_report(scenario, lambda y: derivative(np.array(y)).tolist()))
     with np.errstate(over="ignore", invalid="ignore"):
         want = _outcome(lambda: reference_integrate_report(scenario, derivative))
     _assert_same_outcome(got, want)

@@ -186,9 +186,10 @@ class TestTrajectory:
         assert traj.column("b")[2] == 6.0
         assert list(traj.final_state()) == [5.0, 6.0]
 
-    def test_rejects_negative_values(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            Trajectory(("a",), [0.0, 1.0], [[1.0], [-0.5]])
+    def test_accepts_negative_values(self):
+        # trait means are signed; nonnegativity is checked by the producers that need it
+        traj = Trajectory(("a",), [0.0, 1.0], [[1.0], [-0.5]])
+        assert list(traj.column("a")) == [1.0, -0.5]
 
     def test_rejects_non_increasing_times(self):
         with pytest.raises(ValueError, match="strictly increasing"):

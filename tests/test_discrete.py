@@ -135,6 +135,14 @@ class TestIterateMap:
         with pytest.raises(ValueError, match="generation 2"):
             iterate_map(blow_up, (1.0,), 5)
 
+    def test_negative_step_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            iterate_map(lambda s: (-0.5,), (1.0,), 3)
+
+    def test_negative_initial_state_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            iterate_map(lambda s: s, (1.0, -2.0), 3)
+
     def test_negative_generations_rejected(self):
         with pytest.raises(ValueError):
             iterate_map(lambda s: s, (1.0,), -1)

@@ -390,6 +390,7 @@ def test_last_sample_rounded_past_the_horizon_holds_the_state_there(horizon, sam
     # no event before the horizon: every sample is the initial state
     quiet = EpidemicModel(complete_graph(30), kind, 0.0, 1e-9, frozenset(range(3)), seed=1)
     traj = simulate_epidemic(quiet, horizon, sample_dt)
+    assert traj.times[-1] == horizon
     assert list(traj.infected_fraction) == [0.1] * n_samples
     if kind == EpidemicKind.SIR:
         assert list(traj.recovered_fraction) == [0.0] * n_samples

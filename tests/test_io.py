@@ -252,6 +252,26 @@ class TestCsv:
         with pytest.raises(ValueError, match="cells"):
             read_csv("time,a\n0,1,2\n")
 
+    def test_read_csv_returns_a_trajectory(self):
+        back = read_csv("time,a\n0,-1.5\n0.5,2\n")
+        assert isinstance(back, Trajectory)
+        assert list(back.column("a")) == [-1.5, 2.0]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("time,a,b\n", "at least one sample"),
+            ("time,a\n1,1\n2,1\n", "start at 0"),
+            ("time,a\n0,1\n2,1\n1,1\n", "strictly increasing"),
+            ("time,a\n0,1\n1,1\n1,1\n", "strictly increasing"),
+            ("time,a\n0,1\n1,nan\n", "finite"),
+        ],
+        ids=["header-only", "late-start", "decreasing", "repeated", "nan-cell"],
+    )
+    def test_read_csv_rejects_tables_that_are_not_a_series(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            read_csv(text)
+
 
 class TestSvg:
     def test_valid_xml_and_polyline_count(self):

@@ -106,7 +106,7 @@ class TestRunaway:
 
     def test_history_shape_and_times(self):
         history = iterate_selection(make_state(), 5)
-        assert history.means.shape == (6, 3)
+        assert history.values.shape == (6, 3)
         assert list(history.times) == [0, 1, 2, 3, 4, 5]
 
     def test_constant_gradients_from_state_when_omitted(self):
