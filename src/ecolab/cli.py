@@ -77,13 +77,14 @@ def _say(args, message: str) -> None:
 
 
 def _write_outputs(args, trajectory: Trajectory, title: str) -> str:
-    ref = "-"
-    if args.csv:
-        _atomic_write(args.csv, write_csv(trajectory))
-        ref = args.csv
-    if args.svg:
-        _atomic_write(args.svg, render_svg(trajectory, title=title))
-    return ref
+    # both texts first, so a trajectory that cannot be drawn leaves no CSV behind
+    csv = write_csv(trajectory) if args.csv else None
+    svg = render_svg(trajectory, title=title) if args.svg else None
+    if csv is not None:
+        _atomic_write(args.csv, csv)
+    if svg is not None:
+        _atomic_write(args.svg, svg)
+    return args.csv or "-"
 
 
 def _run_document(document: Document, args) -> RunReport:
@@ -303,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_outputs: bool = True) -> None:
-        p.add_argument("--seed", type=int, default=None, help="master seed (default 0 / document seed)")
+    def common(p: argparse.ArgumentParser, seed_help: str, with_outputs: bool = True) -> None:
+        p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--quiet", action="store_true", help="suppress the run report")
         if with_outputs:
             p.add_argument("--csv", metavar="PATH", help="write samples as CSV")
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate a scenario file")
     run.add_argument("file")
-    common(run)
+    common(run, "epidemic seed (default: the document's seed)")
     run.set_defaults(fn=_cmd_run)
 
     swp = sub.add_parser("sweep", help="re-analyze a scenario across a parameter grid")
@@ -323,29 +324,34 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--points", type=int, required=True)
     swp.add_argument("--metric", default=None, help="extra summary, e.g. final:<species_id>")
     swp.add_argument("--runs", type=int, default=20, help="Monte Carlo runs per point (epidemic)")
-    common(swp)
+    common(swp, "master seed of the Monte Carlo runs (default 0)")
     swp.set_defaults(fn=_cmd_sweep)
 
     stab = sub.add_parser("stability", help="fixed points and local stability")
     stab.add_argument("file")
-    common(stab, with_outputs=False)
+    common(stab, "ignored: the analysis draws no random numbers", with_outputs=False)
     stab.set_defaults(fn=_cmd_stability)
 
     thr = sub.add_parser("threshold", help="epidemic transmission threshold")
     thr.add_argument("file")
-    thr.add_argument("--empirical", action="store_true", help="bisect the Monte Carlo persistence threshold")
+    thr.add_argument(
+        "--empirical",
+        action="store_true",
+        help="bisect the Monte Carlo persistence threshold; every run starts from a tenth of the "
+        "nodes (at least one) infected, not from the document's initial_infected",
+    )
     thr.add_argument("--runs", type=int, default=40)
     thr.add_argument("--bisections", type=int, default=6)
     thr.add_argument("--horizon", type=float, default=60.0)
     thr.add_argument("--beta-min", type=float, default=None)
     thr.add_argument("--beta-max", type=float, default=None)
-    common(thr, with_outputs=False)
+    common(thr, "master seed of the Monte Carlo runs (default 0)", with_outputs=False)
     thr.set_defaults(fn=_cmd_threshold)
 
     demo = sub.add_parser("demo", help="run or emit a built-in demo scenario")
     demo.add_argument("name", help=", ".join(DEMO_NAMES))
     demo.add_argument("--emit", action="store_true", help="print the scenario document instead of running")
-    common(demo)
+    common(demo, "epidemic seed (default: the document's seed)")
     demo.set_defaults(fn=_cmd_demo)
     return parser
 

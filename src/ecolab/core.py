@@ -239,6 +239,8 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     errors: list[str] = []
     seen: set[str] = set()
     for sp in scenario.species:
+        if not sp.id:
+            errors.append("species id must not be empty")
         if sp.id in seen:
             errors.append(f"duplicate species id '{sp.id}'")
         seen.add(sp.id)
@@ -325,10 +327,10 @@ class Trajectory:
 
     Every sampled run is one: community densities, epidemic fractions,
     host-parasitoid generations and trait means, which may be negative.
-    The invariants (at least one sample, matching shapes, strictly
-    increasing times starting at 0, finite values) are enforced here so
-    that every trajectory is safe to serialize or plot as-is; ranges are
-    the producers' business.
+    The invariants (distinct non-empty names, at least one sample,
+    matching shapes, strictly increasing times starting at 0, finite
+    values) are enforced here so that every trajectory is safe to
+    serialize or plot as-is; ranges are the producers' business.
     """
 
     variable_names: tuple[str, ...]
@@ -341,6 +343,10 @@ class Trajectory:
         values = np.asarray(self.values, dtype=float)
         if values.ndim == 1:
             values = values.reshape(-1, 1)
+        if "" in names:
+            raise ValueError("variable names must not be empty")
+        if len(set(names)) != len(names):
+            raise ValueError(f"variable names must be distinct, got {names}")
         if times.ndim != 1:
             raise ValueError("times must be one-dimensional")
         if values.shape != (times.shape[0], len(names)):

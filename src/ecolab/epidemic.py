@@ -8,12 +8,13 @@ degree-based mean-field formula and as a seeded Monte Carlo estimate.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -291,17 +292,56 @@ def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1
     an infection across a uniformly chosen susceptible-infected edge or
     the recovery of a uniformly chosen infected node.  No discretization
     enters anywhere, so threshold experiments see no step-size bias.
-    Identical (model, seed) pairs give bit-identical trajectories.
+    Identical (model, seed) pairs give bit-identical trajectories.  On a
+    complete graph each event costs O(1), on other graphs O(degree) plus
+    the search for an infection source.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be > 0")
     if not (math.isfinite(sample_dt) and sample_dt > 0):
         raise ValueError("sample_dt must be > 0")
+    n = model.graph.n_nodes
+    sir = model.kind == EpidemicKind.SIR
+    n_samples = int(math.floor(horizon / sample_dt + 1e-9)) + 1
+    infected_counts = np.empty(n_samples, dtype=float)
+    recovered_counts = np.empty(n_samples, dtype=float) if sir else None
+
+    complete = model.graph.n_edges == n * (n - 1) // 2
+    events = _complete_graph_events if complete else _contact_graph_events
+    k, n_infected, n_recovered, extinction_time = events(
+        model, horizon, sample_dt, infected_counts, recovered_counts
+    )
+
+    # nothing happens between the last event and the horizon, and a last
+    # grid time rounded past the horizon still gets the state at the horizon
+    infected_counts[k:] = n_infected
+    if sir:
+        recovered_counts[k:] = n_recovered
+    times = np.arange(n_samples) * sample_dt
+    times[-1] = min(times[-1], horizon)
+    return PrevalenceTrajectory(
+        times=times,
+        infected_fraction=infected_counts / n,
+        recovered_fraction=None if not sir else recovered_counts / n,
+        extinction_time=extinction_time,
+    )
+
+
+# On a complete graph the two event loops below draw the same random
+# numbers in the same order and keep the same counts, so a seed gives one
+# trajectory whichever loop runs.  Each fills the samples taken before its
+# last event and returns (samples filled, infected, recovered, extinction
+# time or None).
+
+
+def _contact_graph_events(model, horizon, sample_dt, infected_counts, recovered_counts):
+    """Any graph: O(I/64 + 64) per infection source, O(I) up to 64 nodes, plus O(degree) upkeep."""
     graph = model.graph
     n = graph.n_nodes
     adjacency = graph.adjacency
     rng = random.Random(model.seed)
-    sir = model.kind == EpidemicKind.SIR
+    sir = recovered_counts is not None
+    n_samples = len(infected_counts)
 
     S, I, R = 0, 1, 2
     status = [S] * n
@@ -330,26 +370,20 @@ def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1
         for pos, node in enumerate(infected):
             blocks[pos >> bits] += sus_count[node]
 
-    n_samples = int(math.floor(horizon / sample_dt + 1e-9)) + 1
-    infected_counts = np.empty(n_samples, dtype=float)
-    recovered_counts = np.empty(n_samples, dtype=float) if sir else None
-
     beta, gamma = model.beta, model.gamma
     t = 0.0
     k = 0
     next_sample = 0.0
     n_infected = len(infected)
     n_recovered = 0
-    extinction_time: float | None = None
 
     while True:
         if n_infected == 0:
-            extinction_time = t
-            break
+            return k, 0, n_recovered, t
         total_rate = beta * total_si + gamma * n_infected
         t_next = t + rng.expovariate(total_rate)
         if t_next > horizon:
-            break
+            return k, n_infected, n_recovered, None
         # every grid time before the event sees the state before it
         while next_sample < t_next and k < n_samples:
             infected_counts[k] = n_infected
@@ -427,19 +461,57 @@ def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1
                             blocks[position[nb] >> bits] += 1
         t = t_next
 
-    # nothing happens between the last event and the horizon, and a last
-    # grid time rounded past the horizon still gets the state at the horizon
-    infected_counts[k:] = n_infected
-    if sir:
-        recovered_counts[k:] = n_recovered
-    times = np.arange(n_samples) * sample_dt
-    times[-1] = min(times[-1], horizon)
-    return PrevalenceTrajectory(
-        times=times,
-        infected_fraction=infected_counts / n,
-        recovered_fraction=None if not sir else recovered_counts / n,
-        extinction_time=extinction_time,
-    )
+
+def _complete_graph_events(model, horizon, sample_dt, infected_counts, recovered_counts):
+    """The complete graph K_n: O(1) per event.
+
+    Every infected node has all s susceptible nodes as neighbours, so the
+    susceptible-infected edges number I * s, and on K_n no sampled count
+    depends on which node is infected or recovers.  The loop keeps the
+    counts only, and makes the draws that pick those nodes without using
+    them, so the random stream runs as in the contact-graph loop.
+    """
+    rng = random.Random(model.seed)
+    sir = recovered_counts is not None
+    n_samples = len(infected_counts)
+
+    beta, gamma = model.beta, model.gamma
+    t = 0.0
+    k = 0
+    next_sample = 0.0
+    n_infected = len(model.initial_infected)
+    n_susceptible = model.graph.n_nodes - n_infected
+    n_recovered = 0
+
+    while True:
+        if n_infected == 0:
+            return k, 0, n_recovered, t
+        total_si = n_infected * n_susceptible
+        total_rate = beta * total_si + gamma * n_infected
+        t_next = t + rng.expovariate(total_rate)
+        if t_next > horizon:
+            return k, n_infected, n_recovered, None
+        # every grid time before the event sees the state before it
+        while next_sample < t_next and k < n_samples:
+            infected_counts[k] = n_infected
+            if sir:
+                recovered_counts[k] = n_recovered
+            k += 1
+            next_sample = k * sample_dt
+        pick = rng.random() * total_rate
+        if pick < beta * total_si:
+            rng.random()  # weighs the infection sources
+            rng.randrange(n_susceptible)  # picks the source's susceptible neighbour
+            n_infected += 1
+            n_susceptible -= 1
+        else:
+            rng.randrange(n_infected)  # picks the node that recovers
+            n_infected -= 1
+            if sir:
+                n_recovered += 1
+            else:
+                n_susceptible += 1
+        t = t_next
 
 
 def mean_field_threshold(graph: Graph, gamma: float = 1.0) -> float:
@@ -459,6 +531,29 @@ def default_initial_infected(graph: Graph) -> frozenset[int]:
     return frozenset(range(max(1, graph.n_nodes // 10)))
 
 
+def _runs_alive(
+    graph: Graph,
+    beta: float,
+    gamma: float,
+    horizon: float,
+    master_seed: int,
+    kind: EpidemicKind,
+    initial_infected: frozenset[int] | None,
+) -> Iterator[bool]:
+    """Whether run k = 0, 1, 2, ... still carries infection at the horizon.
+
+    Run k uses the derived seed run_seed(master_seed, k).
+    """
+    if initial_infected is None:
+        initial_infected = default_initial_infected(graph)
+    base = EpidemicModel(
+        graph=graph, kind=kind, beta=beta, gamma=gamma, initial_infected=initial_infected
+    )
+    for k in itertools.count():
+        model = replace(base, seed=run_seed(master_seed, k))
+        yield simulate_epidemic(model, horizon, sample_dt=horizon).extinction_time is None
+
+
 def persistence_fraction(
     graph: Graph,
     beta: float,
@@ -474,18 +569,36 @@ def persistence_fraction(
     Run k uses the derived seed run_seed(master_seed, k), so the answer
     depends on the inputs and master_seed alone.
     """
-    if initial_infected is None:
-        initial_infected = default_initial_infected(graph)
-    base = EpidemicModel(
-        graph=graph, kind=kind, beta=beta, gamma=gamma, initial_infected=initial_infected
-    )
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
+    runs = _runs_alive(graph, beta, gamma, horizon, master_seed, kind, initial_infected)
+    return sum(itertools.islice(runs, n_runs)) / n_runs
 
-    def one(k: int) -> bool:
-        model = replace(base, seed=run_seed(master_seed, k))
-        return simulate_epidemic(model, horizon, sample_dt=horizon).extinction_time is None
 
-    alive = sum(one(k) for k in range(n_runs))
-    return alive / n_runs
+def _half_persist(
+    graph: Graph,
+    beta: float,
+    gamma: float,
+    horizon: float,
+    n_runs: int,
+    master_seed: int,
+    initial_infected: frozenset[int] | None,
+) -> bool:
+    """persistence_fraction(...) >= 0.5 for SIS and n_runs >= 1, from only the runs that settle it.
+
+    Runs go in the same order; the answer is known once ceil(n_runs / 2)
+    of them survive, or once more than the rest die out.
+    """
+    needed = -(-n_runs // 2)
+    alive = extinct = 0
+    for survived in itertools.islice(
+        _runs_alive(graph, beta, gamma, horizon, master_seed, EpidemicKind.SIS, initial_infected), n_runs
+    ):
+        alive += survived
+        extinct += not survived
+        if alive == needed or extinct > n_runs - needed:
+            break
+    return alive >= needed
 
 
 class ThresholdBracketError(RuntimeError):
@@ -522,35 +635,34 @@ def estimate_threshold(
     low, high = float(beta_range[0]), float(beta_range[1])
     if not (0 <= low < high):
         raise ValueError("beta_range must satisfy 0 <= low < high")
+    if runs_per_point < 1:
+        raise ValueError("runs_per_point must be >= 1")
     if initial_infected is None:
         initial_infected = default_initial_infected(graph)
 
-    evaluations = 0
-
-    def survival(beta: float) -> float:
-        nonlocal evaluations
-        submaster = run_seed(master_seed, evaluations)
-        evaluations += 1
+    def survival(beta: float, evaluation: int) -> float:
         return persistence_fraction(
             graph,
             beta,
             gamma,
             persistence_horizon,
             runs_per_point,
-            master_seed=submaster,
+            master_seed=run_seed(master_seed, evaluation),
             initial_infected=initial_infected,
         )
 
-    survival_low = survival(low)
-    survival_high = survival(high)
+    survival_low = survival(low, 0)
+    survival_high = survival(high, 1)
     if survival_low >= 0.1 or survival_high <= 0.9:
         raise ThresholdBracketError(
             f"beta range [{low:g}, {high:g}] does not bracket the transition: "
             f"survival {survival_low:.2f} at the low end, {survival_high:.2f} at the high end"
         )
-    for _ in range(n_bisections):
+    # a midpoint only needs "survival >= 0.5", so it stops once that is settled
+    for evaluation in range(2, 2 + n_bisections):
         mid = 0.5 * (low + high)
-        if survival(mid) >= 0.5:
+        submaster = run_seed(master_seed, evaluation)
+        if _half_persist(graph, mid, gamma, persistence_horizon, runs_per_point, submaster, initial_infected):
             high = mid
         else:
             low = mid

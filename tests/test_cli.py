@@ -122,23 +122,54 @@ def test_threshold_on_complete_graph(tmp_path, capsys):
     assert abs(value - 1.0 / 49.0) < 1e-12
 
 
+K20_EPIDEMIC = {
+    "kind": "epidemic",
+    "graph": {"generator": "complete", "n": 20},
+    "model": "sis",
+    "beta": 0.1,
+    "gamma": 1.0,
+    "initial_infected": [0],
+    "horizon": 20.0,
+}
+
+
 def test_threshold_quiet_prints_nothing(tmp_path, capsys):
-    document = {
-        "kind": "epidemic",
-        "graph": {"generator": "complete", "n": 20},
-        "model": "sis",
-        "beta": 0.1,
-        "gamma": 1.0,
-        "initial_infected": [0],
-        "horizon": 20.0,
-    }
     path = tmp_path / "k20.json"
-    path.write_text(json.dumps(document))
+    path.write_text(json.dumps(K20_EPIDEMIC))
     argv = ("threshold", str(path), "--empirical", "--runs", "8", "--bisections", "2", "--horizon", "20")
     assert run_cli(*argv, "--quiet") == 0
     assert capsys.readouterr().out == ""
     assert run_cli(*argv) == 0
     assert "empirical threshold" in capsys.readouterr().out
+
+
+def test_threshold_empirical_ignores_document_initial_infected(tmp_path, capsys):
+    # every Monte Carlo run starts from a tenth of the nodes, whatever the document lists
+    path = tmp_path / "k20.json"
+    outputs = []
+    for infected in ([0], [3, 7, 11, 12, 19]):
+        path.write_text(json.dumps(dict(K20_EPIDEMIC, initial_infected=infected)))
+        argv = ("threshold", str(path), "--empirical", "--runs", "8", "--bisections", "3", "--horizon", "20")
+        assert run_cli(*argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "empirical threshold" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("threshold", "--empirical", "--runs", "0"), "runs_per_point must be >= 1"),
+        (("sweep", "--param", "beta", "--from", "0.05", "--to", "0.2", "--points", "2", "--runs", "0"),
+         "n_runs must be >= 1"),
+    ],
+    ids=["threshold", "sweep"],
+)
+def test_zero_monte_carlo_runs_is_an_input_error(tmp_path, capsys, argv, message):
+    path = tmp_path / "k20.json"
+    path.write_text(json.dumps(K20_EPIDEMIC))
+    assert run_cli(argv[0], str(path), *argv[1:]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_threshold_requires_epidemic(tmp_path, capsys):
@@ -363,3 +394,13 @@ def test_signed_selection_run_pinned(tmp_path, capsys):
     values = np.column_stack([history.column(name) for name in TRAIT_NAMES])
     assert table.values.tobytes() == values.tobytes()
     assert values[:, 0].min() < 0.0
+
+
+def test_run_that_cannot_be_drawn_writes_no_csv(tmp_path, capsys):
+    # zero steps give one sample, too few for a chart: neither file may appear
+    path = tmp_path / "sel.json"
+    path.write_text(json.dumps(dict(SIGNED_SELECTION, steps=0)))
+    argv = ("run", str(path), "--csv", str(tmp_path / "a.csv"), "--svg", str(tmp_path / "a.svg"))
+    assert run_cli(*argv) == 1
+    assert "need at least two samples" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sel.json"]

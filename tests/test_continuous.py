@@ -385,7 +385,7 @@ class TestIntegratorFailureModes:
 
         scenario = single_species(growth=0.0, initial=1.0, horizon=1.0, step=0.1)
         with pytest.raises(NonFiniteDerivativeError) as err:
-            integrate(scenario, lambda s: np.array([float("nan")]))
+            integrate(scenario, lambda s: [float("nan")])
         assert err.value.state is not None
         assert "t=" in str(err.value)
 
@@ -402,7 +402,7 @@ class TestIntegratorFailureModes:
         # a constant strongly negative field forces the step below the
         # floor once the density is pinned at zero
         with pytest.raises(StepSizeUnderflowError, match="underflow"):
-            integrate(scenario, lambda s: np.array([-1e6]))
+            integrate(scenario, lambda s: [-1e6])
 
     def test_adaptive_negative_guard_halves_not_fails(self):
         scenario = Scenario(

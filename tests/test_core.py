@@ -72,6 +72,17 @@ def test_duplicate_species_id():
     assert any("duplicate species id" in e for e in _errors(scenario))
 
 
+def test_empty_species_id():
+    # an empty id would become an empty CSV column name
+    scenario = Scenario(
+        species=(SpeciesSpec(id="", role=Role.PRODUCER, growth_rate=1.0),),
+        interactions=(),
+        initial_densities={"": 1.0},
+        horizon=1.0,
+    )
+    assert "species id must not be empty" in _errors(scenario)
+
+
 def test_self_interaction_rejected():
     base = predation_scenario()
     entry = InteractionSpec(
@@ -202,6 +213,15 @@ class TestTrajectory:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             Trajectory(("a", "b"), [0.0, 1.0], [[1.0], [1.0]])
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [(("a", "a"), "must be distinct"), (("a", ""), "must not be empty")],
+        ids=["duplicate", "empty"],
+    )
+    def test_rejects_bad_variable_names(self, names, message):
+        with pytest.raises(ValueError, match=message):
+            Trajectory(names, [0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):

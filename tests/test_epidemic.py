@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ecolab import (
     EpidemicKind,
@@ -23,7 +23,7 @@ from ecolab import (
     run_seed,
     simulate_epidemic,
 )
-from ecolab.epidemic import _FenwickTree
+from ecolab.epidemic import _FenwickTree, _half_persist
 from helpers import (
     binomial_band,
     reference_barabasi_albert,
@@ -274,6 +274,29 @@ def test_persistence_fraction_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("call", [
+    lambda: persistence_fraction(complete_graph(10), 0.1, 1.0, 5.0, 0),
+    lambda: estimate_threshold(complete_graph(10), 1.0, (0.01, 1.0), runs_per_point=0),
+], ids=["persistence_fraction", "estimate_threshold"])
+def test_zero_runs_rejected(call):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        call()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_runs=st.integers(1, 12),
+    # on K20 from 2 infected over a horizon of 8, half the runs survive near beta * 19 = 1.7
+    beta_scale=st.sampled_from([0.5, 1.5, 1.7, 2.0, 4.0]),
+    master_seed=st.integers(0, 2**32),
+)
+@example(n_runs=4, beta_scale=1.7, master_seed=0)  # a tie: exactly 2 of 4 survive
+def test_half_persist_is_the_full_count_at_half(n_runs, beta_scale, master_seed):
+    graph, beta = complete_graph(20), beta_scale / 19
+    full = persistence_fraction(graph, beta, 1.0, 8.0, n_runs, master_seed=master_seed)
+    assert _half_persist(graph, beta, 1.0, 8.0, n_runs, master_seed, None) == (full >= 0.5)
+
+
 def test_persistence_fraction_counts_run_seed_runs():
     # run k is the simulation seeded with run_seed(master_seed, k)
     graph = complete_graph(20)
@@ -495,3 +518,21 @@ def test_extinct_runs_match_linear_scan(graph):
         model = EpidemicModel(graph, EpidemicKind.SIS, beta, 1.0, frozenset(range(0, graph.n_nodes, 4)), seed)
         extinct += assert_same_trajectory(model, 30.0, 0.5).extinction_time is not None
     assert extinct > 0
+
+
+@pytest.mark.parametrize("kind", list(EpidemicKind))
+@pytest.mark.parametrize("n", [2, 50, 64, 65, 130])
+def test_complete_graph_event_loop_matches_linear_scan(n, kind):
+    # below, near and above the threshold beta * (n - 1) = 1, from a tenth of the nodes
+    initial = frozenset(range(max(1, n // 10)))
+    extinct = recovered = 0
+    for beta_scale in (0.5, 1.0, 3.0):
+        for seed in range(4):
+            model = EpidemicModel(complete_graph(n), kind, beta_scale / max(1, n - 1), 1.0, initial, seed)
+            traj = assert_same_trajectory(model, 8.0, 0.25)
+            extinct += traj.extinction_time is not None
+            if traj.recovered_fraction is not None:
+                recovered += traj.recovered_fraction[-1] > 0
+    assert extinct > 0
+    if kind == EpidemicKind.SIR:
+        assert recovered > 0

@@ -265,8 +265,10 @@ class TestCsv:
             ("time,a\n0,1\n2,1\n1,1\n", "strictly increasing"),
             ("time,a\n0,1\n1,1\n1,1\n", "strictly increasing"),
             ("time,a\n0,1\n1,nan\n", "finite"),
+            ("time,a,a\n0,1,2\n", "must be distinct"),
+            ("time,a,a,\n0,1,2,3\n", "must not be empty"),
         ],
-        ids=["header-only", "late-start", "decreasing", "repeated", "nan-cell"],
+        ids=["header-only", "late-start", "decreasing", "repeated", "nan-cell", "repeated-name", "empty-name"],
     )
     def test_read_csv_rejects_tables_that_are_not_a_series(self, text, message):
         with pytest.raises(ValueError, match=message):
