@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -21,7 +22,8 @@ from .core import (
 )
 from .continuous import (
     ContinuumParams,
-    community_rhs,
+    _all_finite,
+    _kernel,
     continuum_interaction,
     integrate_report,
 )
@@ -78,33 +80,47 @@ def classify(eigenvalues: Sequence[complex], tol: float = 1e-7) -> Classificatio
     return Classification.CENTER_LIKE if rotating else Classification.UNDETERMINED
 
 
+def _central_jacobian(
+    rhs: Callable[[list[float]], list[float]], x: list[float], fd_step: float
+) -> np.ndarray:
+    """Central-difference Jacobian of `rhs` at the float list x.
+
+    Column i is (rhs(x + h e_i) - rhs(x - h e_i)) / 2h with the per-axis
+    step h = fd_step*max(1, |x_i|); a non-finite evaluation is a ValueError.
+    """
+    columns = []
+    for i, xi in enumerate(x):
+        h = fd_step * max(1.0, abs(xi))
+        forward = list(x)
+        backward = list(x)
+        forward[i] = xi + h
+        backward[i] = xi - h
+        f_plus = rhs(forward)
+        f_minus = rhs(backward)
+        if not (_all_finite(f_plus) and _all_finite(f_minus)):
+            raise ValueError(f"non-finite derivative evaluation near axis {i}")
+        two_h = 2.0 * h
+        columns.append([(p - m) / two_h for p, m in zip(f_plus, f_minus)])
+    return np.array(columns).T
+
+
+def _check_fd_step(fd_step: float) -> None:
+    if not (math.isfinite(fd_step) and fd_step > 0):
+        raise ValueError(f"fd_step must be a finite value > 0, got {fd_step!r}")
+
+
 def jacobian_of(
     fn: Callable[[np.ndarray], np.ndarray],
     point: Sequence[float],
     fd_step: float = 1e-5,
 ) -> np.ndarray:
     """Central-difference Jacobian with per-axis step fd_step*max(1, |x_i|)."""
-    x = np.asarray(point, dtype=float)
-    n = x.shape[0]
-    jac = np.empty((n, n))
-    for i in range(n):
-        h = fd_step * max(1.0, abs(x[i]))
-        forward = x.copy()
-        backward = x.copy()
-        forward[i] += h
-        backward[i] -= h
-        f_plus = np.asarray(fn(forward), dtype=float)
-        f_minus = np.asarray(fn(backward), dtype=float)
-        if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
-            raise ValueError(f"non-finite derivative evaluation near axis {i}")
-        jac[:, i] = (f_plus - f_minus) / (2.0 * h)
-    return jac
+    _check_fd_step(fd_step)
 
+    def rhs(x: list[float]) -> list[float]:
+        return np.asarray(fn(np.array(x)), dtype=float).tolist()
 
-def _array_rhs(scenario: Scenario) -> Callable[[np.ndarray], np.ndarray]:
-    """The compiled community derivative, taking and returning arrays."""
-    rhs = community_rhs(scenario)
-    return lambda x: np.asarray(rhs(x.tolist()))
+    return _central_jacobian(rhs, np.asarray(point, dtype=float).tolist(), fd_step)
 
 
 def jacobian_at(scenario: Scenario, point: Sequence[float], fd_step: float = 1e-5) -> np.ndarray:
@@ -114,7 +130,8 @@ def jacobian_at(scenario: Scenario, point: Sequence[float], fd_step: float = 1e-
         raise ValueError(
             f"point has shape {point.shape}, scenario declares {len(scenario.species)} species"
         )
-    return jacobian_of(_array_rhs(scenario), point, fd_step)
+    _check_fd_step(fd_step)
+    return _central_jacobian(_kernel(scenario).rhs, point.tolist(), fd_step)
 
 
 def _as_classical_pair(scenario: Scenario):
@@ -151,26 +168,59 @@ def _as_classical_pair(scenario: Scenario):
     )
 
 
-def _newton_starts(scenario: Scenario) -> list[np.ndarray]:
+def _newton_starts(scenario: Scenario) -> list[list[float]]:
     n = len(scenario.species)
     guesses = []
     for sp in scenario.species:
         if sp.self_limitation > 0 and sp.growth_rate > 0:
             guesses.append(sp.growth_rate / sp.self_limitation)
         else:
-            guesses.append(max(scenario.initial_densities.get(sp.id, 1.0), 1.0))
-    starts = [np.zeros(n), scenario.initial_state()]
+            guesses.append(float(max(scenario.initial_densities.get(sp.id, 1.0), 1.0)))
+    starts = [[0.0] * n, scenario.initial_state().tolist()]
     if n <= 6:
         axes = [(0.1 * g, g, 10.0 * g) for g in guesses]
-        starts.extend(np.array(combo) for combo in itertools.product(*axes))
+        starts.extend(list(combo) for combo in itertools.product(*axes))
         # boundary candidates: each species absent in turn
         for k in range(n):
-            v = np.array(guesses)
+            v = list(guesses)
             v[k] = 0.0
             starts.append(v)
     else:
-        starts.append(np.array(guesses))
+        starts.append(guesses)
     return starts
+
+
+def _newton(rhs, x: list[float], residual_tol: float, max_iterations: int) -> tuple[list[float], bool]:
+    """Damped Newton from x: the last iterate and whether its residual norm is below residual_tol.
+
+    Each iteration solves J step = -f(x) with the central-difference
+    Jacobian (fd_step 1e-7) and halves the step, down to 1e-4 of it,
+    until the residual norm drops.  Stops early once the norm is below
+    residual_tol * 1e-2.
+    """
+    for _ in range(max_iterations):
+        fx = rhs(x)
+        if not _all_finite(fx):
+            break
+        norm = np.linalg.norm(fx)
+        if norm < residual_tol * 1e-2:
+            return x, True
+        try:
+            step = np.linalg.solve(_central_jacobian(rhs, x, 1e-7), [-v for v in fx]).tolist()
+        except (np.linalg.LinAlgError, ValueError):
+            break
+        lam = 1.0
+        while lam > 1e-4:
+            candidate = [v + lam * d for v, d in zip(x, step)]
+            fc = rhs(candidate)
+            if _all_finite(fc) and np.linalg.norm(fc) < norm:
+                x = candidate
+                break
+            lam *= 0.5
+        else:
+            break
+    fx = rhs(x)
+    return x, bool(_all_finite(fx) and np.linalg.norm(fx) < residual_tol)
 
 
 def find_fixed_points(
@@ -201,57 +251,35 @@ def find_fixed_points(
         interior[pred_idx] = growth / encounter
         return [np.zeros(n), interior]
 
-    f = _array_rhs(scenario)
-    roots: list[np.ndarray] = []
+    rhs = _kernel(scenario).rhs
+    roots: list[list[float]] = []
     scale = max(1.0, max((abs(g) for g in scenario.initial_state()), default=1.0))
     converged_any = False
     starts = _newton_starts(scenario)
     if extra_starts is not None:
-        starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
+        for extra in extra_starts:
+            extra = np.asarray(extra, dtype=float)
+            if extra.shape != (n,):
+                raise ValueError(f"extra start has shape {extra.shape}, scenario declares {n} species")
+            starts.append(extra.tolist())
     for start in starts:
-        x = np.asarray(start, dtype=float).copy()
-        ok = False
-        for _ in range(max_iterations):
-            fx = f(x)
-            if not np.all(np.isfinite(fx)):
-                break
-            norm = np.linalg.norm(fx)
-            if norm < residual_tol * 1e-2:
-                ok = True
-                break
-            try:
-                jac = jacobian_of(f, x, fd_step=1e-7)
-                step = np.linalg.solve(jac, -fx)
-            except (np.linalg.LinAlgError, ValueError):
-                break
-            lam = 1.0
-            while lam > 1e-4:
-                candidate = x + lam * step
-                fc = f(candidate)
-                if np.all(np.isfinite(fc)) and np.linalg.norm(fc) < norm:
-                    x = candidate
-                    break
-                lam *= 0.5
-            else:
-                break
-        if not ok:
-            fx = f(x)
-            ok = np.all(np.isfinite(fx)) and np.linalg.norm(fx) < residual_tol
+        x, ok = _newton(rhs, start, residual_tol, max_iterations)
         if not ok:
             continue
         converged_any = True
-        if np.any(x < -1e-9):
+        if any(v < -1e-9 for v in x):
             continue
-        x = np.where(np.abs(x) < 1e-12, 0.0, np.clip(x, 0.0, None))
-        if np.linalg.norm(f(x)) >= residual_tol:
+        # |x| < 1e-12 snaps to 0, and the rest of [-1e-9, 0) clips to it
+        x = [v if v >= 1e-12 else 0.0 for v in x]
+        if np.linalg.norm(rhs(x)) >= residual_tol:
             continue
-        if any(np.max(np.abs(x - r)) <= dedupe_tol * scale for r in roots):
+        if any(max(abs(a - b) for a, b in zip(x, r)) <= dedupe_tol * scale for r in roots):
             continue
         roots.append(x)
     if not converged_any:
         warnings.warn("Newton iteration did not converge from any starting point", stacklevel=2)
-    roots.sort(key=lambda r: tuple(r))
-    return roots
+    roots.sort(key=tuple)
+    return [np.array(r) for r in roots]
 
 
 @dataclass(frozen=True)

@@ -304,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, seed_help: str, with_outputs: bool = True) -> None:
-        p.add_argument("--seed", type=int, default=None, help=seed_help)
+    def common(p: argparse.ArgumentParser, seed_help: str | None, with_outputs: bool = True) -> None:
+        if seed_help is not None:
+            p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--quiet", action="store_true", help="suppress the run report")
         if with_outputs:
             p.add_argument("--csv", metavar="PATH", help="write samples as CSV")
@@ -329,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stab = sub.add_parser("stability", help="fixed points and local stability")
     stab.add_argument("file")
-    common(stab, "ignored: the analysis draws no random numbers", with_outputs=False)
+    common(stab, None, with_outputs=False)  # the analysis draws no random numbers
     stab.set_defaults(fn=_cmd_stability)
 
     thr = sub.add_parser("threshold", help="epidemic transmission threshold")

@@ -8,9 +8,10 @@ integrators that drive them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -243,6 +244,109 @@ def continuum_interaction(species_i: str, species_j: str, p: ContinuumParams) ->
     )
 
 
+# A scenario is compiled into Python source with one local per species, so
+# one derivative evaluation runs as straight-line float arithmetic.  Only
+# indices and these fixed names enter the source; every coefficient and
+# response closure is bound by name in the namespace the source runs in:
+#   g<k>  signed growth rate of species k     s<k>  its self-limitation
+#   v<m>  conversion of trophic entry m       f<m>  its linear rate, or its response
+#   p<m>  coefficient of mass-action entry m on its i side, q<m> on its j side
+
+#: Compiled structures kept at once; a sweep over one scenario needs one or two.
+_KERNEL_CACHE_SIZE = 64
+
+
+class _Kernel(NamedTuple):
+    """A scenario's derivative and its fused RK4 step, both over float lists."""
+
+    rhs: Callable[[Sequence[float]], list[float]]
+    rk4_step: Callable[[Sequence[float], float, float, float], list[float]]
+
+
+def _derivative_lines(structure, x: str, d: str) -> list[str]:
+    """Statements setting d<k> to the derivative at the state held in x<k>.
+
+    Terms are added in a fixed order: growth, self-limitation, trophic
+    entries, then mass-action entries, each in declaration order.
+    """
+    n, limited, trophic, mass_action = structure
+    lines = [f"{d}{k} = g{k} * {x}{k}" for k in range(n)]
+    lines += [f"{d}{k} -= s{k} * {x}{k} * {x}{k}" for k in limited]
+    for m, (agg, victim, response) in enumerate(trophic):
+        consumed = f"f{m} * {x}{victim}" if response is LinearResponse else f"f{m}({x}{victim})"
+        lines += [
+            f"c = {consumed}",
+            f"{d}{victim} -= c * {x}{agg}",
+            f"{d}{agg} += v{m} * c * {x}{agg}",
+        ]
+    for m, (i, j) in enumerate(mass_action):
+        lines += [f"{d}{i} += p{m} * {x}{i} * {x}{j}", f"{d}{j} += q{m} * {x}{i} * {x}{j}"]
+    return lines
+
+
+def _names(prefix: str, n: int) -> str:
+    return "[" + ", ".join(f"{prefix}{k}" for k in range(n)) + "]"
+
+
+@functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _compile_structure(structure):
+    """Code object defining `rhs` and `rk4_step` for one scenario structure.
+
+    The structure is (species count, self-limited indices, (aggressor,
+    victim, response type) per trophic entry, (i, j) per mass-action
+    entry), so scenarios that differ only in values or ids share it.
+    The RK4 step inlines the derivative once per stage and combines the
+    stages as v + sixth * (d1 + 2.0*d2 + 2.0*d3 + d4), the same grouping
+    as the stage loop.
+    """
+    n = structure[0]
+    indent = "\n    "
+    rhs = [f"{_names('x', n)} = x", *_derivative_lines(structure, "x", "d"), f"return {_names('d', n)}"]
+    step = [f"{_names('y', n)} = y", *_derivative_lines(structure, "y", "k1_")]
+    for stage, scale in ((2, "half"), (3, "half"), (4, "h")):
+        step += [f"x{k} = y{k} + {scale} * k{stage - 1}_{k}" for k in range(n)]
+        step += _derivative_lines(structure, "x", f"k{stage}_")
+    combined = (f"y{k} + sixth * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})" for k in range(n))
+    step.append(f"return [{', '.join(combined)}]")
+    source = (
+        f"def rhs(x):{indent}{indent.join(rhs)}\n\n"
+        f"def rk4_step(y, h, half, sixth):{indent}{indent.join(step)}\n"
+    )
+    return compile(source, "<ecolab community kernel>", "exec")
+
+
+def _kernel(scenario: Scenario) -> _Kernel:
+    """Bind the scenario's values into the compiled code of its structure."""
+    index = {sp.id: k for k, sp in enumerate(scenario.species)}
+    namespace = {}
+    limited = []
+    for k, sp in enumerate(scenario.species):
+        namespace[f"g{k}"] = sp.growth_rate if sp.role == Role.PRODUCER else -sp.growth_rate
+        if sp.self_limitation != 0.0:
+            limited.append(k)
+            namespace[f"s{k}"] = sp.self_limitation
+    trophic = []
+    mass_action = []
+    for entry in scenario.interactions:
+        i, j = index[entry.species_i], index[entry.species_j]
+        if entry.kind in TROPHIC_KINDS:
+            m = len(trophic)
+            response = entry.response
+            trophic.append((i, j, type(response)))
+            namespace[f"v{m}"] = entry.coeff_i
+            namespace[f"f{m}"] = response.rate if type(response) is LinearResponse else _response_fn(response)
+        else:
+            m = len(mass_action)
+            mass_action.append((i, j))
+            if entry.kind == InteractionKind.COMPETITION:
+                namespace[f"p{m}"], namespace[f"q{m}"] = -entry.coeff_i, -entry.coeff_j
+            else:
+                namespace[f"p{m}"], namespace[f"q{m}"] = entry.coeff_i, entry.coeff_j
+    code = _compile_structure((len(scenario.species), tuple(limited), tuple(trophic), tuple(mass_action)))
+    exec(code, namespace)
+    return _Kernel(namespace["rhs"], namespace["rk4_step"])
+
+
 def community_rhs(scenario: Scenario) -> Callable[[Sequence[float]], list[float]]:
     """Compile the scenario into a derivative function over state vectors.
 
@@ -256,47 +360,17 @@ def community_rhs(scenario: Scenario) -> Callable[[Sequence[float]], list[float]
     competition subtracts and symbiosis/cooperation adds the mass-action
     term coeff * x_i * x_j on each side with its own coefficient.
 
-    The compiled function takes a sequence of Python floats and returns
-    a list of floats; callers that hold arrays convert at the boundary.
-    Terms are added in a fixed order (growth, self-limitation, trophic
-    entries in declaration order, then mass-action entries).
+    The compiled function takes a sequence of exactly one Python float
+    per species and returns a list of floats; callers that hold arrays
+    convert at the boundary.  Terms are added in a fixed order (growth,
+    self-limitation, trophic entries in declaration order, then
+    mass-action entries).  Scenarios of the same structure share one
+    compiled code object.
 
     On a two-species predation pair with a linear response and no
     self-limitation this reproduces `lv_derivative` exactly.
     """
-    index = {sp.id: k for k, sp in enumerate(scenario.species)}
-    growth = [
-        (sp.growth_rate if sp.role == Role.PRODUCER else -sp.growth_rate)
-        for sp in scenario.species
-    ]
-    limited = [
-        (k, sp.self_limitation) for k, sp in enumerate(scenario.species) if sp.self_limitation != 0.0
-    ]
-    trophic = []
-    mass_action = []
-    for entry in scenario.interactions:
-        i, j = index[entry.species_i], index[entry.species_j]
-        if entry.kind in TROPHIC_KINDS:
-            trophic.append((i, j, entry.coeff_i, _response_fn(entry.response)))
-        elif entry.kind == InteractionKind.COMPETITION:
-            mass_action.append((i, j, -entry.coeff_i, -entry.coeff_j))
-        else:
-            mass_action.append((i, j, entry.coeff_i, entry.coeff_j))
-
-    def rhs(x: Sequence[float]) -> list[float]:
-        d = [r * v for r, v in zip(growth, x)]
-        for k, s in limited:
-            d[k] -= s * x[k] * x[k]
-        for agg, victim, conversion, response in trophic:
-            consumed = response(x[victim])
-            d[victim] -= consumed * x[agg]
-            d[agg] += conversion * consumed * x[agg]
-        for i, j, ci, cj in mass_action:
-            d[i] += ci * x[i] * x[j]
-            d[j] += cj * x[i] * x[j]
-        return d
-
-    return rhs
+    return _kernel(scenario).rhs
 
 
 def glv_derivative(state: Sequence[float], scenario: Scenario) -> np.ndarray:
@@ -345,7 +419,26 @@ def _min_below(values, bound: float) -> bool:
     return min(values) < bound and not any(map(math.isnan, values))
 
 
-def _integrate_rk4(f, y0, cfg, horizon, names):
+def _rk4_stages(f, y, hk, half, sixth):
+    """One RK4 step through separate derivative calls: the new state and the four stages."""
+    k1 = f(y)
+    k2 = f([v + half * d for v, d in zip(y, k1)])
+    k3 = f([v + half * d for v, d in zip(y, k2)])
+    k4 = f([v + hk * d for v, d in zip(y, k3)])
+    y_next = [
+        v + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
+    ]
+    return y_next, (k1, k2, k3, k4)
+
+
+def _integrate_rk4(f, y0, cfg, horizon, names, fused=None):
+    """Fixed-step RK4 through `f`, or through `fused`, a whole step in one call.
+
+    A fused step is the same arithmetic as `_rk4_stages`.  When it yields
+    a non-finite state, the step is re-derived stage by stage to tell a
+    non-finite derivative from an overflowing state.
+    """
     h = cfg.step
     n_full = int(math.floor(horizon / h + 1e-9))
     remainder = horizon - n_full * h
@@ -364,17 +457,12 @@ def _integrate_rk4(f, y0, cfg, horizon, names):
     for k, hk in steps:
         t_next = horizon if (hk != h or (k + 1 == n_full and remainder == 0.0)) else (k + 1) * h
         half, sixth = 0.5 * hk, hk / 6.0
-        k1 = f(y)
-        k2 = f([v + half * d for v, d in zip(y, k1)])
-        k3 = f([v + half * d for v, d in zip(y, k2)])
-        k4 = f([v + hk * d for v, d in zip(y, k3)])
-        y_next = [
-            v + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-            for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
-        ]
-        # a non-finite stage always leaves the new state non-finite
-        if not _all_finite(y_next) and not all(map(_all_finite, (k1, k2, k3, k4))):
-            raise NonFiniteDerivativeError(k * h, y)
+        y_next = fused(y, hk, half, sixth) if fused is not None else None
+        if y_next is None or not _all_finite(y_next):
+            y_next, stages = _rk4_stages(f, y, hk, half, sixth)
+            # a non-finite stage always leaves the new state non-finite
+            if not _all_finite(y_next) and not all(map(_all_finite, stages)):
+                raise NonFiniteDerivativeError(k * h, y)
         _clamp_extinctions(y_next, t_next, epsilon, names, extinct, extinctions)
         if _max_exceeds(y_next, DIVERGENCE_LIMIT):
             raise DivergenceError(t_next, y_next)
@@ -397,6 +485,11 @@ _RKF_A = (
 _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 
+#: Attempted RKF45 steps (accepted, rejected and halved) before a run is
+#: given up.  A finite-time blow-up can hold the controller at a tiny but
+#: acceptable step indefinitely, far above the underflow floor.
+_RK45_STEP_BUDGET = 50_000
+
 
 def _integrate_rk45(f, y0, cfg, horizon, names):
     t = 0.0
@@ -409,10 +502,16 @@ def _integrate_rk45(f, y0, cfg, horizon, names):
     times = [0.0]
     states = [y]
     err_prev = 1.0
+    attempts = 0
     while t < horizon * (1.0 - 1e-14):
         h = min(h, horizon - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflowError(f"step size underflow at t={t:g}")
+        if attempts == _RK45_STEP_BUDGET:
+            raise StepSizeUnderflowError(
+                f"step budget of {_RK45_STEP_BUDGET} attempted steps spent at t={t:g}, h={h:g}"
+            )
+        attempts += 1
         ks = []
         for row in _RKF_A:
             ys = y
@@ -465,18 +564,22 @@ def integrate_report(
     Samples sit at the integrator's accepted steps (every `step` for
     rk4_fixed, the accepted adaptive steps plus the horizon endpoint for
     rk45_adaptive).  The run is deterministic for identical inputs.
-    The step loop runs on Python floats; a `derivative_fn` replaces the
-    scenario's own `community_rhs` and keeps its contract (a sequence of
+    The step loop runs on Python floats through the scenario's compiled
+    derivative, RK4 one fused call per step.  A `derivative_fn` replaces
+    that derivative and keeps `community_rhs`'s contract (a sequence of
     floats in, a list of floats out).  Clamping every density below
     `extinction_epsilon` to 0 keeps the samples nonnegative.
     """
     validate_scenario(scenario)
     y0 = scenario.initial_state().tolist()
     names = tuple(sp.id for sp in scenario.species)
-    f = community_rhs(scenario) if derivative_fn is None else derivative_fn
+    if derivative_fn is None:
+        f, fused = _kernel(scenario)
+    else:
+        f, fused = derivative_fn, None
     cfg = scenario.integrator
     if cfg.method == "rk4_fixed":
-        times, states, extinctions = _integrate_rk4(f, y0, cfg, scenario.horizon, names)
+        times, states, extinctions = _integrate_rk4(f, y0, cfg, scenario.horizon, names, fused)
     else:
         times, states, extinctions = _integrate_rk45(f, y0, cfg, scenario.horizon, names)
     trajectory = Trajectory(names, np.array(times), np.array(states))

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ecolab import (
     DivergenceError,
@@ -29,8 +32,9 @@ from ecolab import (
     Trajectory,
     validate_scenario,
 )
-from ecolab.continuous import DIVERGENCE_LIMIT
-from ecolab.core import TROPHIC_KINDS
+from ecolab.analysis import _as_classical_pair
+from ecolab.continuous import _RK45_STEP_BUDGET, DIVERGENCE_LIMIT
+from ecolab.core import METHODS, TROPHIC_KINDS
 
 
 def predation_scenario(
@@ -156,6 +160,54 @@ def binomial_band(n_runs: int, p: float, tail: float) -> tuple[int, int]:
         above += pmf[high]
         high -= 1
     return low, high
+
+
+_RATES = st.floats(0.0, 2.0)
+_DENSITIES = st.sampled_from([0.0, 1e-12, 5e-10]) | st.floats(0.1, 10.0)
+_RESPONSES = st.one_of(
+    st.builds(LinearResponse, _RATES),
+    st.builds(HollingTypeII, _RATES, _RATES),
+    st.builds(IvlevResponse, _RATES, _RATES),
+)
+_KINDS = [kind for kind in InteractionKind if kind != InteractionKind.SEXUAL]
+
+
+@st.composite
+def community_scenarios(draw):
+    """Communities of 1-5 species over every interaction kind, response and method."""
+    n = draw(st.integers(1, 5))
+    species = []
+    for k in range(n):
+        role = draw(st.sampled_from(Role))
+        species.append(
+            SpeciesSpec(
+                id=f"s{k}",
+                role=role,
+                trophic_level=0 if role == Role.PRODUCER else 1,
+                growth_rate=draw(_RATES),
+                self_limitation=draw(st.just(0.0) | _RATES),
+            )
+        )
+    interactions = []
+    for i, j in itertools.combinations(range(n), 2):
+        kind = draw(st.none() | st.sampled_from(_KINDS))
+        if kind is None:
+            continue
+        if draw(st.booleans()):
+            i, j = j, i
+        if kind in TROPHIC_KINDS:
+            entry = InteractionSpec(f"s{i}", f"s{j}", kind, coeff_i=draw(_RATES), response=draw(_RESPONSES))
+        else:
+            entry = InteractionSpec(f"s{i}", f"s{j}", kind, coeff_i=draw(_RATES), coeff_j=draw(_RATES))
+        interactions.append(entry)
+    method = draw(st.sampled_from(METHODS))
+    return Scenario(
+        species=tuple(species),
+        interactions=tuple(interactions),
+        initial_densities={sp.id: draw(_DENSITIES) for sp in species},
+        integrator=IntegratorConfig(method=method, step=draw(st.sampled_from([0.01, 0.07]))),
+        horizon=draw(st.sampled_from([0.5, 2.0, 2.05])),
+    )
 
 
 # Reference integration path: the array-based derivative and Runge-Kutta
@@ -287,10 +339,17 @@ def _integrate_rk45(f, y0, cfg, horizon, names):
     times = [0.0]
     states = [y.copy()]
     err_prev = 1.0
+    attempts = 0
     while t < horizon * (1.0 - 1e-14):
         h = min(h, horizon - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflowError(f"step size underflow at t={t:g}")
+        # added with the same cap on attempted steps as the float path
+        if attempts == _RK45_STEP_BUDGET:
+            raise StepSizeUnderflowError(
+                f"step budget of {_RK45_STEP_BUDGET} attempted steps spent at t={t:g}, h={h:g}"
+            )
+        attempts += 1
         ks = []
         for s in range(6):
             ys = y.copy()
@@ -340,6 +399,124 @@ def reference_integrate_report(scenario: Scenario, derivative_fn=None) -> Integr
         times, states, extinctions = _integrate_rk45(f, y0, cfg, scenario.horizon, names)
     trajectory = Trajectory(names, np.array(times), np.array(states))
     return IntegrationResult(trajectory=trajectory, extinctions=tuple(extinctions))
+
+
+# Reference fixed-point search: the array-based damped Newton and
+# central-difference Jacobian that the float versions in ecolab.analysis
+# replaced, kept verbatim but for the derivative, which is the array
+# reference above.
+
+
+def reference_jacobian_of(fn, point, fd_step=1e-5):
+    """Central-difference Jacobian with per-axis step fd_step*max(1, |x_i|)."""
+    x = np.asarray(point, dtype=float)
+    n = x.shape[0]
+    jac = np.empty((n, n))
+    for i in range(n):
+        h = fd_step * max(1.0, abs(x[i]))
+        forward = x.copy()
+        backward = x.copy()
+        forward[i] += h
+        backward[i] -= h
+        f_plus = np.asarray(fn(forward), dtype=float)
+        f_minus = np.asarray(fn(backward), dtype=float)
+        if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
+            raise ValueError(f"non-finite derivative evaluation near axis {i}")
+        jac[:, i] = (f_plus - f_minus) / (2.0 * h)
+    return jac
+
+
+def _reference_newton_starts(scenario):
+    n = len(scenario.species)
+    guesses = []
+    for sp in scenario.species:
+        if sp.self_limitation > 0 and sp.growth_rate > 0:
+            guesses.append(sp.growth_rate / sp.self_limitation)
+        else:
+            guesses.append(max(scenario.initial_densities.get(sp.id, 1.0), 1.0))
+    starts = [np.zeros(n), scenario.initial_state()]
+    if n <= 6:
+        axes = [(0.1 * g, g, 10.0 * g) for g in guesses]
+        starts.extend(np.array(combo) for combo in itertools.product(*axes))
+        # boundary candidates: each species absent in turn
+        for k in range(n):
+            v = np.array(guesses)
+            v[k] = 0.0
+            starts.append(v)
+    else:
+        starts.append(np.array(guesses))
+    return starts
+
+
+def reference_find_fixed_points(
+    scenario,
+    residual_tol=1e-10,
+    dedupe_tol=1e-8,
+    max_iterations=50,
+    extra_starts=None,
+):
+    validate_scenario(scenario)
+    n = len(scenario.species)
+
+    classical = _as_classical_pair(scenario)
+    if classical is not None:
+        prey_idx, pred_idx, growth, encounter, decline, gain = classical
+        interior = np.zeros(n)
+        interior[prey_idx] = decline / gain
+        interior[pred_idx] = growth / encounter
+        return [np.zeros(n), interior]
+
+    f = reference_community_rhs(scenario)
+    roots = []
+    scale = max(1.0, max((abs(g) for g in scenario.initial_state()), default=1.0))
+    converged_any = False
+    starts = _reference_newton_starts(scenario)
+    if extra_starts is not None:
+        starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
+    for start in starts:
+        x = np.asarray(start, dtype=float).copy()
+        ok = False
+        for _ in range(max_iterations):
+            fx = f(x)
+            if not np.all(np.isfinite(fx)):
+                break
+            norm = np.linalg.norm(fx)
+            if norm < residual_tol * 1e-2:
+                ok = True
+                break
+            try:
+                jac = reference_jacobian_of(f, x, fd_step=1e-7)
+                step = np.linalg.solve(jac, -fx)
+            except (np.linalg.LinAlgError, ValueError):
+                break
+            lam = 1.0
+            while lam > 1e-4:
+                candidate = x + lam * step
+                fc = f(candidate)
+                if np.all(np.isfinite(fc)) and np.linalg.norm(fc) < norm:
+                    x = candidate
+                    break
+                lam *= 0.5
+            else:
+                break
+        if not ok:
+            fx = f(x)
+            ok = np.all(np.isfinite(fx)) and np.linalg.norm(fx) < residual_tol
+        if not ok:
+            continue
+        converged_any = True
+        if np.any(x < -1e-9):
+            continue
+        x = np.where(np.abs(x) < 1e-12, 0.0, np.clip(x, 0.0, None))
+        if np.linalg.norm(f(x)) >= residual_tol:
+            continue
+        if any(np.max(np.abs(x - r)) <= dedupe_tol * scale for r in roots):
+            continue
+        roots.append(x)
+    if not converged_any:
+        warnings.warn("Newton iteration did not converge from any starting point", stacklevel=2)
+    roots.sort(key=lambda r: tuple(r))
+    return roots
 
 
 def saturating_chain_scenario(method="rk4_fixed") -> Scenario:

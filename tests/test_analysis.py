@@ -1,9 +1,10 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ecolab import (
     Classification,
@@ -23,7 +24,16 @@ from ecolab import (
 )
 from ecolab import EpidemicModel, complete_graph
 from ecolab.demos import demo_document
-from helpers import chain_equilibrium_oracle, chain_scenario, predation_scenario, single_species
+from helpers import (
+    chain_equilibrium_oracle,
+    chain_scenario,
+    community_scenarios,
+    predation_scenario,
+    reference_community_rhs,
+    reference_find_fixed_points,
+    reference_jacobian_of,
+    single_species,
+)
 
 CANONICAL = LotkaVolterraParams(1.0, 0.1, 0.5, 0.02)
 
@@ -307,3 +317,87 @@ def test_sweep_is_deterministic():
     first = sweep(scenario, "initial.prey", [20.0, 25.0, 30.0])
     second = sweep(scenario, "initial.prey", [20.0, 25.0, 30.0])
     assert first == second
+
+
+# The float Newton and Jacobian against the array versions they replaced
+# (tests/helpers.py): the same roots, bit for bit and in the same order,
+# and the same warning or error.
+
+
+def _fixed_point_outcome(find, scenario):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            roots = find(scenario)
+        except (ValueError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+    return roots, [str(w.message) for w in caught if w.category is UserWarning]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(community_scenarios())
+def test_float_newton_matches_reference(scenario):
+    got = _fixed_point_outcome(find_fixed_points, scenario)
+    want = _fixed_point_outcome(reference_find_fixed_points, scenario)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    (got_roots, got_warned), (want_roots, want_warned) = got, want
+    assert len(got_roots) == len(want_roots)
+    assert all(np.array_equal(a, b) for a, b in zip(got_roots, want_roots))
+    assert got_warned == want_warned
+
+
+@settings(max_examples=100, deadline=None)
+@given(community_scenarios(), st.data())
+def test_jacobian_at_matches_reference(scenario, data):
+    n = len(scenario.species)
+    point = data.draw(st.lists(st.floats(-2.0, 20.0), min_size=n, max_size=n))
+
+    def outcome(jacobian):
+        try:
+            return jacobian()
+        except (ValueError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+
+    got = outcome(lambda: jacobian_at(scenario, point))
+    want = outcome(lambda: reference_jacobian_of(reference_community_rhs(scenario), point))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
+def test_float_newton_matches_reference_on_demos():
+    arms = demo_document("arms-race")
+    for scenario in (
+        chain_scenario(),
+        demo_document("food-chain"),
+        *(set_parameter(arms, "interaction.attacker:victim.alpha", a) for a in np.linspace(1.0, -1.0, 21)),
+    ):
+        got = find_fixed_points(scenario, extra_starts=[[0.3, 0.7]] if len(scenario.species) == 2 else None)
+        want = reference_find_fixed_points(
+            scenario, extra_starts=[[0.3, 0.7]] if len(scenario.species) == 2 else None
+        )
+        assert len(got) == len(want) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_float_newton_warns_like_reference_when_nothing_converges():
+    # the origin is a root of every community, so only a zero tolerance fails every start
+    for find in (find_fixed_points, reference_find_fixed_points):
+        with pytest.warns(UserWarning, match="did not converge from any starting point"):
+            assert find(chain_scenario(), residual_tol=0.0) == []
+
+
+def test_fd_step_must_be_positive():
+    for bad in (0.0, -1e-5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="fd_step"):
+            jacobian_at(single_species(), [1.0], fd_step=bad)
+        with pytest.raises(ValueError, match="fd_step"):
+            jacobian_of(lambda x: x, [1.0], fd_step=bad)
+
+
+def test_extra_start_of_the_wrong_length_is_rejected():
+    with pytest.raises(ValueError, match="extra start"):
+        find_fixed_points(chain_scenario(), extra_starts=[[1.0, 2.0]])

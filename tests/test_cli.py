@@ -187,6 +187,19 @@ def test_stability_reports_center_like(tmp_path, capsys):
     assert "fixed point" in out
 
 
+def test_stability_takes_no_seed(tmp_path, capsys):
+    # the analysis draws no random numbers, so a seed would be accepted and do nothing
+    path = tmp_path / "lv.json"
+    path.write_text(serialize_scenario(demo_document("lv-classic")))
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("stability", str(path), "--seed", "5")
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        run_cli("stability", "--help")
+    assert "--seed" not in capsys.readouterr().out
+
+
 def test_sweep_arms_race_detects_transition(tmp_path, capsys):
     path = tmp_path / "arms.json"
     path.write_text(serialize_scenario(demo_document("arms-race")))

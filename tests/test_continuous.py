@@ -1,6 +1,6 @@
-import itertools
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -33,12 +33,16 @@ from ecolab import (
     lv_first_integral,
     lv_scenario,
     set_parameter,
+    stability_report,
+    sweep,
 )
-from ecolab.core import METHODS, TROPHIC_KINDS
+from ecolab.continuous import _RK45_STEP_BUDGET, _compile_structure, _kernel
+from ecolab.core import METHODS
 from ecolab.demos import demo_document
 from helpers import (
     chain_equilibrium_oracle,
     chain_scenario,
+    community_scenarios,
     predation_scenario,
     reference_integrate_report,
     saturating_chain_scenario,
@@ -456,55 +460,8 @@ def _assert_same_outcome(got, want):
     assert got.extinctions == want.extinctions
 
 
-_RATES = st.floats(0.0, 2.0)
-_DENSITIES = st.sampled_from([0.0, 1e-12, 5e-10]) | st.floats(0.1, 10.0)
-_RESPONSES = st.one_of(
-    st.builds(LinearResponse, _RATES),
-    st.builds(HollingTypeII, _RATES, _RATES),
-    st.builds(IvlevResponse, _RATES, _RATES),
-)
-_KINDS = [kind for kind in InteractionKind if kind != InteractionKind.SEXUAL]
-
-
-@st.composite
-def _scenarios(draw):
-    n = draw(st.integers(1, 5))
-    species = []
-    for k in range(n):
-        role = draw(st.sampled_from(Role))
-        species.append(
-            SpeciesSpec(
-                id=f"s{k}",
-                role=role,
-                trophic_level=0 if role == Role.PRODUCER else 1,
-                growth_rate=draw(_RATES),
-                self_limitation=draw(st.just(0.0) | _RATES),
-            )
-        )
-    interactions = []
-    for i, j in itertools.combinations(range(n), 2):
-        kind = draw(st.none() | st.sampled_from(_KINDS))
-        if kind is None:
-            continue
-        if draw(st.booleans()):
-            i, j = j, i
-        if kind in TROPHIC_KINDS:
-            entry = InteractionSpec(f"s{i}", f"s{j}", kind, coeff_i=draw(_RATES), response=draw(_RESPONSES))
-        else:
-            entry = InteractionSpec(f"s{i}", f"s{j}", kind, coeff_i=draw(_RATES), coeff_j=draw(_RATES))
-        interactions.append(entry)
-    method = draw(st.sampled_from(METHODS))
-    return Scenario(
-        species=tuple(species),
-        interactions=tuple(interactions),
-        initial_densities={sp.id: draw(_DENSITIES) for sp in species},
-        integrator=IntegratorConfig(method=method, step=draw(st.sampled_from([0.01, 0.07]))),
-        horizon=draw(st.sampled_from([0.5, 2.0, 2.05])),
-    )
-
-
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_scenarios())
+@given(community_scenarios())
 def test_float_loop_matches_reference_path(scenario):
     got = _outcome(lambda: integrate_report(scenario))
     _assert_same_outcome(got, _outcome(lambda: reference_integrate_report(scenario)))
@@ -618,6 +575,67 @@ def test_ivlev_overflow_is_a_non_finite_derivative():
     _assert_same_outcome(got, want)
 
 
+def _cooperation_blowup():
+    """Five species whose s1-s3 cooperation loop blows up in finite time near t = 1.741.
+
+    Drawn by the equivalence test above with --hypothesis-seed=9: the RKF45
+    controller then holds h near 1e-8, far above the underflow floor, and
+    without a step budget kept stepping for good.
+    """
+    producer, consumer = Role.PRODUCER, Role.CONSUMER
+    rates = [
+        ("s0", producer, 1.8148972396687686e-45, 1.2878530314242134),
+        ("s1", consumer, 1.3898799013309115, 0.0),
+        ("s2", consumer, 1.822819113961906, 0.5),
+        ("s3", producer, 1.8519848048399594, 0.0),
+        ("s4", consumer, 0.8206605417153849, 0.0),
+    ]
+    coop, comp = InteractionKind.COOPERATION, InteractionKind.COMPETITION
+    return Scenario(
+        species=tuple(
+            SpeciesSpec(id=sid, role=role, trophic_level=0 if role == producer else 1, growth_rate=g, self_limitation=s)
+            for sid, role, g, s in rates
+        ),
+        interactions=(
+            InteractionSpec("s1", "s0", coop, coeff_i=4.942962845147978e-48, coeff_j=1.1779871047179273),
+            InteractionSpec("s0", "s4", comp, coeff_i=0.45181909327432745, coeff_j=1.0453998746644702),
+            InteractionSpec("s3", "s1", coop, coeff_i=1e-05, coeff_j=0.45606242905378436),
+            InteractionSpec("s2", "s4", comp, coeff_i=0.7619325678517705, coeff_j=0.6112976156324247),
+            InteractionSpec(
+                "s4", "s3", InteractionKind.PARASITISM, coeff_i=3.1221527213098185e-109,
+                response=IvlevResponse(0.853770512566405, 1.5398179562733874),
+            ),
+        ),
+        initial_densities={"s0": 3.143471301328938, "s1": 9.4383408192074, "s2": 5e-10, "s3": 2.4916234644988102, "s4": 0.0},
+        integrator=IntegratorConfig(method="rk45_adaptive", step=0.01),
+        horizon=2.05,
+    )
+
+
+def test_rk45_step_budget_ends_a_finite_time_blowup():
+    with pytest.raises(StepSizeUnderflowError, match=r"step budget of \d+ attempted steps spent at t=") as err:
+        integrate_report(_cooperation_blowup())
+    t, h = (float(part.split("=")[1]) for part in str(err.value).rsplit(" at ", 1)[1].split(", "))
+    assert 1.7 < t < 1.741
+    assert 1e-12 < h < 1e-5  # a tiny step, but far above the underflow floor
+
+
+def test_rk45_bench_document_stays_far_below_the_step_budget():
+    # the document-runs bench's food-chain-rk45 document
+    scenario = _relabel(saturating_chain_scenario("rk45_adaptive"), ("plant", "grazer", "carnivore"))
+    rhs = community_rhs(scenario)
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return rhs(x)
+
+    result = integrate_report(scenario, counted)
+    assert result.trajectory.n_samples - 1 == 64
+    attempts = calls // 6  # six stages per attempted step
+    assert 100 * attempts < _RK45_STEP_BUDGET
+
 # Independent oracle: scipy's DOP853 at tight tolerances, sampled where
 # the integrator sampled.  Error is relative to max(1, |y|).
 _ORACLE_BOUND = {"rk4_fixed": 1e-8, "rk45_adaptive": 1e-5}
@@ -657,3 +675,74 @@ def test_integrators_match_dop853(name, method):
     expected = solution.y.T
     error = np.max(np.abs(result.trajectory.values - expected) / np.maximum(1.0, np.abs(expected)))
     assert error < _ORACLE_BOUND[method]
+
+
+# The compiled kernel: one code object per scenario structure, with every
+# value and id kept out of the source.
+
+_KERNEL_NAME = re.compile(r"(?:[xydgsvfpq]|k[1-4]_)\d+|[xyc]|h|half|sixth")
+
+
+def _relabel(scenario, ids):
+    """The scenario with its species renamed, in declaration order."""
+    rename = dict(zip(scenario.species_ids, ids))
+    return replace(
+        scenario,
+        species=tuple(replace(sp, id=rename[sp.id]) for sp in scenario.species),
+        interactions=tuple(
+            replace(e, species_i=rename[e.species_i], species_j=rename[e.species_j])
+            for e in scenario.interactions
+        ),
+        initial_densities={rename[k]: v for k, v in scenario.initial_densities.items()},
+    )
+
+
+def test_one_structure_shares_one_code_object():
+    first = predation_scenario()
+    second = lv_scenario(
+        LotkaVolterraParams(2.0, 0.3, 0.7, 0.09), (5.0, 1.0), prey_id="rabbit", predator_id="fox"
+    )
+    _compile_structure.cache_clear()
+    a, b = _kernel(first), _kernel(second)
+    assert _compile_structure.cache_info().misses == 1
+    assert a.rhs.__code__ is b.rhs.__code__
+    assert a.rk4_step.__code__ is b.rk4_step.__code__
+    assert a.rhs([3.0, 2.0]) != b.rhs([3.0, 2.0])  # the values are bound apart from the code
+    for code in (a.rhs.__code__, a.rk4_step.__code__):
+        assert all(_KERNEL_NAME.fullmatch(name) for name in code.co_names + code.co_varnames)
+        assert set(code.co_consts) <= {None, 2.0}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_hostile_species_ids_never_reach_the_source(method):
+    hostile = ('a"b\'c', "x); import os #", "line\nbreak\\")
+    scenario = _relabel(saturating_chain_scenario(method), hostile)
+    scenario = replace(scenario, horizon=20.0)
+    got = integrate_report(scenario)
+    want = reference_integrate_report(scenario)
+    _assert_same_outcome(got, want)
+    assert got.trajectory.variable_names == hostile
+    assert _kernel(scenario).rhs.__code__ is _kernel(saturating_chain_scenario()).rhs.__code__
+
+
+def test_arms_race_sweep_compiles_two_structures():
+    # symbiosis for alpha >= 0, parasitism through a linear response below
+    arms = replace(demo_document("arms-race"), horizon=6.0)
+    _compile_structure.cache_clear()
+    report = sweep(arms, "interaction.attacker:victim.alpha", np.linspace(1.0, -1.0, 21))
+    assert len(report.points) == 21
+    info = _compile_structure.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    assert info.hits > 0
+
+
+def test_repeated_analysis_compiles_nothing_more():
+    scenario = chain_scenario()
+    equilibrium = chain_equilibrium_oracle()
+    glv_derivative(equilibrium, scenario)
+    stability_report(scenario, equilibrium)
+    misses = _compile_structure.cache_info().misses
+    for _ in range(50):
+        glv_derivative(equilibrium, scenario)
+        stability_report(scenario, equilibrium)
+    assert _compile_structure.cache_info().misses == misses
