@@ -328,8 +328,8 @@ class Trajectory:
     Every sampled run is one: community densities, epidemic fractions,
     host-parasitoid generations and trait means, which may be negative.
     The invariants (distinct non-empty names, at least one sample,
-    matching shapes, strictly increasing times starting at 0, finite
-    values) are enforced here so that every trajectory is safe to
+    matching shapes, finite and strictly increasing times starting at 0,
+    finite values) are enforced here so that every trajectory is safe to
     serialize or plot as-is; ranges are the producers' business.
     """
 
@@ -360,6 +360,8 @@ class Trajectory:
             raise ValueError("times must start at 0")
         if not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
+        if not np.isfinite(times[-1]):  # the largest; nan already failed the order check
+            raise ValueError("times must be finite")
         if not np.all(np.isfinite(values)):
             raise ValueError("trajectory values must be finite")
         times.flags.writeable = False

@@ -668,22 +668,36 @@ def scenario_digest(document: Document) -> str:
 # ---------------------------------------------------------------------------
 # CSV
 
-def _format_value(x: float) -> str:
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
+# rows formatted per `%` call; bounds the temporary lists and tuples
+CSV_BLOCK_ROWS = 1024
 
 
 def write_csv(trajectory: Trajectory) -> str:
     """Comma-separated samples, one row per time, shortest round-trip decimals.
 
-    The header is "time,<name1>,<name2>,..." in variable order; `read_csv`
-    reads the text back into an equal trajectory, bit for bit.
+    The header is "time,<name1>,<name2>,..." in variable order. A value is
+    its `repr`, except that integer values below 1e16 in magnitude drop the
+    ".0" (so -0.0 is written "0"). `read_csv` reads the text back into an
+    equal trajectory, bit for bit but for the sign of zero. Raises
+    ValueError for a variable name containing "," or a line break, which
+    would break the table.
     """
-    lines = ["time," + ",".join(trajectory.variable_names)]
-    for t, row in zip(trajectory.times.tolist(), trajectory.values.tolist()):
-        lines.append(",".join([_format_value(t)] + [_format_value(v) for v in row]))
-    return "\n".join(lines) + "\n"
+    for name in trajectory.variable_names:
+        if "," in name or name.splitlines() != [name]:
+            raise ValueError(f"variable name {name!r} cannot head a CSV column: it contains ',' or a line break")
+    times, values = trajectory.times, trajectory.values
+    row = ",".join(["%s"] * (1 + values.shape[1])) + "\n"
+    parts = ["time," + ",".join(trajectory.variable_names) + "\n"]
+    for start in range(0, times.shape[0], CSV_BLOCK_ROWS):
+        stop = start + CSV_BLOCK_ROWS
+        block = np.column_stack((times[start:stop], values[start:stop]))
+        cells = block.ravel()
+        items = cells.tolist()  # "%s" of a float is its repr
+        whole = np.flatnonzero((cells == np.trunc(cells)) & (np.abs(cells) < 1e16))
+        for i, value in zip(whole.tolist(), cells[whole].astype(np.int64).tolist()):
+            items[i] = value
+        parts.append(row * block.shape[0] % tuple(items))
+    return "".join(parts)
 
 
 def read_csv(text: str) -> Trajectory:

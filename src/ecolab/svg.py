@@ -24,10 +24,17 @@ PALETTE = (
 
 WIDTH, HEIGHT = 640, 400
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 56, 150, 24, 40
+PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+
+# points formatted per `%` call; bounds the temporary lists and tuples
+BLOCK_POINTS = 1024
 
 
 def _nice_step(span: float, target: int = 5) -> float:
     raw = span / max(target - 1, 1)
+    if not raw > 0.0:
+        raise ValueError(f"cannot place ticks on a span of {span!r}")
     power = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0):
         if mult * power >= raw:
@@ -36,16 +43,37 @@ def _nice_step(span: float, target: int = 5) -> float:
 
 
 def _ticks(low: float, high: float) -> list[float]:
-    if high <= low:
-        high = low + 1.0
     step = _nice_step(high - low)
     first = math.ceil(low / step - 1e-9) * step
     values = []
     v = first
     while v <= high + 1e-9 * step:
         values.append(0.0 if abs(v) < 1e-12 * step else v)
+        if v + step == v:
+            raise ValueError(f"cannot place ticks on [{low!r}, {high!r}]: too narrow for the size of its values")
         v += step
     return values
+
+
+# Pixel coordinates of a tick (a float) or of a block of points (an array).
+# The grouping of the operations fixes the last bits of every coordinate, and
+# with them the output bytes; float64 ufuncs round as the float operations do.
+def _x_pixels(xs, low: float, high: float):
+    return MARGIN_LEFT + (xs - low) / (high - low) * PLOT_W
+
+
+def _y_pixels(ys, low: float, high: float):
+    return MARGIN_TOP + (high - ys) / (high - low) * PLOT_H
+
+
+def _points(xs: np.ndarray, ys: np.ndarray, x_range: tuple, y_range: tuple) -> str:
+    """The "x,y x,y ..." pixel list of one polyline, formatted a block of points at a time."""
+    blocks = []
+    for start in range(0, xs.shape[0], BLOCK_POINTS):
+        stop = start + BLOCK_POINTS
+        pairs = np.column_stack((_x_pixels(xs[start:stop], *x_range), _y_pixels(ys[start:stop], *y_range)))
+        blocks.append(" ".join(["%.2f,%.2f"] * pairs.shape[0]) % tuple(pairs.ravel().tolist()))
+    return " ".join(blocks)
 
 
 def _fmt(v: float) -> str:
@@ -61,7 +89,10 @@ def polyline_chart(
 ) -> str:
     """Draw one polyline per column of ys against xs.
 
-    Output is valid SVG 1.1 and a pure function of the inputs.
+    Output is valid SVG 1.1 and a pure function of the inputs; every
+    coordinate is written with "%.2f". Raises ValueError for fewer than two
+    samples, non-finite values, a zero-width x range, a span that overflows
+    and a range too narrow to place axis ticks on.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -72,19 +103,20 @@ def polyline_chart(
     if ys.shape != (xs.shape[0], len(names)):
         raise ValueError("ys shape must be (len(xs), len(names))")
 
+    # checked before any arithmetic, so that no coordinate can come out nan or inf
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("cannot chart non-finite values")
     x_low, x_high = float(xs.min()), float(xs.max())
     y_low, y_high = float(ys.min()), float(ys.max())
+    if x_high == x_low:
+        raise ValueError(f"cannot chart a zero-width x range: every x is {x_low!r}")
     if y_high == y_low:
         y_low -= 1.0
         y_high += 1.0
-    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-
-    def px(x: float) -> float:
-        return MARGIN_LEFT + (x - x_low) / (x_high - x_low) * plot_w
-
-    def py(y: float) -> float:
-        return MARGIN_TOP + (y_high - y) / (y_high - y_low) * plot_h
+    if not (math.isfinite(x_high - x_low) and math.isfinite(y_high - y_low)):
+        raise ValueError(f"cannot chart a span that overflows: x {x_low!r}..{x_high!r}, y {y_low!r}..{y_high!r}")
+    if y_high == y_low:
+        raise ValueError(f"cannot chart a zero-width y range: every y is {y_low!r}")
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -97,9 +129,9 @@ def polyline_chart(
             f'<text x="{MARGIN_LEFT}" y="16" font-family="sans-serif" font-size="13" '
             f'font-weight="bold">{escape(title)}</text>'
         )
-    axis_y = MARGIN_TOP + plot_h
+    axis_y = MARGIN_TOP + PLOT_H
     parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{axis_y}" x2="{MARGIN_LEFT + plot_w}" y2="{axis_y}" '
+        f'<line x1="{MARGIN_LEFT}" y1="{axis_y}" x2="{MARGIN_LEFT + PLOT_W}" y2="{axis_y}" '
         'stroke="black" stroke-width="1"/>'
     )
     parts.append(
@@ -107,7 +139,7 @@ def polyline_chart(
         'stroke="black" stroke-width="1"/>'
     )
     for tick in _ticks(x_low, x_high):
-        x = px(tick)
+        x = _x_pixels(tick, x_low, x_high)
         parts.append(
             f'<line x1="{x:.2f}" y1="{axis_y}" x2="{x:.2f}" y2="{axis_y + 5}" stroke="black" stroke-width="1"/>'
         )
@@ -116,7 +148,7 @@ def polyline_chart(
             f'text-anchor="middle">{escape(_fmt(tick))}</text>'
         )
     for tick in _ticks(y_low, y_high):
-        y = py(tick)
+        y = _y_pixels(tick, y_low, y_high)
         parts.append(
             f'<line x1="{MARGIN_LEFT - 5}" y1="{y:.2f}" x2="{MARGIN_LEFT}" y2="{y:.2f}" stroke="black" stroke-width="1"/>'
         )
@@ -125,17 +157,17 @@ def polyline_chart(
             f'text-anchor="end">{escape(_fmt(tick))}</text>'
         )
     parts.append(
-        f'<text x="{MARGIN_LEFT + plot_w / 2:.2f}" y="{HEIGHT - 6}" font-family="sans-serif" '
+        f'<text x="{MARGIN_LEFT + PLOT_W / 2:.2f}" y="{HEIGHT - 6}" font-family="sans-serif" '
         f'font-size="12" text-anchor="middle">{escape(x_label)}</text>'
     )
     for col, name in enumerate(names):
         color = PALETTE[col % len(PALETTE)]
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys[:, col]))
+        points = _points(xs, ys[:, col], (x_low, x_high), (y_low, y_high))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )
         legend_y = MARGIN_TOP + 14 + 18 * col
-        legend_x = MARGIN_LEFT + plot_w + 12
+        legend_x = MARGIN_LEFT + PLOT_W + 12
         parts.append(
             f'<line x1="{legend_x}" y1="{legend_y - 4}" x2="{legend_x + 22}" y2="{legend_y - 4}" '
             f'stroke="{color}" stroke-width="2"/>'

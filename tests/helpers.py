@@ -7,6 +7,7 @@ import math
 import random
 import warnings
 from dataclasses import replace
+from xml.sax.saxutils import escape
 
 import numpy as np
 from hypothesis import strategies as st
@@ -35,6 +36,7 @@ from ecolab import (
 from ecolab.analysis import _as_classical_pair
 from ecolab.continuous import _RK45_STEP_BUDGET, DIVERGENCE_LIMIT
 from ecolab.core import METHODS, TROPHIC_KINDS
+from ecolab.svg import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, PALETTE, WIDTH, _fmt, _ticks
 
 
 def predation_scenario(
@@ -707,3 +709,114 @@ def reference_simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt:
         recovered_fraction=None if not sir else recovered_counts / n,
         extinction_time=extinction_time,
     )
+
+
+# ---------------------------------------------------------------------------
+# The per-value CSV and SVG writers that the block writers replaced.
+
+
+def _reference_format_value(x: float) -> str:
+    if x == int(x) and abs(x) < 1e16:
+        return str(int(x))
+    return repr(x)
+
+
+def reference_write_csv(trajectory: Trajectory) -> str:
+    """The per-cell `ecolab.write_csv`, without its check on variable names."""
+    lines = ["time," + ",".join(trajectory.variable_names)]
+    for t, row in zip(trajectory.times.tolist(), trajectory.values.tolist()):
+        lines.append(",".join([_reference_format_value(t)] + [_reference_format_value(v) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_polyline_chart(
+    names: tuple[str, ...],
+    xs: np.ndarray,
+    ys: np.ndarray,
+    title: str | None = None,
+    x_label: str = "time",
+) -> str:
+    """The per-point `ecolab.svg.polyline_chart`: two closures and one f-string per point."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim == 1:
+        ys = ys.reshape(-1, 1)
+    if xs.shape[0] < 2:
+        raise ValueError("need at least two samples to draw a chart")
+    if ys.shape != (xs.shape[0], len(names)):
+        raise ValueError("ys shape must be (len(xs), len(names))")
+
+    x_low, x_high = float(xs.min()), float(xs.max())
+    y_low, y_high = float(ys.min()), float(ys.max())
+    if y_high == y_low:
+        y_low -= 1.0
+        y_high += 1.0
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+
+    def px(x: float) -> float:
+        return MARGIN_LEFT + (x - x_low) / (x_high - x_low) * plot_w
+
+    def py(y: float) -> float:
+        return MARGIN_TOP + (y_high - y) / (y_high - y_low) * plot_h
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+    ]
+    if title:
+        parts.append(
+            f'<text x="{MARGIN_LEFT}" y="16" font-family="sans-serif" font-size="13" '
+            f'font-weight="bold">{escape(title)}</text>'
+        )
+    axis_y = MARGIN_TOP + plot_h
+    parts.append(
+        f'<line x1="{MARGIN_LEFT}" y1="{axis_y}" x2="{MARGIN_LEFT + plot_w}" y2="{axis_y}" '
+        'stroke="black" stroke-width="1"/>'
+    )
+    parts.append(
+        f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" y2="{axis_y}" '
+        'stroke="black" stroke-width="1"/>'
+    )
+    for tick in _ticks(x_low, x_high):
+        x = px(tick)
+        parts.append(
+            f'<line x1="{x:.2f}" y1="{axis_y}" x2="{x:.2f}" y2="{axis_y + 5}" stroke="black" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{x:.2f}" y="{axis_y + 18}" font-family="sans-serif" font-size="11" '
+            f'text-anchor="middle">{escape(_fmt(tick))}</text>'
+        )
+    for tick in _ticks(y_low, y_high):
+        y = py(tick)
+        parts.append(
+            f'<line x1="{MARGIN_LEFT - 5}" y1="{y:.2f}" x2="{MARGIN_LEFT}" y2="{y:.2f}" stroke="black" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{MARGIN_LEFT - 8}" y="{y + 4:.2f}" font-family="sans-serif" font-size="11" '
+            f'text-anchor="end">{escape(_fmt(tick))}</text>'
+        )
+    parts.append(
+        f'<text x="{MARGIN_LEFT + plot_w / 2:.2f}" y="{HEIGHT - 6}" font-family="sans-serif" '
+        f'font-size="12" text-anchor="middle">{escape(x_label)}</text>'
+    )
+    for col, name in enumerate(names):
+        color = PALETTE[col % len(PALETTE)]
+        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys[:, col]))
+        parts.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
+        )
+        legend_y = MARGIN_TOP + 14 + 18 * col
+        legend_x = MARGIN_LEFT + plot_w + 12
+        parts.append(
+            f'<line x1="{legend_x}" y1="{legend_y - 4}" x2="{legend_x + 22}" y2="{legend_y - 4}" '
+            f'stroke="{color}" stroke-width="2"/>'
+        )
+        parts.append(
+            f'<text x="{legend_x + 28}" y="{legend_y}" font-family="sans-serif" '
+            f'font-size="11">{escape(name)}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -417,3 +417,34 @@ def test_run_that_cannot_be_drawn_writes_no_csv(tmp_path, capsys):
     assert run_cli(*argv) == 1
     assert "need at least two samples" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sel.json"]
+
+
+def test_species_id_that_would_break_the_csv_header_writes_nothing(tmp_path, capsys):
+    # "prey,fast" would head two columns over rows of one cell each
+    document = json.loads(serialize_scenario(demo_document("lv-classic")))
+    text = json.dumps(document).replace('"prey"', '"prey,fast"')
+    path = tmp_path / "comma.json"
+    path.write_text(text)
+    assert parse_scenario(text).species[0].id == "prey,fast"
+    argv = ("run", str(path), "--csv", str(tmp_path / "a.csv"), "--svg", str(tmp_path / "a.svg"))
+    assert run_cli(*argv) == 1
+    assert "'prey,fast'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["comma.json"]
+
+
+# The demos' CSV and SVG bytes, digested before the writers worked a block of
+# rows at a time; the per-value writers gave exactly these bytes.
+DEMO_OUTPUT_SHA256 = {
+    "food-chain.csv": "14bde3ce6783764b1ea2c51fe755b3b53edb830dcb8f457d6c9a6d03b8536312",
+    "food-chain.svg": "69aa7969d48913a9ae6d3cceef8c6b3ce78e02ddec65b761ffe2d3dc0fcaf2fe",
+    "malware-epidemic.csv": "b8e10e6f954bed1df05cba73ceb05f9d7079a2e8e75bdfffeb15bbe48a3fdb67",
+    "malware-epidemic.svg": "52c694c6204fb87398092b1a675e9282173b0592b6863a8a7fc53e30917fe159",
+}
+
+
+@pytest.mark.parametrize("name", ["food-chain", "malware-epidemic"])
+def test_demo_outputs_pinned(name, tmp_path):
+    csv, svg = tmp_path / f"{name}.csv", tmp_path / f"{name}.svg"
+    assert run_cli("demo", name, "--csv", str(csv), "--svg", str(svg), "--quiet") == 0
+    for path in (csv, svg):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DEMO_OUTPUT_SHA256[path.name]

@@ -36,7 +36,10 @@ from ecolab import (
     write_csv,
 )
 from ecolab.demos import DEMO_NAMES, demo_document
-from ecolab.scenario_io import DiscreteBundle, EpidemicBundle, GradientSpec, SelectionBundle
+from ecolab.scenario_io import CSV_BLOCK_ROWS, DiscreteBundle, EpidemicBundle, GradientSpec, SelectionBundle
+from ecolab.svg import BLOCK_POINTS, PLOT_H, PLOT_W, polyline_chart
+
+from helpers import reference_polyline_chart, reference_write_csv
 
 MINIMAL_COMMUNITY = {
     "kind": "community",
@@ -238,6 +241,10 @@ class TestCsv:
         text = write_csv(traj)
         assert text == "time,x\n0,4\n"
 
+    def test_integer_values_signed_zero_and_the_exponent_switches(self):
+        traj = Trajectory(("a", "b"), [0.0, 0.5], [[-0.0, 1e16], [9999999999999998.0, 1e-05]])
+        assert write_csv(traj) == "time,a,b\n0,0,1e+16\n0.5,9999999999999998,1e-05\n"
+
     def test_round_trip_bit_exact(self):
         values = np.array([[0.1 + 0.2, 1.0 / 3.0], [1e-17, 12345.6789]])
         traj = Trajectory(("a", "b"), [0.0, 0.125], values)
@@ -265,10 +272,11 @@ class TestCsv:
             ("time,a\n0,1\n2,1\n1,1\n", "strictly increasing"),
             ("time,a\n0,1\n1,1\n1,1\n", "strictly increasing"),
             ("time,a\n0,1\n1,nan\n", "finite"),
+            ("time,a\n0,1\ninf,1\n", "times must be finite"),
             ("time,a,a\n0,1,2\n", "must be distinct"),
             ("time,a,a,\n0,1,2,3\n", "must not be empty"),
         ],
-        ids=["header-only", "late-start", "decreasing", "repeated", "nan-cell", "repeated-name", "empty-name"],
+        ids=["header-only", "late-start", "decreasing", "repeated", "nan-cell", "inf-time", "repeated-name", "empty-name"],
     )
     def test_read_csv_rejects_tables_that_are_not_a_series(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -307,6 +315,113 @@ class TestSvg:
         traj = Trajectory(("alpha<x>",), [0.0, 1.0], [[1.0], [2.0]])
         svg = render_svg(traj)
         assert "alpha&lt;x&gt;" in svg
+
+    @pytest.mark.parametrize(
+        "xs, ys, message",
+        [
+            ([0.0, 1.0], [1.0, float("nan")], "non-finite"),
+            ([0.0, float("inf")], [1.0, 2.0], "non-finite"),
+            ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], "zero-width x range"),
+            ([0.0, 1.0], [-1e308, 1e308], "span that overflows"),
+            ([-1e308, 1e308], [1.0, 2.0], "span that overflows"),
+            ([0.0, 1.0], [1e17, 1e17], "zero-width y range"),
+            ([0.0, 5e-324], [1.0, 2.0], "span of 5e-324"),
+            # a tick step of 5 leaves 1e17 unchanged: the old loop never ended
+            ([0.0, 1.0], [1e17, 1e17 + 16], "too narrow for the size of its values"),
+        ],
+        ids=["nan", "inf", "constant-x", "y-overflow", "x-overflow", "constant-huge-y", "subnormal-x", "tick-stall"],
+    )
+    def test_degenerate_charts_raise_value_error(self, xs, ys, message):
+        with pytest.raises(ValueError, match=message):
+            polyline_chart(("a",), np.array(xs), np.array(ys))
+
+
+# ---------------------------------------------------------------------------
+# The block writers against the per-value writers they replaced.
+
+# Values where a block formatter could part from repr or str(int(x)): signed
+# zeros, integers about 2**53 and about 1e16 (where repr turns to "1e+16"),
+# subnormals, repr's switch to exponents below 1e-4, and decimals ending in
+# 5 at the third place (x.xx5), which "%.2f" must round as f"{v:.2f}" does.
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1e-05, 9.999999999999999e-06, 1.0000000000000002e-05, 0.0001, 9.999999999999999e-05,
+    2.0**53, 2.0**53 + 2, 2.0**53 - 1, -(2.0**53), 1e16, -1e16, 9999999999999998.0, 1.0000000000000002e16,
+    0.125, 0.375, 1.005, 2.675, 0.015, 1e300, -1e300,
+]
+CELLS = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-4, 4).map(lambda k: float(2**53 + k)),
+    st.integers(-4, 4).map(lambda k: float(10**16 + 2 * k)),
+    st.integers(-(10**5), 10**5).map(lambda k: k / 1000),
+    st.integers(-4000, 4000).map(lambda k: k / 8),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# time steps whose multiples cross 1e-5, 2**53 and 1e16 within 1024 rows
+TIME_STEPS = st.sampled_from([1.0, 0.5, 0.01, 0.125, 1e-8, 5e-324, 2.0**43, 1e16 / 1024]) | st.floats(5e-324, 1e12)
+ROW_COUNTS = sorted({1, 2, 3} | {n for b in (CSV_BLOCK_ROWS, BLOCK_POINTS) for n in (b - 1, b, b + 1, 2 * b + 1)})
+
+
+@st.composite
+def trajectories(draw):
+    """Tables of up to four columns, each cell drawn from a small palette of CELLS."""
+    n = draw(st.sampled_from(ROW_COUNTS))
+    width = draw(st.integers(1, 4))
+    palette = np.array(draw(st.lists(CELLS, min_size=1, max_size=12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = palette[rng.integers(len(palette), size=(n, width))]
+    times = np.arange(n) * draw(TIME_STEPS)
+    return Trajectory(("a", "b<c", "d&e", "f")[:width], times, values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trajectories())
+def test_write_csv_matches_the_per_value_writer(traj):
+    assert write_csv(traj) == reference_write_csv(traj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trajectories())
+def test_read_csv_inverts_write_csv_bit_for_bit(traj):
+    back = read_csv(write_csv(traj))
+    assert back.variable_names == traj.variable_names
+    # -0.0 is written "0": adding 0.0 turns -0.0 into 0.0 and changes no other bit
+    assert back.times.tobytes() == (traj.times + 0.0).tobytes()
+    assert back.values.tobytes() == (traj.values + 0.0).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(trajectories().filter(lambda traj: traj.n_samples > 1))
+def test_polyline_chart_matches_the_per_point_writer(traj):
+    args = (traj.variable_names, traj.times, traj.values)
+    try:
+        chart = polyline_chart(*args, title="t")
+    except ValueError as exc:
+        # where a tick step cannot move the tick, the per-point writer loops forever
+        if "too narrow for the size" not in str(exc):
+            with pytest.raises((ValueError, OverflowError, ZeroDivisionError)):
+                reference_polyline_chart(*args, title="t")
+        return
+    assert chart == reference_polyline_chart(*args, title="t")
+
+
+@pytest.mark.parametrize("seed, width, x_scale", [(0, 1, 1), (1, 2, 7), (2, 3, 1), (3, 4, 7), (4, 4, 5), (5, 3, 7)])
+def test_polyline_chart_matches_the_per_point_writer_at_rounding_ties(seed, width, x_scale):
+    # eighths over spans of the plot's pixel height, and of its width times a
+    # small odd number, put many coordinates on x.xx5 or one ulp from it,
+    # where a regrouped formula shows
+    xs = np.arange(PLOT_W * 8 + 1) * x_scale / 8
+    ys = np.random.default_rng(seed).integers(0, PLOT_H * 8 + 1, size=(xs.shape[0], width)) / 8
+    ys[:2, 0] = 0.0, PLOT_H
+    names = ("a", "b", "c", "d")[:width]
+    assert polyline_chart(names, xs, ys) == reference_polyline_chart(names, xs, ys)
+
+
+@pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb", "a\u2028b"], ids=["comma", "lf", "cr", "line-separator"])
+def test_write_csv_rejects_names_that_break_the_table(name):
+    traj = Trajectory(("x", name), [0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ValueError, match="cannot head a CSV column"):
+        write_csv(traj)
 
 
 # ---------------------------------------------------------------------------
