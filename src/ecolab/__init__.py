@@ -107,6 +107,6 @@ from .scenario_io import (
     write_csv,
 )
 from .svg import render_svg
-from .cli import RunReport, cli_main
+from .cli import cli_main
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .core import (
 from .continuous import (
     ContinuumParams,
     _all_finite,
-    _kernel,
+    community_rhs,
     continuum_interaction,
     integrate_report,
 )
@@ -131,7 +131,7 @@ def jacobian_at(scenario: Scenario, point: Sequence[float], fd_step: float = 1e-
             f"point has shape {point.shape}, scenario declares {len(scenario.species)} species"
         )
     _check_fd_step(fd_step)
-    return _central_jacobian(_kernel(scenario).rhs, point.tolist(), fd_step)
+    return _central_jacobian(community_rhs(scenario), point.tolist(), fd_step)
 
 
 def _as_classical_pair(scenario: Scenario):
@@ -251,7 +251,7 @@ def find_fixed_points(
         interior[pred_idx] = growth / encounter
         return [np.zeros(n), interior]
 
-    rhs = _kernel(scenario).rhs
+    rhs = community_rhs(scenario)
     roots: list[list[float]] = []
     scale = max(1.0, max((abs(g) for g in scenario.initial_state()), default=1.0))
     converged_any = False
@@ -492,10 +492,9 @@ def sweep(
     independent; they run, and are reported, in grid order.
     """
     grid = _monotone_grid(grid)
-    set_parameter(scenario, parameter_path, grid[0])  # fail fast on bad paths
     points = []
     for value in grid:
-        updated = validate_scenario(set_parameter(scenario, parameter_path, value))
+        updated = set_parameter(scenario, parameter_path, value)
         result = integrate_report(updated)
         final = result.trajectory.final_state()
         classification = _attractor_classification(updated, final)

@@ -12,13 +12,13 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .analysis import SweepReport, analyze_scenario, sweep, sweep_epidemic
 from .continuous import integrate_report
-from .core import Scenario, ScenarioValidationError, Trajectory
+from .core import Scenario, Trajectory
 from .demos import DEMO_NAMES, demo_document, mimicry_table
 from .discrete import iterate_map, nicholson_bailey_map
 from .epidemic import estimate_threshold, mean_field_threshold, simulate_epidemic
@@ -26,7 +26,6 @@ from .scenario_io import (
     DiscreteBundle,
     Document,
     EpidemicBundle,
-    ParseError,
     SelectionBundle,
     parse_scenario,
     scenario_digest,
@@ -36,17 +35,7 @@ from .scenario_io import (
 from .selection import iterate_selection
 from .svg import polyline_chart, render_svg
 
-__all__ = ["RunReport", "main", "cli_main"]
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """What one CLI run did, for logs and tests."""
-
-    digest: str
-    trajectory_ref: str
-    extinctions: tuple[tuple[str, float], ...]
-    duration_s: float
+__all__ = ["main", "cli_main"]
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -76,7 +65,7 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _write_outputs(args, trajectory: Trajectory, title: str) -> str:
+def _write_outputs(args, trajectory: Trajectory, title: str) -> None:
     # both texts first, so a trajectory that cannot be drawn leaves no CSV behind
     csv = write_csv(trajectory) if args.csv else None
     svg = render_svg(trajectory, title=title) if args.svg else None
@@ -84,10 +73,9 @@ def _write_outputs(args, trajectory: Trajectory, title: str) -> str:
         _atomic_write(args.csv, csv)
     if svg is not None:
         _atomic_write(args.svg, svg)
-    return args.csv or "-"
 
 
-def _run_document(document: Document, args) -> RunReport:
+def _run_document(document: Document, args) -> None:
     digest = scenario_digest(document)
     started = time.perf_counter()
     extinctions: tuple[tuple[str, float], ...] = ()
@@ -132,21 +120,14 @@ def _run_document(document: Document, args) -> RunReport:
         )
         summary = f"{final_label}: {final}"
 
-    ref = _write_outputs(args, trajectory, title)
+    _write_outputs(args, trajectory, title)
     duration = time.perf_counter() - started
-    report = RunReport(
-        digest=digest,
-        trajectory_ref=ref,
-        extinctions=extinctions,
-        duration_s=duration,
-    )
-    _say(args, f"digest: {report.digest}")
+    _say(args, f"digest: {digest}")
     _say(args, summary)
     if extinctions:
         listed = ", ".join(f"{name} at t={when:.6g}" for name, when in extinctions)
         _say(args, f"extinctions: {listed}")
     _say(args, f"wall clock: {duration * 1000:.1f} ms")
-    return report
 
 
 def _cmd_run(args) -> int:
@@ -263,11 +244,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    if args.name not in DEMO_NAMES:
-        raise ValueError(f"unknown demo {args.name!r}; available: {', '.join(DEMO_NAMES)}")
-    if args.name == "mimicry":
-        if args.emit:
-            raise ValueError("demo 'mimicry' is a built-in payoff sweep without a scenario document")
+    if args.name == "mimicry" and not args.emit:
         names, densities, values = mimicry_table()
         if args.csv:
             text = "mimic_density," + ",".join(names) + "\n"
@@ -362,9 +339,6 @@ def cli_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ScenarioValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -472,8 +472,7 @@ def _integrate_rk4(f, y0, cfg, horizon, names, fused=None):
     return times, states, extinctions
 
 
-# Runge-Kutta-Fehlberg 4(5) tableau.
-_RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
+# Runge-Kutta-Fehlberg 4(5) tableau, without the nodes c: the derivative does not depend on t.
 _RKF_A = (
     (),
     (1 / 4,),

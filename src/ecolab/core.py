@@ -1,8 +1,9 @@
 """Shared domain types and scenario validation.
 
 Everything here is a passive container: the dynamics live in the
-`continuous`, `discrete` and `epidemic` modules.  All types are immutable
-after construction and safe to share between concurrent workers.
+`continuous`, `discrete` and `epidemic` modules.  The dataclasses are
+frozen and `Trajectory` holds read-only copies of its arrays, but
+`Scenario.initial_densities` stays a plain, mutable dict.
 
 Units are dimensionless throughout (both time and density).
 """
@@ -60,11 +61,6 @@ class InteractionKind(str, Enum):
 #: Kinds whose victim-side loss runs through a functional response.
 TROPHIC_KINDS = frozenset({InteractionKind.PREDATION, InteractionKind.PARASITISM})
 
-#: Kinds modelled as plain mass-action couplings on both sides.
-MASS_ACTION_KINDS = frozenset(
-    {InteractionKind.COMPETITION, InteractionKind.SYMBIOSIS, InteractionKind.COOPERATION}
-)
-
 
 @dataclass(frozen=True)
 class SpeciesSpec:
@@ -81,10 +77,6 @@ class SpeciesSpec:
     trophic_level: int = 0
     growth_rate: float = 0.0
     self_limitation: float = 0.0
-
-    @property
-    def display_name(self) -> str:
-        return self.name or self.id
 
 
 @dataclass(frozen=True)
@@ -339,8 +331,8 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         names = tuple(str(n) for n in self.variable_names)
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        times = np.array(self.times, dtype=float)
+        values = np.array(self.values, dtype=float)
         if values.ndim == 1:
             values = values.reshape(-1, 1)
         if "" in names:

@@ -24,8 +24,6 @@ from .selection import MimicryParams, mimic_frequency, mimicry_payoffs
 
 __all__ = ["DEMO_NAMES", "demo_document", "mimicry_table", "MIMICRY_DEMO_PARAMS"]
 
-DEMO_NAMES = ("lv-classic", "food-chain", "arms-race", "malware-epidemic", "mimicry")
-
 
 def _lv_classic() -> Scenario:
     """The canonical two-species oscillator."""
@@ -171,6 +169,8 @@ _BUILDERS = {
     "arms-race": _arms_race,
     "malware-epidemic": _malware_epidemic,
 }
+
+DEMO_NAMES = (*_BUILDERS, "mimicry")
 
 #: Fixed payoff parameters of the mimicry demo sweep.
 MIMICRY_DEMO_PARAMS = {

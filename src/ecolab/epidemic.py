@@ -46,7 +46,6 @@ class Graph:
 
     n_nodes: int
     edges: frozenset[tuple[int, int]]
-    generator_tag: str = "explicit"
 
     def __post_init__(self) -> None:
         if self.n_nodes <= 0:
@@ -78,7 +77,7 @@ class Graph:
 
 def complete_graph(n: int) -> Graph:
     edges = frozenset((u, v) for u in range(n) for v in range(u + 1, n))
-    return Graph(n_nodes=n, edges=edges, generator_tag="complete")
+    return Graph(n_nodes=n, edges=edges)
 
 
 def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
@@ -91,7 +90,7 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
         for v in range(u + 1, n):
             if rng.random() < p:
                 edges.add((u, v))
-    return Graph(n_nodes=n, edges=frozenset(edges), generator_tag=f"erdos_renyi(p={p!r})")
+    return Graph(n_nodes=n, edges=frozenset(edges))
 
 
 class _FenwickTree:
@@ -158,11 +157,11 @@ def barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
             degree.add(t, 1)
         degree.add(new, m)
         total += 2 * m
-    return Graph(n_nodes=n, edges=frozenset(edges), generator_tag=f"barabasi_albert(m={m})")
+    return Graph(n_nodes=n, edges=frozenset(edges))
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    return Graph(n_nodes=n, edges=frozenset(tuple(e) for e in edges), generator_tag="explicit")
+    return Graph(n_nodes=n, edges=frozenset(tuple(e) for e in edges))
 
 
 def read_edge_list(text: str) -> Graph:
@@ -230,7 +229,7 @@ class EpidemicModel:
 
 @dataclass(frozen=True)
 class PrevalenceTrajectory:
-    """Sampled infected (and recovered) fractions of one run."""
+    """Sampled infected (and recovered) fractions of one run, held as read-only copies."""
 
     times: np.ndarray
     infected_fraction: np.ndarray
@@ -238,15 +237,15 @@ class PrevalenceTrajectory:
     extinction_time: float | None
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        infected = np.asarray(self.infected_fraction, dtype=float)
+        times = np.array(self.times, dtype=float)
+        infected = np.array(self.infected_fraction, dtype=float)
         if times.shape != infected.shape:
             raise ValueError("times and infected_fraction must have matching shapes")
         if np.any((infected < 0) | (infected > 1)):
             raise ValueError("infected fractions must lie in [0, 1]")
         recovered = self.recovered_fraction
         if recovered is not None:
-            recovered = np.asarray(recovered, dtype=float)
+            recovered = np.array(recovered, dtype=float)
             if np.any((recovered < 0) | (recovered > 1)):
                 raise ValueError("recovered fractions must lie in [0, 1]")
             if np.any(infected + recovered > 1.0 + 1e-12):
@@ -637,8 +636,6 @@ def estimate_threshold(
         raise ValueError("beta_range must satisfy 0 <= low < high")
     if runs_per_point < 1:
         raise ValueError("runs_per_point must be >= 1")
-    if initial_infected is None:
-        initial_infected = default_initial_infected(graph)
 
     def survival(beta: float, evaluation: int) -> float:
         return persistence_fraction(

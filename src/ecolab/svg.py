@@ -180,12 +180,11 @@ def polyline_chart(
     return "\n".join(parts) + "\n"
 
 
-def render_svg(trajectory: Trajectory, title: str | None = None, x_label: str = "time") -> str:
+def render_svg(trajectory: Trajectory, title: str | None = None) -> str:
     """Chart a trajectory, one polyline per variable against its times."""
     return polyline_chart(
         trajectory.variable_names,
         trajectory.times,
         trajectory.values,
         title=title,
-        x_label=x_label,
     )

@@ -574,7 +574,7 @@ def reference_barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
             degree[t] += 1
             degree[new] += 1
             total += 2
-    return Graph(n_nodes=n, edges=frozenset(edges), generator_tag=f"barabasi_albert(m={m})")
+    return Graph(n_nodes=n, edges=frozenset(edges))
 
 
 def reference_simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1.0) -> PrevalenceTrajectory:

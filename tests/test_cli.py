@@ -76,6 +76,11 @@ def test_unknown_demo(capsys):
     assert "unknown demo" in capsys.readouterr().err
 
 
+def test_unknown_demo_with_emit(capsys):
+    assert run_cli("demo", "nope", "--emit") == 1
+    assert capsys.readouterr().err == f"error: unknown demo 'nope'; available: {', '.join(DEMO_NAMES)}\n"
+
+
 @pytest.mark.parametrize("name", [n for n in DEMO_NAMES if n != "mimicry"])
 def test_demo_emit_round_trips(name, capsys):
     assert run_cli("demo", name, "--emit") == 0

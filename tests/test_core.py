@@ -234,6 +234,17 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             traj.times[0] = 9.0
 
+    @pytest.mark.parametrize("values", [[[1.0], [2.0]], [1.0, 2.0]], ids=["2d", "1d"])
+    def test_copies_the_callers_arrays(self, values):
+        times, values = np.array([0.0, 1.0]), np.array(values)
+        traj = Trajectory(("a",), times, values)
+        times[1] = 5.0
+        values[0] = 7.0
+        assert times.flags.writeable and values.flags.writeable
+        assert traj.times.tolist() == [0.0, 1.0]
+        assert traj.values.tolist() == [[1.0], [2.0]]
+        assert not traj.values.flags.writeable
+
     def test_unknown_column(self):
         traj = Trajectory(("a",), [0.0, 1.0], [[1.0], [2.0]])
         with pytest.raises(KeyError):

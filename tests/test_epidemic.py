@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from ecolab import (
     EpidemicKind,
     EpidemicModel,
+    PrevalenceTrajectory,
     ThresholdBracketError,
     barabasi_albert,
     complete_graph,
@@ -54,6 +55,11 @@ class TestGraphs:
 
     def test_preferential_attachment_deterministic(self):
         assert barabasi_albert(200, 2, seed=3).edges == barabasi_albert(200, 2, seed=3).edges
+
+    def test_a_graph_is_its_nodes_and_edges(self):
+        graph = barabasi_albert(60, 2, seed=5)
+        assert graph == from_edges(60, graph.edges)
+        assert complete_graph(4) == from_edges(4, [(1, 0), (0, 2), (0, 3), (1, 2), (3, 1), (2, 3)])
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -168,6 +174,19 @@ class TestSimulation:
         slow = mean_final(0.05, 1.0, 30.0, master=11)
         fast = mean_final(0.15, 3.0, 10.0, master=11)
         assert fast == pytest.approx(slow, abs=0.1)
+
+    @pytest.mark.parametrize("recovered", [None, [0.0, 0.5]], ids=["sis", "sir"])
+    def test_prevalence_copies_the_callers_arrays(self, recovered):
+        times, infected = np.array([0.0, 1.0]), np.array([0.5, 0.25])
+        recovered = None if recovered is None else np.array(recovered)
+        traj = PrevalenceTrajectory(times, infected, recovered, None)
+        for array in (times, infected) if recovered is None else (times, infected, recovered):
+            assert array.flags.writeable
+            array[1] = 0.125
+        assert traj.times.tolist() == [0.0, 1.0]
+        assert traj.infected_fraction.tolist() == [0.5, 0.25]
+        assert recovered is None or traj.recovered_fraction.tolist() == [0.0, 0.5]
+        assert not traj.infected_fraction.flags.writeable
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match="not be empty"):

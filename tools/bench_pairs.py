@@ -25,6 +25,10 @@ the bound in BENCHMARK.json:
 - `unresolved`: neither, and the base's own spread (IQR / median) is
   wider than the bound;
 - `within bound`: otherwise.
+
+Each group also sums each side's `attempted` and `failed` operations. The
+script exits 1, after writing the file, when any run was not `correct`, so
+a failed operation cannot sit unnoticed under a `gain` verdict.
 """
 
 from __future__ import annotations
@@ -125,6 +129,22 @@ def summarize(pairs: list[dict], bounds: dict[str, dict]) -> dict:
     return out
 
 
+def group_record(workload: str, seed: int, trace: int, pairs: list[dict], bounds: dict[str, dict]) -> dict:
+    """One workload and seed: correctness, each side's summed operations, the summary and the pairs."""
+    return {
+        "workload": workload,
+        "seed": seed,
+        "trace": trace,
+        "all_correct": all(p[s]["correct"] for p in pairs for s in ("base", "change")),
+        "operations": {
+            side: {count: sum(p[side][count] for p in pairs) for count in ("attempted", "failed")}
+            for side in ("base", "change")
+        },
+        "summary": summarize(pairs, bounds),
+        "pairs": pairs,
+    }
+
+
 def parse_spec(text: str) -> tuple[str, int, int]:
     try:
         workload, seed, pairs = text.split(":")
@@ -181,17 +201,14 @@ def main(argv=None) -> int:
                 for side in ("base", "change"):
                     del pair[side]["machine"]
                 pairs.append(pair)
-            record["groups"].append({
-                "workload": workload,
-                "seed": seed,
-                "trace": trace,
-                "all_correct": all(p[s]["correct"] for p in pairs for s in ("base", "change")),
-                "summary": summarize(pairs, bounds),
-                "pairs": pairs,
-            })
+            record["groups"].append(group_record(workload, seed, trace, pairs, bounds))
             with open(args.out, "w", encoding="utf-8") as handle:  # after each group, so a cut run keeps them
                 json.dump(record, handle, indent=1)
                 handle.write("\n")
+    incorrect = [f"{g['workload']} seed {g['seed']} trace {g['trace']}" for g in record["groups"] if not g["all_correct"]]
+    if incorrect:
+        print(f"error: runs not correct in {', '.join(incorrect)}", file=sys.stderr)
+        return 1
     return 0
 
 
