@@ -419,6 +419,22 @@ def _min_below(values, bound: float) -> bool:
     return min(values) < bound and not any(map(math.isnan, values))
 
 
+def _rms(values: list[float]) -> float:
+    """float(np.sqrt(np.mean([v * v for v in values]))), bit for bit.
+
+    numpy sums fewer than eight terms one after another, so those are added
+    here in a plain loop (not `sum`, which compensates from Python 3.12 on);
+    from eight terms on numpy adds in its own pairwise order.
+    """
+    n = len(values)
+    if n >= 8:
+        return float(np.sqrt(np.mean([v * v for v in values])))
+    total = 0.0
+    for v in values:
+        total += v * v
+    return math.sqrt(total / n)
+
+
 def _rk4_stages(f, y, hk, half, sixth):
     """One RK4 step through separate derivative calls: the new state and the four stages."""
     k1 = f(y)
@@ -534,8 +550,7 @@ def _integrate_rk45(f, y0, cfg, horizon, names):
             (v5 - v4) / (cfg.abs_tol + cfg.rel_tol * max(abs(v), abs(v5)))
             for v, v5, v4 in zip(y, y5, y4)
         ]
-        # np.mean, not sum: from eight terms on, numpy adds in its own pairwise order
-        err = float(np.sqrt(np.mean([e * e for e in scaled])))
+        err = _rms(scaled)
         if err <= 1.0:
             t = t + h
             y = y5

@@ -331,6 +331,22 @@ def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1
 # trajectory whichever loop runs.  Each fills the samples taken before its
 # last event and returns (samples filled, infected, recovered, extinction
 # time or None).
+#
+# Both loops make random.Random's draws themselves, value for value from
+# the same stream, without the method calls around each one:
+# rng.expovariate(r) is -log(1.0 - rng.random()) / r, and rng.randrange(m)
+# is `_below`, CPython's _randbelow_with_getrandbits (3.10 to 3.13).  The
+# complete-graph loop discards those values and writes `_below` out inline.
+# test_epidemic's guard tests fail if a Python upgrade changes either draw.
+
+
+def _below(getrandbits, m: int) -> int:
+    """rng.randrange(m) for an int m >= 1, given rng.getrandbits."""
+    w = m.bit_length()
+    r = getrandbits(w)
+    while r >= m:
+        r = getrandbits(w)
+    return r
 
 
 def _contact_graph_events(model, horizon, sample_dt, infected_counts, recovered_counts):
@@ -339,6 +355,7 @@ def _contact_graph_events(model, horizon, sample_dt, infected_counts, recovered_
     n = graph.n_nodes
     adjacency = graph.adjacency
     rng = random.Random(model.seed)
+    uniform, getrandbits, log = rng.random, rng.getrandbits, math.log
     sir = recovered_counts is not None
     n_samples = len(infected_counts)
 
@@ -379,8 +396,9 @@ def _contact_graph_events(model, horizon, sample_dt, infected_counts, recovered_
     while True:
         if n_infected == 0:
             return k, 0, n_recovered, t
-        total_rate = beta * total_si + gamma * n_infected
-        t_next = t + rng.expovariate(total_rate)
+        infection_rate = beta * total_si
+        total_rate = infection_rate + gamma * n_infected
+        t_next = t - log(1.0 - uniform()) / total_rate
         if t_next > horizon:
             return k, n_infected, n_recovered, None
         # every grid time before the event sees the state before it
@@ -390,11 +408,11 @@ def _contact_graph_events(model, horizon, sample_dt, infected_counts, recovered_
                 recovered_counts[k] = n_recovered
             k += 1
             next_sample = k * sample_dt
-        pick = rng.random() * total_rate
-        if pick < beta * total_si:
+        pick = uniform() * total_rate
+        if pick < infection_rate:
             # infection: weighted choice of an infected node by its
             # susceptible-neighbor count, then a uniform susceptible neighbor
-            target_weight = rng.random() * total_si
+            target_weight = uniform() * total_si
             acc = 0
             scan = infected
             if blocked:
@@ -407,7 +425,7 @@ def _contact_graph_events(model, horizon, sample_dt, infected_counts, recovered_
                 acc += sus_count[source]
                 if target_weight < acc:
                     break
-            which = rng.randrange(sus_count[source])
+            which = _below(getrandbits, sus_count[source])
             new = -1
             for nb in adjacency[source]:
                 if status[nb] == S:
@@ -434,7 +452,7 @@ def _contact_graph_events(model, horizon, sample_dt, infected_counts, recovered_
                 blocks[n_infected >> bits] += count
             n_infected += 1
         else:
-            node = infected[rng.randrange(n_infected)]
+            node = infected[_below(getrandbits, n_infected)]
             last = infected[-1]
             pos = position[node]
             infected[pos] = last
@@ -471,6 +489,7 @@ def _complete_graph_events(model, horizon, sample_dt, infected_counts, recovered
     them, so the random stream runs as in the contact-graph loop.
     """
     rng = random.Random(model.seed)
+    uniform, getrandbits, log = rng.random, rng.getrandbits, math.log
     sir = recovered_counts is not None
     n_samples = len(infected_counts)
 
@@ -486,8 +505,9 @@ def _complete_graph_events(model, horizon, sample_dt, infected_counts, recovered
         if n_infected == 0:
             return k, 0, n_recovered, t
         total_si = n_infected * n_susceptible
-        total_rate = beta * total_si + gamma * n_infected
-        t_next = t + rng.expovariate(total_rate)
+        infection_rate = beta * total_si
+        total_rate = infection_rate + gamma * n_infected
+        t_next = t - log(1.0 - uniform()) / total_rate
         if t_next > horizon:
             return k, n_infected, n_recovered, None
         # every grid time before the event sees the state before it
@@ -497,14 +517,20 @@ def _complete_graph_events(model, horizon, sample_dt, infected_counts, recovered
                 recovered_counts[k] = n_recovered
             k += 1
             next_sample = k * sample_dt
-        pick = rng.random() * total_rate
-        if pick < beta * total_si:
-            rng.random()  # weighs the infection sources
-            rng.randrange(n_susceptible)  # picks the source's susceptible neighbour
+        pick = uniform() * total_rate
+        if pick < infection_rate:
+            uniform()  # weighs the infection sources
+            # picks the source's susceptible neighbour: `_below`'s draws, inline
+            w = n_susceptible.bit_length()
+            while getrandbits(w) >= n_susceptible:
+                pass
             n_infected += 1
             n_susceptible -= 1
         else:
-            rng.randrange(n_infected)  # picks the node that recovers
+            # picks the node that recovers
+            w = n_infected.bit_length()
+            while getrandbits(w) >= n_infected:
+                pass
             n_infected -= 1
             if sir:
                 n_recovered += 1

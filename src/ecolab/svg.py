@@ -50,7 +50,9 @@ def _ticks(low: float, high: float) -> list[float]:
     while v <= high + 1e-9 * step:
         values.append(0.0 if abs(v) < 1e-12 * step else v)
         if v + step == v:
-            raise ValueError(f"cannot place ticks on [{low!r}, {high!r}]: too narrow for the size of its values")
+            # the range is only a few ulps of its values wide, so the step
+            # cannot move a tick: mark its two ends instead
+            return [low, high]
         v += step
     return values
 
@@ -91,8 +93,9 @@ def polyline_chart(
 
     Output is valid SVG 1.1 and a pure function of the inputs; every
     coordinate is written with "%.2f". Raises ValueError for fewer than two
-    samples, non-finite values, a zero-width x range, a span that overflows
-    and a range too narrow to place axis ticks on.
+    samples, non-finite values, a zero-width x range and a span that
+    overflows.  A range too narrow for a tick step to move a tick gets
+    ticks at its two ends.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)

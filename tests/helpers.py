@@ -36,7 +36,7 @@ from ecolab import (
 from ecolab.analysis import _as_classical_pair
 from ecolab.continuous import _RK45_STEP_BUDGET, DIVERGENCE_LIMIT
 from ecolab.core import METHODS, TROPHIC_KINDS
-from ecolab.svg import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, PALETTE, WIDTH, _fmt, _ticks
+from ecolab.svg import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, PALETTE, WIDTH, _fmt, _nice_step
 
 
 def predation_scenario(
@@ -729,6 +729,20 @@ def reference_write_csv(trajectory: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_ticks(low: float, high: float) -> list[float]:
+    """The accumulating tick loop alone: raises where a step cannot move a tick."""
+    step = _nice_step(high - low)
+    first = math.ceil(low / step - 1e-9) * step
+    values = []
+    v = first
+    while v <= high + 1e-9 * step:
+        values.append(0.0 if abs(v) < 1e-12 * step else v)
+        if v + step == v:
+            raise ValueError(f"cannot place ticks on [{low!r}, {high!r}]: too narrow for the size of its values")
+        v += step
+    return values
+
+
 def reference_polyline_chart(
     names: tuple[str, ...],
     xs: np.ndarray,
@@ -736,7 +750,11 @@ def reference_polyline_chart(
     title: str | None = None,
     x_label: str = "time",
 ) -> str:
-    """The per-point `ecolab.svg.polyline_chart`: two closures and one f-string per point."""
+    """The per-point `ecolab.svg.polyline_chart`: two closures and one f-string per point.
+
+    Its ticks come from `reference_ticks`, so it raises where the chart
+    falls back to ticks at the ends of a range.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if ys.ndim == 1:
@@ -780,7 +798,7 @@ def reference_polyline_chart(
         f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" y2="{axis_y}" '
         'stroke="black" stroke-width="1"/>'
     )
-    for tick in _ticks(x_low, x_high):
+    for tick in reference_ticks(x_low, x_high):
         x = px(tick)
         parts.append(
             f'<line x1="{x:.2f}" y1="{axis_y}" x2="{x:.2f}" y2="{axis_y + 5}" stroke="black" stroke-width="1"/>'
@@ -789,7 +807,7 @@ def reference_polyline_chart(
             f'<text x="{x:.2f}" y="{axis_y + 18}" font-family="sans-serif" font-size="11" '
             f'text-anchor="middle">{escape(_fmt(tick))}</text>'
         )
-    for tick in _ticks(y_low, y_high):
+    for tick in reference_ticks(y_low, y_high):
         y = py(tick)
         parts.append(
             f'<line x1="{MARGIN_LEFT - 5}" y1="{y:.2f}" x2="{MARGIN_LEFT}" y2="{y:.2f}" stroke="black" stroke-width="1"/>'

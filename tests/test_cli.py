@@ -424,6 +424,26 @@ def test_run_that_cannot_be_drawn_writes_no_csv(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sel.json"]
 
 
+def test_run_on_a_range_a_few_ulps_wide_writes_both_files(tmp_path, capsys):
+    # every trait mean sits at 2**53 - 1 or 2**53, where no tick step moves a tick
+    document = dict(
+        SIGNED_SELECTION,
+        means={name: 2.0**53 - 1 for name in TRAIT_NAMES},
+        covariance={"v_display": 1.0, "v_preference": 0.0, "v_fitness": 0.0, "c_display_preference": 0.0},
+        natural_gradient={"type": "constant", "value": [1.0, 0.0, 0.0]},
+        sexual_gradient={"type": "constant", "value": [0.0, 0.0, 0.0]},
+        steps=3,
+    )
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(document))
+    csv, svg = tmp_path / "a.csv", tmp_path / "a.svg"
+    assert run_cli("run", str(path), "--csv", str(csv), "--svg", str(svg), "--quiet") == 0
+    assert capsys.readouterr().err == ""
+    table = read_csv(csv.read_text())
+    assert (table.values.min(), table.values.max()) == (2.0**53 - 1, 2.0**53)
+    assert svg.read_text().startswith("<?xml")
+
+
 def test_species_id_that_would_break_the_csv_header_writes_nothing(tmp_path, capsys):
     # "prey,fast" would head two columns over rows of one cell each
     document = json.loads(serialize_scenario(demo_document("lv-classic")))

@@ -36,7 +36,7 @@ from ecolab import (
     stability_report,
     sweep,
 )
-from ecolab.continuous import _RK45_STEP_BUDGET, _compile_structure, _kernel
+from ecolab.continuous import _RK45_STEP_BUDGET, _compile_structure, _kernel, _rms
 from ecolab.core import METHODS
 from ecolab.demos import demo_document
 from helpers import (
@@ -501,6 +501,18 @@ def test_rk45_error_norm_matches_reference_path_on_many_species():
     want = reference_integrate_report(scenario)
     assert want.trajectory.n_samples > 20
     _assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_rk45_error_norm_is_numpys_per_species_count(n):
+    # below eight terms a plain loop adds in numpy's order; from eight on
+    # numpy's pairwise order differs from it on about a fifth of these vectors
+    rng = random.Random(n)
+    for _ in range(4000):
+        values = [rng.uniform(-3.0, 3.0) * 10.0 ** rng.uniform(-12.0, 4.0) for _ in range(n)]
+        assert repr(_rms(values)) == repr(float(np.sqrt(np.mean([v * v for v in values])))), values
+    for special in ([0.0] * n, [1e200] * n, [5e-324] * n, [float("nan")] + [1.0] * (n - 1)):
+        assert repr(_rms(special)) == repr(float(np.sqrt(np.mean([v * v for v in special]))))
 
 
 def _symbiosis_pair(method):

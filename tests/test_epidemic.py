@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from ecolab import (
     EpidemicKind,
@@ -24,7 +24,7 @@ from ecolab import (
     run_seed,
     simulate_epidemic,
 )
-from ecolab.epidemic import _FenwickTree, _half_persist
+from ecolab.epidemic import _below, _FenwickTree, _half_persist
 from helpers import (
     binomial_band,
     reference_barabasi_albert,
@@ -555,3 +555,71 @@ def test_complete_graph_event_loop_matches_linear_scan(n, kind):
     assert extinct > 0
     if kind == EpidemicKind.SIR:
         assert recovered > 0
+
+
+# The event loops draw what random.Random's methods return without calling
+# them (see epidemic.py); these guards fail if a Python upgrade changes the
+# private algorithm they copy, before any trajectory shifts quietly.
+
+
+def test_randrange_is_the_getrandbits_rejection_loop():
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+
+
+BELOW_BOUNDS = sorted({1} | {2**k + d for k in range(1, 65) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**40 + 17])
+def test_below_draws_what_randrange_draws(seed):
+    inline, stdlib = random.Random(seed), random.Random(seed)
+    for m in BELOW_BOUNDS:
+        assert [_below(inline.getrandbits, m) for _ in range(25)] == [stdlib.randrange(m) for _ in range(25)], m
+        # the same number of words taken from the stream, rejections included
+        assert inline.getstate() == stdlib.getstate(), m
+
+
+@pytest.mark.parametrize("rate", [5e-324, 1e-300, 1e-9, 0.37, 1.0, 3.0, 1e9, 1e300, 1.7976931348623157e308])
+def test_inline_exponential_draws_what_expovariate_draws(rate):
+    inline, stdlib = random.Random(11), random.Random(11)
+    uniform, log = inline.random, math.log
+    for t in (0.0, 0.3, 12.5, 1e6):
+        for _ in range(200):
+            # the event loops' form of t + rng.expovariate(rate)
+            assert repr(t - log(1.0 - uniform()) / rate) == repr(t + stdlib.expovariate(rate))
+    assert inline.getstate() == stdlib.getstate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # the counts cross powers of two, where a one-off bit length would draw differently
+    n=st.sampled_from([2, 3, 5, 17, 33, 65, 129]),
+    kind=st.sampled_from(list(EpidemicKind)),
+    # beta * (n - 1) = 1 is the mean-field threshold
+    beta_scale=st.sampled_from([0.25, 0.8, 1.25, 4.0]) | st.floats(0.0, 5.0),
+    infected_share=st.sampled_from([0.0, 0.1, 0.5]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_complete_graph_inline_draws_match_the_stdlib_draws(n, kind, beta_scale, infected_share, seed):
+    initial = frozenset(range(max(1, int(infected_share * n))))
+    model = EpidemicModel(complete_graph(n), kind, beta_scale / (n - 1), 1.0, initial, seed)
+    assert_same_trajectory(model, 6.0, 0.25)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    family=st.sampled_from(["barabasi_albert", "erdos_renyi"]),
+    n=st.integers(3, 300),
+    graph_seed=st.integers(0, 1000),
+    kind=st.sampled_from(list(EpidemicKind)),
+    beta_scale=st.sampled_from([0.5, 2.0]) | st.floats(0.0, 5.0),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_contact_graph_inline_draws_match_the_stdlib_draws(family, n, graph_seed, kind, beta_scale, seed):
+    if family == "barabasi_albert":
+        graph = barabasi_albert(n, 1 + graph_seed % min(3, n - 1), seed=graph_seed)
+    else:
+        graph = erdos_renyi(n, min(1.0, 4.0 / n), seed=graph_seed)
+    assume(graph.n_edges > 0 and graph.n_edges < n * (n - 1) // 2)
+    beta = beta_scale * mean_field_threshold(graph, 1.0)
+    model = EpidemicModel(graph, kind, beta, 1.0, frozenset(range(0, n, 7)), seed)
+    assert_same_trajectory(model, 6.0, 0.25)

@@ -37,9 +37,9 @@ from ecolab import (
 )
 from ecolab.demos import DEMO_NAMES, demo_document
 from ecolab.scenario_io import CSV_BLOCK_ROWS, DiscreteBundle, EpidemicBundle, GradientSpec, SelectionBundle
-from ecolab.svg import BLOCK_POINTS, PLOT_H, PLOT_W, polyline_chart
+from ecolab.svg import BLOCK_POINTS, MARGIN_LEFT, MARGIN_TOP, PLOT_H, PLOT_W, polyline_chart
 
-from helpers import reference_polyline_chart, reference_write_csv
+from helpers import reference_polyline_chart, reference_ticks, reference_write_csv
 
 MINIMAL_COMMUNITY = {
     "kind": "community",
@@ -326,14 +326,43 @@ class TestSvg:
             ([-1e308, 1e308], [1.0, 2.0], "span that overflows"),
             ([0.0, 1.0], [1e17, 1e17], "zero-width y range"),
             ([0.0, 5e-324], [1.0, 2.0], "span of 5e-324"),
-            # a tick step of 5 leaves 1e17 unchanged: the old loop never ended
-            ([0.0, 1.0], [1e17, 1e17 + 16], "too narrow for the size of its values"),
         ],
-        ids=["nan", "inf", "constant-x", "y-overflow", "x-overflow", "constant-huge-y", "subnormal-x", "tick-stall"],
+        ids=["nan", "inf", "constant-x", "y-overflow", "x-overflow", "constant-huge-y", "subnormal-x"],
     )
     def test_degenerate_charts_raise_value_error(self, xs, ys, message):
         with pytest.raises(ValueError, match=message):
             polyline_chart(("a",), np.array(xs), np.array(ys))
+
+    @pytest.mark.parametrize(
+        "low, high",
+        # a tick step of 5 leaves 1e17 unchanged
+        [(2.0**53 - 1, 2.0**53), (1e17, 1e17 + 16)],
+        ids=["two-pow-53", "tick-stall"],
+    )
+    def test_ranges_too_narrow_to_step_across_get_ticks_at_their_ends(self, low, high):
+        # the accumulating tick loop cannot move its first tick on these ranges
+        with pytest.raises(ValueError, match="too narrow for the size of its values"):
+            reference_ticks(low, high)
+
+        def tick_labels(svg: str, anchor: str, coordinate: str) -> list[tuple[str, str]]:
+            texts = ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")
+            return [
+                (el.text, el.attrib[coordinate])
+                for el in texts
+                if el.attrib.get("text-anchor") == anchor and el.attrib["font-size"] == "11"
+            ]
+
+        narrow_y = polyline_chart(("a",), np.array([0.0, 1.0]), np.array([low, high]))
+        assert tick_labels(narrow_y, "end", "y") == [
+            (f"{low:.6g}", f"{MARGIN_TOP + PLOT_H + 4:.2f}"),
+            (f"{high:.6g}", f"{MARGIN_TOP + 4:.2f}"),
+        ]
+        assert f'points="{MARGIN_LEFT:.2f},{MARGIN_TOP + PLOT_H:.2f} {MARGIN_LEFT + PLOT_W:.2f},{MARGIN_TOP:.2f}"' in narrow_y
+        narrow_x = polyline_chart(("a",), np.array([low, high]), np.array([0.0, 1.0]))
+        assert tick_labels(narrow_x, "middle", "x") == [
+            (f"{low:.6g}", f"{MARGIN_LEFT:.2f}"),
+            (f"{high:.6g}", f"{MARGIN_LEFT + PLOT_W:.2f}"),
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +425,18 @@ def test_polyline_chart_matches_the_per_point_writer(traj):
     args = (traj.variable_names, traj.times, traj.values)
     try:
         chart = polyline_chart(*args, title="t")
-    except ValueError as exc:
-        # where a tick step cannot move the tick, the per-point writer loops forever
-        if "too narrow for the size" not in str(exc):
-            with pytest.raises((ValueError, OverflowError, ZeroDivisionError)):
-                reference_polyline_chart(*args, title="t")
+    except ValueError:
+        with pytest.raises((ValueError, OverflowError, ZeroDivisionError)):
+            reference_polyline_chart(*args, title="t")
         return
-    assert chart == reference_polyline_chart(*args, title="t")
+    try:
+        want = reference_polyline_chart(*args, title="t")
+    except ValueError as exc:
+        # where a tick step cannot move a tick, the chart ticks the range's
+        # ends and the accumulating loop raises
+        assert "too narrow for the size" in str(exc)
+        return
+    assert chart == want
 
 
 @pytest.mark.parametrize("seed, width, x_scale", [(0, 1, 1), (1, 2, 7), (2, 3, 1), (3, 4, 7), (4, 4, 5), (5, 3, 7)])
