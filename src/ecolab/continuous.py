@@ -201,6 +201,12 @@ class ContinuumParams:
             raise ValueError(f"alpha must lie in [-1, 1], got {self.alpha!r}")
         if not (math.isfinite(self.base_strength) and self.base_strength > 0):
             raise ValueError("base_strength must be > 0")
+        # continuum_interaction stores a negative alpha as 1/|alpha| and |alpha|*base_strength
+        if self.alpha < 0.0 and (math.isinf(1.0 / -self.alpha) or -self.alpha * self.base_strength == 0.0):
+            raise ValueError(
+                f"alpha {self.alpha!r} is too close to 0 for base_strength {self.base_strength!r}: "
+                "1/|alpha| overflows or |alpha|*base_strength underflows to 0"
+            )
         for name in ("self_limitation_i", "self_limitation_j"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -257,10 +263,10 @@ _KERNEL_CACHE_SIZE = 64
 
 
 class _Kernel(NamedTuple):
-    """A scenario's derivative and its fused RK4 step, both over float lists."""
+    """A scenario's derivative and its RK4 step loop, both over floats."""
 
     rhs: Callable[[Sequence[float]], list[float]]
-    rk4_step: Callable[[Sequence[float], float, float, float], list[float]]
+    rk4_run: Callable[..., None]
 
 
 def _derivative_lines(structure, x: str, d: str) -> list[str]:
@@ -285,32 +291,42 @@ def _derivative_lines(structure, x: str, d: str) -> list[str]:
 
 
 def _names(prefix: str, n: int) -> str:
-    return "[" + ", ".join(f"{prefix}{k}" for k in range(n)) + "]"
+    return ", ".join(f"{prefix}{k}" for k in range(n))
 
 
 @functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def _compile_structure(structure):
-    """Code object defining `rhs` and `rk4_step` for one scenario structure.
+    """Code object defining `rhs` and `rk4_run` for one scenario structure.
 
     The structure is (species count, self-limited indices, (aggressor,
     victim, response type) per trophic entry, (i, j) per mass-action
     entry), so scenarios that differ only in values or ids share it.
-    The RK4 step inlines the derivative once per stage and combines the
-    stages as v + sixth * (d1 + 2.0*d2 + 2.0*d3 + d4), the same grouping
-    as the stage loop.
+
+    `rk4_run(y, h, half, sixth, count, lo, hi, out)` keeps the state in
+    one local per species and makes one RK4 step per item of `count`,
+    inlining the derivative once per stage and combining the stages as
+    y + sixth * (d1 + 2.0*d2 + 2.0*d3 + d4), the grouping of
+    `_rk4_stages`.  It appends each new state to `out` as a tuple, and
+    returns before appending the first one with a density z outside
+    `lo <= z <= hi` that is not 0.0: a NaN, an infinity, a density the
+    extinction clamp would change (lo is `extinction_epsilon`) or one
+    above the divergence bound (hi).
     """
     n = structure[0]
     indent = "\n    "
-    rhs = [f"{_names('x', n)} = x", *_derivative_lines(structure, "x", "d"), f"return {_names('d', n)}"]
-    step = [f"{_names('y', n)} = y", *_derivative_lines(structure, "y", "k1_")]
+    rhs = [f"[{_names('x', n)}] = x", *_derivative_lines(structure, "x", "d"), f"return [{_names('d', n)}]"]
+    step = _derivative_lines(structure, "y", "k1_")
     for stage, scale in ((2, "half"), (3, "half"), (4, "h")):
         step += [f"x{k} = y{k} + {scale} * k{stage - 1}_{k}" for k in range(n)]
         step += _derivative_lines(structure, "x", f"k{stage}_")
-    combined = (f"y{k} + sixth * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})" for k in range(n))
-    step.append(f"return [{', '.join(combined)}]")
+    step += [f"y{k} = y{k} + sixth * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})" for k in range(n)]
+    in_bounds = " and ".join(f"(lo <= y{k} <= hi or y{k} == 0.0)" for k in range(n))
+    step += [f"if not ({in_bounds}):", "    return", f"append(({_names('y', n)},))"]
+    run = [f"[{_names('y', n)}] = y", "append = out.append", "for _ in count:"]
+    run += [f"    {line}" for line in step]
     source = (
         f"def rhs(x):{indent}{indent.join(rhs)}\n\n"
-        f"def rk4_step(y, h, half, sixth):{indent}{indent.join(step)}\n"
+        f"def rk4_run(y, h, half, sixth, count, lo, hi, out):{indent}{indent.join(run)}\n"
     )
     return compile(source, "<ecolab community kernel>", "exec")
 
@@ -344,7 +360,7 @@ def _kernel(scenario: Scenario) -> _Kernel:
                 namespace[f"p{m}"], namespace[f"q{m}"] = entry.coeff_i, entry.coeff_j
     code = _compile_structure((len(scenario.species), tuple(limited), tuple(trophic), tuple(mass_action)))
     exec(code, namespace)
-    return _Kernel(namespace["rhs"], namespace["rk4_step"])
+    return _Kernel(namespace["rhs"], namespace["rk4_run"])
 
 
 def community_rhs(scenario: Scenario) -> Callable[[Sequence[float]], list[float]]:
@@ -448,43 +464,48 @@ def _rk4_stages(f, y, hk, half, sixth):
     return y_next, (k1, k2, k3, k4)
 
 
-def _integrate_rk4(f, y0, cfg, horizon, names, fused=None):
-    """Fixed-step RK4 through `f`, or through `fused`, a whole step in one call.
+def _integrate_rk4(f, y0, cfg, horizon, names, run=None):
+    """Fixed-step RK4: full steps through `run` while they stay in bounds, the rest through `f`.
 
-    A fused step is the same arithmetic as `_rk4_stages`.  When it yields
-    a non-finite state, the step is re-derived stage by stage to tell a
-    non-finite derivative from an overflowing state.
+    `run` is a kernel's `rk4_run`.  The step it hands off on (a state that
+    is not finite, needs clamping or exceeds DIVERGENCE_LIMIT) is made
+    again stage by stage through `f`, the same arithmetic, which clamps,
+    reports extinctions and raises exactly as when every step goes
+    through `f`; then `run` takes over again.  The remainder step, and
+    every step when `run` is None, goes through `f`.
     """
     h = cfg.step
     n_full = int(math.floor(horizon / h + 1e-9))
     remainder = horizon - n_full * h
     if remainder < 1e-12 * max(1.0, horizon):
         remainder = 0.0
+    n_steps = n_full + (remainder > 0.0)
+    times = [k * h for k in range(n_steps + 1)]
+    if n_steps:
+        times[-1] = horizon
     epsilon = cfg.extinction_epsilon
     extinct: set[int] = set()
     extinctions: list[tuple[str, float]] = []
     y = list(y0)
     _clamp_extinctions(y, 0.0, epsilon, names, extinct, extinctions)
-    times = [0.0]
     states = [y]
-    steps = [(k, h) for k in range(n_full)]
-    if remainder > 0.0:
-        steps.append((n_full, remainder))
-    for k, hk in steps:
-        t_next = horizon if (hk != h or (k + 1 == n_full and remainder == 0.0)) else (k + 1) * h
-        half, sixth = 0.5 * hk, hk / 6.0
-        y_next = fused(y, hk, half, sixth) if fused is not None else None
-        if y_next is None or not _all_finite(y_next):
-            y_next, stages = _rk4_stages(f, y, hk, half, sixth)
-            # a non-finite stage always leaves the new state non-finite
-            if not _all_finite(y_next) and not all(map(_all_finite, stages)):
-                raise NonFiniteDerivativeError(k * h, y)
-        _clamp_extinctions(y_next, t_next, epsilon, names, extinct, extinctions)
+    while len(states) <= n_steps:
+        k = len(states) - 1
+        if run is not None and k < n_full:
+            run(states[-1], h, 0.5 * h, h / 6.0, range(n_full - k), epsilon, DIVERGENCE_LIMIT, states)
+            k = len(states) - 1
+            if k == n_steps:
+                break
+        y = states[-1]
+        hk = h if k < n_full else remainder
+        y_next, stages = _rk4_stages(f, y, hk, 0.5 * hk, hk / 6.0)
+        # a non-finite stage always leaves the new state non-finite
+        if not _all_finite(y_next) and not all(map(_all_finite, stages)):
+            raise NonFiniteDerivativeError(k * h, y)
+        _clamp_extinctions(y_next, times[k + 1], epsilon, names, extinct, extinctions)
         if _max_exceeds(y_next, DIVERGENCE_LIMIT):
-            raise DivergenceError(t_next, y_next)
-        times.append(t_next)
+            raise DivergenceError(times[k + 1], y_next)
         states.append(y_next)
-        y = y_next
     return times, states, extinctions
 
 
@@ -579,21 +600,24 @@ def integrate_report(
     rk4_fixed, the accepted adaptive steps plus the horizon endpoint for
     rk45_adaptive).  The run is deterministic for identical inputs.
     The step loop runs on Python floats through the scenario's compiled
-    derivative, RK4 one fused call per step.  A `derivative_fn` replaces
-    that derivative and keeps `community_rhs`'s contract (a sequence of
-    floats in, a list of floats out).  Clamping every density below
+    derivative.  RK4's full steps run in the compiled step loop, which
+    hands a step whose new state is not finite, needs clamping or exceeds
+    DIVERGENCE_LIMIT to a stage-by-stage step through the derivative, with
+    the same result.  A `derivative_fn` replaces that derivative and keeps
+    `community_rhs`'s contract (a sequence of floats in, a list of floats
+    out); every step then goes stage by stage.  Clamping every density below
     `extinction_epsilon` to 0 keeps the samples nonnegative.
     """
     validate_scenario(scenario)
     y0 = scenario.initial_state().tolist()
     names = tuple(sp.id for sp in scenario.species)
     if derivative_fn is None:
-        f, fused = _kernel(scenario)
+        f, run = _kernel(scenario)
     else:
-        f, fused = derivative_fn, None
+        f, run = derivative_fn, None
     cfg = scenario.integrator
     if cfg.method == "rk4_fixed":
-        times, states, extinctions = _integrate_rk4(f, y0, cfg, scenario.horizon, names, fused)
+        times, states, extinctions = _integrate_rk4(f, y0, cfg, scenario.horizon, names, run)
     else:
         times, states, extinctions = _integrate_rk45(f, y0, cfg, scenario.horizon, names)
     trajectory = Trajectory(names, np.array(times), np.array(states))

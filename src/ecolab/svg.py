@@ -42,7 +42,8 @@ def _nice_step(span: float, target: int = 5) -> float:
     return 10.0 * power
 
 
-def _ticks(low: float, high: float) -> list[float]:
+def _ticks(low: float, high: float) -> list[tuple[float, str]]:
+    """Tick values on [low, high], each with its label."""
     step = _nice_step(high - low)
     first = math.ceil(low / step - 1e-9) * step
     values = []
@@ -51,10 +52,11 @@ def _ticks(low: float, high: float) -> list[float]:
         values.append(0.0 if abs(v) < 1e-12 * step else v)
         if v + step == v:
             # the range is only a few ulps of its values wide, so the step
-            # cannot move a tick: mark its two ends instead
-            return [low, high]
+            # cannot move a tick: mark its two ends instead, labelled by
+            # their shortest round-trip form, which tells them apart
+            return [(low, repr(low)), (high, repr(high))]
         v += step
-    return values
+    return [(v, _fmt(v)) for v in values]
 
 
 # Pixel coordinates of a tick (a float) or of a block of points (an array).
@@ -141,23 +143,23 @@ def polyline_chart(
         f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" y2="{axis_y}" '
         'stroke="black" stroke-width="1"/>'
     )
-    for tick in _ticks(x_low, x_high):
+    for tick, label in _ticks(x_low, x_high):
         x = _x_pixels(tick, x_low, x_high)
         parts.append(
             f'<line x1="{x:.2f}" y1="{axis_y}" x2="{x:.2f}" y2="{axis_y + 5}" stroke="black" stroke-width="1"/>'
         )
         parts.append(
             f'<text x="{x:.2f}" y="{axis_y + 18}" font-family="sans-serif" font-size="11" '
-            f'text-anchor="middle">{escape(_fmt(tick))}</text>'
+            f'text-anchor="middle">{escape(label)}</text>'
         )
-    for tick in _ticks(y_low, y_high):
+    for tick, label in _ticks(y_low, y_high):
         y = _y_pixels(tick, y_low, y_high)
         parts.append(
             f'<line x1="{MARGIN_LEFT - 5}" y1="{y:.2f}" x2="{MARGIN_LEFT}" y2="{y:.2f}" stroke="black" stroke-width="1"/>'
         )
         parts.append(
             f'<text x="{MARGIN_LEFT - 8}" y="{y + 4:.2f}" font-family="sans-serif" font-size="11" '
-            f'text-anchor="end">{escape(_fmt(tick))}</text>'
+            f'text-anchor="end">{escape(label)}</text>'
         )
     parts.append(
         f'<text x="{MARGIN_LEFT + PLOT_W / 2:.2f}" y="{HEIGHT - 6}" font-family="sans-serif" '

@@ -36,7 +36,18 @@ from ecolab import (
     stability_report,
     sweep,
 )
-from ecolab.continuous import _RK45_STEP_BUDGET, _compile_structure, _kernel, _rms
+from ecolab import continuous
+from ecolab.continuous import (
+    DIVERGENCE_LIMIT,
+    _RK45_STEP_BUDGET,
+    _Kernel,
+    _all_finite,
+    _clamp_extinctions,
+    _compile_structure,
+    _kernel,
+    _max_exceeds,
+    _rms,
+)
 from ecolab.core import METHODS
 from ecolab.demos import demo_document
 from helpers import (
@@ -566,12 +577,12 @@ def test_overflowing_step_matches_reference_path(method):
     _assert_same_outcome(got, want)
 
 
-def test_ivlev_overflow_is_a_non_finite_derivative():
+def _ivlev_overflow():
     # The symbiosis pair s2-s3 diverges; s3 preys on s4 through an Ivlev
     # response, so an RK4 stage drives s4 far below 0 and exp(-saturation*x)
     # overflows.  That is a non-finite derivative, not an OverflowError.
     species = tuple(SpeciesSpec(id=f"s{k}", role=Role.PRODUCER) for k in range(3))
-    scenario = Scenario(
+    return Scenario(
         species=species,
         interactions=(
             InteractionSpec("s0", "s1", InteractionKind.SYMBIOSIS, coeff_i=1.0, coeff_j=1.0),
@@ -581,10 +592,143 @@ def test_ivlev_overflow_is_a_non_finite_derivative():
         integrator=IntegratorConfig(method="rk4_fixed", step=0.07),
         horizon=2.0,
     )
+
+
+def test_ivlev_overflow_is_a_non_finite_derivative():
+    scenario = _ivlev_overflow()
     got = _outcome(lambda: integrate_report(scenario))
     want = _outcome(lambda: reference_integrate_report(scenario))
     assert want[0] is NonFiniteDerivativeError
     _assert_same_outcome(got, want)
+
+
+# The generated RK4 loop hands a step off to the careful path (stages through
+# `rhs`, clamp, divergence and non-finite checks) when its new state is not
+# finite, needs a clamp or exceeds DIVERGENCE_LIMIT; the careful path must
+# then give what it gives for every step.
+
+_EPSILON = IntegratorConfig().extinction_epsilon
+_SPECIAL = (
+    _EPSILON, math.nextafter(_EPSILON, -math.inf), math.nextafter(_EPSILON, math.inf),
+    0.0, -0.0, 5e-324, -5e-324, -1.0, 1.0,
+    DIVERGENCE_LIMIT, math.nextafter(DIVERGENCE_LIMIT, math.inf), math.nextafter(DIVERGENCE_LIMIT, -math.inf),
+    math.inf, -math.inf, math.nan,
+)
+
+
+def _with_epsilon(scenario, epsilon):
+    return replace(scenario, integrator=replace(scenario.integrator, extinction_epsilon=epsilon))
+
+
+def _decay():
+    """x' = -x from 1, 30 steps of 0.1: no extinction at the default epsilon."""
+    return single_species(growth=1.0, initial=1.0, role=Role.CONSUMER, horizon=3.0, step=0.1)
+
+
+def _decay_value(k):
+    return float(integrate_report(_decay()).trajectory.values[k, 0])
+
+
+def _logistic_to(capacity):
+    """Logistic growth from capacity/4 whose RK4 steps of 1.0 reach `capacity` exactly.
+
+    With self-limitation 2**-40 and growth capacity * 2**-40 the derivative
+    is exactly 0 at the capacity.
+    """
+    return single_species(growth=capacity * 2.0**-40, limit=2.0**-40, initial=capacity / 4, horizon=80.0, step=1.0)
+
+
+def _pair_with_zero(zero):
+    species = (
+        SpeciesSpec(id="held", role=Role.PRODUCER, growth_rate=0.5),
+        SpeciesSpec(id="grows", role=Role.PRODUCER, growth_rate=0.5),
+    )
+    return Scenario(
+        species=species,
+        interactions=(),
+        initial_densities={"held": zero, "grows": 1.0},
+        integrator=IntegratorConfig(step=0.1),
+        horizon=2.0,
+    )
+
+
+# scenario, then the steps each `rk4_run` call made, and the error the run ends in
+_HANDOFFS = {
+    # x' = -x crosses the default epsilon on step 2073, near t = 20.7
+    "extinction": (lambda: single_species(growth=1.0, initial=1.0, role=Role.CONSUMER, horizon=30.0, step=0.01),
+                   [2072, 927], None),
+    "on-epsilon": (lambda: _with_epsilon(_decay(), _decay_value(10)), [10, 19], None),
+    "below-epsilon": (lambda: _with_epsilon(_decay(), math.nextafter(_decay_value(10), math.inf)), [9, 20], None),
+    "zero": (lambda: _pair_with_zero(0.0), [20], None),
+    "negative-zero": (lambda: _pair_with_zero(-0.0), [20], None),
+    "on-limit": (lambda: _logistic_to(DIVERGENCE_LIMIT), [80], None),
+    "above-limit": (lambda: _logistic_to(math.nextafter(DIVERGENCE_LIMIT, math.inf)), [42], DivergenceError),
+    "ivlev-overflow": (_ivlev_overflow, [15], NonFiniteDerivativeError),
+    "remainder": (lambda: predation_scenario(horizon=1.05, step=0.1), [10], None),
+    # 3 * 0.1 is not 0.3, but the last sample of a run without a remainder is the horizon
+    "no-remainder": (lambda: predation_scenario(horizon=0.3, step=0.1), [3], None),
+}
+
+
+@pytest.mark.parametrize("case", list(_HANDOFFS))
+def test_rk4_run_hands_off_to_the_careful_step(case, monkeypatch):
+    build, run_steps, error = _HANDOFFS[case]
+    scenario = build()
+    made = []
+
+    def counting_kernel(scenario):
+        rhs, run = _kernel(scenario)
+
+        def counted_run(y, h, half, sixth, count, lo, hi, out):
+            before = len(out)
+            run(y, h, half, sixth, count, lo, hi, out)
+            made.append(len(out) - before)
+
+        return _Kernel(rhs, counted_run)
+
+    monkeypatch.setattr(continuous, "_kernel", counting_kernel)
+    got = _outcome(lambda: integrate_report(scenario))
+    monkeypatch.undo()
+    want = _outcome(lambda: reference_integrate_report(scenario))
+    _assert_same_outcome(got, want)
+    assert made == run_steps
+    if error is not None:
+        assert want[0] is error
+        return
+    values = got.trajectory.values
+    assert np.array_equal(np.signbit(values), np.signbit(want.trajectory.values))
+    if case == "on-epsilon":
+        assert values[10, 0] == scenario.integrator.extinction_epsilon
+        assert got.extinctions == (("only", got.trajectory.times[11]),)
+    if case == "below-epsilon":
+        assert got.extinctions == (("only", got.trajectory.times[10]),)
+    if case == "negative-zero":
+        assert np.all(np.signbit(values[:, 0]))
+    if case == "on-limit":
+        assert values.max() == DIVERGENCE_LIMIT
+
+
+def test_rk4_run_hand_off_predicate_is_the_careful_checks():
+    # one step of zero growth leaves a finite density as it is, -0.0 included
+    scenario = Scenario(
+        species=(SpeciesSpec(id="a", role=Role.PRODUCER, growth_rate=0.0),
+                 SpeciesSpec(id="b", role=Role.PRODUCER, growth_rate=0.0)),
+        interactions=(),
+        initial_densities={"a": 1.0, "b": 1.0},
+    )
+    run = _kernel(scenario).rk4_run
+    for v in _SPECIAL:
+        clamped = [v]
+        _clamp_extinctions(clamped, 0.0, _EPSILON, ("a",), set(), [])
+        careful_passes = (
+            _all_finite([v]) and repr(clamped[0]) == repr(v) and not _max_exceeds([v], DIVERGENCE_LIMIT)
+        )
+        for state in ([v, 1.0], [1.0, v]):
+            out = []
+            run(state, 0.1, 0.05, 0.1 / 6.0, range(1), _EPSILON, DIVERGENCE_LIMIT, out)
+            assert len(out) == careful_passes, v
+            if out:
+                assert repr(out[0]) == repr(tuple(state))
 
 
 def _cooperation_blowup():
@@ -692,7 +836,7 @@ def test_integrators_match_dop853(name, method):
 # The compiled kernel: one code object per scenario structure, with every
 # value and id kept out of the source.
 
-_KERNEL_NAME = re.compile(r"(?:[xydgsvfpq]|k[1-4]_)\d+|[xyc]|h|half|sixth")
+_KERNEL_NAME = re.compile(r"(?:[xydgsvfpq]|k[1-4]_)\d+|[xyc_]|h|half|sixth|lo|hi|count|out|append")
 
 
 def _relabel(scenario, ids):
@@ -718,11 +862,11 @@ def test_one_structure_shares_one_code_object():
     a, b = _kernel(first), _kernel(second)
     assert _compile_structure.cache_info().misses == 1
     assert a.rhs.__code__ is b.rhs.__code__
-    assert a.rk4_step.__code__ is b.rk4_step.__code__
+    assert a.rk4_run.__code__ is b.rk4_run.__code__
     assert a.rhs([3.0, 2.0]) != b.rhs([3.0, 2.0])  # the values are bound apart from the code
-    for code in (a.rhs.__code__, a.rk4_step.__code__):
+    for code in (a.rhs.__code__, a.rk4_run.__code__):
         assert all(_KERNEL_NAME.fullmatch(name) for name in code.co_names + code.co_varnames)
-        assert set(code.co_consts) <= {None, 2.0}
+        assert set(code.co_consts) <= {None, 0.0, 2.0}
 
 
 @pytest.mark.parametrize("method", METHODS)

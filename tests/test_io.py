@@ -353,16 +353,16 @@ class TestSvg:
             ]
 
         narrow_y = polyline_chart(("a",), np.array([0.0, 1.0]), np.array([low, high]))
-        assert tick_labels(narrow_y, "end", "y") == [
-            (f"{low:.6g}", f"{MARGIN_TOP + PLOT_H + 4:.2f}"),
-            (f"{high:.6g}", f"{MARGIN_TOP + 4:.2f}"),
-        ]
+        y_labels = tick_labels(narrow_y, "end", "y")
+        assert y_labels == [(repr(low), f"{MARGIN_TOP + PLOT_H + 4:.2f}"), (repr(high), f"{MARGIN_TOP + 4:.2f}")]
         assert f'points="{MARGIN_LEFT:.2f},{MARGIN_TOP + PLOT_H:.2f} {MARGIN_LEFT + PLOT_W:.2f},{MARGIN_TOP:.2f}"' in narrow_y
         narrow_x = polyline_chart(("a",), np.array([low, high]), np.array([0.0, 1.0]))
-        assert tick_labels(narrow_x, "middle", "x") == [
-            (f"{low:.6g}", f"{MARGIN_LEFT:.2f}"),
-            (f"{high:.6g}", f"{MARGIN_LEFT + PLOT_W:.2f}"),
-        ]
+        x_labels = tick_labels(narrow_x, "middle", "x")
+        assert x_labels == [(repr(low), f"{MARGIN_LEFT:.2f}"), (repr(high), f"{MARGIN_LEFT + PLOT_W:.2f}")]
+        # the two ends read apart, where "%.6g" would print one label twice
+        for labels in (y_labels, x_labels):
+            assert labels[0][0] != labels[1][0]
+            assert [float(text) for text, _ in labels] == [low, high]
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +616,15 @@ MALFORMED = [
      "interactions[0]: unknown species 'zz'"),
     ("continuum-params", patched(CONTINUUM, (("interactions", 0, "alpha"), 2)), "ParseError",
      "interactions[0]: alpha must lie in [-1, 1], got 2.0"),
+    ("continuum-alpha-subnormal",
+     patched(CONTINUUM, (("interactions", 0, "alpha"), -2.225073858507203e-309)), "ParseError",
+     "interactions[0]: alpha -2.225073858507203e-309 is too close to 0 for base_strength 0.4: "
+     "1/|alpha| overflows or |alpha|*base_strength underflows to 0"),
+    ("continuum-harm-underflow",
+     patched(CONTINUUM, (("interactions", 0, "alpha"), -1e-300), (("interactions", 0, "base_strength"), 1e-30)),
+     "ParseError",
+     "interactions[0]: alpha -1e-300 is too close to 0 for base_strength 1e-30: "
+     "1/|alpha| overflows or |alpha|*base_strength underflows to 0"),
     ("continuum-self-limitation",
      patched(CONTINUUM, (("species", 1, "self_limitation"), 0)), "ParseError",
      "interactions[0]: self_limitation_j must be > 0 (needed for boundedness)"),
@@ -810,12 +819,18 @@ def communities(draw) -> Scenario:
             a, b = b, a
         form = draw(st.sampled_from(["trophic", "mass-action", "continuum"]))
         if form == "continuum" and a.self_limitation > 0 and b.self_limitation > 0:
-            params = ContinuumParams(
-                alpha=draw(st.floats(-1.0, 1.0)),
-                base_strength=draw(POSITIVE),
-                self_limitation_i=a.self_limitation,
-                self_limitation_j=b.self_limitation,
-            )
+            alpha = draw(st.floats(-1.0, 1.0))
+            try:
+                params = ContinuumParams(
+                    alpha=alpha,
+                    base_strength=draw(POSITIVE),
+                    self_limitation_i=a.self_limitation,
+                    self_limitation_j=b.self_limitation,
+                )
+            except ValueError as exc:
+                # a negative alpha too close to 0 to store as a parasitism entry is invalid input
+                assert str(exc).startswith(f"alpha {alpha!r} is too close to 0"), exc
+                continue
             interactions.append(continuum_interaction(a.id, b.id, params))
         elif form == "trophic":
             interactions.append(

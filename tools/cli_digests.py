@@ -1,0 +1,124 @@
+"""sha256 digests of what a fixed list of ecolab CLI commands prints and writes.
+
+    python3 tools/cli_digests.py > change.txt
+    python3 tools/cli_digests.py --src /path/to/other/checkout/src > base.txt
+    diff base.txt change.txt
+
+Every command runs in-process through `ecolab.cli_main`, imported from
+`--src` (default: this checkout's `src/`): each demo with and without
+`--emit`, `run --csv --svg` on each demo's document and on the three extra
+documents of the benchmark's document-runs workload, `stability` on the
+community documents, and one arms-race `sweep` over the continuum dial.
+For each command it prints one line per stdout, stderr, exit code and
+written file:
+
+    <command>  <what>  <sha256>
+
+Wall-clock lines are masked before hashing, so two runs of the same code
+print the same lines, and a diff against another checkout is empty when
+the two produce byte-identical output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import re
+import sys
+import tempfile
+import warnings
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WALL_CLOCK = re.compile(r"wall clock: [0-9.]+ ms")
+
+
+def _sha256(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def _documents(workdir: str) -> dict[str, str]:
+    """The document-runs workload's extra documents at its default seed, by name."""
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.DocumentRuns(workdir).inputs(workloads.DEFAULT_SEED)["documents"]
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """One command through cli_main: exit code, stdout, stderr."""
+    import ecolab
+
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        # each command warns as it would in a fresh process
+        warnings.simplefilter("default")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = ecolab.cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest_lines() -> list[str]:
+    """The digest lines of every command, run in a fresh temporary work directory."""
+    from ecolab import Scenario, parse_scenario
+    from ecolab.demos import DEMO_NAMES
+
+    lines = []
+
+    def record(*argv: str) -> str:
+        before = set(os.listdir())
+        code, stdout, stderr = _run(list(argv))
+        label = " ".join(argv)
+        lines.append(f"{label}\tstdout\t{_sha256(WALL_CLOCK.sub('wall clock: <masked>', stdout))}")
+        lines.append(f"{label}\tstderr\t{_sha256(stderr)}")
+        lines.append(f"{label}\texit\t{code}")
+        for written in sorted(set(os.listdir()) - before):
+            with open(written, "rb") as handle:
+                lines.append(f"{label}\t{written}\t{_sha256(handle.read())}")
+        return stdout if code == 0 else ""
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="ecolab-cli-digests-") as workdir:
+        os.chdir(workdir)
+        try:
+            texts = {}
+            for demo in DEMO_NAMES:
+                texts[demo] = record("demo", demo, "--emit")
+                record("demo", demo, "--csv", f"demo-{demo}.csv", "--svg", f"demo-{demo}.svg")
+            texts = {name: text for name, text in texts.items() if text}
+            texts.update(_documents(workdir))
+            for name, text in texts.items():
+                with open(f"{name}.json", "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            for name in texts:
+                record("run", f"{name}.json", "--csv", f"run-{name}.csv", "--svg", f"run-{name}.svg")
+            for name, text in texts.items():
+                if isinstance(parse_scenario(text), Scenario):
+                    record("stability", f"{name}.json")
+            record(
+                "sweep", "arms-race.json", "--param", "interaction.attacker:victim.alpha",
+                "--from", "1", "--to", "-1", "--points", "21", "--metric", "final:victim", "--csv", "sweep.csv",
+            )
+        finally:
+            os.chdir(cwd)
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory ecolab is imported from")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    for line in digest_lines():
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
