@@ -65,6 +65,7 @@ from .epidemic import (
     simulate_epidemic,
 )
 from .selection import (
+    GradientSpec,
     KinSelectionParams,
     MimicryParams,
     MimicryPayoffs,

@@ -98,10 +98,7 @@ def _run_document(document: Document, args) -> None:
             summary = f"infection extinct at t={prevalence.extinction_time:.4g}"
     elif isinstance(document, SelectionBundle):
         trajectory = iterate_selection(
-            document.initial_state(),
-            document.steps,
-            natural=document.natural.callable(),
-            sexual=document.sexual.callable(),
+            document.initial_state(), document.steps, natural=document.natural, sexual=document.sexual
         )
         title, final_label = "trait means", "final trait means"
     elif isinstance(document, DiscreteBundle):

@@ -662,6 +662,8 @@ def estimate_threshold(
         raise ValueError("beta_range must satisfy 0 <= low < high")
     if runs_per_point < 1:
         raise ValueError("runs_per_point must be >= 1")
+    if n_bisections < 0:
+        raise ValueError("n_bisections must be >= 0")
 
     def survival(beta: float, evaluation: int) -> float:
         return persistence_fraction(

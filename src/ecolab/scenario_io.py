@@ -43,13 +43,7 @@ from .epidemic import (
     erdos_renyi,
     from_edges,
 )
-from .selection import (
-    TRAIT_NAMES,
-    SelectionState,
-    constant_gradient,
-    linear_gradient,
-    make_g_matrix,
-)
+from .selection import TRAIT_NAMES, GradientSpec, SelectionState, make_g_matrix
 
 __all__ = [
     "ParseError",
@@ -70,24 +64,6 @@ SCHEMA_VERSION = 1
 
 class ParseError(ValueError):
     """Malformed scenario document; the message pinpoints the field."""
-
-
-@dataclass(frozen=True)
-class GradientSpec:
-    """Serializable description of a selection gradient."""
-
-    type: str  # "constant" | "linear"
-    value: tuple[float, ...] = (0.0, 0.0, 0.0)
-    intercept: tuple[float, ...] = (0.0, 0.0, 0.0)
-    matrix: tuple[tuple[float, ...], ...] = ((0.0,) * 3,) * 3
-
-    def callable(self):
-        if self.type == "constant":
-            return constant_gradient(self.value)
-        return linear_gradient(self.intercept, [list(row) for row in self.matrix])
-
-    def at(self, means) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.callable()(np.asarray(means, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -117,8 +93,8 @@ class SelectionBundle:
         return SelectionState(
             means=means,
             g_matrix=g,
-            natural_gradient=np.asarray(self.natural.at(means)),
-            sexual_gradient=np.asarray(self.sexual.at(means)),
+            natural_gradient=self.natural(means),
+            sexual_gradient=self.sexual(means),
             mutation_step=np.asarray(self.mutation, dtype=float),
         )
 

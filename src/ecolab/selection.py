@@ -18,6 +18,7 @@ from .core import Trajectory
 
 __all__ = [
     "TRAIT_NAMES",
+    "GradientSpec",
     "SelectionState",
     "selection_step",
     "iterate_selection",
@@ -71,9 +72,11 @@ class SelectionState:
         g = np.asarray(self.g_matrix, dtype=float)
         if g.shape != (3, 3):
             raise ValueError("g_matrix must be 3x3")
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = (g + g.T) / 2.0
+        # checked after the sum, which overflows on finite entries near the float limit
         if not np.all(np.isfinite(g)):
             raise ValueError("g_matrix must be finite")
-        g = (g + g.T) / 2.0
         eigenvalues = np.linalg.eigvalsh(g)
         if eigenvalues.min() < PSD_FLOOR:
             raise ValueError(
@@ -114,6 +117,10 @@ def make_g_matrix(
     )
 
 
+def _delta(g: np.ndarray, natural: np.ndarray, sexual: np.ndarray, mutation: np.ndarray) -> np.ndarray:
+    return g @ (natural + sexual) + mutation
+
+
 def selection_step(state: SelectionState) -> tuple[np.ndarray, SelectionState]:
     """One generation of the trait-mean recursion.
 
@@ -125,32 +132,44 @@ def selection_step(state: SelectionState) -> tuple[np.ndarray, SelectionState]:
     Returns the mean shift and the advanced state; gradients, covariance
     and mutation are carried over unchanged.
     """
-    delta = state.g_matrix @ (state.natural_gradient + state.sexual_gradient) + state.mutation_step
-    advanced = replace(state, means=state.means + delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = _delta(state.g_matrix, state.natural_gradient, state.sexual_gradient, state.mutation_step)
+        advanced = replace(state, means=state.means + delta)
     return delta, advanced
 
 
-def constant_gradient(values: Sequence[float]) -> GradientFn:
+@dataclass(frozen=True)
+class GradientSpec:
+    """A selection gradient, as a document stores it and as the recursion calls it:
+    on the trait means, "constant" returns `value`, "linear" `intercept + matrix @ means`.
+    An overflow gives inf or NaN without a warning; the caller checks finiteness.
+    """
+
+    type: str  # "constant" | "linear"
+    value: tuple[float, ...] = (0.0, 0.0, 0.0)
+    intercept: tuple[float, ...] = (0.0, 0.0, 0.0)
+    matrix: tuple[tuple[float, ...], ...] = ((0.0,) * 3,) * 3
+
+    def __call__(self, means: np.ndarray) -> np.ndarray:
+        if self.type == "constant":
+            return np.array(self.value, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.array(self.intercept, dtype=float) + np.array(self.matrix, dtype=float) @ means
+
+
+def constant_gradient(values: Sequence[float]) -> GradientSpec:
     """Gradient that ignores the trait means."""
-    fixed = _vector3("gradient", values)
-
-    def fn(means: np.ndarray) -> np.ndarray:
-        return fixed
-
-    return fn
+    return GradientSpec(type="constant", value=tuple(map(float, _vector3("gradient", values))))
 
 
-def linear_gradient(intercept: Sequence[float], coefficients) -> GradientFn:
+def linear_gradient(intercept: Sequence[float], coefficients) -> GradientSpec:
     """Gradient affine in the trait means: intercept + coefficients @ means."""
     base = _vector3("intercept", intercept)
     matrix = np.asarray(coefficients, dtype=float)
     if matrix.shape != (3, 3):
         raise ValueError("coefficients must be 3x3")
-
-    def fn(means: np.ndarray) -> np.ndarray:
-        return base + matrix @ means
-
-    return fn
+    rows = tuple(tuple(map(float, row)) for row in matrix)
+    return GradientSpec(type="linear", intercept=tuple(map(float, base)), matrix=rows)
 
 
 def iterate_selection(
@@ -164,18 +183,23 @@ def iterate_selection(
     When `natural`/`sexual` are omitted the state's stored gradient
     vectors are used as constants.  Returns the trait means of
     generations 0..n_steps, one column per name in TRAIT_NAMES; they
-    may go negative.
+    may go negative.  Each generation checks only what changes, the
+    recomputed gradients and then the new means.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    rows = [state.means.copy()]
-    for _ in range(int(n_steps)):
-        if natural is not None:
-            state = replace(state, natural_gradient=natural(state.means))
-        if sexual is not None:
-            state = replace(state, sexual_gradient=sexual(state.means))
-        _, state = selection_step(state)
-        rows.append(state.means.copy())
+    g, mutation = state.g_matrix, state.mutation_step
+    means, natural_now, sexual_now = state.means, state.natural_gradient, state.sexual_gradient
+    rows = [means]
+    # an overflow is reported by the finiteness check of the value it reaches
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(int(n_steps)):
+            if natural is not None:
+                natural_now = _vector3("natural_gradient", natural(means))
+            if sexual is not None:
+                sexual_now = _vector3("sexual_gradient", sexual(means))
+            means = _vector3("means", means + _delta(g, natural_now, sexual_now, mutation))
+            rows.append(means)
     return Trajectory(TRAIT_NAMES, np.arange(len(rows), dtype=float), np.array(rows))
 
 

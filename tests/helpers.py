@@ -36,6 +36,7 @@ from ecolab import (
 from ecolab.analysis import _as_classical_pair
 from ecolab.continuous import _RK45_STEP_BUDGET, DIVERGENCE_LIMIT
 from ecolab.core import METHODS, TROPHIC_KINDS
+from ecolab.selection import TRAIT_NAMES, SelectionState, _vector3
 from ecolab.svg import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, PALETTE, WIDTH, _fmt, _nice_step
 
 
@@ -838,3 +839,48 @@ def reference_polyline_chart(
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The selection recursion as it was before gradients were `GradientSpec`
+# records: closures for the gradients, and a loop that rebuilds (and so
+# re-checks) the whole state three times per generation.
+
+
+def reference_constant_gradient(values):
+    """The closure that `constant_gradient` returned."""
+    fixed = _vector3("gradient", values)
+
+    def fn(means: np.ndarray) -> np.ndarray:
+        return fixed
+
+    return fn
+
+
+def reference_linear_gradient(intercept, coefficients):
+    """The closure that `linear_gradient` returned."""
+    base = _vector3("intercept", intercept)
+    matrix = np.asarray(coefficients, dtype=float)
+    if matrix.shape != (3, 3):
+        raise ValueError("coefficients must be 3x3")
+
+    def fn(means: np.ndarray) -> np.ndarray:
+        return base + matrix @ means
+
+    return fn
+
+
+def reference_iterate_selection(state: SelectionState, n_steps: int, natural=None, sexual=None) -> Trajectory:
+    """`ecolab.iterate_selection` through `dataclasses.replace`, with the old step inline."""
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    rows = [state.means.copy()]
+    for _ in range(int(n_steps)):
+        if natural is not None:
+            state = replace(state, natural_gradient=natural(state.means))
+        if sexual is not None:
+            state = replace(state, sexual_gradient=sexual(state.means))
+        delta = state.g_matrix @ (state.natural_gradient + state.sexual_gradient) + state.mutation_step
+        state = replace(state, means=state.means + delta)
+        rows.append(state.means.copy())
+    return Trajectory(TRAIT_NAMES, np.arange(len(rows), dtype=float), np.array(rows))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,15 @@ def test_zero_monte_carlo_runs_is_an_input_error(tmp_path, capsys, argv, message
     path.write_text(json.dumps(K20_EPIDEMIC))
     assert run_cli(argv[0], str(path), *argv[1:]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_negative_bisections_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "k20.json"
+    path.write_text(json.dumps(K20_EPIDEMIC))
+    assert run_cli("threshold", str(path), "--empirical", "--runs", "4", "--bisections", "-2") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: n_bisections must be >= 0\n"
+    assert "empirical threshold" not in captured.out
 
 
 def test_threshold_requires_epidemic(tmp_path, capsys):
@@ -375,6 +385,37 @@ def test_selection_document_runs(tmp_path):
     assert svg.read_text().startswith("<?xml")
 
 
+# The README's runaway selection document.
+RUNAWAY_SELECTION = {
+    "kind": "selection",
+    "means": {"display": 1.0, "preference": 1.0, "fitness": 0.0},
+    "covariance": {"v_display": 1.0, "v_preference": 1.0, "v_fitness": 0.0, "c_display_preference": 0.9},
+    "natural_gradient": {"type": "constant", "value": [-0.05, 0, 0]},
+    "sexual_gradient": {"type": "linear", "intercept": [0, 0, 0], "matrix": [[0, 0.1, 0], [0, 0, 0], [0, 0, 0]]},
+    "mutation": [0, 0, 0],
+    "steps": 100,
+}
+
+
+@pytest.mark.parametrize("document, message", [
+    (dict(RUNAWAY_SELECTION, steps=100000), "means must be finite"),
+    (dict(RUNAWAY_SELECTION, covariance=dict(RUNAWAY_SELECTION["covariance"], c_display_preference=1e308)),
+     "document: g_matrix must be finite"),
+    (dict(RUNAWAY_SELECTION, means=dict(RUNAWAY_SELECTION["means"], preference=1e308),
+          sexual_gradient={"type": "linear", "intercept": [0, 0, 0], "matrix": [[0, 10, 0], [0, 0, 0], [0, 0, 0]]}),
+     "document: sexual_gradient must be finite"),
+], ids=["means", "covariance", "initial-gradient"])
+def test_selection_overflow_reports_only_the_error(tmp_path, capsys, document, message):
+    # the finiteness checks name the failure; a numpy warning would add the install path to stderr
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(document))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("run", str(path), "--csv", str(tmp_path / "a.csv")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["overflow.json"]
+
+
 # A selection run whose constant natural gradient drives display below 0:
 # the signed case every sampled series must carry through CSV and SVG.
 SIGNED_SELECTION = {
@@ -403,9 +444,7 @@ def test_signed_selection_run_pinned(tmp_path, capsys):
     assert sha(stdout.encode("utf-8")) == "841b146a5eec16a57a7496f2d63ffb5bed081a8349c512c4fad584f7e89fbfae"
 
     bundle = parse_scenario(path.read_text())
-    history = iterate_selection(
-        bundle.initial_state(), bundle.steps, natural=bundle.natural.callable(), sexual=bundle.sexual.callable()
-    )
+    history = iterate_selection(bundle.initial_state(), bundle.steps, natural=bundle.natural, sexual=bundle.sexual)
     table = read_csv(csv.read_text())
     assert table.variable_names == TRAIT_NAMES
     assert table.times.tobytes() == history.times.tobytes()

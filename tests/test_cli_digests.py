@@ -15,8 +15,26 @@ def test_two_runs_print_the_same_lines():
     commands = {line.split("\t")[0] for line in first}
     exits = {line.split("\t")[0]: line.split("\t")[2] for line in first if line.split("\t")[1] == "exit"}
     assert set(exits) == commands
-    # the mimicry demo has no document form; every other command succeeds
-    assert {command for command, code in exits.items() if code != "0"} == {"demo mimicry --emit"}
+    # the mimicry demo has no document form; the error paths exit 1; every other command succeeds
+    assert {command for command, code in exits.items() if code != "0"} == {
+        "demo mimicry --emit",
+        "threshold malware-epidemic.json --empirical --runs 4 --horizon 10 --bisections -1",
+        "run missing.json",
+        "run bad.json",
+        "run covariance-overflow.json --csv run-covariance-overflow.csv --svg run-covariance-overflow.svg",
+        "run means-overflow.json --csv run-means-overflow.csv --svg run-means-overflow.svg",
+    }
     written = [line for line in first if line.split("\t")[1] not in ("stdout", "stderr", "exit")]
-    # CSV and SVG of 5 demos and 7 runs, and the sweep's CSV
-    assert len(written) == 2 * (5 + 7) + 1
+    # CSV and SVG of 5 demos and 7 runs, and the two sweeps' CSVs; a failed run writes nothing
+    assert len(written) == 2 * (5 + 7) + 2
+
+
+def test_warning_locations_are_masked():
+    stderr = (
+        "/some/checkout/src/ecolab/selection.py:129: RuntimeWarning: overflow encountered in add\n"
+        "  advanced = replace(state, means=state.means + delta)\n"
+        "error: means must be finite\n"
+    )
+    assert cli_digests.mask_warnings(stderr) == (
+        "<file>:<line>: RuntimeWarning: overflow encountered in add\nerror: means must be finite\n"
+    )

@@ -302,6 +302,11 @@ def test_zero_runs_rejected(call):
         call()
 
 
+def test_negative_bisections_rejected():
+    with pytest.raises(ValueError, match="^n_bisections must be >= 0$"):
+        estimate_threshold(complete_graph(10), 1.0, (0.01, 1.0), runs_per_point=4, n_bisections=-1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n_runs=st.integers(1, 12),

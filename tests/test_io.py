@@ -730,6 +730,9 @@ MALFORMED = [
      "document.steps: must be >= 0"),
     ("not-psd", patched(SELECTION, (("covariance", "c_display_preference"), 2.0)), "ParseError",
      "document: g_matrix is not positive semi-definite (min eigenvalue -1.000e+00)"),
+    # finite entries whose symmetrized sum overflows
+    ("covariance-overflow", patched(SELECTION, (("covariance", "c_display_preference"), 1e308)),
+     "ParseError", "document: g_matrix must be finite"),
     # discrete
     ("map", patched(DISCRETE, (("map",), "logistic")), "ParseError",
      "document.map: unknown map 'logistic' (nicholson_bailey)"),

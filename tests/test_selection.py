@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ecolab import (
+    GradientSpec,
     KinSelectionParams,
     MimicryParams,
     SelectionState,
@@ -15,6 +18,7 @@ from ecolab import (
     mimicry_payoffs,
     selection_step,
 )
+from helpers import reference_constant_gradient, reference_iterate_selection, reference_linear_gradient
 
 ZERO = (0.0, 0.0, 0.0)
 
@@ -113,6 +117,127 @@ class TestRunaway:
         state = make_state(natural=(0.5, 0.0, 0.0))
         history = iterate_selection(state, 3)
         assert history.column("display")[-1] == pytest.approx(1.5)
+
+
+def fails_after(inner, calls: int, bad: np.ndarray):
+    """A gradient that is `inner` for its first `calls` calls and `bad` from then on."""
+    remaining = iter(range(calls))
+    return lambda means: bad if next(remaining, None) is None else inner(means)
+
+
+class TestOneCheckPerValue:
+    """`iterate_selection` checks only what changes, with the old loop's results and errors."""
+
+    @staticmethod
+    def outcome(run):
+        try:
+            history = run()
+        except ValueError as exc:
+            return type(exc).__name__, str(exc)
+        return history.variable_names, history.times.tobytes(), history.values.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        natural_kind=st.sampled_from(["none", "constant", "linear"]),
+        sexual_kind=st.sampled_from(["none", "constant", "linear"]),
+        n_steps=st.integers(0, 60),
+        failure=st.sampled_from(["none", "non-finite gradient", "wrong shape", "means overflow"]),
+        failing_side=st.sampled_from(["natural", "sexual", "both"]),
+        fail_after=st.integers(0, 40),
+    )
+    def test_matches_the_replace_loop(self, seed, natural_kind, sexual_kind, n_steps, failure, failing_side, fail_after):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(3, 3))
+        mutation = rng.normal(size=3) * 0.1
+        if failure == "means overflow":
+            # about 18 generations of this mutation carry the means past the float limit
+            mutation = np.where(rng.random(3) < 0.5, -1e307, 1e307)
+        state = make_state(
+            means=rng.normal(size=3) * (1e300 if failure == "means overflow" else 1.0),
+            g=a @ a.T,
+            natural=rng.normal(size=3),
+            sexual=rng.normal(size=3),
+            mutation=mutation,
+        )
+        args = {kind: (rng.normal(size=3), rng.normal(size=(3, 3)) * 0.5) for kind in ("natural", "sexual")}
+        kinds = {"natural": natural_kind, "sexual": sexual_kind}
+        bad = np.array([np.inf, 0.0, 0.0]) if failure == "non-finite gradient" else np.array([1.0, 2.0])
+
+        def gradients(constant, linear):
+            chosen = {}
+            for side, kind in kinds.items():
+                vector, matrix = args[side]
+                fn = {"none": None, "constant": constant(vector), "linear": linear(vector, matrix)}[kind]
+                if failing_side in (side, "both") and failure in ("non-finite gradient", "wrong shape"):
+                    inner = fn if fn is not None else reference_constant_gradient(getattr(state, f"{side}_gradient"))
+                    fn = fails_after(inner, fail_after, bad)
+                chosen[side] = fn
+            return chosen
+
+        with warnings.catch_warnings():
+            # the finiteness checks report an overflow; numpy must not warn about it first
+            warnings.simplefilter("error", RuntimeWarning)
+            got = self.outcome(lambda: iterate_selection(state, n_steps, **gradients(constant_gradient, linear_gradient)))
+        reference = gradients(reference_constant_gradient, reference_linear_gradient)
+        with np.errstate(all="ignore"):
+            expected = self.outcome(lambda: reference_iterate_selection(state, n_steps, **reference))
+        assert got == expected
+
+    def test_a_run_makes_no_eigen_decomposition(self, monkeypatch):
+        state = make_state(g=make_g_matrix(1.0, 1.0, 0.5, c_display_preference=0.9), natural=(0.1, 0.0, 0.0))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(g) or eigvalsh(g))
+        sexual = linear_gradient(ZERO, [[0.0, 0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        history = iterate_selection(state, 100, natural=constant_gradient((-0.05, 0.0, 0.0)), sexual=sexual)
+        assert len(history.times) == 101
+        assert calls == []
+
+    @pytest.mark.parametrize("g", [
+        make_g_matrix(1.0, 1.0, 1.0, c_display_preference=1e308),
+        make_g_matrix(1.5e308, 1.0, 1.0),
+        make_g_matrix(1.0, 1.0, 1.0, c_preference_fitness=np.inf),
+    ], ids=["covariance-sum", "variance-sum", "infinite"])
+    def test_covariance_that_symmetrizes_to_infinity_rejected(self, g):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^g_matrix must be finite$"):
+                make_state(g=g)
+
+    def test_step_that_overflows_raises_without_a_warning(self):
+        state = make_state(means=(1e308, 0.0, 0.0), natural=(1e308, 0.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^means must be finite$"):
+                selection_step(state)
+            with pytest.raises(ValueError, match="^means must be finite$"):
+                iterate_selection(state, 1)
+
+
+class TestGradientSpec:
+    def test_constructors_return_the_record_a_document_stores(self):
+        assert constant_gradient([1, -0.5, 0]) == GradientSpec("constant", value=(1.0, -0.5, 0.0))
+        matrix = [[0.0, 0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]
+        assert linear_gradient((0.0, 1.0, 0.0), matrix) == GradientSpec(
+            "linear", intercept=(0.0, 1.0, 0.0), matrix=tuple(map(tuple, matrix))
+        )
+
+    def test_constructors_keep_their_checks(self):
+        with pytest.raises(ValueError, match="^gradient must have exactly 3 entries"):
+            constant_gradient((1.0, 2.0))
+        with pytest.raises(ValueError, match="^gradient must be finite$"):
+            constant_gradient((1.0, np.nan, 0.0))
+        with pytest.raises(ValueError, match="^intercept must be finite$"):
+            linear_gradient((np.inf, 0.0, 0.0), np.eye(3))
+        with pytest.raises(ValueError, match="^coefficients must be 3x3$"):
+            linear_gradient(ZERO, np.eye(2))
+
+    def test_called_on_the_means(self):
+        means = np.array([1.0, 2.0, -3.0])
+        assert np.array_equal(constant_gradient((0.5, 0.0, -1.0))(means), [0.5, 0.0, -1.0])
+        matrix = np.arange(9.0).reshape(3, 3)
+        assert np.array_equal(linear_gradient((1.0, 0.0, 0.0), matrix)(means), [1.0, 0.0, 0.0] + matrix @ means)
 
 
 class TestHamilton:

@@ -8,15 +8,20 @@ Every command runs in-process through `ecolab.cli_main`, imported from
 `--src` (default: this checkout's `src/`): each demo with and without
 `--emit`, `run --csv --svg` on each demo's document and on the three extra
 documents of the benchmark's document-runs workload, `stability` on the
-community documents, and one arms-race `sweep` over the continuum dial.
-For each command it prints one line per stdout, stderr, exit code and
-written file:
+community documents, one arms-race `sweep` over the continuum dial, one
+epidemic `sweep` over beta, `threshold` on the malware demo with and
+without `--empirical`, and the error paths of a missing file, bad JSON,
+a negative `--bisections`, a covariance whose symmetrized sum overflows
+and a selection run whose means overflow. For each command it prints one
+line per stdout, stderr, exit code and written file:
 
     <command>  <what>  <sha256>
 
-Wall-clock lines are masked before hashing, so two runs of the same code
-print the same lines, and a diff against another checkout is empty when
-the two produce byte-identical output.
+Wall-clock lines are masked before hashing, and so are the
+`<file>:<line>:` prefix and the quoted source line of a Python warning,
+which name the checkout ecolab is imported from. So two runs of the same
+code print the same lines, and a diff against another checkout is empty
+when the two produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import re
 import sys
@@ -33,12 +39,19 @@ import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WALL_CLOCK = re.compile(r"wall clock: [0-9.]+ ms")
+# a warning as Python prints it: "<file>:<line>: <category>: <message>", then the quoted source line
+WARNING = re.compile(r"^.*:[0-9]+: (\w*Warning: .*)\n(  .*\n)?", re.MULTILINE)
 
 
 def _sha256(data) -> str:
     if isinstance(data, str):
         data = data.encode("utf-8")
     return hashlib.sha256(data).hexdigest()
+
+
+def mask_warnings(stderr: str) -> str:
+    """stderr without the location and source line of each Python warning."""
+    return WARNING.sub(r"<file>:<line>: \1\n", stderr)
 
 
 def _documents(workdir: str) -> dict[str, str]:
@@ -76,7 +89,7 @@ def digest_lines() -> list[str]:
         code, stdout, stderr = _run(list(argv))
         label = " ".join(argv)
         lines.append(f"{label}\tstdout\t{_sha256(WALL_CLOCK.sub('wall clock: <masked>', stdout))}")
-        lines.append(f"{label}\tstderr\t{_sha256(stderr)}")
+        lines.append(f"{label}\tstderr\t{_sha256(mask_warnings(stderr))}")
         lines.append(f"{label}\texit\t{code}")
         for written in sorted(set(os.listdir()) - before):
             with open(written, "rb") as handle:
@@ -105,6 +118,28 @@ def digest_lines() -> list[str]:
                 "sweep", "arms-race.json", "--param", "interaction.attacker:victim.alpha",
                 "--from", "1", "--to", "-1", "--points", "21", "--metric", "final:victim", "--csv", "sweep.csv",
             )
+            record(
+                "sweep", "malware-epidemic.json", "--param", "beta", "--from", "0.02", "--to", "0.2",
+                "--points", "3", "--runs", "4", "--csv", "sweep-epidemic.csv",
+            )
+            record("threshold", "malware-epidemic.json")
+            empirical = ("threshold", "malware-epidemic.json", "--empirical", "--runs", "4", "--horizon", "10")
+            record(*empirical, "--bisections", "2")
+            record(*empirical, "--bisections", "-1")
+            record("run", "missing.json")
+            with open("bad.json", "w", encoding="utf-8") as handle:
+                handle.write('{"kind": "community",')
+            record("run", "bad.json")
+            selection = json.loads(texts["selection"])
+            covariance = dict(selection["covariance"], c_display_preference=1e308)
+            overflows = {
+                "covariance-overflow": dict(selection, covariance=covariance),
+                "means-overflow": dict(selection, steps=100000),
+            }
+            for name, document in overflows.items():
+                with open(f"{name}.json", "w", encoding="utf-8") as handle:
+                    json.dump(document, handle)
+                record("run", f"{name}.json", "--csv", f"run-{name}.csv", "--svg", f"run-{name}.svg")
         finally:
             os.chdir(cwd)
     return lines
