@@ -89,13 +89,12 @@ def _run_document(document: Document, args) -> None:
         model = document.model
         if args.seed is not None:
             model = replace(model, seed=args.seed)
-        prevalence = simulate_epidemic(model, document.horizon, document.sample_dt)
-        trajectory = prevalence.as_trajectory()
+        trajectory = simulate_epidemic(model, document.horizon, document.sample_dt)
         title = "epidemic prevalence"
-        if prevalence.extinction_time is None:
-            summary = f"infection alive at horizon, final prevalence {prevalence.infected_fraction[-1]:.4f}"
+        if trajectory.extinction_time is None:
+            summary = f"infection alive at horizon, final prevalence {trajectory.infected_fraction[-1]:.4f}"
         else:
-            summary = f"infection extinct at t={prevalence.extinction_time:.4g}"
+            summary = f"infection extinct at t={trajectory.extinction_time:.4g}"
     elif isinstance(document, SelectionBundle):
         trajectory = iterate_selection(
             document.initial_state(), document.steps, natural=document.natural, sexual=document.sexual

@@ -228,40 +228,39 @@ class EpidemicModel:
 
 
 @dataclass(frozen=True)
-class PrevalenceTrajectory:
-    """Sampled infected (and recovered) fractions of one run, held as read-only copies."""
+class PrevalenceTrajectory(Trajectory):
+    """One run's sampled infected fraction, plus the recovered fraction for SIR.
 
-    times: np.ndarray
-    infected_fraction: np.ndarray
-    recovered_fraction: np.ndarray | None
+    The columns are "infected_fraction" and, for SIR, "recovered_fraction";
+    each lies in [0, 1] and their sum stays <= 1.  `extinction_time` is
+    when the last infected node recovered, or None if infection was alive
+    at the horizon.
+    """
+
     extinction_time: float | None
 
     def __post_init__(self) -> None:
-        times = np.array(self.times, dtype=float)
-        infected = np.array(self.infected_fraction, dtype=float)
-        if times.shape != infected.shape:
-            raise ValueError("times and infected_fraction must have matching shapes")
+        super().__post_init__()
+        if self.variable_names not in (("infected_fraction",), ("infected_fraction", "recovered_fraction")):
+            raise ValueError(
+                f"prevalence variables must be infected_fraction[, recovered_fraction], got {self.variable_names}"
+            )
+        infected, recovered = self.infected_fraction, self.recovered_fraction
         if np.any((infected < 0) | (infected > 1)):
             raise ValueError("infected fractions must lie in [0, 1]")
-        recovered = self.recovered_fraction
         if recovered is not None:
-            recovered = np.array(recovered, dtype=float)
             if np.any((recovered < 0) | (recovered > 1)):
                 raise ValueError("recovered fractions must lie in [0, 1]")
             if np.any(infected + recovered > 1.0 + 1e-12):
                 raise ValueError("infected + recovered must stay <= 1")
-            recovered.flags.writeable = False
-        times.flags.writeable = False
-        infected.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "infected_fraction", infected)
-        object.__setattr__(self, "recovered_fraction", recovered)
 
-    def as_trajectory(self) -> Trajectory:
-        if self.recovered_fraction is None:
-            return Trajectory(("infected_fraction",), self.times, self.infected_fraction.reshape(-1, 1))
-        values = np.column_stack([self.infected_fraction, self.recovered_fraction])
-        return Trajectory(("infected_fraction", "recovered_fraction"), self.times, values)
+    @property
+    def infected_fraction(self) -> np.ndarray:
+        return self.values[:, 0]
+
+    @property
+    def recovered_fraction(self) -> np.ndarray | None:
+        return self.values[:, 1] if self.values.shape[1] == 2 else None
 
 
 def run_seed(master_seed: int, run_index: int) -> int:
@@ -304,33 +303,34 @@ def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1
     n_samples = int(math.floor(horizon / sample_dt + 1e-9)) + 1
     infected_counts = np.empty(n_samples, dtype=float)
     recovered_counts = np.empty(n_samples, dtype=float) if sir else None
-
-    complete = model.graph.n_edges == n * (n - 1) // 2
-    events = _complete_graph_events if complete else _contact_graph_events
-    k, n_infected, n_recovered, extinction_time = events(
+    k, n_infected, n_recovered, extinction_time = _event_loop(model.graph)(
         model, horizon, sample_dt, infected_counts, recovered_counts
     )
 
     # nothing happens between the last event and the horizon, and a last
     # grid time rounded past the horizon still gets the state at the horizon
     infected_counts[k:] = n_infected
-    if sir:
-        recovered_counts[k:] = n_recovered
     times = np.arange(n_samples) * sample_dt
     times[-1] = min(times[-1], horizon)
-    return PrevalenceTrajectory(
-        times=times,
-        infected_fraction=infected_counts / n,
-        recovered_fraction=None if not sir else recovered_counts / n,
-        extinction_time=extinction_time,
-    )
+    if not sir:
+        return PrevalenceTrajectory(("infected_fraction",), times, infected_counts / n, extinction_time)
+    recovered_counts[k:] = n_recovered
+    values = np.column_stack((infected_counts, recovered_counts)) / n
+    return PrevalenceTrajectory(("infected_fraction", "recovered_fraction"), times, values, extinction_time)
+
+
+def _event_loop(graph: Graph):
+    """The event loop for `graph`: the O(1) one on a complete graph, else the contact-graph one."""
+    n = graph.n_nodes
+    return _complete_graph_events if graph.n_edges == n * (n - 1) // 2 else _contact_graph_events
 
 
 # On a complete graph the two event loops below draw the same random
 # numbers in the same order and keep the same counts, so a seed gives one
 # trajectory whichever loop runs.  Each fills the samples taken before its
 # last event and returns (samples filled, infected, recovered, extinction
-# time or None).
+# time or None).  Given empty sample buffers they fill none and only run
+# the events, which is all the Monte Carlo runs need.
 #
 # Both loops make random.Random's draws themselves, value for value from
 # the same stream, without the method calls around each one:
@@ -356,7 +356,7 @@ def _contact_graph_events(model, horizon, sample_dt, infected_counts, recovered_
     adjacency = graph.adjacency
     rng = random.Random(model.seed)
     uniform, getrandbits, log = rng.random, rng.getrandbits, math.log
-    sir = recovered_counts is not None
+    sir = model.kind == EpidemicKind.SIR
     n_samples = len(infected_counts)
 
     S, I, R = 0, 1, 2
@@ -490,7 +490,7 @@ def _complete_graph_events(model, horizon, sample_dt, infected_counts, recovered
     """
     rng = random.Random(model.seed)
     uniform, getrandbits, log = rng.random, rng.getrandbits, math.log
-    sir = recovered_counts is not None
+    sir = model.kind == EpidemicKind.SIR
     n_samples = len(infected_counts)
 
     beta, gamma = model.beta, model.gamma
@@ -556,27 +556,25 @@ def default_initial_infected(graph: Graph) -> frozenset[int]:
     return frozenset(range(max(1, graph.n_nodes // 10)))
 
 
-def _runs_alive(
-    graph: Graph,
-    beta: float,
-    gamma: float,
-    horizon: float,
-    master_seed: int,
-    kind: EpidemicKind,
-    initial_infected: frozenset[int] | None,
-) -> Iterator[bool]:
-    """Whether run k = 0, 1, 2, ... still carries infection at the horizon.
+def _runs_alive(model: EpidemicModel, horizon: float, master_seed: int) -> Iterator[bool]:
+    """Whether run k = 0, 1, 2, ... of `model` still carries infection at the horizon.
 
-    Run k uses the derived seed run_seed(master_seed, k).
+    Run k uses the derived seed run_seed(master_seed, k) and samples nothing.
     """
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be > 0")
+    events = _event_loop(model.graph)
+    for k in itertools.count():
+        run = replace(model, seed=run_seed(master_seed, k))
+        yield events(run, horizon, horizon, [], [])[3] is None
+
+
+def _monte_carlo_model(
+    graph: Graph, beta: float, gamma: float, kind: EpidemicKind, initial_infected: frozenset[int] | None
+) -> EpidemicModel:
     if initial_infected is None:
         initial_infected = default_initial_infected(graph)
-    base = EpidemicModel(
-        graph=graph, kind=kind, beta=beta, gamma=gamma, initial_infected=initial_infected
-    )
-    for k in itertools.count():
-        model = replace(base, seed=run_seed(master_seed, k))
-        yield simulate_epidemic(model, horizon, sample_dt=horizon).extinction_time is None
+    return EpidemicModel(graph=graph, kind=kind, beta=beta, gamma=gamma, initial_infected=initial_infected)
 
 
 def persistence_fraction(
@@ -596,29 +594,19 @@ def persistence_fraction(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    runs = _runs_alive(graph, beta, gamma, horizon, master_seed, kind, initial_infected)
-    return sum(itertools.islice(runs, n_runs)) / n_runs
+    model = _monte_carlo_model(graph, beta, gamma, kind, initial_infected)
+    return sum(itertools.islice(_runs_alive(model, horizon, master_seed), n_runs)) / n_runs
 
 
-def _half_persist(
-    graph: Graph,
-    beta: float,
-    gamma: float,
-    horizon: float,
-    n_runs: int,
-    master_seed: int,
-    initial_infected: frozenset[int] | None,
-) -> bool:
-    """persistence_fraction(...) >= 0.5 for SIS and n_runs >= 1, from only the runs that settle it.
+def _half_persist(runs: Iterator[bool], n_runs: int) -> bool:
+    """Whether at least half of the first n_runs >= 1 of `runs` survive, drawing only those that settle it.
 
-    Runs go in the same order; the answer is known once ceil(n_runs / 2)
-    of them survive, or once more than the rest die out.
+    The answer is known once ceil(n_runs / 2) of them survive, or once
+    more than the rest die out.
     """
     needed = -(-n_runs // 2)
     alive = extinct = 0
-    for survived in itertools.islice(
-        _runs_alive(graph, beta, gamma, horizon, master_seed, EpidemicKind.SIS, initial_infected), n_runs
-    ):
+    for survived in itertools.islice(runs, n_runs):
         alive += survived
         extinct += not survived
         if alive == needed or extinct > n_runs - needed:
@@ -683,11 +671,13 @@ def estimate_threshold(
             f"beta range [{low:g}, {high:g}] does not bracket the transition: "
             f"survival {survival_low:.2f} at the low end, {survival_high:.2f} at the high end"
         )
-    # a midpoint only needs "survival >= 0.5", so it stops once that is settled
+    # a midpoint only needs "survival >= 0.5", so it stops once that is
+    # settled; its runs are persistence_fraction's
     for evaluation in range(2, 2 + n_bisections):
         mid = 0.5 * (low + high)
-        submaster = run_seed(master_seed, evaluation)
-        if _half_persist(graph, mid, gamma, persistence_horizon, runs_per_point, submaster, initial_infected):
+        model = _monte_carlo_model(graph, mid, gamma, EpidemicKind.SIS, initial_infected)
+        runs = _runs_alive(model, persistence_horizon, run_seed(master_seed, evaluation))
+        if _half_persist(runs, runs_per_point):
             high = mid
         else:
             low = mid

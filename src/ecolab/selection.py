@@ -150,6 +150,10 @@ class GradientSpec:
     intercept: tuple[float, ...] = (0.0, 0.0, 0.0)
     matrix: tuple[tuple[float, ...], ...] = ((0.0,) * 3,) * 3
 
+    def __post_init__(self) -> None:
+        if self.type not in ("constant", "linear"):
+            raise ValueError(f"unknown gradient type {self.type!r} (constant, linear)")
+
     def __call__(self, means: np.ndarray) -> np.ndarray:
         if self.type == "constant":
             return np.array(self.value, dtype=float)

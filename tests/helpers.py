@@ -704,12 +704,10 @@ def reference_simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt:
     # labelled with a time after the horizon
     emit_until(math.inf)
     sample_times[-1] = min(sample_times[-1], horizon)
-    return PrevalenceTrajectory(
-        times=sample_times,
-        infected_fraction=infected_counts / n,
-        recovered_fraction=None if not sir else recovered_counts / n,
-        extinction_time=extinction_time,
-    )
+    if not sir:
+        return PrevalenceTrajectory(("infected_fraction",), sample_times, infected_counts / n, extinction_time)
+    values = np.column_stack((infected_counts, recovered_counts)) / n
+    return PrevalenceTrajectory(("infected_fraction", "recovered_fraction"), sample_times, values, extinction_time)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import math
 import random
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,6 +222,23 @@ class TestSetParameter:
 
     def test_horizon(self):
         assert set_parameter(predation_scenario(), "horizon", 7.0).horizon == 7.0
+
+    @pytest.mark.parametrize("field", ["coeff_i", "coeff_j"])
+    def test_interaction_coefficient(self, field):
+        scenario = predation_scenario()
+        updated = set_parameter(scenario, f"interaction.prey:pred.{field}", 0.75)
+        assert updated.interactions[0] == replace(scenario.interactions[0], **{field: 0.75})
+        assert updated.species == scenario.species
+
+    @pytest.mark.parametrize("path, reason", [
+        ("interaction.pred.coeff_i", ": expected interaction.<i>:<j>"),
+        ("interaction.pred:prey.response.handling", ": response has no field 'handling'"),
+        ("interaction.pred:prey.response", ""),
+        ("interaction.pred:prey.nope", ""),
+    ])
+    def test_unresolvable_interaction_paths(self, path, reason):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'unresolvable parameter path {path!r}{reason}')}$"):
+            set_parameter(predation_scenario(), path, 1.0)
 
 
 # Both sweeps share their grid checks.

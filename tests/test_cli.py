@@ -72,6 +72,42 @@ def test_runtime_divergence_exit_code(tmp_path, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
+# the predator's decline (2.0) outruns its gain from the prey, so it dies out
+EXTINCTION = {
+    "kind": "community",
+    "species": [
+        {"id": "prey", "role": "producer", "growth_rate": 1.0, "self_limitation": 0.1},
+        {"id": "predator", "role": "consumer", "trophic_level": 1, "growth_rate": 2.0},
+    ],
+    "interactions": [
+        {"species_i": "predator", "species_j": "prey", "kind": "predation", "coeff_i": 0.1,
+         "response": {"type": "linear", "rate": 0.01}}
+    ],
+    "initial_densities": {"prey": 10.0, "predator": 8.0},
+    "horizon": 20.0,
+}
+
+
+def test_run_reports_extinctions(tmp_path, capsys):
+    path = tmp_path / "extinction.json"
+    path.write_text(json.dumps(EXTINCTION))
+    assert run_cli("run", str(path)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == ["final densities: prey=10, predator=0", "extinctions: predator at t=11.46"]
+
+
+def test_sweep_marks_extinct_points(tmp_path, capsys):
+    path = tmp_path / "extinction.json"
+    path.write_text(json.dumps(EXTINCTION))
+    argv = ("sweep", str(path), "--param", "interaction.predator:prey.coeff_i", "--from", "0.1", "--to", "10")
+    assert run_cli(*argv, "--points", "3") == 0
+    assert capsys.readouterr().out.splitlines()[1:4] == [
+        "  interaction.predator:prey.coeff_i=0.1  stable_node  final=10/0  extinct:predator",
+        "  interaction.predator:prey.coeff_i=5.05  stable_node  final=10/0  extinct:predator",
+        "  interaction.predator:prey.coeff_i=10  stable_node  final=10/1.525e-08",
+    ]
+
+
 def test_unknown_demo(capsys):
     assert run_cli("demo", "nope") == 1
     assert "unknown demo" in capsys.readouterr().err

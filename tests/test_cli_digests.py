@@ -25,8 +25,11 @@ def test_two_runs_print_the_same_lines():
         "run means-overflow.json --csv run-means-overflow.csv --svg run-means-overflow.svg",
     }
     written = [line for line in first if line.split("\t")[1] not in ("stdout", "stderr", "exit")]
-    # CSV and SVG of 5 demos and 7 runs, and the two sweeps' CSVs; a failed run writes nothing
-    assert len(written) == 2 * (5 + 7) + 2
+    # CSV and SVG of 5 demos and 9 runs, and the three sweeps' CSVs; a failed run writes nothing
+    assert len(written) == 2 * (5 + 9) + 3
+    assert {"run sir-epidemic.json --csv run-sir-epidemic.csv --svg run-sir-epidemic.svg",
+            "run extinction.json --csv run-extinction.csv --svg run-extinction.svg",
+            "stability extinction.json"} <= commands
 
 
 def test_warning_locations_are_masked():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,6 +189,75 @@ def test_missing_initial_density():
         horizon=base.horizon,
     )
     assert any("missing initial density" in e for e in _errors(scenario))
+
+
+def _species(scenario, sp_id, **changes) -> Scenario:
+    species = tuple(replace(sp, **changes) if sp.id == sp_id else sp for sp in scenario.species)
+    return replace(scenario, species=species)
+
+
+def _entry(scenario, **changes) -> Scenario:
+    return replace(scenario, interactions=(replace(scenario.interactions[0], **changes),))
+
+
+def _continuum(scenario, pred_limitation=0.1, **changes) -> Scenario:
+    scenario = _species(_species(scenario, "prey", self_limitation=0.1), "pred", self_limitation=pred_limitation)
+    fields = dict(kind=InteractionKind.COMPETITION, coeff_i=0.1, coeff_j=0.1, continuum_alpha=0.5,
+                  continuum_strength=0.1)
+    return _entry(scenario, **{**fields, **changes})
+
+
+def _integrator(scenario, **changes) -> Scenario:
+    return replace(scenario, integrator=replace(scenario.integrator, **changes))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda s: _species(s, "pred", trophic_level=-1), "species 'pred' has negative trophic_level"),
+    (lambda s: _species(s, "prey", growth_rate=float("nan")), "species 'prey' has non-finite growth rate"),
+    (lambda s: _species(s, "prey", self_limitation=-0.5), "species 'prey' needs self_limitation >= 0 and finite"),
+    (lambda s: replace(s, initial_densities={**s.initial_densities, "ghost": 1.0}),
+     "dangling reference: initial density for unknown species 'ghost'"),
+    (lambda s: _entry(s, coeff_i=-0.2), "interaction pred:prey: coeff_i must be a finite value >= 0"),
+    (lambda s: _entry(s, kind=InteractionKind.COMPETITION, coeff_i=0.1, coeff_j=float("inf")),
+     "interaction pred:prey: coeff_j must be a finite value >= 0"),
+    (lambda s: _entry(s, response=LinearResponse(-0.1)),
+     "interaction pred:prey: response rate must be a finite value >= 0"),
+    (lambda s: _entry(s, response="holling"), "interaction pred:prey: unknown functional response 'holling'"),
+    (lambda s: _continuum(s, continuum_alpha=1.5), "interaction pred:prey: continuum alpha must lie in [-1, 1]"),
+    (lambda s: _continuum(s, continuum_strength=None), "interaction pred:prey: continuum base strength must be > 0"),
+    (lambda s: _continuum(s, pred_limitation=0.0),
+     "interaction pred:prey: continuum interaction requires positive self_limitation on 'pred'"),
+    (lambda s: _integrator(s, method="euler"),
+     "unknown integrator method 'euler' (choose from rk4_fixed, rk45_adaptive)"),
+    (lambda s: _integrator(s, step=0.0), "integrator step must be > 0"),
+    (lambda s: _integrator(s, rel_tol=0.0), "integrator rel_tol must be > 0"),
+    (lambda s: _integrator(s, abs_tol=float("nan")), "integrator abs_tol must be > 0"),
+    (lambda s: _integrator(s, extinction_epsilon=-1e-9), "extinction_epsilon must be >= 0"),
+], ids=[
+    "trophic-level", "growth-rate", "self-limitation", "unknown-density", "coeff-i", "coeff-j", "response-field",
+    "unknown-response", "continuum-alpha", "continuum-strength", "continuum-self-limitation", "method", "step",
+    "rel-tol", "abs-tol", "extinction-epsilon",
+])
+def test_each_violation_has_its_message(change, message):
+    base = predation_scenario()
+    assert validate_scenario(base) is base
+    assert _errors(change(base)) == [message]
+
+
+def test_violations_reported_together_in_declaration_order():
+    scenario = _species(predation_scenario(), "prey", growth_rate=float("inf"))
+    scenario = _species(scenario, "pred", trophic_level=-2)
+    scenario = _entry(scenario, coeff_i=-1.0, response=LinearResponse(float("nan")))
+    scenario = _integrator(replace(scenario, horizon=0.0), step=-0.01, extinction_epsilon=float("nan"))
+    assert _errors(scenario) == [
+        "species 'prey' has non-finite growth rate",
+        "species 'pred' has negative trophic_level",
+        "interaction pred:prey: coeff_i must be a finite value >= 0",
+        "interaction pred:prey: response rate must be a finite value >= 0",
+        "horizon must be > 0",
+        "integrator step must be > 0",
+        "extinction_epsilon must be >= 0",
+    ]
 
 
 class TestTrajectory:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from ecolab import (
     EpidemicModel,
     PrevalenceTrajectory,
     ThresholdBracketError,
+    Trajectory,
     barabasi_albert,
     complete_graph,
     erdos_renyi,
@@ -24,7 +26,8 @@ from ecolab import (
     run_seed,
     simulate_epidemic,
 )
-from ecolab.epidemic import _below, _FenwickTree, _half_persist
+from ecolab import epidemic
+from ecolab.epidemic import _below, _FenwickTree, _half_persist, _runs_alive
 from helpers import (
     binomial_band,
     reference_barabasi_albert,
@@ -175,18 +178,52 @@ class TestSimulation:
         fast = mean_final(0.15, 3.0, 10.0, master=11)
         assert fast == pytest.approx(slow, abs=0.1)
 
-    @pytest.mark.parametrize("recovered", [None, [0.0, 0.5]], ids=["sis", "sir"])
-    def test_prevalence_copies_the_callers_arrays(self, recovered):
-        times, infected = np.array([0.0, 1.0]), np.array([0.5, 0.25])
-        recovered = None if recovered is None else np.array(recovered)
-        traj = PrevalenceTrajectory(times, infected, recovered, None)
-        for array in (times, infected) if recovered is None else (times, infected, recovered):
+    @pytest.mark.parametrize("names, values", [
+        (("infected_fraction",), [0.5, 0.25]),
+        (("infected_fraction", "recovered_fraction"), [[0.5, 0.0], [0.25, 0.5]]),
+    ], ids=["sis", "sir"])
+    def test_prevalence_copies_the_callers_arrays(self, names, values):
+        times, values = np.array([0.0, 1.0]), np.array(values)
+        traj = PrevalenceTrajectory(names, times, values, None)
+        for array in (times, values):
             assert array.flags.writeable
             array[1] = 0.125
         assert traj.times.tolist() == [0.0, 1.0]
         assert traj.infected_fraction.tolist() == [0.5, 0.25]
-        assert recovered is None or traj.recovered_fraction.tolist() == [0.0, 0.5]
+        if len(names) == 1:
+            assert traj.recovered_fraction is None
+        else:
+            assert traj.recovered_fraction.tolist() == [0.0, 0.5]
+            assert not traj.recovered_fraction.flags.writeable
         assert not traj.infected_fraction.flags.writeable
+        assert not traj.times.flags.writeable
+
+    @pytest.mark.parametrize("kind", list(EpidemicKind))
+    def test_simulation_is_a_trajectory(self, kind):
+        traj = simulate_epidemic(k_model(beta=0.2, kind=kind, infected=(0, 1), seed=3), 10.0, 0.5)
+        names = ("infected_fraction",) if kind == EpidemicKind.SIS else ("infected_fraction", "recovered_fraction")
+        assert isinstance(traj, Trajectory)
+        assert traj.variable_names == names
+        assert traj.infected_fraction.tobytes() == traj.column("infected_fraction").tobytes()
+        if kind == EpidemicKind.SIR:
+            assert traj.recovered_fraction.tobytes() == traj.column("recovered_fraction").tobytes()
+        with pytest.raises(AttributeError):
+            traj.extinction_time = 1.0
+
+    @pytest.mark.parametrize("names, values, message", [
+        (("infected_fraction",), [0.5, 1.5], "infected fractions must lie in [0, 1]"),
+        (("infected_fraction", "recovered_fraction"), [[0.5, 0.0], [0.25, -0.5]],
+         "recovered fractions must lie in [0, 1]"),
+        (("infected_fraction", "recovered_fraction"), [[0.5, 0.0], [0.5, 0.75]],
+         "infected + recovered must stay <= 1"),
+        (("recovered_fraction",), [0.5, 0.25],
+         "prevalence variables must be infected_fraction[, recovered_fraction], got ('recovered_fraction',)"),
+        (("infected_fraction",), [[0.5, 0.0], [0.25, 0.5]],
+         "values shape (2, 2) does not match 2 samples x 1 variables"),
+    ], ids=["infected", "recovered", "sum", "names", "shape"])
+    def test_prevalence_checks(self, names, values, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PrevalenceTrajectory(names, [0.0, 1.0], values, None)
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match="not be empty"):
@@ -318,7 +355,34 @@ def test_negative_bisections_rejected():
 def test_half_persist_is_the_full_count_at_half(n_runs, beta_scale, master_seed):
     graph, beta = complete_graph(20), beta_scale / 19
     full = persistence_fraction(graph, beta, 1.0, 8.0, n_runs, master_seed=master_seed)
-    assert _half_persist(graph, beta, 1.0, 8.0, n_runs, master_seed, None) == (full >= 0.5)
+    model = EpidemicModel(graph=graph, beta=beta, gamma=1.0, initial_infected=frozenset(range(2)))
+    assert _half_persist(_runs_alive(model, 8.0, master_seed), n_runs) == (full >= 0.5)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+def test_persistence_horizon_must_be_positive(horizon):
+    with pytest.raises(ValueError, match="^horizon must be > 0$"):
+        persistence_fraction(complete_graph(10), 0.1, 1.0, horizon, 4)
+
+
+@pytest.mark.parametrize("kind", list(EpidemicKind))
+def test_monte_carlo_runs_sample_nothing(kind, monkeypatch):
+    # a Monte Carlo run reads the event loop's extinction time and builds no sampled result
+    graph = barabasi_albert(60, 2, seed=1)
+    model = EpidemicModel(graph=graph, kind=kind, beta=0.3, gamma=1.0, initial_infected=frozenset(range(3)))
+    alive = [
+        simulate_epidemic(replace(model, seed=run_seed(5, k)), 6.0, 6.0).extinction_time is None for k in range(16)
+    ]
+    assert 0 < sum(alive) < 16
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Monte Carlo run built a sampled result")
+
+    monkeypatch.setattr(epidemic, "simulate_epidemic", forbidden)
+    monkeypatch.setattr(epidemic, "PrevalenceTrajectory", forbidden)
+    monkeypatch.setattr(epidemic.np, "empty", forbidden)
+    assert list(itertools.islice(_runs_alive(model, 6.0, 5), 16)) == alive
+    assert persistence_fraction(graph, 0.3, 1.0, 6.0, 16, 5, kind, frozenset(range(3))) == sum(alive) / 16
 
 
 def test_persistence_fraction_counts_run_seed_runs():

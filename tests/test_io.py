@@ -136,6 +136,21 @@ class TestParse:
         assert bundle.sample_dt == 1.0  # default
         assert bundle.model.seed == 0
 
+    def test_epidemic_without_graph_spec_writes_explicit_edges(self):
+        model = EpidemicModel(
+            graph=from_edges(5, [(3, 1), (0, 4), (1, 0)]),
+            kind=EpidemicKind.SIR,
+            beta=0.25,
+            gamma=0.5,
+            initial_infected=frozenset({4, 2}),
+            seed=7,
+        )
+        text = serialize_scenario(EpidemicBundle(model, 12.0, 0.5))
+        assert json.loads(text)["graph"] == {"generator": "explicit", "n": 5, "edges": [[0, 1], [0, 4], [1, 3]]}
+        parsed = parse_scenario(text)
+        assert (parsed.model, parsed.horizon, parsed.sample_dt) == (model, 12.0, 0.5)
+        assert serialize_scenario(parsed) == text
+
     def test_epidemic_rejects_bad_generator(self):
         payload = {
             "kind": "epidemic",

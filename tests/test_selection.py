@@ -239,6 +239,10 @@ class TestGradientSpec:
         matrix = np.arange(9.0).reshape(3, 3)
         assert np.array_equal(linear_gradient((1.0, 0.0, 0.0), matrix)(means), [1.0, 0.0, 0.0] + matrix @ means)
 
+    def test_unknown_type_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown gradient type 'quadratic' \(constant, linear\)$"):
+            GradientSpec("quadratic")
+
 
 class TestHamilton:
     def test_favored_case(self):

@@ -6,13 +6,15 @@
 
 Every command runs in-process through `ecolab.cli_main`, imported from
 `--src` (default: this checkout's `src/`): each demo with and without
-`--emit`, `run --csv --svg` on each demo's document and on the three extra
-documents of the benchmark's document-runs workload, `stability` on the
-community documents, one arms-race `sweep` over the continuum dial, one
-epidemic `sweep` over beta, `threshold` on the malware demo with and
-without `--empirical`, and the error paths of a missing file, bad JSON,
-a negative `--bisections`, a covariance whose symmetrized sum overflows
-and a selection run whose means overflow. For each command it prints one
+`--emit`, `run --csv --svg` on each demo's document, on the three extra
+documents of the benchmark's document-runs workload, on an SIR epidemic
+and on a predator-prey community whose predator dies out, `stability` on
+the community documents, one arms-race `sweep` over the continuum dial,
+one `sweep` of the dying predator's conversion efficiency, one epidemic
+`sweep` over beta, `threshold` on the malware demo with and without
+`--empirical`, and the error paths of a missing file, bad JSON, a
+negative `--bisections`, a covariance whose symmetrized sum overflows and
+a selection run whose means overflow. For each command it prints one
 line per stdout, stderr, exit code and written file:
 
     <command>  <what>  <sha256>
@@ -41,6 +43,33 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WALL_CLOCK = re.compile(r"wall clock: [0-9.]+ ms")
 # a warning as Python prints it: "<file>:<line>: <category>: <message>", then the quoted source line
 WARNING = re.compile(r"^.*:[0-9]+: (\w*Warning: .*)\n(  .*\n)?", re.MULTILINE)
+
+# SIR on a random graph: the run writes a recovered_fraction column
+SIR_EPIDEMIC = {
+    "kind": "epidemic",
+    "graph": {"generator": "erdos_renyi", "n": 40, "p": 0.2, "seed": 3},
+    "model": "sir",
+    "beta": 0.3,
+    "gamma": 1.0,
+    "initial_infected": [0, 1],
+    "seed": 5,
+    "horizon": 15.0,
+    "sample_dt": 1.0,
+}
+# the predator's decline outruns its gain from the prey: it dies out near t = 11.46
+EXTINCTION = {
+    "kind": "community",
+    "species": [
+        {"id": "prey", "role": "producer", "growth_rate": 1.0, "self_limitation": 0.1},
+        {"id": "predator", "role": "consumer", "trophic_level": 1, "growth_rate": 2.0},
+    ],
+    "interactions": [
+        {"species_i": "predator", "species_j": "prey", "kind": "predation", "coeff_i": 0.1,
+         "response": {"type": "linear", "rate": 0.01}}
+    ],
+    "initial_densities": {"prey": 10.0, "predator": 8.0},
+    "horizon": 20.0,
+}
 
 
 def _sha256(data) -> str:
@@ -106,6 +135,7 @@ def digest_lines() -> list[str]:
                 record("demo", demo, "--csv", f"demo-{demo}.csv", "--svg", f"demo-{demo}.svg")
             texts = {name: text for name, text in texts.items() if text}
             texts.update(_documents(workdir))
+            texts.update({"sir-epidemic": json.dumps(SIR_EPIDEMIC), "extinction": json.dumps(EXTINCTION)})
             for name, text in texts.items():
                 with open(f"{name}.json", "w", encoding="utf-8") as handle:
                     handle.write(text)
@@ -117,6 +147,10 @@ def digest_lines() -> list[str]:
             record(
                 "sweep", "arms-race.json", "--param", "interaction.attacker:victim.alpha",
                 "--from", "1", "--to", "-1", "--points", "21", "--metric", "final:victim", "--csv", "sweep.csv",
+            )
+            record(
+                "sweep", "extinction.json", "--param", "interaction.predator:prey.coeff_i",
+                "--from", "0.1", "--to", "10", "--points", "3", "--csv", "sweep-extinction.csv",
             )
             record(
                 "sweep", "malware-epidemic.json", "--param", "beta", "--from", "0.02", "--to", "0.2",
