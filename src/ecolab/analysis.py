@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
-import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
@@ -16,6 +14,7 @@ from .core import (
     InteractionSpec,
     LinearResponse,
     Role,
+    TROPHIC_KINDS,
     Scenario,
     Trajectory,
     validate_scenario,
@@ -45,6 +44,16 @@ __all__ = [
     "sweep_epidemic",
 ]
 
+#: Per-axis central-difference step of the stability Jacobian, times max(1, |x_i|).
+_FD_STEP = 1e-5
+#: Eigenvalue parts within +-_CLASSIFY_TOL of zero count as zero.
+_CLASSIFY_TOL = 1e-7
+#: A root's residual norm is below _RESIDUAL_TOL, roots within _DEDUPE_TOL
+#: (times the state scale) are one, and Newton makes at most _MAX_ITERATIONS steps.
+_RESIDUAL_TOL = 1e-10
+_DEDUPE_TOL = 1e-8
+_MAX_ITERATIONS = 50
+
 
 class Classification(str, Enum):
     STABLE_NODE = "stable_node"
@@ -56,11 +65,11 @@ class Classification(str, Enum):
     UNDETERMINED = "undetermined"
 
 
-def classify(eigenvalues: Sequence[complex], tol: float = 1e-7) -> Classification:
+def classify(eigenvalues: Sequence[complex]) -> Classification:
     """Label a fixed point from the eigenvalues of its Jacobian.
 
-    Real parts beyond +-tol decide stable/unstable (opposite signs give a
-    saddle); any imaginary part beyond tol marks a focus.  When the
+    Real parts beyond +-1e-7 decide stable/unstable (opposite signs give
+    a saddle); any imaginary part beyond 1e-7 marks a focus.  When the
     largest real part sits inside the tolerance band and imaginary parts
     are present the honest answer is "center_like": finite precision
     cannot tell a true center from a very weak focus.
@@ -69,12 +78,12 @@ def classify(eigenvalues: Sequence[complex], tol: float = 1e-7) -> Classificatio
     if not ev:
         raise ValueError("need at least one eigenvalue")
     re = [v.real for v in ev]
-    rotating = any(abs(v.imag) > tol for v in ev)
+    rotating = any(abs(v.imag) > _CLASSIFY_TOL for v in ev)
     re_max, re_min = max(re), min(re)
-    if re_max < -tol:
+    if re_max < -_CLASSIFY_TOL:
         return Classification.STABLE_FOCUS if rotating else Classification.STABLE_NODE
-    if re_max > tol:
-        if re_min < -tol:
+    if re_max > _CLASSIFY_TOL:
+        if re_min < -_CLASSIFY_TOL:
             return Classification.SADDLE
         return Classification.UNSTABLE_FOCUS if rotating else Classification.UNSTABLE_NODE
     return Classification.CENTER_LIKE if rotating else Classification.UNDETERMINED
@@ -104,34 +113,23 @@ def _central_jacobian(
     return np.array(columns).T
 
 
-def _check_fd_step(fd_step: float) -> None:
-    if not (math.isfinite(fd_step) and fd_step > 0):
-        raise ValueError(f"fd_step must be a finite value > 0, got {fd_step!r}")
-
-
-def jacobian_of(
-    fn: Callable[[np.ndarray], np.ndarray],
-    point: Sequence[float],
-    fd_step: float = 1e-5,
-) -> np.ndarray:
-    """Central-difference Jacobian with per-axis step fd_step*max(1, |x_i|)."""
-    _check_fd_step(fd_step)
+def jacobian_of(fn: Callable[[np.ndarray], np.ndarray], point: Sequence[float]) -> np.ndarray:
+    """Central-difference Jacobian with per-axis step 1e-5*max(1, |x_i|)."""
 
     def rhs(x: list[float]) -> list[float]:
         return np.asarray(fn(np.array(x)), dtype=float).tolist()
 
-    return _central_jacobian(rhs, np.asarray(point, dtype=float).tolist(), fd_step)
+    return _central_jacobian(rhs, np.asarray(point, dtype=float).tolist(), _FD_STEP)
 
 
-def jacobian_at(scenario: Scenario, point: Sequence[float], fd_step: float = 1e-5) -> np.ndarray:
+def jacobian_at(scenario: Scenario, point: Sequence[float]) -> np.ndarray:
     """Jacobian of the community derivative at a state vector."""
     point = np.asarray(point, dtype=float)
     if point.shape != (len(scenario.species),):
         raise ValueError(
             f"point has shape {point.shape}, scenario declares {len(scenario.species)} species"
         )
-    _check_fd_step(fd_step)
-    return _central_jacobian(community_rhs(scenario), point.tolist(), fd_step)
+    return _central_jacobian(community_rhs(scenario), point.tolist(), _FD_STEP)
 
 
 def _as_classical_pair(scenario: Scenario):
@@ -190,20 +188,20 @@ def _newton_starts(scenario: Scenario) -> list[list[float]]:
     return starts
 
 
-def _newton(rhs, x: list[float], residual_tol: float, max_iterations: int) -> tuple[list[float], bool]:
-    """Damped Newton from x: the last iterate and whether its residual norm is below residual_tol.
+def _newton(rhs, x: list[float]) -> tuple[list[float], bool]:
+    """Damped Newton from x: the last iterate and whether its residual norm is below _RESIDUAL_TOL.
 
     Each iteration solves J step = -f(x) with the central-difference
     Jacobian (fd_step 1e-7) and halves the step, down to 1e-4 of it,
     until the residual norm drops.  Stops early once the norm is below
-    residual_tol * 1e-2.
+    _RESIDUAL_TOL * 1e-2.
     """
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         fx = rhs(x)
         if not _all_finite(fx):
             break
         norm = np.linalg.norm(fx)
-        if norm < residual_tol * 1e-2:
+        if norm < _RESIDUAL_TOL * 1e-2:
             return x, True
         try:
             step = np.linalg.solve(_central_jacobian(rhs, x, 1e-7), [-v for v in fx]).tolist()
@@ -220,25 +218,21 @@ def _newton(rhs, x: list[float], residual_tol: float, max_iterations: int) -> tu
         else:
             break
     fx = rhs(x)
-    return x, bool(_all_finite(fx) and np.linalg.norm(fx) < residual_tol)
+    return x, bool(_all_finite(fx) and np.linalg.norm(fx) < _RESIDUAL_TOL)
 
 
 def find_fixed_points(
-    scenario: Scenario,
-    residual_tol: float = 1e-10,
-    dedupe_tol: float = 1e-8,
-    max_iterations: int = 50,
-    extra_starts: Sequence[Sequence[float]] | None = None,
+    scenario: Scenario, extra_starts: Sequence[Sequence[float]] | None = None
 ) -> list[np.ndarray]:
-    """Nonnegative equilibria of the community derivative.
+    """Nonnegative equilibria of the community derivative, the origin always among them.
 
     The two-species predation configuration is answered in closed form:
     the origin plus the analytic coexistence point.  Everything else runs
     damped Newton from a small lattice of starting points (plus any
     `extra_starts`, e.g. the tail of a trajectory), keeps roots with
-    residual norm below `residual_tol`, and de-duplicates within
-    `dedupe_tol`.  If no start converges the result is an empty list and
-    a warning, not an error.
+    residual norm below 1e-10, and de-duplicates within 1e-8 (times the
+    largest initial density, if above 1).  Every term of the derivative
+    carries a density factor, so the origin start always converges.
     """
     validate_scenario(scenario)
     n = len(scenario.species)
@@ -254,7 +248,6 @@ def find_fixed_points(
     rhs = community_rhs(scenario)
     roots: list[list[float]] = []
     scale = max(1.0, max((abs(g) for g in scenario.initial_state()), default=1.0))
-    converged_any = False
     starts = _newton_starts(scenario)
     if extra_starts is not None:
         for extra in extra_starts:
@@ -263,21 +256,18 @@ def find_fixed_points(
                 raise ValueError(f"extra start has shape {extra.shape}, scenario declares {n} species")
             starts.append(extra.tolist())
     for start in starts:
-        x, ok = _newton(rhs, start, residual_tol, max_iterations)
+        x, ok = _newton(rhs, start)
         if not ok:
             continue
-        converged_any = True
         if any(v < -1e-9 for v in x):
             continue
         # |x| < 1e-12 snaps to 0, and the rest of [-1e-9, 0) clips to it
         x = [v if v >= 1e-12 else 0.0 for v in x]
-        if np.linalg.norm(rhs(x)) >= residual_tol:
+        if np.linalg.norm(rhs(x)) >= _RESIDUAL_TOL:
             continue
-        if any(max(abs(a - b) for a, b in zip(x, r)) <= dedupe_tol * scale for r in roots):
+        if any(max(abs(a - b) for a, b in zip(x, r)) <= _DEDUPE_TOL * scale for r in roots):
             continue
         roots.append(x)
-    if not converged_any:
-        warnings.warn("Newton iteration did not converge from any starting point", stacklevel=2)
     roots.sort(key=tuple)
     return [np.array(r) for r in roots]
 
@@ -292,13 +282,8 @@ class StabilityReport:
     classification: Classification
 
 
-def stability_report(
-    scenario: Scenario,
-    point: Sequence[float],
-    fd_step: float = 1e-5,
-    tol: float = 1e-7,
-) -> StabilityReport:
-    jac = jacobian_at(scenario, point, fd_step)
+def stability_report(scenario: Scenario, point: Sequence[float]) -> StabilityReport:
+    jac = jacobian_at(scenario, point)
     ev = np.linalg.eigvals(jac)
     order = np.lexsort((ev.imag, ev.real))
     eigenvalues = tuple(complex(v) for v in ev[order])
@@ -306,13 +291,13 @@ def stability_report(
         fixed_point=np.asarray(point, dtype=float),
         jacobian=jac,
         eigenvalues=eigenvalues,
-        classification=classify(eigenvalues, tol),
+        classification=classify(eigenvalues),
     )
 
 
-def analyze_scenario(scenario: Scenario, tol: float = 1e-7) -> list[StabilityReport]:
+def analyze_scenario(scenario: Scenario) -> list[StabilityReport]:
     """Stability report for every fixed point found."""
-    return [stability_report(scenario, point, tol=tol) for point in find_fixed_points(scenario)]
+    return [stability_report(scenario, point) for point in find_fixed_points(scenario)]
 
 
 def oscillation_period(
@@ -353,8 +338,9 @@ def set_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
         horizon
         species.<id>.growth_rate | self_limitation | trophic_level
         initial.<id>
-        interaction.<i>:<j>.coeff_i | coeff_j | alpha | base_strength
-        interaction.<i>:<j>.response.rate | handling | saturation
+        interaction.<i>:<j>.alpha | base_strength (continuum entries)
+        interaction.<i>:<j>.coeff_i | coeff_j (any other entry)
+        interaction.<i>:<j>.response.rate | handling | saturation (predation, parasitism)
     """
     parts = _split_path(path)
     head = parts[0]
@@ -408,11 +394,8 @@ def _update_entry(
     value: float,
     path: str,
 ) -> InteractionSpec:
-    if fields == ["alpha"] or fields == ["base_strength"]:
-        if entry.continuum_alpha is None:
-            raise ValueError(
-                f"unresolvable parameter path '{path}': entry is not a continuum interaction"
-            )
+    dial = fields in (["alpha"], ["base_strength"])
+    if dial and entry.continuum_alpha is not None:
         alpha = value if fields == ["alpha"] else entry.continuum_alpha
         strength = value if fields == ["base_strength"] else entry.continuum_strength
         params = ContinuumParams(
@@ -422,16 +405,22 @@ def _update_entry(
             self_limitation_j=scenario.species_by_id(entry.species_j).self_limitation,
         )
         return continuum_interaction(entry.species_i, entry.species_j, params)
-    if fields in (["coeff_i"], ["coeff_j"]):
+    # a continuum entry's document form is its dial, which a coefficient edit would not update
+    if entry.continuum_alpha is not None:
+        reason = ": entry is a continuum interaction (alpha, base_strength)"
+    elif dial:
+        reason = ": entry is not a continuum interaction"
+    elif fields in (["coeff_i"], ["coeff_j"]):
         return replace(entry, **{fields[0]: value})
-    if len(fields) == 2 and fields[0] == "response":
-        name = fields[1]
-        if hasattr(entry.response, name):
-            return replace(entry, response=replace(entry.response, **{name: value}))
-        raise ValueError(
-            f"unresolvable parameter path '{path}': response has no field '{name}'"
-        )
-    raise ValueError(f"unresolvable parameter path '{path}'")
+    elif len(fields) != 2 or fields[0] != "response":
+        reason = ""
+    elif entry.kind not in TROPHIC_KINDS:
+        reason = f": {entry.kind.value} entries have no response"
+    elif hasattr(entry.response, fields[1]):
+        return replace(entry, response=replace(entry.response, **{fields[1]: value}))
+    else:
+        reason = f": response has no field '{fields[1]}'"
+    raise ValueError(f"unresolvable parameter path '{path}'{reason}")
 
 
 @dataclass(frozen=True)
@@ -459,10 +448,8 @@ class SweepReport:
     transitions: tuple[tuple[float, float], ...]
 
 
-def _attractor_classification(scenario: Scenario, final: np.ndarray) -> Classification | None:
+def _attractor_classification(scenario: Scenario, final: np.ndarray) -> Classification:
     points = find_fixed_points(scenario, extra_starts=[final])
-    if not points:
-        return None
     nearest = min(points, key=lambda pt: float(np.linalg.norm(pt - final)))
     return stability_report(scenario, nearest).classification
 

@@ -40,15 +40,19 @@ __all__ = ["main", "cli_main"]
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ecolab-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ecolab-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # name the path asked for, not the temporary file's random name
+        raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
 def _load_document(path: str) -> Document:
@@ -161,9 +165,11 @@ def _sweep_csv(report: SweepReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _community_metric(spec: str):
+def _community_metric(spec: str, document: Scenario):
     if spec.startswith("final:"):
         species_id = spec.split(":", 1)[1]
+        if species_id not in document.species_ids:
+            raise ValueError(f"unknown species '{species_id}' in metric '{spec}'")
         return lambda scenario, trajectory: float(trajectory.column(species_id)[-1])
     raise ValueError(f"unknown metric '{spec}' (community sweeps support final:<species_id>)")
 
@@ -172,7 +178,7 @@ def _cmd_sweep(args) -> int:
     document = _load_document(args.file)
     grid = np.linspace(args.start, args.stop, args.points)
     if isinstance(document, Scenario):
-        metric = _community_metric(args.metric) if args.metric else None
+        metric = _community_metric(args.metric, document) if args.metric else None
         report = sweep(document, args.param, grid, metric=metric)
     elif isinstance(document, EpidemicBundle):
         if args.metric:
@@ -197,12 +203,8 @@ def _cmd_stability(args) -> int:
     document = _load_document(args.file)
     if not isinstance(document, Scenario):
         raise ValueError("stability analysis needs a community document")
-    reports = analyze_scenario(document)
-    if not reports:
-        _say(args, "no fixed points found")
-        return 0
     names = document.species_ids
-    for report in reports:
+    for report in analyze_scenario(document):
         point = ", ".join(f"{n}={v:.8g}" for n, v in zip(names, report.fixed_point))
         eigen = ", ".join(f"{v.real:+.6g}{v.imag:+.6g}j" for v in report.eigenvalues)
         _say(args, f"fixed point ({point})")
@@ -298,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--points", type=int, required=True)
     swp.add_argument("--metric", default=None, help="extra summary, e.g. final:<species_id>")
     swp.add_argument("--runs", type=int, default=20, help="Monte Carlo runs per point (epidemic)")
-    common(swp, "master seed of the Monte Carlo runs (default 0)")
+    common(swp, "master seed of the Monte Carlo runs (default 0)", with_outputs=False)
+    swp.add_argument("--csv", metavar="PATH", help="write one CSV row per grid point")
     swp.set_defaults(fn=_cmd_sweep)
 
     stab = sub.add_parser("stability", help="fixed points and local stability")

@@ -636,11 +636,10 @@ def lv_scenario(
     p: LotkaVolterraParams,
     initial: tuple[float, float],
     horizon: float = 100.0,
-    step: float = 0.01,
     prey_id: str = "prey",
     predator_id: str = "predator",
 ) -> Scenario:
-    """Two-species community scenario equivalent to the classical pair.
+    """Two-species community scenario equivalent to the classical pair, as RK4 with step 0.01.
 
     The predator's gain coefficient factors as conversion * encounter.
     The conversion stored here is the float quotient, so the scenario
@@ -665,6 +664,6 @@ def lv_scenario(
             ),
         ),
         initial_densities={prey_id: initial[0], predator_id: initial[1]},
-        integrator=IntegratorConfig(method="rk4_fixed", step=step),
+        integrator=IntegratorConfig(method="rk4_fixed", step=0.01),
         horizon=horizon,
     )

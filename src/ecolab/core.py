@@ -229,6 +229,8 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         ScenarioValidationError: with the full list of violations.
     """
     errors: list[str] = []
+    if not scenario.species:
+        errors.append("scenario needs at least one species")
     seen: set[str] = set()
     for sp in scenario.species:
         if not sp.id:

@@ -194,8 +194,8 @@ def demo_document(name: str) -> Document:
         raise ValueError(f"unknown demo {name!r}; available: {', '.join(DEMO_NAMES)}") from None
 
 
-def mimicry_table(mimic_max: float = 4.0, points: int = 81):
-    """Payoff sweep over the mimic density for the demo parameters.
+def mimicry_table():
+    """Payoff sweep over mimic densities 0, 0.05, ..., 4 for the demo parameters.
 
     Returns (column_names, mimic_densities, value matrix); the attack
     decision flips where the mimic frequency crosses
@@ -208,7 +208,7 @@ def mimicry_table(mimic_max: float = 4.0, points: int = 81):
         "model_net_payoff",
         "predator_expected_payoff",
     )
-    densities = np.linspace(0.0, mimic_max, points)
+    densities = np.linspace(0.0, 4.0, 81)
     rows = []
     for density in densities:
         p = MimicryParams(mimic_density=float(density), **MIMICRY_DEMO_PARAMS)

@@ -11,7 +11,7 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -304,7 +304,7 @@ def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1
     infected_counts = np.empty(n_samples, dtype=float)
     recovered_counts = np.empty(n_samples, dtype=float) if sir else None
     k, n_infected, n_recovered, extinction_time = _event_loop(model.graph)(
-        model, horizon, sample_dt, infected_counts, recovered_counts
+        model, model.seed, horizon, sample_dt, infected_counts, recovered_counts
     )
 
     # nothing happens between the last event and the horizon, and a last
@@ -327,10 +327,11 @@ def _event_loop(graph: Graph):
 
 # On a complete graph the two event loops below draw the same random
 # numbers in the same order and keep the same counts, so a seed gives one
-# trajectory whichever loop runs.  Each fills the samples taken before its
-# last event and returns (samples filled, infected, recovered, extinction
-# time or None).  Given empty sample buffers they fill none and only run
-# the events, which is all the Monte Carlo runs need.
+# trajectory whichever loop runs.  Each runs `model` from `seed`, fills
+# the samples taken before its last event and returns (samples filled,
+# infected, recovered, extinction time or None).  Given empty sample
+# buffers they fill none and only run the events: a Monte Carlo run needs
+# no samples, nor a model of its own.
 #
 # Both loops make random.Random's draws themselves, value for value from
 # the same stream, without the method calls around each one:
@@ -349,12 +350,12 @@ def _below(getrandbits, m: int) -> int:
     return r
 
 
-def _contact_graph_events(model, horizon, sample_dt, infected_counts, recovered_counts):
+def _contact_graph_events(model, seed, horizon, sample_dt, infected_counts, recovered_counts):
     """Any graph: O(I/64 + 64) per infection source, O(I) up to 64 nodes, plus O(degree) upkeep."""
     graph = model.graph
     n = graph.n_nodes
     adjacency = graph.adjacency
-    rng = random.Random(model.seed)
+    rng = random.Random(seed)
     uniform, getrandbits, log = rng.random, rng.getrandbits, math.log
     sir = model.kind == EpidemicKind.SIR
     n_samples = len(infected_counts)
@@ -479,7 +480,7 @@ def _contact_graph_events(model, horizon, sample_dt, infected_counts, recovered_
         t = t_next
 
 
-def _complete_graph_events(model, horizon, sample_dt, infected_counts, recovered_counts):
+def _complete_graph_events(model, seed, horizon, sample_dt, infected_counts, recovered_counts):
     """The complete graph K_n: O(1) per event.
 
     Every infected node has all s susceptible nodes as neighbours, so the
@@ -488,7 +489,7 @@ def _complete_graph_events(model, horizon, sample_dt, infected_counts, recovered
     counts only, and makes the draws that pick those nodes without using
     them, so the random stream runs as in the contact-graph loop.
     """
-    rng = random.Random(model.seed)
+    rng = random.Random(seed)
     uniform, getrandbits, log = rng.random, rng.getrandbits, math.log
     sir = model.kind == EpidemicKind.SIR
     n_samples = len(infected_counts)
@@ -565,8 +566,7 @@ def _runs_alive(model: EpidemicModel, horizon: float, master_seed: int) -> Itera
         raise ValueError("horizon must be > 0")
     events = _event_loop(model.graph)
     for k in itertools.count():
-        run = replace(model, seed=run_seed(master_seed, k))
-        yield events(run, horizon, horizon, [], [])[3] is None
+        yield events(model, run_seed(master_seed, k), horizon, horizon, [], [])[3] is None
 
 
 def _monte_carlo_model(
@@ -635,11 +635,11 @@ def estimate_threshold(
     persistence_horizon: float = 60.0,
     n_bisections: int = 8,
     master_seed: int = 0,
-    initial_infected: frozenset[int] | None = None,
 ) -> ThresholdEstimate:
     """Monte Carlo bisection for the empirical persistence threshold.
 
-    The criterion is "at least half of the seeded runs still carry
+    Every run starts from `default_initial_infected(graph)`.  The
+    criterion is "at least half of the seeded runs still carry
     infection at the persistence horizon".  The beta range must bracket
     the transition: survival below 0.1 at the low end and above 0.9 at
     the high end, otherwise a ThresholdBracketError reports the observed
@@ -661,7 +661,6 @@ def estimate_threshold(
             persistence_horizon,
             runs_per_point,
             master_seed=run_seed(master_seed, evaluation),
-            initial_infected=initial_infected,
         )
 
     survival_low = survival(low, 0)
@@ -675,7 +674,7 @@ def estimate_threshold(
     # settled; its runs are persistence_fraction's
     for evaluation in range(2, 2 + n_bisections):
         mid = 0.5 * (low + high)
-        model = _monte_carlo_model(graph, mid, gamma, EpidemicKind.SIS, initial_infected)
+        model = _monte_carlo_model(graph, mid, gamma, EpidemicKind.SIS, None)
         runs = _runs_alive(model, persistence_horizon, run_seed(master_seed, evaluation))
         if _half_persist(runs, runs_per_point):
             high = mid

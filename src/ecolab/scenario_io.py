@@ -2,8 +2,8 @@
 
 A document is a JSON object with a top-level "kind" of community,
 epidemic, selection or discrete (schema_version 1).  Parsing is strict:
-unknown fields are errors, so a typo in a rate name fails loudly instead
-of silently running the wrong experiment.  serialize/parse round-trips
+unknown fields and repeated keys are errors, so a typo in a rate name
+fails loudly instead of silently running the wrong experiment.  serialize/parse round-trips
 to an equal structure.
 """
 
@@ -604,6 +604,15 @@ _CODECS = {
 }
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object's pairs as a dict, refusing a key given twice (json.loads would keep the last)."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ParseError(f"duplicate key {next(key for k, key in enumerate(keys) if key in keys[:k])!r}")
+    return data
+
+
 def parse_scenario(text: str) -> Document:
     """Parse a scenario document; see the module docstring for the schema.
 
@@ -612,7 +621,7 @@ def parse_scenario(text: str) -> Document:
     through as ScenarioValidationError from validate_scenario.
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"JSON syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"

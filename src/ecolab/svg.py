@@ -31,8 +31,8 @@ PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 BLOCK_POINTS = 1024
 
 
-def _nice_step(span: float, target: int = 5) -> float:
-    raw = span / max(target - 1, 1)
+def _nice_step(span: float) -> float:
+    raw = span / 4
     if not raw > 0.0:
         raise ValueError(f"cannot place ticks on a span of {span!r}")
     power = 10.0 ** math.floor(math.log10(raw))

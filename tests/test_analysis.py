@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -19,6 +20,8 @@ from ecolab import (
     jacobian_of,
     lv_derivative,
     oscillation_period,
+    parse_scenario,
+    serialize_scenario,
     set_parameter,
     stability_report,
     sweep,
@@ -113,7 +116,7 @@ class TestJacobian:
             )
             x, y = rng.uniform(0.5, 40.0), rng.uniform(0.5, 40.0)
             fn = lambda s: np.array(lv_derivative(s[0], s[1], p))
-            jac = jacobian_of(fn, [x, y], fd_step=1e-5)
+            jac = jacobian_of(fn, [x, y])
             analytic = np.array(
                 [
                     [p.prey_growth - p.encounter_rate * y, -p.encounter_rate * x],
@@ -239,6 +242,54 @@ class TestSetParameter:
     def test_unresolvable_interaction_paths(self, path, reason):
         with pytest.raises(ValueError, match=f"^{re.escape(f'unresolvable parameter path {path!r}{reason}')}$"):
             set_parameter(predation_scenario(), path, 1.0)
+
+    @pytest.mark.parametrize("path, reason", [
+        ("interaction.a:c.response.rate", ": competition entries have no response"),
+        *((f"interaction.c:d.{field}", ": entry is a continuum interaction (alpha, base_strength)")
+          for field in ("coeff_i", "coeff_j", "response.rate")),
+    ])
+    def test_fields_the_document_does_not_carry_are_unresolvable(self, path, reason):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'unresolvable parameter path {path!r}{reason}')}$"):
+            set_parameter(_EVERY_ENTRY_FORM, path, 0.3)
+
+    @pytest.mark.parametrize("path, value", [
+        ("horizon", 7.0),
+        ("species.a.growth_rate", 2.5),
+        ("species.b.self_limitation", 0.3),
+        ("species.b.trophic_level", 2),
+        ("initial.c", 4.0),
+        ("interaction.a:b.coeff_i", 0.75),
+        ("interaction.b:a.response.rate", 0.3),
+        ("interaction.b:a.response.handling", 0.9),
+        ("interaction.a:c.coeff_i", 0.2),
+        ("interaction.c:a.coeff_j", 0.3),
+        ("interaction.c:d.alpha", 0.5),
+        ("interaction.d:c.base_strength", 0.4),
+    ])
+    def test_every_edit_survives_the_document_form(self, path, value):
+        updated = set_parameter(_EVERY_ENTRY_FORM, path, value)
+        assert serialize_scenario(updated) != serialize_scenario(_EVERY_ENTRY_FORM)
+        assert parse_scenario(serialize_scenario(updated)) == updated
+
+
+# A trophic entry with a Holling response, a mass-action entry and a continuum entry
+_EVERY_ENTRY_FORM = parse_scenario(json.dumps({
+    "kind": "community",
+    "species": [
+        {"id": "a", "role": "producer", "growth_rate": 1.0, "self_limitation": 0.1},
+        {"id": "b", "role": "consumer", "trophic_level": 1, "growth_rate": 0.5},
+        {"id": "c", "role": "producer", "growth_rate": 0.8, "self_limitation": 0.2},
+        {"id": "d", "role": "producer", "growth_rate": 0.6, "self_limitation": 0.1},
+    ],
+    "interactions": [
+        {"species_i": "b", "species_j": "a", "kind": "predation", "coeff_i": 0.4,
+         "response": {"type": "holling2", "rate": 0.2, "handling": 0.5}},
+        {"species_i": "a", "species_j": "c", "kind": "competition", "coeff_i": 0.1, "coeff_j": 0.05},
+        {"species_i": "c", "species_j": "d", "kind": "continuum", "alpha": -0.5, "base_strength": 0.2},
+    ],
+    "initial_densities": {"a": 5.0, "b": 1.0, "c": 3.0, "d": 2.0},
+    "horizon": 10.0,
+}))
 
 
 # Both sweeps share their grid checks.
@@ -402,19 +453,14 @@ def test_float_newton_matches_reference_on_demos():
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-def test_float_newton_warns_like_reference_when_nothing_converges():
-    # the origin is a root of every community, so only a zero tolerance fails every start
-    for find in (find_fixed_points, reference_find_fixed_points):
-        with pytest.warns(UserWarning, match="did not converge from any starting point"):
-            assert find(chain_scenario(), residual_tol=0.0) == []
-
-
-def test_fd_step_must_be_positive():
-    for bad in (0.0, -1e-5, math.nan, math.inf):
-        with pytest.raises(ValueError, match="fd_step"):
-            jacobian_at(single_species(), [1.0], fd_step=bad)
-        with pytest.raises(ValueError, match="fd_step"):
-            jacobian_of(lambda x: x, [1.0], fd_step=bad)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(community_scenarios())
+def test_the_origin_is_always_a_fixed_point(scenario):
+    # every term of the derivative carries a density factor, so the origin
+    # start converges whatever the rates; huge rates overflow Newton's norms
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots = find_fixed_points(scenario)
+    assert any(not root.any() for root in roots)
 
 
 def test_extra_start_of_the_wrong_length_is_rejected():

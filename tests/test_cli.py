@@ -309,6 +309,37 @@ def test_sweep_bad_path(tmp_path, capsys):
     assert "unresolvable" in capsys.readouterr().err
 
 
+def test_sweep_has_no_svg_option(tmp_path, capsys):
+    # a sweep writes its per-point table as CSV and draws no chart
+    path = tmp_path / "lv.json"
+    path.write_text(serialize_scenario(demo_document("lv-classic")))
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(
+            "sweep", str(path), "--param", "initial.prey", "--from", "20", "--to", "30", "--points", "2",
+            "--svg", str(tmp_path / "x.svg"),
+        )
+    assert exit_info.value.code == 2
+    assert "--svg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("run", "{empty}"), "scenario needs at least one species"),
+    (("stability", "{empty}"), "scenario needs at least one species"),
+    (("sweep", "{lv}", "--param", "initial.prey", "--from", "20", "--to", "30", "--points", "2",
+      "--metric", "final:nope"), "unknown species 'nope' in metric 'final:nope'"),
+    (("run", "{lv}", "--csv", "{missing}/a.csv"), "[Errno 2] No such file or directory: '{missing}/a.csv'"),
+    (("run", "{lv}", "--svg", "{missing}/a.svg"), "[Errno 2] No such file or directory: '{missing}/a.svg'"),
+], ids=["run-no-species", "stability-no-species", "unknown-metric-species", "csv-in-missing-dir",
+        "svg-in-missing-dir"])
+def test_input_errors_exit_1_with_a_fixed_message(tmp_path, capsys, argv, message):
+    paths = {"empty": tmp_path / "empty.json", "lv": tmp_path / "lv.json", "missing": tmp_path / "missing"}
+    paths["empty"].write_text('{"kind": "community", "species": [], "interactions": [], '
+                              '"initial_densities": {}, "horizon": 1}')
+    paths["lv"].write_text(serialize_scenario(demo_document("lv-classic")))
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(**paths)}\n")
+
+
 def test_quiet_suppresses_report(tmp_path, capsys):
     path = tmp_path / "lv.json"
     path.write_text(serialize_scenario(demo_document("lv-classic")))

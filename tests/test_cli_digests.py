@@ -15,7 +15,8 @@ def test_two_runs_print_the_same_lines():
     commands = {line.split("\t")[0] for line in first}
     exits = {line.split("\t")[0]: line.split("\t")[2] for line in first if line.split("\t")[1] == "exit"}
     assert set(exits) == commands
-    # the mimicry demo has no document form; the error paths exit 1; every other command succeeds
+    # the mimicry demo has no document form; the error paths exit 1, argparse's usage errors 2; every
+    # other command succeeds
     assert {command for command, code in exits.items() if code != "0"} == {
         "demo mimicry --emit",
         "threshold malware-epidemic.json --empirical --runs 4 --horizon 10 --bisections -1",
@@ -23,6 +24,10 @@ def test_two_runs_print_the_same_lines():
         "run bad.json",
         "run covariance-overflow.json --csv run-covariance-overflow.csv --svg run-covariance-overflow.svg",
         "run means-overflow.json --csv run-means-overflow.csv --svg run-means-overflow.svg",
+        "run no-species.json",
+        "run lv-classic.json --csv missing/run.csv",
+        "sweep lv-classic.json --param initial.prey --from 20 --to 30 --points 2 --metric final:nope",
+        "sweep lv-classic.json --param initial.prey --from 20 --to 30 --points 2 --svg sweep.svg",
     }
     written = [line for line in first if line.split("\t")[1] not in ("stdout", "stderr", "exit")]
     # CSV and SVG of 5 demos and 9 runs, and the three sweeps' CSVs; a failed run writes nothing

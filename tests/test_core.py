@@ -212,6 +212,7 @@ def _integrator(scenario, **changes) -> Scenario:
 
 
 @pytest.mark.parametrize("change, message", [
+    (lambda s: replace(s, species=(), interactions=(), initial_densities={}), "scenario needs at least one species"),
     (lambda s: _species(s, "pred", trophic_level=-1), "species 'pred' has negative trophic_level"),
     (lambda s: _species(s, "prey", growth_rate=float("nan")), "species 'prey' has non-finite growth rate"),
     (lambda s: _species(s, "prey", self_limitation=-0.5), "species 'prey' needs self_limitation >= 0 and finite"),
@@ -234,9 +235,9 @@ def _integrator(scenario, **changes) -> Scenario:
     (lambda s: _integrator(s, abs_tol=float("nan")), "integrator abs_tol must be > 0"),
     (lambda s: _integrator(s, extinction_epsilon=-1e-9), "extinction_epsilon must be >= 0"),
 ], ids=[
-    "trophic-level", "growth-rate", "self-limitation", "unknown-density", "coeff-i", "coeff-j", "response-field",
-    "unknown-response", "continuum-alpha", "continuum-strength", "continuum-self-limitation", "method", "step",
-    "rel-tol", "abs-tol", "extinction-epsilon",
+    "no-species", "trophic-level", "growth-rate", "self-limitation", "unknown-density", "coeff-i", "coeff-j",
+    "response-field", "unknown-response", "continuum-alpha", "continuum-strength", "continuum-self-limitation",
+    "method", "step", "rel-tol", "abs-tol", "extinction-epsilon",
 ])
 def test_each_violation_has_its_message(change, message):
     base = predation_scenario()

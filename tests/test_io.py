@@ -591,6 +591,11 @@ MALFORMED = [
      "document.horizon: expected a number"),
     ("horizon-nan", patched(MINIMAL_COMMUNITY, (("horizon",), NAN)), "ParseError",
      "document.horizon: must be finite"),
+    # json.loads alone would keep the last of two equal keys
+    ("duplicate-key", patched(DISCRETE)[:-1] + ', "generations": 0}', "ParseError",
+     "duplicate key 'generations'"),
+    ("duplicate-nested-key", '{"kind": "community", "species": [{"id": "a", "id": "b"}]}', "ParseError",
+     "duplicate key 'id'"),
     # community
     ("species-not-list", patched(MINIMAL_COMMUNITY, (("species",), {})), "ParseError",
      "document.species: expected a list"),

@@ -13,11 +13,17 @@ the community documents, one arms-race `sweep` over the continuum dial,
 one `sweep` of the dying predator's conversion efficiency, one epidemic
 `sweep` over beta, `threshold` on the malware demo with and without
 `--empirical`, and the error paths of a missing file, bad JSON, a
-negative `--bisections`, a covariance whose symmetrized sum overflows and
-a selection run whose means overflow. For each command it prints one
-line per stdout, stderr, exit code and written file:
+negative `--bisections`, a covariance whose symmetrized sum overflows, a
+selection run whose means overflow, a community with no species, a CSV
+path in a missing directory, a sweep metric naming no species and a
+sweep given `--svg`. For each command it prints one line per stdout,
+stderr, exit code and written file:
 
     <command>  <what>  <sha256>
+
+The exit code is what `cli_main` returns, the code of a `SystemExit` it
+raises (argparse's usage errors), or `uncaught <ExceptionType>` for any
+other exception, which a real process would print as a traceback.
 
 Wall-clock lines are masked before hashing, and so are the
 `<file>:<line>:` prefix and the quoted source line of a Python warning,
@@ -71,6 +77,8 @@ EXTINCTION = {
     "horizon": 20.0,
 }
 
+NO_SPECIES = {"kind": "community", "species": [], "interactions": [], "initial_densities": {}, "horizon": 1}
+
 
 def _sha256(data) -> str:
     if isinstance(data, str):
@@ -93,7 +101,7 @@ def _documents(workdir: str) -> dict[str, str]:
     return workloads.DocumentRuns(workdir).inputs(workloads.DEFAULT_SEED)["documents"]
 
 
-def _run(argv: list[str]) -> tuple[int, str, str]:
+def _run(argv: list[str]) -> tuple[int | str, str, str]:
     """One command through cli_main: exit code, stdout, stderr."""
     import ecolab
 
@@ -102,7 +110,12 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
         # each command warns as it would in a fresh process
         warnings.simplefilter("default")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = ecolab.cli_main(argv)
+            try:
+                code = ecolab.cli_main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # recorded, so the commands after it still run
+                code = f"uncaught {type(exc).__name__}"
     return code, out.getvalue(), err.getvalue()
 
 
@@ -174,6 +187,14 @@ def digest_lines() -> list[str]:
                 with open(f"{name}.json", "w", encoding="utf-8") as handle:
                     json.dump(document, handle)
                 record("run", f"{name}.json", "--csv", f"run-{name}.csv", "--svg", f"run-{name}.svg")
+            with open("no-species.json", "w", encoding="utf-8") as handle:
+                json.dump(NO_SPECIES, handle)
+            record("run", "no-species.json")
+            record("run", "lv-classic.json", "--csv", "missing/run.csv")
+            lv_sweep = ("sweep", "lv-classic.json", "--param", "initial.prey", "--from", "20", "--to", "30",
+                        "--points", "2")
+            record(*lv_sweep, "--metric", "final:nope")
+            record(*lv_sweep, "--svg", "sweep.svg")
         finally:
             os.chdir(cwd)
     return lines
