@@ -11,21 +11,14 @@ import numpy as np
 
 from .core import (
     InteractionKind,
-    InteractionSpec,
     LinearResponse,
     Role,
-    TROPHIC_KINDS,
     Scenario,
     Trajectory,
     validate_scenario,
 )
-from .continuous import (
-    ContinuumParams,
-    _all_finite,
-    community_rhs,
-    continuum_interaction,
-    integrate_report,
-)
+from .continuous import _all_finite, community_rhs, integrate_report
+from .scenario_io import _entry_to_json, _parse_entry, _record_json
 
 __all__ = [
     "Classification",
@@ -255,19 +248,21 @@ def find_fixed_points(
             if extra.shape != (n,):
                 raise ValueError(f"extra start has shape {extra.shape}, scenario declares {n} species")
             starts.append(extra.tolist())
-    for start in starts:
-        x, ok = _newton(rhs, start)
-        if not ok:
-            continue
-        if any(v < -1e-9 for v in x):
-            continue
-        # |x| < 1e-12 snaps to 0, and the rest of [-1e-9, 0) clips to it
-        x = [v if v >= 1e-12 else 0.0 for v in x]
-        if np.linalg.norm(rhs(x)) >= _RESIDUAL_TOL:
-            continue
-        if any(max(abs(a - b) for a, b in zip(x, r)) <= _DEDUPE_TOL * scale for r in roots):
-            continue
-        roots.append(x)
+    # a residual norm that overflows is inf, which fails every comparison: no warning needed
+    with np.errstate(over="ignore"):
+        for start in starts:
+            x, ok = _newton(rhs, start)
+            if not ok:
+                continue
+            if any(v < -1e-9 for v in x):
+                continue
+            # |x| < 1e-12 snaps to 0, and the rest of [-1e-9, 0) clips to it
+            x = [v if v >= 1e-12 else 0.0 for v in x]
+            if np.linalg.norm(rhs(x)) >= _RESIDUAL_TOL:
+                continue
+            if any(max(abs(a - b) for a, b in zip(x, r)) <= _DEDUPE_TOL * scale for r in roots):
+                continue
+            roots.append(x)
     roots.sort(key=tuple)
     return [np.array(r) for r in roots]
 
@@ -331,35 +326,60 @@ def _split_path(path: str) -> list[str]:
     return parts
 
 
+def _number_paths(form: dict) -> list[str]:
+    """The dotted paths of the numbers in a document-form object, in document order."""
+    paths = []
+    for key, item in form.items():
+        if isinstance(item, dict):
+            paths.extend(f"{key}.{sub}" for sub in _number_paths(item))
+        elif isinstance(item, (int, float)):
+            paths.append(key)
+    return paths
+
+
+def _set_number(form: dict, fields: list[str], value: float, path: str, owner: str) -> dict:
+    """The document-form object `form` with its number at `fields` set to value."""
+    numbers = _number_paths(form)
+    if ".".join(fields) not in numbers:
+        raise ValueError(
+            f"unresolvable parameter path '{path}': {owner} has no number '{'.'.join(fields)}' "
+            f"(its numbers: {', '.join(numbers)})"
+        )
+    target = form
+    for name in fields[:-1]:
+        target = target[name]
+    target[fields[-1]] = value
+    return form
+
+
 def set_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
-    """Functionally update one named parameter of a scenario.
+    """Functionally update one number of a scenario's document form.
 
     Paths:
         horizon
-        species.<id>.growth_rate | self_limitation | trophic_level
+        species.<id>.<field>
         initial.<id>
-        interaction.<i>:<j>.alpha | base_strength (continuum entries)
-        interaction.<i>:<j>.coeff_i | coeff_j (any other entry)
-        interaction.<i>:<j>.response.rate | handling | saturation (predation, parasitism)
+        interaction.<i>:<j>.<field>[.<field>]
+
+    A field is a number that `serialize_scenario` writes for that species
+    or entry.  An entry is rebuilt from its edited document form, so a
+    continuum entry edits its dial (alpha, base_strength) and re-derives
+    its coefficients.
     """
     parts = _split_path(path)
     head = parts[0]
     if head == "horizon" and len(parts) == 1:
         return replace(scenario, horizon=float(value))
-    if head == "species" and len(parts) == 3:
-        _, sp_id, field_name = parts
-        if field_name in ("growth_rate", "self_limitation", "trophic_level"):
-            found = False
-            species = []
-            for sp in scenario.species:
-                if sp.id == sp_id:
-                    found = True
-                    cast = int if field_name == "trophic_level" else float
-                    sp = replace(sp, **{field_name: cast(value)})
-                species.append(sp)
-            if found:
+    if head == "species" and len(parts) >= 3:
+        sp_id, fields = parts[1], parts[2:]
+        species = list(scenario.species)
+        for k, sp in enumerate(species):
+            if sp.id == sp_id:
+                _set_number(_record_json(sp), fields, value, path, f"species {sp_id}")
+                cast = int if fields == ["trophic_level"] else float
+                species[k] = replace(sp, **{fields[0]: cast(value)})
                 return replace(scenario, species=tuple(species))
-            raise ValueError(f"unresolvable parameter path '{path}': no species '{sp_id}'")
+        raise ValueError(f"unresolvable parameter path '{path}': no species '{sp_id}'")
     if head == "initial" and len(parts) == 2:
         sp_id = parts[1]
         if sp_id not in scenario.initial_densities:
@@ -371,56 +391,18 @@ def set_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
         pair = parts[1].split(":")
         if len(pair) != 2:
             raise ValueError(f"unresolvable parameter path '{path}': expected interaction.<i>:<j>")
-        entries = []
-        found = False
-        for entry in scenario.interactions:
+        entries = list(scenario.interactions)
+        for k, entry in enumerate(entries):
             if {entry.species_i, entry.species_j} == set(pair):
-                found = True
-                entry = _update_entry(scenario, entry, parts[2:], float(value), path)
-            entries.append(entry)
-        if found:
-            return replace(scenario, interactions=tuple(entries))
+                label = f"interaction {parts[1]}"
+                form = _set_number(_entry_to_json(entry), parts[2:], float(value), path, label)
+                entries[k] = _parse_entry(form, label, {sp.id: sp for sp in scenario.species})
+                return replace(scenario, interactions=tuple(entries))
         raise ValueError(f"unresolvable parameter path '{path}': no entry for pair {parts[1]}")
     raise ValueError(
         f"unresolvable parameter path '{path}' "
         "(roots: horizon, species.<id>, initial.<id>, interaction.<i>:<j>)"
     )
-
-
-def _update_entry(
-    scenario: Scenario,
-    entry: InteractionSpec,
-    fields: list[str],
-    value: float,
-    path: str,
-) -> InteractionSpec:
-    dial = fields in (["alpha"], ["base_strength"])
-    if dial and entry.continuum_alpha is not None:
-        alpha = value if fields == ["alpha"] else entry.continuum_alpha
-        strength = value if fields == ["base_strength"] else entry.continuum_strength
-        params = ContinuumParams(
-            alpha=alpha,
-            base_strength=strength,
-            self_limitation_i=scenario.species_by_id(entry.species_i).self_limitation,
-            self_limitation_j=scenario.species_by_id(entry.species_j).self_limitation,
-        )
-        return continuum_interaction(entry.species_i, entry.species_j, params)
-    # a continuum entry's document form is its dial, which a coefficient edit would not update
-    if entry.continuum_alpha is not None:
-        reason = ": entry is a continuum interaction (alpha, base_strength)"
-    elif dial:
-        reason = ": entry is not a continuum interaction"
-    elif fields in (["coeff_i"], ["coeff_j"]):
-        return replace(entry, **{fields[0]: value})
-    elif len(fields) != 2 or fields[0] != "response":
-        reason = ""
-    elif entry.kind not in TROPHIC_KINDS:
-        reason = f": {entry.kind.value} entries have no response"
-    elif hasattr(entry.response, fields[1]):
-        return replace(entry, response=replace(entry.response, **{fields[1]: value}))
-    else:
-        reason = f": response has no field '{fields[1]}'"
-    raise ValueError(f"unresolvable parameter path '{path}'{reason}")
 
 
 @dataclass(frozen=True)

@@ -255,14 +255,10 @@ def _cmd_demo(args) -> int:
                 args.svg,
                 polyline_chart(names, densities, values, title="mimicry payoffs", x_label="mimic density"),
             )
-        flip = next(
-            (float(x) for x, row in zip(densities, values) if row[1] > 0), None
-        )
+        # the demo parameters put the flip at 3.05, inside the grid
+        flip = next(float(x) for x, row in zip(densities, values) if row[1] > 0)
         _say(args, "mimicry payoff sweep (venom_cost=3, prey_value=1)")
-        if flip is None:
-            _say(args, "predator never attacks on this grid")
-        else:
-            _say(args, f"predator starts attacking at mimic density {flip:.4g} (frequency {flip/(1+flip):.4g})")
+        _say(args, f"predator starts attacking at mimic density {flip:.4g} (frequency {flip/(1+flip):.4g})")
         return 0
     document = demo_document(args.name)
     if args.emit:

@@ -238,6 +238,45 @@ def _parse_response(data: Any, path: str):
     return _record(_RESPONSES[tag], data, path, frozenset({"type"}))
 
 
+def _parse_entry(raw: Any, path: str, by_id: dict[str, SpeciesSpec]) -> InteractionSpec:
+    """One interaction entry of a community document, its species looked up in `by_id`."""
+    raw = _require_object(raw, path)
+    kind_raw = _string(raw, "kind", path)
+    if kind_raw == "continuum":
+        _check_keys(raw, path, {"species_i", "species_j", "kind", "alpha", "base_strength"}, set())
+        i_id = _string(raw, "species_i", path)
+        j_id = _string(raw, "species_j", path)
+        for sp_id in (i_id, j_id):
+            if sp_id not in by_id:
+                raise ParseError(f"{path}: unknown species '{sp_id}'")
+        alpha = _number(raw, "alpha", path)
+        base_strength = _number(raw, "base_strength", path)
+        try:
+            params = ContinuumParams(
+                alpha=alpha,
+                base_strength=base_strength,
+                self_limitation_i=by_id[i_id].self_limitation,
+                self_limitation_j=by_id[j_id].self_limitation,
+            )
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+        return continuum_interaction(i_id, j_id, params)
+    try:
+        kind = InteractionKind(kind_raw)
+    except ValueError:
+        valid = ", ".join([k.value for k in InteractionKind] + ["continuum"])
+        raise ParseError(f"{path}.kind: unknown kind {kind_raw!r} (valid: {valid})") from None
+    victim_side = "response" if kind in TROPHIC_KINDS else "coeff_j"
+    _check_keys(raw, path, {"species_i", "species_j", "kind", "coeff_i", victim_side}, set())
+    pair = _string(raw, "species_i", path), _string(raw, "species_j", path)
+    coeff_i = _number(raw, "coeff_i", path)
+    if kind in TROPHIC_KINDS:
+        response = _parse_response(raw["response"], f"{path}.response")
+        return InteractionSpec(*pair, kind, coeff_i, response=response)
+    coeff_j = _number(raw, "coeff_j", path)
+    return InteractionSpec(*pair, kind, coeff_i, coeff_j=coeff_j)
+
+
 def _parse_community(data: dict) -> Scenario:
     _check_keys(
         data,
@@ -276,49 +315,10 @@ def _parse_community(data: dict) -> Scenario:
         )
     by_id = {sp.id: sp for sp in species}
 
-    interactions = []
     raw_entries = data["interactions"]
     if not isinstance(raw_entries, list):
         raise ParseError("document.interactions: expected a list")
-    for idx, raw in enumerate(raw_entries):
-        path = f"interactions[{idx}]"
-        raw = _require_object(raw, path)
-        kind_raw = _string(raw, "kind", path)
-        if kind_raw == "continuum":
-            _check_keys(raw, path, {"species_i", "species_j", "kind", "alpha", "base_strength"}, set())
-            i_id = _string(raw, "species_i", path)
-            j_id = _string(raw, "species_j", path)
-            for sp_id in (i_id, j_id):
-                if sp_id not in by_id:
-                    raise ParseError(f"{path}: unknown species '{sp_id}'")
-            alpha = _number(raw, "alpha", path)
-            base_strength = _number(raw, "base_strength", path)
-            try:
-                params = ContinuumParams(
-                    alpha=alpha,
-                    base_strength=base_strength,
-                    self_limitation_i=by_id[i_id].self_limitation,
-                    self_limitation_j=by_id[j_id].self_limitation,
-                )
-            except ValueError as exc:
-                raise ParseError(f"{path}: {exc}") from None
-            interactions.append(continuum_interaction(i_id, j_id, params))
-            continue
-        try:
-            kind = InteractionKind(kind_raw)
-        except ValueError:
-            valid = ", ".join([k.value for k in InteractionKind] + ["continuum"])
-            raise ParseError(f"{path}.kind: unknown kind {kind_raw!r} (valid: {valid})") from None
-        victim_side = "response" if kind in TROPHIC_KINDS else "coeff_j"
-        _check_keys(raw, path, {"species_i", "species_j", "kind", "coeff_i", victim_side}, set())
-        pair = _string(raw, "species_i", path), _string(raw, "species_j", path)
-        coeff_i = _number(raw, "coeff_i", path)
-        if kind in TROPHIC_KINDS:
-            response = _parse_response(raw["response"], f"{path}.response")
-            interactions.append(InteractionSpec(*pair, kind, coeff_i, response=response))
-        else:
-            coeff_j = _number(raw, "coeff_j", path)
-            interactions.append(InteractionSpec(*pair, kind, coeff_i, coeff_j=coeff_j))
+    interactions = [_parse_entry(raw, f"interactions[{idx}]", by_id) for idx, raw in enumerate(raw_entries)]
 
     densities_raw = _require_object(data["initial_densities"], "document.initial_densities")
     densities = {}

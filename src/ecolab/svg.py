@@ -33,9 +33,10 @@ BLOCK_POINTS = 1024
 
 def _nice_step(span: float) -> float:
     raw = span / 4
-    if not raw > 0.0:
+    # a span below about 4e-323 has no quarter, or its quarter's power of ten underflows to 0
+    power = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
+    if not power > 0.0:
         raise ValueError(f"cannot place ticks on a span of {span!r}")
-    power = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0):
         if mult * power >= raw:
             return mult * power

@@ -33,8 +33,8 @@ from ecolab import (
     Trajectory,
     validate_scenario,
 )
-from ecolab.analysis import _as_classical_pair
-from ecolab.continuous import _RK45_STEP_BUDGET, DIVERGENCE_LIMIT
+from ecolab.analysis import _as_classical_pair, _split_path
+from ecolab.continuous import _RK45_STEP_BUDGET, DIVERGENCE_LIMIT, ContinuumParams, continuum_interaction
 from ecolab.core import METHODS, TROPHIC_KINDS
 from ecolab.selection import TRAIT_NAMES, SelectionState, _vector3
 from ecolab.svg import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, PALETTE, WIDTH, _fmt, _nice_step
@@ -163,6 +163,19 @@ def binomial_band(n_runs: int, p: float, tail: float) -> tuple[int, int]:
         above += pmf[high]
         high -= 1
     return low, high
+
+
+# Competition at rates of 1e200: Newton's residual norms overflow to inf.
+HUGE_RATES = {
+    "kind": "community",
+    "species": [
+        {"id": "a", "role": "producer", "growth_rate": 1e200, "self_limitation": 1e200},
+        {"id": "b", "role": "producer", "growth_rate": 1e200, "self_limitation": 1e200},
+    ],
+    "interactions": [{"species_i": "a", "species_j": "b", "kind": "competition", "coeff_i": 1e200, "coeff_j": 1e200}],
+    "initial_densities": {"a": 1.0, "b": 1.0},
+    "horizon": 1.0,
+}
 
 
 _RATES = st.floats(0.0, 2.0)
@@ -520,6 +533,103 @@ def reference_find_fixed_points(
         warnings.warn("Newton iteration did not converge from any starting point", stacklevel=2)
     roots.sort(key=lambda r: tuple(r))
     return roots
+
+
+# Reference parameter edit: the case-by-case set_parameter that
+# ecolab.analysis replaced with edits of the document form, kept verbatim
+# but for its name, so an equivalence test can compare the two.
+
+
+def reference_set_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
+    """Functionally update one named parameter of a scenario.
+
+    Paths:
+        horizon
+        species.<id>.growth_rate | self_limitation | trophic_level
+        initial.<id>
+        interaction.<i>:<j>.alpha | base_strength (continuum entries)
+        interaction.<i>:<j>.coeff_i | coeff_j (any other entry)
+        interaction.<i>:<j>.response.rate | handling | saturation (predation, parasitism)
+    """
+    parts = _split_path(path)
+    head = parts[0]
+    if head == "horizon" and len(parts) == 1:
+        return replace(scenario, horizon=float(value))
+    if head == "species" and len(parts) == 3:
+        _, sp_id, field_name = parts
+        if field_name in ("growth_rate", "self_limitation", "trophic_level"):
+            found = False
+            species = []
+            for sp in scenario.species:
+                if sp.id == sp_id:
+                    found = True
+                    cast = int if field_name == "trophic_level" else float
+                    sp = replace(sp, **{field_name: cast(value)})
+                species.append(sp)
+            if found:
+                return replace(scenario, species=tuple(species))
+            raise ValueError(f"unresolvable parameter path '{path}': no species '{sp_id}'")
+    if head == "initial" and len(parts) == 2:
+        sp_id = parts[1]
+        if sp_id not in scenario.initial_densities:
+            raise ValueError(f"unresolvable parameter path '{path}': no species '{sp_id}'")
+        densities = dict(scenario.initial_densities)
+        densities[sp_id] = float(value)
+        return replace(scenario, initial_densities=densities)
+    if head == "interaction" and len(parts) >= 3:
+        pair = parts[1].split(":")
+        if len(pair) != 2:
+            raise ValueError(f"unresolvable parameter path '{path}': expected interaction.<i>:<j>")
+        entries = []
+        found = False
+        for entry in scenario.interactions:
+            if {entry.species_i, entry.species_j} == set(pair):
+                found = True
+                entry = _reference_update_entry(scenario, entry, parts[2:], float(value), path)
+            entries.append(entry)
+        if found:
+            return replace(scenario, interactions=tuple(entries))
+        raise ValueError(f"unresolvable parameter path '{path}': no entry for pair {parts[1]}")
+    raise ValueError(
+        f"unresolvable parameter path '{path}' "
+        "(roots: horizon, species.<id>, initial.<id>, interaction.<i>:<j>)"
+    )
+
+
+def _reference_update_entry(
+    scenario: Scenario,
+    entry: InteractionSpec,
+    fields: list[str],
+    value: float,
+    path: str,
+) -> InteractionSpec:
+    dial = fields in (["alpha"], ["base_strength"])
+    if dial and entry.continuum_alpha is not None:
+        alpha = value if fields == ["alpha"] else entry.continuum_alpha
+        strength = value if fields == ["base_strength"] else entry.continuum_strength
+        params = ContinuumParams(
+            alpha=alpha,
+            base_strength=strength,
+            self_limitation_i=scenario.species_by_id(entry.species_i).self_limitation,
+            self_limitation_j=scenario.species_by_id(entry.species_j).self_limitation,
+        )
+        return continuum_interaction(entry.species_i, entry.species_j, params)
+    # a continuum entry's document form is its dial, which a coefficient edit would not update
+    if entry.continuum_alpha is not None:
+        reason = ": entry is a continuum interaction (alpha, base_strength)"
+    elif dial:
+        reason = ": entry is not a continuum interaction"
+    elif fields in (["coeff_i"], ["coeff_j"]):
+        return replace(entry, **{fields[0]: value})
+    elif len(fields) != 2 or fields[0] != "response":
+        reason = ""
+    elif entry.kind not in TROPHIC_KINDS:
+        reason = f": {entry.kind.value} entries have no response"
+    elif hasattr(entry.response, fields[1]):
+        return replace(entry, response=replace(entry.response, **{fields[1]: value}))
+    else:
+        reason = f": response has no field '{fields[1]}'"
+    raise ValueError(f"unresolvable parameter path '{path}'{reason}")
 
 
 def saturating_chain_scenario(method="rk4_fixed") -> Scenario:

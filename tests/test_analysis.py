@@ -11,7 +11,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ecolab import (
     Classification,
+    InteractionKind,
+    InteractionSpec,
+    LinearResponse,
     LotkaVolterraParams,
+    ParseError,
+    Role,
+    Scenario,
+    SpeciesSpec,
     analyze_scenario,
     classify,
     find_fixed_points,
@@ -28,8 +35,11 @@ from ecolab import (
     sweep_epidemic,
 )
 from ecolab import EpidemicModel, complete_graph
-from ecolab.demos import demo_document
+from ecolab.analysis import _as_classical_pair, _newton_starts
+from ecolab.core import TROPHIC_KINDS
+from ecolab.demos import DEMO_NAMES, demo_document
 from helpers import (
+    HUGE_RATES,
     chain_equilibrium_oracle,
     chain_scenario,
     community_scenarios,
@@ -37,6 +47,8 @@ from helpers import (
     reference_community_rhs,
     reference_find_fixed_points,
     reference_jacobian_of,
+    reference_set_parameter,
+    saturating_chain_scenario,
     single_species,
 )
 
@@ -215,8 +227,21 @@ class TestSetParameter:
         assert (entry.coeff_i, entry.coeff_j) == (0.5, 0.5)
 
     def test_alpha_on_plain_entry_fails(self):
-        with pytest.raises(ValueError, match="continuum"):
+        # only a continuum entry's document form holds the dial
+        message = ("unresolvable parameter path 'interaction.pred:prey.alpha': interaction pred:prey "
+                   "has no number 'alpha' (its numbers: coeff_i, response.rate)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             set_parameter(predation_scenario(), "interaction.pred:prey.alpha", 0.0)
+
+    @pytest.mark.parametrize("path, value, message", [
+        ("interaction.attacker:victim.alpha", 2.0, "interaction attacker:victim: alpha must lie in [-1, 1], got 2.0"),
+        ("interaction.victim:attacker.base_strength", math.inf,
+         "interaction victim:attacker.base_strength: must be finite"),
+    ])
+    def test_bad_entry_value_gets_the_document_message(self, path, value, message):
+        # the edited entry is read back like a document entry, labelled with the path's pair
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            set_parameter(demo_document("arms-race"), path, value)
 
     def test_unresolvable_paths(self):
         for path in ("nope", "species.ghost.growth_rate", "interaction.a:b.coeff_i", "initial.ghost"):
@@ -228,24 +253,34 @@ class TestSetParameter:
 
     @pytest.mark.parametrize("field", ["coeff_i", "coeff_j"])
     def test_interaction_coefficient(self, field):
+        # a predation entry's document form has the predator's coeff_i; the prey's loss is the response
         scenario = predation_scenario()
-        updated = set_parameter(scenario, f"interaction.prey:pred.{field}", 0.75)
+        path = f"interaction.prey:pred.{field}"
+        if field == "coeff_j":
+            message = (f"unresolvable parameter path '{path}': interaction prey:pred has no number 'coeff_j' "
+                       "(its numbers: coeff_i, response.rate)")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                set_parameter(scenario, path, 0.75)
+            return
+        updated = set_parameter(scenario, path, 0.75)
         assert updated.interactions[0] == replace(scenario.interactions[0], **{field: 0.75})
         assert updated.species == scenario.species
 
     @pytest.mark.parametrize("path, reason", [
         ("interaction.pred.coeff_i", ": expected interaction.<i>:<j>"),
-        ("interaction.pred:prey.response.handling", ": response has no field 'handling'"),
-        ("interaction.pred:prey.response", ""),
-        ("interaction.pred:prey.nope", ""),
+        *((f"interaction.pred:prey.{field}",
+           f": interaction pred:prey has no number '{field}' (its numbers: coeff_i, response.rate)")
+          for field in ("response.handling", "response", "nope")),
     ])
     def test_unresolvable_interaction_paths(self, path, reason):
         with pytest.raises(ValueError, match=f"^{re.escape(f'unresolvable parameter path {path!r}{reason}')}$"):
             set_parameter(predation_scenario(), path, 1.0)
 
     @pytest.mark.parametrize("path, reason", [
-        ("interaction.a:c.response.rate", ": competition entries have no response"),
-        *((f"interaction.c:d.{field}", ": entry is a continuum interaction (alpha, base_strength)")
+        ("interaction.a:c.response.rate",
+         ": interaction a:c has no number 'response.rate' (its numbers: coeff_i, coeff_j)"),
+        *((f"interaction.c:d.{field}",
+           f": interaction c:d has no number '{field}' (its numbers: alpha, base_strength)")
           for field in ("coeff_i", "coeff_j", "response.rate")),
     ])
     def test_fields_the_document_does_not_carry_are_unresolvable(self, path, reason):
@@ -290,6 +325,61 @@ _EVERY_ENTRY_FORM = parse_scenario(json.dumps({
     "initial_densities": {"a": 5.0, "b": 1.0, "c": 3.0, "d": 2.0},
     "horizon": 10.0,
 }))
+
+
+# Paths to try on a scenario: every number of its document form, fields that
+# form does not carry, and names that resolve to nothing.
+_SPECIES_FIELDS = ("growth_rate", "self_limitation", "trophic_level", "id", "name", "role", "nope", "growth_rate.x")
+_ENTRY_FIELDS = (
+    "coeff_i", "coeff_j", "alpha", "base_strength", "kind", "species_i", "response", "response.type",
+    "response.rate", "response.handling", "response.saturation", "response.rate.x", "nope",
+)
+
+
+def _candidate_paths(scenario):
+    paths = ["horizon", "horizon.x", "nope", "species.ghost", "initial", "interaction.ghost", "species..x",
+             "species.ghost.growth_rate", "initial.ghost", "interaction.ghost:x.coeff_i", "interaction.x.coeff_i"]
+    for sp in scenario.species:
+        paths.append(f"initial.{sp.id}")
+        paths.extend(f"species.{sp.id}.{field}" for field in _SPECIES_FIELDS)
+    for entry in scenario.interactions:
+        for pair in (f"{entry.species_i}:{entry.species_j}", f"{entry.species_j}:{entry.species_i}"):
+            paths.extend(f"interaction.{pair}.{field}" for field in _ENTRY_FIELDS)
+    return paths
+
+
+def _edit_or_none(edit, scenario, path, value):
+    try:
+        return edit(scenario, path, value)
+    except ValueError:
+        return None
+
+
+def _assert_edits_match_reference(scenario):
+    """set_parameter accepts what the reference accepts, with an equal result, but coeff_j on a trophic entry."""
+    for path in _candidate_paths(scenario):
+        for value in (0.3, -0.5, 2.0):
+            want = _edit_or_none(reference_set_parameter, scenario, path, value)
+            got = _edit_or_none(set_parameter, scenario, path, value)
+            if want is None or got is not None:
+                assert got == want, (path, value)
+                continue
+            # the one edit the document form cannot hold: a predation or parasitism entry has no coeff_j
+            pair = set(path.split(".")[1].split(":"))
+            entry = next(e for e in scenario.interactions if {e.species_i, e.species_j} == pair)
+            assert path.endswith(".coeff_j") and entry.kind in TROPHIC_KINDS, (path, value)
+
+
+def test_edits_match_the_reference_on_every_entry_form_and_demo():
+    demos = [demo_document(name) for name in DEMO_NAMES if name != "mimicry"]
+    for scenario in (_EVERY_ENTRY_FORM, *(d for d in demos if isinstance(d, Scenario)), saturating_chain_scenario()):
+        _assert_edits_match_reference(scenario)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(community_scenarios())
+def test_edits_match_the_reference(scenario):
+    _assert_edits_match_reference(scenario)
 
 
 # Both sweeps share their grid checks.
@@ -457,12 +547,76 @@ def test_float_newton_matches_reference_on_demos():
 @given(community_scenarios())
 def test_the_origin_is_always_a_fixed_point(scenario):
     # every term of the derivative carries a density factor, so the origin
-    # start converges whatever the rates; huge rates overflow Newton's norms
-    with np.errstate(over="ignore", invalid="ignore"):
-        roots = find_fixed_points(scenario)
+    # start converges whatever the rates
+    roots = find_fixed_points(scenario)
     assert any(not root.any() for root in roots)
 
 
 def test_extra_start_of_the_wrong_length_is_rejected():
     with pytest.raises(ValueError, match="extra start"):
         find_fixed_points(chain_scenario(), extra_starts=[[1.0, 2.0]])
+
+
+def _seven_species() -> Scenario:
+    """A chain of producers competing in pairs, every third species a consumer eating the one before."""
+    species, entries = [], []
+    for k in range(7):
+        consumer = k % 3 == 2
+        species.append(SpeciesSpec(
+            id=f"s{k}",
+            role=Role.CONSUMER if consumer else Role.PRODUCER,
+            trophic_level=1 if consumer else 0,
+            growth_rate=0.3 + 0.1 * k,
+            self_limitation=0.0 if consumer else 0.1 + 0.02 * k,
+        ))
+        if k == 0:
+            continue
+        if consumer:
+            entries.append(InteractionSpec(f"s{k}", f"s{k - 1}", InteractionKind.PREDATION, coeff_i=0.3,
+                                           response=LinearResponse(0.2)))
+        else:
+            entries.append(InteractionSpec(f"s{k - 1}", f"s{k}", InteractionKind.COMPETITION, coeff_i=0.05,
+                                           coeff_j=0.04))
+    return Scenario(tuple(species), tuple(entries), {sp.id: 1.0 + k for k, sp in enumerate(species)}, horizon=10.0)
+
+
+def _predation_with(prey=(), pred=(), **entry_fields) -> Scenario:
+    """predation_scenario() with fields of the prey, the predator and the entry replaced."""
+    scenario = predation_scenario()
+    return replace(
+        scenario,
+        species=(replace(scenario.species[0], **dict(prey)), replace(scenario.species[1], **dict(pred))),
+        interactions=(replace(scenario.interactions[0], **entry_fields),),
+    )
+
+
+@pytest.mark.parametrize("scenario", [
+    _seven_species(),
+    # what _as_classical_pair hands back to Newton: a producer as aggressor, a rate or a conversion of 0,
+    # and a growth rate <= 0
+    _predation_with(pred={"role": Role.PRODUCER, "trophic_level": 0}),
+    _predation_with(response=LinearResponse(0.0)),
+    _predation_with(coeff_i=0.0),
+    _predation_with(pred={"growth_rate": -0.5}),
+    _predation_with(prey={"growth_rate": 0.0}),
+], ids=["seven-species", "producer-aggressor", "rate-0", "conversion-0", "decline-negative", "prey-growth-0"])
+def test_newton_fallbacks_match_reference(scenario):
+    assert _as_classical_pair(scenario) is None
+    if len(scenario.species) > 6:
+        # past 6 species Newton starts only from the origin, the initial state and the guesses
+        assert len(_newton_starts(scenario)) == 3
+    got = find_fixed_points(scenario)
+    want = reference_find_fixed_points(scenario)
+    assert len(got) == len(want) > 0
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_overflowing_norms_find_the_reference_roots_without_a_warning():
+    scenario = parse_scenario(json.dumps(HUGE_RATES))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = find_fixed_points(scenario)
+    with np.errstate(over="ignore"):
+        want = reference_find_fixed_points(scenario)
+    assert len(got) == len(want) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))

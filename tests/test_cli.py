@@ -9,6 +9,7 @@ import pytest
 from ecolab import cli_main, iterate_selection, parse_scenario, read_csv, serialize_scenario
 from ecolab.demos import DEMO_NAMES, demo_document
 from ecolab.selection import TRAIT_NAMES
+from helpers import HUGE_RATES
 
 
 def run_cli(*argv) -> int:
@@ -238,6 +239,19 @@ def test_stability_reports_center_like(tmp_path, capsys):
     assert "fixed point" in out
 
 
+def test_stability_on_overflowing_rates_prints_no_warning(tmp_path, capsys):
+    # Newton's residual norms overflow to inf, which fails every comparison without a numpy warning
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_RATES))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("stability", str(path)) == 0
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("fixed point") == 3
+
+
 def test_stability_takes_no_seed(tmp_path, capsys):
     # the analysis draws no random numbers, so a seed would be accepted and do nothing
     path = tmp_path / "lv.json"
@@ -329,13 +343,27 @@ def test_sweep_has_no_svg_option(tmp_path, capsys):
       "--metric", "final:nope"), "unknown species 'nope' in metric 'final:nope'"),
     (("run", "{lv}", "--csv", "{missing}/a.csv"), "[Errno 2] No such file or directory: '{missing}/a.csv'"),
     (("run", "{lv}", "--svg", "{missing}/a.svg"), "[Errno 2] No such file or directory: '{missing}/a.svg'"),
+    (("sweep", "{sel}", "--param", "beta", "--from", "0.1", "--to", "0.2", "--points", "2"),
+     "sweep supports community and epidemic documents"),
+    (("sweep", "{epi}", "--param", "beta", "--from", "0.1", "--to", "0.2", "--points", "2", "--metric", "final:0"),
+     "epidemic sweeps always report the persistence metric"),
+    (("sweep", "{lv}", "--param", "initial.prey", "--from", "20", "--to", "30", "--points", "2",
+      "--metric", "bogus"), "unknown metric 'bogus' (community sweeps support final:<species_id>)"),
+    (("stability", "{epi}"), "stability analysis needs a community document"),
+    (("sweep", "{lv}", "--param", "interaction.predator:prey.coeff_j", "--from", "0", "--to", "1", "--points", "2"),
+     "unresolvable parameter path 'interaction.predator:prey.coeff_j': interaction predator:prey has no number "
+     "'coeff_j' (its numbers: coeff_i, response.rate)"),
 ], ids=["run-no-species", "stability-no-species", "unknown-metric-species", "csv-in-missing-dir",
-        "svg-in-missing-dir"])
+        "svg-in-missing-dir", "sweep-selection", "sweep-epidemic-metric", "sweep-unknown-metric",
+        "stability-epidemic", "sweep-predation-coeff_j"])
 def test_input_errors_exit_1_with_a_fixed_message(tmp_path, capsys, argv, message):
-    paths = {"empty": tmp_path / "empty.json", "lv": tmp_path / "lv.json", "missing": tmp_path / "missing"}
+    paths = {name: tmp_path / f"{name}.json" for name in ("empty", "lv", "sel", "epi")}
+    paths["missing"] = tmp_path / "missing"
     paths["empty"].write_text('{"kind": "community", "species": [], "interactions": [], '
                               '"initial_densities": {}, "horizon": 1}')
     paths["lv"].write_text(serialize_scenario(demo_document("lv-classic")))
+    paths["sel"].write_text(json.dumps(RUNAWAY_SELECTION))
+    paths["epi"].write_text(json.dumps(K20_EPIDEMIC))
     assert run_cli(*(arg.format(**paths) for arg in argv)) == 1
     assert capsys.readouterr() == ("", f"error: {message.format(**paths)}\n")
 

@@ -28,13 +28,17 @@ def test_two_runs_print_the_same_lines():
         "run lv-classic.json --csv missing/run.csv",
         "sweep lv-classic.json --param initial.prey --from 20 --to 30 --points 2 --metric final:nope",
         "sweep lv-classic.json --param initial.prey --from 20 --to 30 --points 2 --svg sweep.svg",
+        "sweep lv-classic.json --param interaction.predator:prey.coeff_j --from 0 --to 1 --points 2",
+        "sweep selection.json --param beta --from 0.1 --to 0.2 --points 2",
+        "stability malware-epidemic.json",
     }
+    assert len(commands) == 42
     written = [line for line in first if line.split("\t")[1] not in ("stdout", "stderr", "exit")]
     # CSV and SVG of 5 demos and 9 runs, and the three sweeps' CSVs; a failed run writes nothing
     assert len(written) == 2 * (5 + 9) + 3
     assert {"run sir-epidemic.json --csv run-sir-epidemic.csv --svg run-sir-epidemic.svg",
             "run extinction.json --csv run-extinction.csv --svg run-extinction.svg",
-            "stability extinction.json"} <= commands
+            "stability extinction.json", "stability huge-rates.json"} <= commands
 
 
 def test_warning_locations_are_masked():

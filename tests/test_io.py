@@ -341,8 +341,10 @@ class TestSvg:
             ([-1e308, 1e308], [1.0, 2.0], "span that overflows"),
             ([0.0, 1.0], [1e17, 1e17], "zero-width y range"),
             ([0.0, 5e-324], [1.0, 2.0], "span of 5e-324"),
+            ([0.0, 1e-323, 2e-323], [1.0, 2.0, 3.0], "span of 2e-323"),
         ],
-        ids=["nan", "inf", "constant-x", "y-overflow", "x-overflow", "constant-huge-y", "subnormal-x"],
+        ids=["nan", "inf", "constant-x", "y-overflow", "x-overflow", "constant-huge-y", "subnormal-x",
+             "subnormal-x-step"],
     )
     def test_degenerate_charts_raise_value_error(self, xs, ys, message):
         with pytest.raises(ValueError, match=message):

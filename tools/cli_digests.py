@@ -15,9 +15,11 @@ one `sweep` of the dying predator's conversion efficiency, one epidemic
 `--empirical`, and the error paths of a missing file, bad JSON, a
 negative `--bisections`, a covariance whose symmetrized sum overflows, a
 selection run whose means overflow, a community with no species, a CSV
-path in a missing directory, a sweep metric naming no species and a
-sweep given `--svg`. For each command it prints one line per stdout,
-stderr, exit code and written file:
+path in a missing directory, a sweep metric naming no species, a
+sweep given `--svg`, `stability` on a competition pair with rates of
+1e200, a sweep of `coeff_j` on a predation entry (which has none), and
+`sweep` on a selection and `stability` on an epidemic document. For each
+command it prints one line per stdout, stderr, exit code and written file:
 
     <command>  <what>  <sha256>
 
@@ -77,6 +79,17 @@ EXTINCTION = {
     "horizon": 20.0,
 }
 
+# competition at rates of 1e200: Newton's residual norms overflow to inf
+HUGE_RATES = {
+    "kind": "community",
+    "species": [
+        {"id": "a", "role": "producer", "growth_rate": 1e200, "self_limitation": 1e200},
+        {"id": "b", "role": "producer", "growth_rate": 1e200, "self_limitation": 1e200},
+    ],
+    "interactions": [{"species_i": "a", "species_j": "b", "kind": "competition", "coeff_i": 1e200, "coeff_j": 1e200}],
+    "initial_densities": {"a": 1.0, "b": 1.0},
+    "horizon": 1.0,
+}
 NO_SPECIES = {"kind": "community", "species": [], "interactions": [], "initial_densities": {}, "horizon": 1}
 
 
@@ -195,6 +208,13 @@ def digest_lines() -> list[str]:
                         "--points", "2")
             record(*lv_sweep, "--metric", "final:nope")
             record(*lv_sweep, "--svg", "sweep.svg")
+            with open("huge-rates.json", "w", encoding="utf-8") as handle:
+                json.dump(HUGE_RATES, handle)
+            record("stability", "huge-rates.json")
+            record("sweep", "lv-classic.json", "--param", "interaction.predator:prey.coeff_j", "--from", "0",
+                   "--to", "1", "--points", "2")
+            record("sweep", "selection.json", "--param", "beta", "--from", "0.1", "--to", "0.2", "--points", "2")
+            record("stability", "malware-epidemic.json")
         finally:
             os.chdir(cwd)
     return lines
