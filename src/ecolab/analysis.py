@@ -18,6 +18,7 @@ from .core import (
     validate_scenario,
 )
 from .continuous import _all_finite, community_rhs, integrate_report
+from .epidemic import EpidemicModel, persistence_fraction, run_seed
 from .scenario_io import _entry_to_json, _parse_entry, _record_json
 
 __all__ = [
@@ -493,7 +494,7 @@ def sweep(
 
 
 def sweep_epidemic(
-    model,
+    model: EpidemicModel,
     parameter_path: str,
     grid: Sequence[float],
     horizon: float,
@@ -506,8 +507,6 @@ def sweep_epidemic(
     infection alive at the horizon; classifications do not apply, so the
     report never contains transitions.
     """
-    from .epidemic import EpidemicModel, persistence_fraction, run_seed
-
     if not isinstance(model, EpidemicModel):
         raise TypeError("sweep_epidemic expects an EpidemicModel")
     if parameter_path not in ("beta", "gamma"):

@@ -8,6 +8,8 @@ byte-identical for identical inputs, seeds and flags.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import sys
 import tempfile
@@ -100,9 +102,7 @@ def _run_document(document: Document, args) -> None:
         else:
             summary = f"infection extinct at t={trajectory.extinction_time:.4g}"
     elif isinstance(document, SelectionBundle):
-        trajectory = iterate_selection(
-            document.initial_state(), document.steps, natural=document.natural, sexual=document.sexual
-        )
+        trajectory = iterate_selection(document.state, document.steps)
         title, final_label = "trait means", "final trait means"
     elif isinstance(document, DiscreteBundle):
         trajectory = iterate_map(
@@ -176,6 +176,8 @@ def _community_metric(spec: str, document: Scenario):
 
 def _cmd_sweep(args) -> int:
     document = _load_document(args.file)
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise ValueError(f"sweep bounds must be finite, got --from {args.start!r} --to {args.stop!r}")
     grid = np.linspace(args.start, args.stop, args.points)
     if isinstance(document, Scenario):
         metric = _community_metric(args.metric, document) if args.metric else None
@@ -329,9 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (FileNotFoundError, ValueError) as exc:

@@ -80,23 +80,8 @@ class EpidemicBundle:
 
 @dataclass(frozen=True)
 class SelectionBundle:
-    means: tuple[float, float, float]
-    covariance: tuple[float, float, float, float, float, float]
-    natural: GradientSpec
-    sexual: GradientSpec
-    mutation: tuple[float, float, float]
+    state: SelectionState
     steps: int
-
-    def initial_state(self) -> SelectionState:
-        g = make_g_matrix(*self.covariance)
-        means = np.asarray(self.means, dtype=float)
-        return SelectionState(
-            means=means,
-            g_matrix=g,
-            natural_gradient=self.natural(means),
-            sexual_gradient=self.sexual(means),
-            mutation_step=np.asarray(self.mutation, dtype=float),
-        )
 
 
 @dataclass(frozen=True)
@@ -112,7 +97,7 @@ Document = Union[Scenario, EpidemicBundle, SelectionBundle, DiscreteBundle]
 #: The JSON "type" of each functional response.
 _RESPONSES = {"linear": LinearResponse, "holling2": HollingTypeII, "ivlev": IvlevResponse}
 
-#: The keys of SelectionBundle.covariance, in make_g_matrix's argument
+#: The covariance keys of a selection document, in make_g_matrix's argument
 #: order; the three variances are required, the covariances default to 0.
 _COVARIANCE_KEYS = (
     "v_display",
@@ -468,19 +453,14 @@ def _parse_selection(data: dict) -> SelectionBundle:
     steps = _integer(data, "steps", "document", default=100)
     if steps < 0:
         raise ParseError("document.steps: must be >= 0")
-    bundle = SelectionBundle(
-        means=means,
-        covariance=covariance,
-        natural=_parse_gradient(data["natural_gradient"], "document.natural_gradient"),
-        sexual=_parse_gradient(data["sexual_gradient"], "document.sexual_gradient"),
-        mutation=_vector(data, "mutation", "document", 3, default=(0.0, 0.0, 0.0)),
-        steps=steps,
-    )
+    natural = _parse_gradient(data["natural_gradient"], "document.natural_gradient")
+    sexual = _parse_gradient(data["sexual_gradient"], "document.sexual_gradient")
+    mutation = _vector(data, "mutation", "document", 3, default=(0.0, 0.0, 0.0))
     try:
-        bundle.initial_state()
+        state = SelectionState(means, make_g_matrix(*covariance), natural, sexual, mutation)
     except ValueError as exc:
         raise ParseError(f"document: {exc}") from None
-    return bundle
+    return SelectionBundle(state=state, steps=steps)
 
 
 def _parse_discrete(data: dict) -> DiscreteBundle:
@@ -565,6 +545,8 @@ def _epidemic_to_json(bundle: EpidemicBundle) -> dict:
 
 
 def _gradient_to_json(spec: GradientSpec) -> dict:
+    if not isinstance(spec, GradientSpec):
+        raise TypeError(f"a selection document stores GradientSpec gradients, not {spec!r}")
     if spec.type == "constant":
         return {"type": "constant", "value": list(spec.value)}
     return {
@@ -575,12 +557,16 @@ def _gradient_to_json(spec: GradientSpec) -> dict:
 
 
 def _selection_to_json(bundle: SelectionBundle) -> dict:
+    state = bundle.state
+    # g[0, 0], g[1, 1], g[2, 2], g[0, 1], g[0, 2], g[1, 2]: the symmetrized matrix
+    # holds the document's entries, since (x + x) / 2 == x for every finite x
+    covariance = state.g_matrix[(0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2)].tolist()
     return {
-        "means": dict(zip(TRAIT_NAMES, bundle.means)),
-        "covariance": dict(zip(_COVARIANCE_KEYS, bundle.covariance)),
-        "natural_gradient": _gradient_to_json(bundle.natural),
-        "sexual_gradient": _gradient_to_json(bundle.sexual),
-        "mutation": list(bundle.mutation),
+        "means": dict(zip(TRAIT_NAMES, state.means.tolist())),
+        "covariance": dict(zip(_COVARIANCE_KEYS, covariance)),
+        "natural_gradient": _gradient_to_json(state.natural),
+        "sexual_gradient": _gradient_to_json(state.sexual),
+        "mutation": state.mutation_step.tolist(),
         "steps": bundle.steps,
     }
 

@@ -51,20 +51,28 @@ def _vector3(name: str, values) -> np.ndarray:
     return arr
 
 
+def _gradient_sum(natural: GradientFn, sexual: GradientFn, means: np.ndarray) -> np.ndarray:
+    """natural(means) + sexual(means), each checked to hold 3 finite numbers; the sum may overflow."""
+    return _vector3("natural_gradient", natural(means)) + _vector3("sexual_gradient", sexual(means))
+
+
 @dataclass(frozen=True, eq=False)
 class SelectionState:
-    """Trait means, their covariance structure and the current forcing.
+    """Trait means, their covariance structure and the forcing that moves them.
 
     `g_matrix` is the 3x3 trait variance/covariance matrix over
     (display, preference, fitness).  It is symmetrized at construction,
     so supplying only an upper triangle transposed or not gives the same
     state, and must be positive semi-definite up to floating-point noise.
+    `natural` and `sexual` are the selection gradients as functions of
+    the means, a `GradientSpec` or any callable returning 3 numbers; both
+    must be finite at `means`.
     """
 
     means: np.ndarray
     g_matrix: np.ndarray
-    natural_gradient: np.ndarray
-    sexual_gradient: np.ndarray
+    natural: GradientFn
+    sexual: GradientFn
     mutation_step: np.ndarray
 
     def __post_init__(self) -> None:
@@ -82,19 +90,18 @@ class SelectionState:
             raise ValueError(
                 f"g_matrix is not positive semi-definite (min eigenvalue {eigenvalues.min():.3e})"
             )
+        with np.errstate(over="ignore", invalid="ignore"):
+            _gradient_sum(self.natural, self.sexual, means)
         g.flags.writeable = False
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "g_matrix", g)
-        object.__setattr__(self, "natural_gradient", _vector3("natural_gradient", self.natural_gradient))
-        object.__setattr__(self, "sexual_gradient", _vector3("sexual_gradient", self.sexual_gradient))
         object.__setattr__(self, "mutation_step", _vector3("mutation_step", self.mutation_step))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SelectionState):
             return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f), getattr(other, f))
-            for f in ("means", "g_matrix", "natural_gradient", "sexual_gradient", "mutation_step")
+        return (self.natural, self.sexual) == (other.natural, other.sexual) and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in ("means", "g_matrix", "mutation_step")
         )
 
 
@@ -117,23 +124,20 @@ def make_g_matrix(
     )
 
 
-def _delta(g: np.ndarray, natural: np.ndarray, sexual: np.ndarray, mutation: np.ndarray) -> np.ndarray:
-    return g @ (natural + sexual) + mutation
-
-
 def selection_step(state: SelectionState) -> tuple[np.ndarray, SelectionState]:
     """One generation of the trait-mean recursion.
 
-    delta = G @ (natural_gradient + sexual_gradient) + mutation_step
+    delta = G @ (natural(means) + sexual(means)) + mutation_step
 
     The covariance matrix couples the response across traits: a
     display-preference covariance channels selection on display into a
     correlated shift of preference, which is what fuels runaway dynamics.
-    Returns the mean shift and the advanced state; gradients, covariance
-    and mutation are carried over unchanged.
+    Returns the mean shift and the advanced state, whose means must be
+    finite and whose gradients must be finite there; covariance,
+    gradient functions and mutation are carried over unchanged.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = _delta(state.g_matrix, state.natural_gradient, state.sexual_gradient, state.mutation_step)
+        delta = state.g_matrix @ _gradient_sum(state.natural, state.sexual, state.means) + state.mutation_step
         advanced = replace(state, means=state.means + delta)
     return delta, advanced
 
@@ -176,33 +180,23 @@ def linear_gradient(intercept: Sequence[float], coefficients) -> GradientSpec:
     return GradientSpec(type="linear", intercept=tuple(map(float, base)), matrix=rows)
 
 
-def iterate_selection(
-    state: SelectionState,
-    n_steps: int,
-    natural: GradientFn | None = None,
-    sexual: GradientFn | None = None,
-) -> Trajectory:
-    """Run the recursion, optionally recomputing gradients each step.
+def iterate_selection(state: SelectionState, n_steps: int) -> Trajectory:
+    """Run the recursion, evaluating the state's gradients each generation.
 
-    When `natural`/`sexual` are omitted the state's stored gradient
-    vectors are used as constants.  Returns the trait means of
-    generations 0..n_steps, one column per name in TRAIT_NAMES; they
-    may go negative.  Each generation checks only what changes, the
-    recomputed gradients and then the new means.
+    Returns the trait means of generations 0..n_steps, one column per
+    name in TRAIT_NAMES; they may go negative.  Each generation checks
+    only what changes, the gradients at the current means and then the
+    new means.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    g, mutation = state.g_matrix, state.mutation_step
-    means, natural_now, sexual_now = state.means, state.natural_gradient, state.sexual_gradient
+    g, natural, sexual, mutation = state.g_matrix, state.natural, state.sexual, state.mutation_step
+    means = state.means
     rows = [means]
     # an overflow is reported by the finiteness check of the value it reaches
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(int(n_steps)):
-            if natural is not None:
-                natural_now = _vector3("natural_gradient", natural(means))
-            if sexual is not None:
-                sexual_now = _vector3("sexual_gradient", sexual(means))
-            means = _vector3("means", means + _delta(g, natural_now, sexual_now, mutation))
+            means = _vector3("means", means + (g @ _gradient_sum(natural, sexual, means) + mutation))
             rows.append(means)
     return Trajectory(TRAIT_NAMES, np.arange(len(rows), dtype=float), np.array(rows))
 

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .core import Trajectory
 
 __all__ = ["render_svg", "polyline_chart"]
+
+
+def escape(text: str) -> str:
+    """`text` with "&", ">" and "<" as XML entities, like `xml.sax.saxutils.escape`,
+    whose import would load urllib, http and ssl into every `import ecolab`."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
 
 PALETTE = (
     "#1f77b4",

@@ -978,17 +978,21 @@ def reference_linear_gradient(intercept, coefficients):
     return fn
 
 
-def reference_iterate_selection(state: SelectionState, n_steps: int, natural=None, sexual=None) -> Trajectory:
-    """`ecolab.iterate_selection` through `dataclasses.replace`, with the old step inline."""
+def reference_iterate_selection(state: SelectionState, n_steps: int) -> Trajectory:
+    """`ecolab.iterate_selection` through `dataclasses.replace`, with the old step inline.
+
+    Each generation rebuilds the state with its gradients frozen at the
+    current means, so the constructor re-checks them, and then again with
+    the new means.
+    """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
+    natural, sexual = state.natural, state.sexual
     rows = [state.means.copy()]
     for _ in range(int(n_steps)):
-        if natural is not None:
-            state = replace(state, natural_gradient=natural(state.means))
-        if sexual is not None:
-            state = replace(state, sexual_gradient=sexual(state.means))
-        delta = state.g_matrix @ (state.natural_gradient + state.sexual_gradient) + state.mutation_step
+        natural_now, sexual_now = natural(state.means), sexual(state.means)
+        state = replace(state, natural=lambda _, v=natural_now: v, sexual=lambda _, v=sexual_now: v)
+        delta = state.g_matrix @ (state.natural(state.means) + state.sexual(state.means)) + state.mutation_step
         state = replace(state, means=state.means + delta)
         rows.append(state.means.copy())
     return Trajectory(TRAIT_NAMES, np.arange(len(rows), dtype=float), np.array(rows))

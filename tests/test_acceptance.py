@@ -262,8 +262,8 @@ def test_criterion_09_selection_recursion():
     identity_state = SelectionState(
         means=np.array([1.0, 2.0, 3.0]),
         g_matrix=np.eye(3),
-        natural_gradient=zeros,
-        sexual_gradient=zeros,
+        natural=constant_gradient(zeros),
+        sexual=constant_gradient(zeros),
         mutation_step=zeros,
     )
     delta_zero, _ = selection_step(identity_state)
@@ -272,8 +272,8 @@ def test_criterion_09_selection_recursion():
     forced = SelectionState(
         means=zeros,
         g_matrix=np.eye(3),
-        natural_gradient=np.array([1.0, 0.5, 3.0]),
-        sexual_gradient=np.array([0.0, 1.5, 0.0]),
+        natural=constant_gradient((1.0, 0.5, 3.0)),
+        sexual=constant_gradient((0.0, 1.5, 0.0)),
         mutation_step=np.array([0.1, 0.2, 0.3]),
     )
     delta_identity, _ = selection_step(forced)
@@ -282,18 +282,13 @@ def test_criterion_09_selection_recursion():
     runaway_state = SelectionState(
         means=np.array([1.0, 1.0, 0.0]),
         g_matrix=make_g_matrix(1.0, 1.0, 0.0, c_display_preference=0.9),
-        natural_gradient=zeros,
-        sexual_gradient=zeros,
-        mutation_step=zeros,
-    )
-    history = iterate_selection(
-        runaway_state,
-        100,
         natural=constant_gradient((-0.05, 0.0, 0.0)),
         sexual=linear_gradient(
             (0.0, 0.0, 0.0), [[0.0, 0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
         ),
+        mutation_step=zeros,
     )
+    history = iterate_selection(runaway_state, 100)
     display = history.column("display")
     preference = history.column("preference")
     runaway_ok = bool(np.all(np.diff(display) > 0) and np.all(np.diff(preference) > 0))

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ecolab import cli_main, iterate_selection, parse_scenario, read_csv, serialize_scenario
+from ecolab import cli, cli_main, iterate_selection, parse_scenario, read_csv, serialize_scenario
 from ecolab.demos import DEMO_NAMES, demo_document
 from ecolab.selection import TRAIT_NAMES
 from helpers import HUGE_RATES
@@ -353,9 +353,11 @@ def test_sweep_has_no_svg_option(tmp_path, capsys):
     (("sweep", "{lv}", "--param", "interaction.predator:prey.coeff_j", "--from", "0", "--to", "1", "--points", "2"),
      "unresolvable parameter path 'interaction.predator:prey.coeff_j': interaction predator:prey has no number "
      "'coeff_j' (its numbers: coeff_i, response.rate)"),
+    (("sweep", "{lv}", "--param", "initial.prey", "--from", "1", "--to", "inf", "--points", "2"),
+     "sweep bounds must be finite, got --from 1.0 --to inf"),
 ], ids=["run-no-species", "stability-no-species", "unknown-metric-species", "csv-in-missing-dir",
         "svg-in-missing-dir", "sweep-selection", "sweep-epidemic-metric", "sweep-unknown-metric",
-        "stability-epidemic", "sweep-predation-coeff_j"])
+        "stability-epidemic", "sweep-predation-coeff_j", "sweep-to-inf"])
 def test_input_errors_exit_1_with_a_fixed_message(tmp_path, capsys, argv, message):
     paths = {name: tmp_path / f"{name}.json" for name in ("empty", "lv", "sel", "epi")}
     paths["missing"] = tmp_path / "missing"
@@ -364,8 +366,43 @@ def test_input_errors_exit_1_with_a_fixed_message(tmp_path, capsys, argv, messag
     paths["lv"].write_text(serialize_scenario(demo_document("lv-classic")))
     paths["sel"].write_text(json.dumps(RUNAWAY_SELECTION))
     paths["epi"].write_text(json.dumps(K20_EPIDEMIC))
-    assert run_cli(*(arg.format(**paths) for arg in argv)) == 1
+    with warnings.catch_warnings():
+        # the message is the whole of stderr: no numpy warning may come before it
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(*(arg.format(**paths) for arg in argv)) == 1
     assert capsys.readouterr() == ("", f"error: {message.format(**paths)}\n")
+
+
+def test_calls_in_one_process_parse_their_own_argv(tmp_path, capsys):
+    # cli_main builds its parser once; no call may see what an earlier one parsed
+    path = tmp_path / "lv.json"
+    path.write_text(serialize_scenario(demo_document("lv-classic")))
+    argvs = [
+        ["run", str(path), "--quiet", "--csv", str(tmp_path / "a.csv")],
+        ["run", str(path)],
+        ["sweep", str(path), "--param", "initial.prey", "--from", "20", "--to", "30", "--points", "2", "--quiet"],
+        ["stability", str(path)],
+    ]
+    for argv in argvs:
+        assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    assert cli._parser() is cli._parser()
+    assert run_cli(*argvs[0]) == 0
+    assert capsys.readouterr().out == ""
+    assert run_cli(*argvs[1]) == 0
+    assert capsys.readouterr().out.startswith("digest: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "lv.json"]
+
+
+def test_usage_error_matches_a_fresh_parser(capsys):
+    argv = ["sweep", "lv.json", "--param", "initial.prey", "--points", "2"]
+    with pytest.raises(SystemExit) as first:
+        cli_main(argv)
+    once = capsys.readouterr()
+    with pytest.raises(SystemExit) as fresh:
+        cli.build_parser().parse_args(argv)
+    assert first.value.code == fresh.value.code == 2
+    assert once == capsys.readouterr()
+    assert once.out == "" and once.err.endswith("error: the following arguments are required: --from, --to\n")
 
 
 def test_quiet_suppresses_report(tmp_path, capsys):
@@ -499,7 +536,11 @@ RUNAWAY_SELECTION = {
     (dict(RUNAWAY_SELECTION, means=dict(RUNAWAY_SELECTION["means"], preference=1e308),
           sexual_gradient={"type": "linear", "intercept": [0, 0, 0], "matrix": [[0, 10, 0], [0, 0, 0], [0, 0, 0]]}),
      "document: sexual_gradient must be finite"),
-], ids=["means", "covariance", "initial-gradient"])
+    # 1e308 * 10 overflows in the linear natural gradient at the initial means
+    (dict(RUNAWAY_SELECTION, means=dict(RUNAWAY_SELECTION["means"], display=10.0),
+          natural_gradient={"type": "linear", "intercept": [0, 0, 0], "matrix": [[1e308, 0, 0], [0, 0, 0], [0, 0, 0]]}),
+     "document: natural_gradient must be finite"),
+], ids=["means", "covariance", "initial-gradient", "initial-natural-gradient"])
 def test_selection_overflow_reports_only_the_error(tmp_path, capsys, document, message):
     # the finiteness checks name the failure; a numpy warning would add the install path to stderr
     path = tmp_path / "overflow.json"
@@ -539,7 +580,7 @@ def test_signed_selection_run_pinned(tmp_path, capsys):
     assert sha(stdout.encode("utf-8")) == "841b146a5eec16a57a7496f2d63ffb5bed081a8349c512c4fad584f7e89fbfae"
 
     bundle = parse_scenario(path.read_text())
-    history = iterate_selection(bundle.initial_state(), bundle.steps, natural=bundle.natural, sexual=bundle.sexual)
+    history = iterate_selection(bundle.state, bundle.steps)
     table = read_csv(csv.read_text())
     assert table.variable_names == TRAIT_NAMES
     assert table.times.tobytes() == history.times.tobytes()

@@ -24,6 +24,7 @@ def test_two_runs_print_the_same_lines():
         "run bad.json",
         "run covariance-overflow.json --csv run-covariance-overflow.csv --svg run-covariance-overflow.svg",
         "run means-overflow.json --csv run-means-overflow.csv --svg run-means-overflow.svg",
+        "run gradient-overflow.json --csv run-gradient-overflow.csv --svg run-gradient-overflow.svg",
         "run no-species.json",
         "run lv-classic.json --csv missing/run.csv",
         "sweep lv-classic.json --param initial.prey --from 20 --to 30 --points 2 --metric final:nope",
@@ -31,8 +32,9 @@ def test_two_runs_print_the_same_lines():
         "sweep lv-classic.json --param interaction.predator:prey.coeff_j --from 0 --to 1 --points 2",
         "sweep selection.json --param beta --from 0.1 --to 0.2 --points 2",
         "stability malware-epidemic.json",
+        "sweep arms-race.json --param interaction.attacker:victim.alpha --from 1 --to inf --points 2",
     }
-    assert len(commands) == 42
+    assert len(commands) == 44
     written = [line for line in first if line.split("\t")[1] not in ("stdout", "stderr", "exit")]
     # CSV and SVG of 5 demos and 9 runs, and the three sweeps' CSVs; a failed run writes nothing
     assert len(written) == 2 * (5 + 9) + 3

@@ -21,7 +21,9 @@ from ecolab import (
     Role,
     Scenario,
     ScenarioValidationError,
+    SelectionState,
     Trajectory,
+    make_g_matrix,
     parse_scenario,
     read_csv,
     render_svg,
@@ -38,6 +40,7 @@ from ecolab import (
 from ecolab.demos import DEMO_NAMES, demo_document
 from ecolab.scenario_io import CSV_BLOCK_ROWS, DiscreteBundle, EpidemicBundle, GradientSpec, SelectionBundle
 from ecolab.svg import BLOCK_POINTS, MARGIN_LEFT, MARGIN_TOP, PLOT_H, PLOT_W, polyline_chart
+from ecolab.svg import escape as svg_escape
 
 from helpers import reference_polyline_chart, reference_ticks, reference_write_csv
 
@@ -184,9 +187,14 @@ class TestParse:
         }
         bundle = parse_scenario(as_text(payload))
         assert isinstance(bundle, SelectionBundle)
-        state = bundle.initial_state()
-        assert state.g_matrix[0, 1] == 0.9
-        assert state.sexual_gradient[0] == pytest.approx(0.1)
+        assert bundle.state.g_matrix[0, 1] == 0.9
+        assert bundle.state.sexual(bundle.state.means)[0] == pytest.approx(0.1)
+
+    def test_selection_with_a_plain_callable_gradient_has_no_document_form(self):
+        zero = GradientSpec("constant")
+        state = SelectionState(np.zeros(3), np.eye(3), lambda means: np.zeros(3), zero, np.zeros(3))
+        with pytest.raises(TypeError, match="^a selection document stores GradientSpec gradients, not <function"):
+            serialize_scenario(SelectionBundle(state=state, steps=1))
 
     def test_selection_rejects_non_psd(self):
         payload = {
@@ -330,6 +338,13 @@ class TestSvg:
         traj = Trajectory(("alpha<x>",), [0.0, 1.0], [[1.0], [2.0]])
         svg = render_svg(traj)
         assert "alpha&lt;x&gt;" in svg
+
+    @settings(max_examples=500)
+    @given(st.text(alphabet=st.sampled_from("&<>;amplgt \"'x\u00e9\U0001f600")) | st.text())
+    def test_escape_matches_saxutils(self, text):
+        from xml.sax.saxutils import escape as sax_escape  # imported here only: it loads urllib
+
+        assert svg_escape(text) == sax_escape(text)
 
     @pytest.mark.parametrize(
         "xs, ys, message",
@@ -942,14 +957,14 @@ def selections(draw) -> SelectionBundle:
     variances = tuple(
         abs(x) + abs(y) + draw(NON_NEGATIVE) for x, y in ((c_dp, c_df), (c_dp, c_pf), (c_df, c_pf))
     )
-    return SelectionBundle(
+    state = SelectionState(
         means=draw(VECTOR),
-        covariance=variances + (c_dp, c_df, c_pf),
+        g_matrix=make_g_matrix(*variances, c_dp, c_df, c_pf),
         natural=draw(GRADIENTS),
         sexual=draw(GRADIENTS),
-        mutation=draw(VECTOR),
-        steps=draw(st.integers(0, 1000)),
+        mutation_step=draw(VECTOR),
     )
+    return SelectionBundle(state=state, steps=draw(st.integers(0, 1000)))
 
 
 DISCRETES = st.builds(

@@ -24,11 +24,12 @@ ZERO = (0.0, 0.0, 0.0)
 
 
 def make_state(means=ZERO, g=None, natural=ZERO, sexual=ZERO, mutation=ZERO) -> SelectionState:
+    """A state whose gradients are the constant vectors `natural` and `sexual`."""
     return SelectionState(
         means=np.asarray(means, dtype=float),
         g_matrix=np.eye(3) if g is None else np.asarray(g, dtype=float),
-        natural_gradient=np.asarray(natural, dtype=float),
-        sexual_gradient=np.asarray(sexual, dtype=float),
+        natural=constant_gradient(natural),
+        sexual=constant_gradient(sexual),
         mutation_step=np.asarray(mutation, dtype=float),
     )
 
@@ -51,8 +52,7 @@ class TestSelectionStep:
         state = make_state(means=(1.0, 1.0, 0.0), natural=(0.2, 0.0, 0.0))
         delta, advanced = selection_step(state)
         assert np.array_equal(advanced.g_matrix, state.g_matrix)
-        assert np.array_equal(advanced.natural_gradient, state.natural_gradient)
-        assert np.array_equal(advanced.sexual_gradient, state.sexual_gradient)
+        assert advanced.natural is state.natural and advanced.sexual is state.sexual
         assert np.array_equal(advanced.mutation_step, state.mutation_step)
         assert np.array_equal(advanced.means, state.means + delta)
 
@@ -99,10 +99,9 @@ class TestSelectionStep:
 class TestRunaway:
     def test_display_preference_runaway_is_monotone(self):
         g = make_g_matrix(1.0, 1.0, 0.0, c_display_preference=0.9)
-        state = make_state(means=(1.0, 1.0, 0.0), g=g)
         sexual = linear_gradient((0.0, 0.0, 0.0), [[0.0, 0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        natural = constant_gradient((-0.05, 0.0, 0.0))
-        history = iterate_selection(state, 100, natural=natural, sexual=sexual)
+        state = SelectionState(np.array([1.0, 1.0, 0.0]), g, constant_gradient((-0.05, 0.0, 0.0)), sexual, ZERO)
+        history = iterate_selection(state, 100)
         display = history.column("display")
         preference = history.column("preference")
         assert np.all(np.diff(display) > 0)
@@ -113,7 +112,7 @@ class TestRunaway:
         assert history.values.shape == (6, 3)
         assert list(history.times) == [0, 1, 2, 3, 4, 5]
 
-    def test_constant_gradients_from_state_when_omitted(self):
+    def test_constant_gradients_from_the_state(self):
         state = make_state(natural=(0.5, 0.0, 0.0))
         history = iterate_selection(state, 3)
         assert history.column("display")[-1] == pytest.approx(1.5)
@@ -139,8 +138,8 @@ class TestOneCheckPerValue:
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        natural_kind=st.sampled_from(["none", "constant", "linear"]),
-        sexual_kind=st.sampled_from(["none", "constant", "linear"]),
+        natural_kind=st.sampled_from(["constant", "linear"]),
+        sexual_kind=st.sampled_from(["constant", "linear"]),
         n_steps=st.integers(0, 60),
         failure=st.sampled_from(["none", "non-finite gradient", "wrong shape", "means overflow"]),
         failing_side=st.sampled_from(["natural", "sexual", "both"]),
@@ -153,44 +152,57 @@ class TestOneCheckPerValue:
         if failure == "means overflow":
             # about 18 generations of this mutation carry the means past the float limit
             mutation = np.where(rng.random(3) < 0.5, -1e307, 1e307)
-        state = make_state(
-            means=rng.normal(size=3) * (1e300 if failure == "means overflow" else 1.0),
-            g=a @ a.T,
-            natural=rng.normal(size=3),
-            sexual=rng.normal(size=3),
-            mutation=mutation,
-        )
+        means = rng.normal(size=3) * (1e300 if failure == "means overflow" else 1.0)
         args = {kind: (rng.normal(size=3), rng.normal(size=(3, 3)) * 0.5) for kind in ("natural", "sexual")}
         kinds = {"natural": natural_kind, "sexual": sexual_kind}
         bad = np.array([np.inf, 0.0, 0.0]) if failure == "non-finite gradient" else np.array([1.0, 2.0])
 
-        def gradients(constant, linear):
-            chosen = {}
+        def state(constant, linear):
+            # a fresh state, so a failing gradient counts its calls from the constructor's on
+            gradients = {}
             for side, kind in kinds.items():
                 vector, matrix = args[side]
-                fn = {"none": None, "constant": constant(vector), "linear": linear(vector, matrix)}[kind]
+                fn = constant(vector) if kind == "constant" else linear(vector, matrix)
                 if failing_side in (side, "both") and failure in ("non-finite gradient", "wrong shape"):
-                    inner = fn if fn is not None else reference_constant_gradient(getattr(state, f"{side}_gradient"))
-                    fn = fails_after(inner, fail_after, bad)
-                chosen[side] = fn
-            return chosen
+                    fn = fails_after(fn, fail_after, bad)
+                gradients[side] = fn
+            return SelectionState(means, a @ a.T, gradients["natural"], gradients["sexual"], mutation)
 
         with warnings.catch_warnings():
             # the finiteness checks report an overflow; numpy must not warn about it first
             warnings.simplefilter("error", RuntimeWarning)
-            got = self.outcome(lambda: iterate_selection(state, n_steps, **gradients(constant_gradient, linear_gradient)))
-        reference = gradients(reference_constant_gradient, reference_linear_gradient)
+            got = self.outcome(lambda: iterate_selection(state(constant_gradient, linear_gradient), n_steps))
+        reference = (reference_constant_gradient, reference_linear_gradient)
         with np.errstate(all="ignore"):
-            expected = self.outcome(lambda: reference_iterate_selection(state, n_steps, **reference))
+            expected = self.outcome(lambda: reference_iterate_selection(state(*reference), n_steps))
         assert got == expected
 
+    def test_a_state_checks_its_gradients_at_its_means(self):
+        overflowing = linear_gradient(ZERO, [[1e308, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        zero = constant_gradient(ZERO)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^natural_gradient must be finite$"):
+                SelectionState((10.0, 0.0, 0.0), np.eye(3), overflowing, zero, ZERO)
+            with pytest.raises(ValueError, match="^sexual_gradient must have exactly 3 entries"):
+                SelectionState(ZERO, np.eye(3), zero, lambda means: means[:2], ZERO)
+            # display 0.5 moves to about 5e307, where the gradient overflows: the advanced
+            # state cannot be built, while a one-generation run never evaluates it there
+            state = SelectionState((0.5, 0.0, 0.0), np.eye(3), overflowing, zero, ZERO)
+            with pytest.raises(ValueError, match="^natural_gradient must be finite$"):
+                selection_step(state)
+            assert iterate_selection(state, 1).values[1, 0] == 0.5 + 5e307
+            with pytest.raises(ValueError, match="^natural_gradient must be finite$"):
+                iterate_selection(state, 2)
+
     def test_a_run_makes_no_eigen_decomposition(self, monkeypatch):
-        state = make_state(g=make_g_matrix(1.0, 1.0, 0.5, c_display_preference=0.9), natural=(0.1, 0.0, 0.0))
+        g = make_g_matrix(1.0, 1.0, 0.5, c_display_preference=0.9)
+        sexual = linear_gradient(ZERO, [[0.0, 0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        state = SelectionState(ZERO, g, constant_gradient((-0.05, 0.0, 0.0)), sexual, ZERO)
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(g) or eigvalsh(g))
-        sexual = linear_gradient(ZERO, [[0.0, 0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        history = iterate_selection(state, 100, natural=constant_gradient((-0.05, 0.0, 0.0)), sexual=sexual)
+        history = iterate_selection(state, 100)
         assert len(history.times) == 101
         assert calls == []
 

@@ -14,11 +14,13 @@ one `sweep` of the dying predator's conversion efficiency, one epidemic
 `sweep` over beta, `threshold` on the malware demo with and without
 `--empirical`, and the error paths of a missing file, bad JSON, a
 negative `--bisections`, a covariance whose symmetrized sum overflows, a
-selection run whose means overflow, a community with no species, a CSV
-path in a missing directory, a sweep metric naming no species, a
-sweep given `--svg`, `stability` on a competition pair with rates of
-1e200, a sweep of `coeff_j` on a predation entry (which has none), and
-`sweep` on a selection and `stability` on an epidemic document. For each
+selection run whose means overflow, a selection document whose linear
+natural gradient overflows at its initial means, a community with no
+species, a CSV path in a missing directory, a sweep metric naming no
+species, a sweep given `--svg`, `stability` on a competition pair with
+rates of 1e200, a sweep of `coeff_j` on a predation entry (which has
+none), `sweep` on a selection and `stability` on an epidemic document,
+and a sweep to `--to inf`. For each
 command it prints one line per stdout, stderr, exit code and written file:
 
     <command>  <what>  <sha256>
@@ -195,6 +197,13 @@ def digest_lines() -> list[str]:
             overflows = {
                 "covariance-overflow": dict(selection, covariance=covariance),
                 "means-overflow": dict(selection, steps=100000),
+                # 1e308 * 10 is inf: the document fails before its run starts
+                "gradient-overflow": dict(
+                    selection,
+                    means=dict(selection["means"], display=10.0),
+                    natural_gradient={"type": "linear", "intercept": [0, 0, 0],
+                                      "matrix": [[1e308, 0, 0], [0, 0, 0], [0, 0, 0]]},
+                ),
             }
             for name, document in overflows.items():
                 with open(f"{name}.json", "w", encoding="utf-8") as handle:
@@ -215,6 +224,8 @@ def digest_lines() -> list[str]:
                    "--to", "1", "--points", "2")
             record("sweep", "selection.json", "--param", "beta", "--from", "0.1", "--to", "0.2", "--points", "2")
             record("stability", "malware-epidemic.json")
+            record("sweep", "arms-race.json", "--param", "interaction.attacker:victim.alpha", "--from", "1",
+                   "--to", "inf", "--points", "2")
         finally:
             os.chdir(cwd)
     return lines
