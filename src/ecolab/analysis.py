@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .core import (
     InteractionKind,
@@ -47,6 +49,9 @@ _CLASSIFY_TOL = 1e-7
 _RESIDUAL_TOL = 1e-10
 _DEDUPE_TOL = 1e-8
 _MAX_ITERATIONS = 50
+#: np.linalg.solve's own errstate around its gufunc, but for a singular matrix,
+#: which raises FloatingPointError where np.linalg.solve raises LinAlgError.
+_SOLVE_ERRSTATE = {"invalid": "raise", "over": "ignore", "divide": "ignore", "under": "ignore"}
 
 
 class Classification(str, Enum):
@@ -182,37 +187,46 @@ def _newton_starts(scenario: Scenario) -> list[list[float]]:
     return starts
 
 
+def _norm(values: list[float]) -> float:
+    """np.linalg.norm(values) of a float list: the same dot, without the wrapper."""
+    a = np.array(values)
+    return math.sqrt(a.dot(a))
+
+
 def _newton(rhs, x: list[float]) -> tuple[list[float], bool]:
     """Damped Newton from x: the last iterate and whether its residual norm is below _RESIDUAL_TOL.
 
     Each iteration solves J step = -f(x) with the central-difference
     Jacobian (fd_step 1e-7) and halves the step, down to 1e-4 of it,
     until the residual norm drops.  Stops early once the norm is below
-    _RESIDUAL_TOL * 1e-2.
+    _RESIDUAL_TOL * 1e-2.  The solve is np.linalg.solve's own gufunc,
+    `solve1`, called without the wrapper; a singular Jacobian ends the
+    iteration, as do a non-finite derivative and a failed line search.
     """
-    for _ in range(_MAX_ITERATIONS):
-        fx = rhs(x)
-        if not _all_finite(fx):
-            break
-        norm = np.linalg.norm(fx)
-        if norm < _RESIDUAL_TOL * 1e-2:
-            return x, True
-        try:
-            step = np.linalg.solve(_central_jacobian(rhs, x, 1e-7), [-v for v in fx]).tolist()
-        except (np.linalg.LinAlgError, ValueError):
-            break
-        lam = 1.0
-        while lam > 1e-4:
-            candidate = [v + lam * d for v, d in zip(x, step)]
-            fc = rhs(candidate)
-            if _all_finite(fc) and np.linalg.norm(fc) < norm:
-                x = candidate
+    with np.errstate(**_SOLVE_ERRSTATE):
+        for _ in range(_MAX_ITERATIONS):
+            fx = rhs(x)
+            if not _all_finite(fx):
                 break
-            lam *= 0.5
-        else:
-            break
-    fx = rhs(x)
-    return x, bool(_all_finite(fx) and np.linalg.norm(fx) < _RESIDUAL_TOL)
+            norm = _norm(fx)
+            if norm < _RESIDUAL_TOL * 1e-2:
+                return x, True
+            try:
+                step = _solve1(_central_jacobian(rhs, x, 1e-7), [-v for v in fx], signature="dd->d").tolist()
+            except (FloatingPointError, ValueError):
+                break
+            lam = 1.0
+            while lam > 1e-4:
+                candidate = [v + lam * d for v, d in zip(x, step)]
+                fc = rhs(candidate)
+                if _all_finite(fc) and _norm(fc) < norm:
+                    x = candidate
+                    break
+                lam *= 0.5
+            else:
+                break
+        fx = rhs(x)
+        return x, bool(_all_finite(fx) and _norm(fx) < _RESIDUAL_TOL)
 
 
 def find_fixed_points(
@@ -249,7 +263,7 @@ def find_fixed_points(
             if extra.shape != (n,):
                 raise ValueError(f"extra start has shape {extra.shape}, scenario declares {n} species")
             starts.append(extra.tolist())
-    # a residual norm that overflows is inf, which fails every comparison: no warning needed
+    # a re-checked residual norm that overflows is inf, which is no root: no warning needed
     with np.errstate(over="ignore"):
         for start in starts:
             x, ok = _newton(rhs, start)
@@ -259,7 +273,7 @@ def find_fixed_points(
                 continue
             # |x| < 1e-12 snaps to 0, and the rest of [-1e-9, 0) clips to it
             x = [v if v >= 1e-12 else 0.0 for v in x]
-            if np.linalg.norm(rhs(x)) >= _RESIDUAL_TOL:
+            if _norm(rhs(x)) >= _RESIDUAL_TOL:
                 continue
             if any(max(abs(a - b) for a, b in zip(x, r)) <= _DEDUPE_TOL * scale for r in roots):
                 continue

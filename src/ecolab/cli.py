@@ -178,6 +178,8 @@ def _cmd_sweep(args) -> int:
     document = _load_document(args.file)
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise ValueError(f"sweep bounds must be finite, got --from {args.start!r} --to {args.stop!r}")
+    if args.points < 2:
+        raise ValueError("grid needs at least two points")
     grid = np.linspace(args.start, args.stop, args.points)
     if isinstance(document, Scenario):
         metric = _community_metric(args.metric, document) if args.metric else None

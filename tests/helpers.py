@@ -33,8 +33,14 @@ from ecolab import (
     Trajectory,
     validate_scenario,
 )
-from ecolab.analysis import _as_classical_pair, _split_path
-from ecolab.continuous import _RK45_STEP_BUDGET, DIVERGENCE_LIMIT, ContinuumParams, continuum_interaction
+from ecolab.analysis import _MAX_ITERATIONS, _RESIDUAL_TOL, _as_classical_pair, _central_jacobian, _split_path
+from ecolab.continuous import (
+    _RK45_STEP_BUDGET,
+    DIVERGENCE_LIMIT,
+    ContinuumParams,
+    _all_finite,
+    continuum_interaction,
+)
 from ecolab.core import METHODS, TROPHIC_KINDS
 from ecolab.selection import TRAIT_NAMES, SelectionState, _vector3
 from ecolab.svg import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, PALETTE, WIDTH, _fmt, _nice_step
@@ -533,6 +539,45 @@ def reference_find_fixed_points(
         warnings.warn("Newton iteration did not converge from any starting point", stacklevel=2)
     roots.sort(key=lambda r: tuple(r))
     return roots
+
+
+# Reference float Newton: the damped Newton of ecolab.analysis before it
+# called numpy's solve and norm kernels without their Python wrappers,
+# kept verbatim but for its name.  It runs under its caller's errstate:
+# find_fixed_points' over="ignore" keeps an overflowing norm quiet.
+
+
+def reference_newton(rhs, x: list[float]) -> tuple[list[float], bool]:
+    """Damped Newton from x: the last iterate and whether its residual norm is below _RESIDUAL_TOL.
+
+    Each iteration solves J step = -f(x) with the central-difference
+    Jacobian (fd_step 1e-7) and halves the step, down to 1e-4 of it,
+    until the residual norm drops.  Stops early once the norm is below
+    _RESIDUAL_TOL * 1e-2.
+    """
+    for _ in range(_MAX_ITERATIONS):
+        fx = rhs(x)
+        if not _all_finite(fx):
+            break
+        norm = np.linalg.norm(fx)
+        if norm < _RESIDUAL_TOL * 1e-2:
+            return x, True
+        try:
+            step = np.linalg.solve(_central_jacobian(rhs, x, 1e-7), [-v for v in fx]).tolist()
+        except (np.linalg.LinAlgError, ValueError):
+            break
+        lam = 1.0
+        while lam > 1e-4:
+            candidate = [v + lam * d for v, d in zip(x, step)]
+            fc = rhs(candidate)
+            if _all_finite(fc) and np.linalg.norm(fc) < norm:
+                x = candidate
+                break
+            lam *= 0.5
+        else:
+            break
+    fx = rhs(x)
+    return x, bool(_all_finite(fx) and np.linalg.norm(fx) < _RESIDUAL_TOL)
 
 
 # Reference parameter edit: the case-by-case set_parameter that

@@ -35,7 +35,8 @@ from ecolab import (
     sweep_epidemic,
 )
 from ecolab import EpidemicModel, complete_graph
-from ecolab.analysis import _as_classical_pair, _newton_starts
+from ecolab.analysis import _SOLVE_ERRSTATE, _as_classical_pair, _newton, _newton_starts, _norm, _solve1
+from ecolab.continuous import community_rhs
 from ecolab.core import TROPHIC_KINDS
 from ecolab.demos import DEMO_NAMES, demo_document
 from helpers import (
@@ -47,6 +48,7 @@ from helpers import (
     reference_community_rhs,
     reference_find_fixed_points,
     reference_jacobian_of,
+    reference_newton,
     reference_set_parameter,
     saturating_chain_scenario,
     single_species,
@@ -590,16 +592,19 @@ def _predation_with(prey=(), pred=(), **entry_fields) -> Scenario:
     )
 
 
-@pytest.mark.parametrize("scenario", [
-    _seven_species(),
+_NEWTON_FALLBACKS = {
+    "seven-species": _seven_species(),
     # what _as_classical_pair hands back to Newton: a producer as aggressor, a rate or a conversion of 0,
     # and a growth rate <= 0
-    _predation_with(pred={"role": Role.PRODUCER, "trophic_level": 0}),
-    _predation_with(response=LinearResponse(0.0)),
-    _predation_with(coeff_i=0.0),
-    _predation_with(pred={"growth_rate": -0.5}),
-    _predation_with(prey={"growth_rate": 0.0}),
-], ids=["seven-species", "producer-aggressor", "rate-0", "conversion-0", "decline-negative", "prey-growth-0"])
+    "producer-aggressor": _predation_with(pred={"role": Role.PRODUCER, "trophic_level": 0}),
+    "rate-0": _predation_with(response=LinearResponse(0.0)),
+    "conversion-0": _predation_with(coeff_i=0.0),
+    "decline-negative": _predation_with(pred={"growth_rate": -0.5}),
+    "prey-growth-0": _predation_with(prey={"growth_rate": 0.0}),
+}
+
+
+@pytest.mark.parametrize("scenario", _NEWTON_FALLBACKS.values(), ids=_NEWTON_FALLBACKS.keys())
 def test_newton_fallbacks_match_reference(scenario):
     assert _as_classical_pair(scenario) is None
     if len(scenario.species) > 6:
@@ -620,3 +625,96 @@ def test_overflowing_norms_find_the_reference_roots_without_a_warning():
         want = reference_find_fixed_points(scenario)
     assert len(got) == len(want) == 3
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+# Newton calls np.linalg.solve's gufunc and takes np.linalg.norm's dot
+# without the Python wrappers; reference_newton (tests/helpers.py) is the
+# wrapped form.  Both must stop at the same iterate, bit for bit, from
+# every start, and the unwrapped form must warn of nothing whoever calls it.
+
+
+def _newton_outcome(newton, rhs, start):
+    try:
+        x, ok = newton(rhs, list(start))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return np.array(x).tobytes(), ok
+
+
+def _assert_newton_matches_reference(scenario):
+    rhs = community_rhs(scenario)
+    for start in _newton_starts(scenario):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _newton_outcome(_newton, rhs, start)
+        # the reference's norms overflow quietly only under find_fixed_points' errstate
+        with np.errstate(over="ignore"):
+            want = _newton_outcome(reference_newton, rhs, start)
+        assert got == want
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(community_scenarios())
+def test_unwrapped_newton_matches_reference(scenario):
+    _assert_newton_matches_reference(scenario)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [parse_scenario(json.dumps(HUGE_RATES)), *_NEWTON_FALLBACKS.values()],
+    ids=["huge-rates", *_NEWTON_FALLBACKS.keys()],
+)
+def test_unwrapped_newton_matches_reference_on_the_fallbacks(scenario):
+    _assert_newton_matches_reference(scenario)
+
+
+@pytest.mark.parametrize("caller_errstate", [{}, {"all": "raise"}, {"all": "warn"}], ids=["default", "raise", "warn"])
+def test_a_singular_jacobian_ends_newton_without_a_warning(caller_errstate):
+    def rhs(x):
+        return [x[0] * x[0] + 1.0] * 2
+
+    with warnings.catch_warnings(), np.errstate(**caller_errstate):
+        warnings.simplefilter("error")
+        assert _newton(rhs, [0.5, 0.5]) == ([0.5, 0.5], False)
+    assert reference_newton(rhs, [0.5, 0.5]) == ([0.5, 0.5], False)
+
+
+# numpy.linalg._umath_linalg is private to numpy.  These guards fail if a
+# numpy upgrade changes what solve1 computes, how it reports a singular
+# matrix, or the dot np.linalg.norm takes of a real vector.
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_solve1_computes_what_linalg_solve_computes(n):
+    rng = np.random.default_rng(n)
+    for _ in range(2000):
+        a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
+        b = (rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)).tolist()
+        # a C-ordered matrix, and a transposed one as _central_jacobian builds
+        for matrix in (a, a.T):
+            with np.errstate(**_SOLVE_ERRSTATE):
+                got = _solve1(matrix, b, signature="dd->d")
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.linalg.solve(matrix, b).tobytes()
+
+
+def test_a_singular_matrix_raises_floating_point_error_where_linalg_solve_raises_linalg_error():
+    a, b = [[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]
+    with np.errstate(**_SOLVE_ERRSTATE), pytest.raises(FloatingPointError):
+        _solve1(a, b, signature="dd->d")
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        np.linalg.solve(a, b)
+    # without that errstate the gufunc only marks the result: all NaN
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_solve1(a, b, signature="dd->d")).all()
+
+
+def test_the_norm_computes_what_linalg_norm_computes():
+    rng = np.random.default_rng(0)
+    for _ in range(5000):
+        n = int(rng.integers(1, 9))
+        v = (rng.normal(size=n) * 10.0 ** rng.integers(-150, 150, size=n)).tolist()
+        assert _norm(v).hex() == float(np.linalg.norm(v)).hex()
+    # squares that overflow
+    with np.errstate(over="ignore"):
+        assert _norm([1e200, -1e200]) == np.linalg.norm([1e200, -1e200]) == math.inf

@@ -355,9 +355,14 @@ def test_sweep_has_no_svg_option(tmp_path, capsys):
      "'coeff_j' (its numbers: coeff_i, response.rate)"),
     (("sweep", "{lv}", "--param", "initial.prey", "--from", "1", "--to", "inf", "--points", "2"),
      "sweep bounds must be finite, got --from 1.0 --to inf"),
+    (("sweep", "{lv}", "--param", "initial.prey", "--from", "20", "--to", "30", "--points", "-1"),
+     "grid needs at least two points"),
+    (("sweep", "{sel}", "--param", "beta", "--from", "0.1", "--to", "0.2", "--points", "1"),
+     "grid needs at least two points"),
 ], ids=["run-no-species", "stability-no-species", "unknown-metric-species", "csv-in-missing-dir",
         "svg-in-missing-dir", "sweep-selection", "sweep-epidemic-metric", "sweep-unknown-metric",
-        "stability-epidemic", "sweep-predation-coeff_j", "sweep-to-inf"])
+        "stability-epidemic", "sweep-predation-coeff_j", "sweep-to-inf", "sweep-negative-points",
+        "sweep-one-point-of-a-selection"])
 def test_input_errors_exit_1_with_a_fixed_message(tmp_path, capsys, argv, message):
     paths = {name: tmp_path / f"{name}.json" for name in ("empty", "lv", "sel", "epi")}
     paths["missing"] = tmp_path / "missing"

@@ -33,8 +33,9 @@ def test_two_runs_print_the_same_lines():
         "sweep selection.json --param beta --from 0.1 --to 0.2 --points 2",
         "stability malware-epidemic.json",
         "sweep arms-race.json --param interaction.attacker:victim.alpha --from 1 --to inf --points 2",
+        "sweep arms-race.json --param interaction.attacker:victim.alpha --from 1 --to -1 --points -1",
     }
-    assert len(commands) == 44
+    assert len(commands) == 45
     written = [line for line in first if line.split("\t")[1] not in ("stdout", "stderr", "exit")]
     # CSV and SVG of 5 demos and 9 runs, and the three sweeps' CSVs; a failed run writes nothing
     assert len(written) == 2 * (5 + 9) + 3

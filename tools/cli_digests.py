@@ -20,7 +20,7 @@ species, a CSV path in a missing directory, a sweep metric naming no
 species, a sweep given `--svg`, `stability` on a competition pair with
 rates of 1e200, a sweep of `coeff_j` on a predation entry (which has
 none), `sweep` on a selection and `stability` on an epidemic document,
-and a sweep to `--to inf`. For each
+a sweep to `--to inf` and a sweep of `--points -1`. For each
 command it prints one line per stdout, stderr, exit code and written file:
 
     <command>  <what>  <sha256>
@@ -224,8 +224,9 @@ def digest_lines() -> list[str]:
                    "--to", "1", "--points", "2")
             record("sweep", "selection.json", "--param", "beta", "--from", "0.1", "--to", "0.2", "--points", "2")
             record("stability", "malware-epidemic.json")
-            record("sweep", "arms-race.json", "--param", "interaction.attacker:victim.alpha", "--from", "1",
-                   "--to", "inf", "--points", "2")
+            arms_sweep = ("sweep", "arms-race.json", "--param", "interaction.attacker:victim.alpha", "--from", "1")
+            record(*arms_sweep, "--to", "inf", "--points", "2")
+            record(*arms_sweep, "--to", "-1", "--points", "-1")
         finally:
             os.chdir(cwd)
     return lines
