@@ -379,7 +379,7 @@ def set_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
     A field is a number that `serialize_scenario` writes for that species
     or entry.  An entry is rebuilt from its edited document form, so a
     continuum entry edits its dial (alpha, base_strength) and re-derives
-    its coefficients.
+    its coefficients.  A trophic level takes only an integral value.
     """
     parts = _split_path(path)
     head = parts[0]
@@ -391,8 +391,12 @@ def set_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
         for k, sp in enumerate(species):
             if sp.id == sp_id:
                 _set_number(_record_json(sp), fields, value, path, f"species {sp_id}")
-                cast = int if fields == ["trophic_level"] else float
-                species[k] = replace(sp, **{fields[0]: cast(value)})
+                value = float(value)
+                if fields == ["trophic_level"]:
+                    if not value.is_integer():
+                        raise ValueError(f"{path} must be an integer, got {value!r}")
+                    value = int(value)
+                species[k] = replace(sp, **{fields[0]: value})
                 return replace(scenario, species=tuple(species))
         raise ValueError(f"unresolvable parameter path '{path}': no species '{sp_id}'")
     if head == "initial" and len(parts) == 2:

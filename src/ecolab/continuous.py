@@ -464,16 +464,17 @@ def _rk4_stages(f, y, hk, half, sixth):
     return y_next, (k1, k2, k3, k4)
 
 
-def _integrate_rk4(f, y0, cfg, horizon, names, run=None):
-    """Fixed-step RK4: full steps through `run` while they stay in bounds, the rest through `f`.
+def _integrate_rk4(kernel, y0, cfg, horizon, names):
+    """Fixed-step RK4 through the kernel's compiled step loop.
 
-    `run` is a kernel's `rk4_run`.  The step it hands off on (a state that
-    is not finite, needs clamping or exceeds DIVERGENCE_LIMIT) is made
-    again stage by stage through `f`, the same arithmetic, which clamps,
-    reports extinctions and raises exactly as when every step goes
-    through `f`; then `run` takes over again.  The remainder step, and
-    every step when `run` is None, goes through `f`.
+    `kernel.rk4_run` makes the full steps, then the remainder step that
+    ends on the horizon.  The step it hands off on (a state that is not
+    finite, needs clamping or exceeds DIVERGENCE_LIMIT) is made again
+    stage by stage through `kernel.rhs`, the same arithmetic, which
+    clamps, reports extinctions and raises; then `rk4_run` takes over
+    again.
     """
+    f, run = kernel
     h = cfg.step
     n_full = int(math.floor(horizon / h + 1e-9))
     remainder = horizon - n_full * h
@@ -491,14 +492,14 @@ def _integrate_rk4(f, y0, cfg, horizon, names, run=None):
     states = [y]
     while len(states) <= n_steps:
         k = len(states) - 1
-        if run is not None and k < n_full:
-            run(states[-1], h, 0.5 * h, h / 6.0, range(n_full - k), epsilon, DIVERGENCE_LIMIT, states)
-            k = len(states) - 1
-            if k == n_steps:
-                break
+        hk, end = (h, n_full) if k < n_full else (remainder, n_steps)
+        half, sixth = 0.5 * hk, hk / 6.0
+        run(states[-1], hk, half, sixth, range(end - k), epsilon, DIVERGENCE_LIMIT, states)
+        k = len(states) - 1
+        if k == end:
+            continue
         y = states[-1]
-        hk = h if k < n_full else remainder
-        y_next, stages = _rk4_stages(f, y, hk, 0.5 * hk, hk / 6.0)
+        y_next, stages = _rk4_stages(f, y, hk, half, sixth)
         # a non-finite stage always leaves the new state non-finite
         if not _all_finite(y_next) and not all(map(_all_finite, stages)):
             raise NonFiniteDerivativeError(k * h, y)
@@ -590,46 +591,36 @@ def _integrate_rk45(f, y0, cfg, horizon, names):
     return times, states, extinctions
 
 
-def integrate_report(
-    scenario: Scenario,
-    derivative_fn: Callable[[Sequence[float]], list[float]] | None = None,
-) -> IntegrationResult:
+def integrate_report(scenario: Scenario) -> IntegrationResult:
     """Integrate a validated scenario and report extinctions alongside.
 
     Samples sit at the integrator's accepted steps (every `step` for
     rk4_fixed, the accepted adaptive steps plus the horizon endpoint for
     rk45_adaptive).  The run is deterministic for identical inputs.
     The step loop runs on Python floats through the scenario's compiled
-    derivative.  RK4's full steps run in the compiled step loop, which
-    hands a step whose new state is not finite, needs clamping or exceeds
+    derivative.  Every RK4 step, the remainder step that ends on the
+    horizon included, runs in the compiled step loop, which hands a step
+    whose new state is not finite, needs clamping or exceeds
     DIVERGENCE_LIMIT to a stage-by-stage step through the derivative, with
-    the same result.  A `derivative_fn` replaces that derivative and keeps
-    `community_rhs`'s contract (a sequence of floats in, a list of floats
-    out); every step then goes stage by stage.  Clamping every density below
-    `extinction_epsilon` to 0 keeps the samples nonnegative.
+    the same result.  Clamping every density below `extinction_epsilon`
+    to 0 keeps the samples nonnegative.
     """
     validate_scenario(scenario)
     y0 = scenario.initial_state().tolist()
     names = tuple(sp.id for sp in scenario.species)
-    if derivative_fn is None:
-        f, run = _kernel(scenario)
-    else:
-        f, run = derivative_fn, None
+    kernel = _kernel(scenario)
     cfg = scenario.integrator
     if cfg.method == "rk4_fixed":
-        times, states, extinctions = _integrate_rk4(f, y0, cfg, scenario.horizon, names, run)
+        times, states, extinctions = _integrate_rk4(kernel, y0, cfg, scenario.horizon, names)
     else:
-        times, states, extinctions = _integrate_rk45(f, y0, cfg, scenario.horizon, names)
+        times, states, extinctions = _integrate_rk45(kernel.rhs, y0, cfg, scenario.horizon, names)
     trajectory = Trajectory(names, np.array(times), np.array(states))
     return IntegrationResult(trajectory=trajectory, extinctions=tuple(extinctions))
 
 
-def integrate(
-    scenario: Scenario,
-    derivative_fn: Callable[[Sequence[float]], list[float]] | None = None,
-) -> Trajectory:
+def integrate(scenario: Scenario) -> Trajectory:
     """Integrate a validated scenario; see `integrate_report` for details."""
-    return integrate_report(scenario, derivative_fn).trajectory
+    return integrate_report(scenario).trajectory
 
 
 def lv_scenario(

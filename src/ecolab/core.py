@@ -321,10 +321,11 @@ class Trajectory:
 
     Every sampled run is one: community densities, epidemic fractions,
     host-parasitoid generations and trait means, which may be negative.
-    The invariants (distinct non-empty names, at least one sample,
-    matching shapes, finite and strictly increasing times starting at 0,
-    finite values) are enforced here so that every trajectory is safe to
-    serialize or plot as-is; ranges are the producers' business.
+    The invariants (at least one variable, distinct non-empty names, at
+    least one sample, matching shapes, finite and strictly increasing
+    times starting at 0, finite values) are enforced here so that every
+    trajectory is safe to serialize or plot as-is; ranges are the
+    producers' business.
     """
 
     variable_names: tuple[str, ...]
@@ -337,6 +338,8 @@ class Trajectory:
         values = np.array(self.values, dtype=float)
         if values.ndim == 1:
             values = values.reshape(-1, 1)
+        if not names:
+            raise ValueError("trajectory needs at least one variable")
         if "" in names:
             raise ValueError("variable names must not be empty")
         if len(set(names)) != len(names):

@@ -68,7 +68,7 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 def test_criterion_01_first_integral_conservation():
     started = time.perf_counter()
     scenario = predation_scenario(initial=(30.0, 8.0), horizon=100.0, step=0.01)
-    traj = integrate(scenario, lambda s: np.array(lv_derivative(s[0], s[1], CANONICAL)))
+    traj = integrate(scenario)
     values = np.array([lv_first_integral(x, y, CANONICAL) for x, y in traj.values])
     drift = float(np.max(np.abs(values - values[0])) / abs(values[0]))
     elapsed = time.perf_counter() - started
@@ -105,7 +105,7 @@ def test_criterion_02_equilibrium_and_linearization():
 
 def test_criterion_03_oscillation_period():
     scenario = predation_scenario(initial=(26.0, 10.0), horizon=100.0, step=0.01)
-    traj = integrate(scenario, lambda s: np.array(lv_derivative(s[0], s[1], CANONICAL)))
+    traj = integrate(scenario)
     period = oscillation_period(traj, "prey", 25.0)
     expected = 2.0 * math.pi / math.sqrt(0.5)
     error = abs(period - expected) / expected

@@ -26,6 +26,7 @@ from ecolab import (
     jacobian_at,
     jacobian_of,
     lv_derivative,
+    lv_scenario,
     oscillation_period,
     parse_scenario,
     serialize_scenario,
@@ -188,15 +189,14 @@ class TestFixedPoints:
 class TestPeriod:
     def test_near_equilibrium_period_matches_linearization(self):
         scenario = predation_scenario(initial=(26.0, 10.0), horizon=100.0)
-        traj = integrate(scenario, lambda s: np.array(lv_derivative(s[0], s[1], CANONICAL)))
+        traj = integrate(scenario)
         period = oscillation_period(traj, "prey", 25.0)
         expected = 2.0 * math.pi / math.sqrt(0.5)
         assert abs(period - expected) / expected < 0.05
 
     def test_period_scaling_with_other_rates(self):
         p = LotkaVolterraParams(2.0, 0.2, 1.0, 0.05)  # equilibrium (20, 10)
-        scenario = predation_scenario(initial=(20.6, 10.0), horizon=40.0)
-        traj = integrate(scenario, lambda s: np.array(lv_derivative(s[0], s[1], p)))
+        traj = integrate(lv_scenario(p, (20.6, 10.0), horizon=40.0))
         period = oscillation_period(traj, "prey", 20.0)
         expected = 2.0 * math.pi / math.sqrt(2.0)
         assert abs(period - expected) / expected < 0.05
@@ -289,6 +289,14 @@ class TestSetParameter:
         with pytest.raises(ValueError, match=f"^{re.escape(f'unresolvable parameter path {path!r}{reason}')}$"):
             set_parameter(_EVERY_ENTRY_FORM, path, 0.3)
 
+    @pytest.mark.parametrize("value, shown", [(1.5, "1.5"), (math.inf, "inf"), (math.nan, "nan"), (-0.5, "-0.5")])
+    def test_trophic_level_takes_only_an_integral_value(self, value, shown):
+        # an int() cast ran 1.5 at level 1 and raised OverflowError on inf
+        message = f"species.b.trophic_level must be an integer, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            set_parameter(_EVERY_ENTRY_FORM, "species.b.trophic_level", value)
+        assert set_parameter(_EVERY_ENTRY_FORM, "species.b.trophic_level", 3.0).species_by_id("b").trophic_level == 3
+
     @pytest.mark.parametrize("path, value", [
         ("horizon", 7.0),
         ("species.a.growth_rate", 2.5),
@@ -358,13 +366,19 @@ def _edit_or_none(edit, scenario, path, value):
 
 
 def _assert_edits_match_reference(scenario):
-    """set_parameter accepts what the reference accepts, with an equal result, but coeff_j on a trophic entry."""
+    """set_parameter accepts what the reference accepts, with an equal result, but two edits.
+
+    Those are coeff_j on a trophic entry and a trophic level that is not an integer, which
+    the reference truncates.
+    """
     for path in _candidate_paths(scenario):
         for value in (0.3, -0.5, 2.0):
             want = _edit_or_none(reference_set_parameter, scenario, path, value)
             got = _edit_or_none(set_parameter, scenario, path, value)
             if want is None or got is not None:
                 assert got == want, (path, value)
+                continue
+            if path.endswith(".trophic_level") and not value.is_integer():
                 continue
             # the one edit the document form cannot hold: a predation or parasitism entry has no coeff_j
             pair = set(path.split(".")[1].split(":"))

@@ -359,10 +359,12 @@ def test_sweep_has_no_svg_option(tmp_path, capsys):
      "grid needs at least two points"),
     (("sweep", "{sel}", "--param", "beta", "--from", "0.1", "--to", "0.2", "--points", "1"),
      "grid needs at least two points"),
+    (("sweep", "{lv}", "--param", "species.predator.trophic_level", "--from", "1", "--to", "2", "--points", "3"),
+     "species.predator.trophic_level must be an integer, got 1.5"),
 ], ids=["run-no-species", "stability-no-species", "unknown-metric-species", "csv-in-missing-dir",
         "svg-in-missing-dir", "sweep-selection", "sweep-epidemic-metric", "sweep-unknown-metric",
         "stability-epidemic", "sweep-predation-coeff_j", "sweep-to-inf", "sweep-negative-points",
-        "sweep-one-point-of-a-selection"])
+        "sweep-one-point-of-a-selection", "sweep-fractional-trophic-level"])
 def test_input_errors_exit_1_with_a_fixed_message(tmp_path, capsys, argv, message):
     paths = {name: tmp_path / f"{name}.json" for name in ("empty", "lv", "sel", "epi")}
     paths["missing"] = tmp_path / "missing"

@@ -11,6 +11,7 @@ from ecolab import (
     ContinuumParams,
     DivergenceError,
     HollingTypeII,
+    IntegrationResult,
     IntegratorConfig,
     InteractionKind,
     InteractionSpec,
@@ -22,6 +23,7 @@ from ecolab import (
     Scenario,
     SpeciesSpec,
     StepSizeUnderflowError,
+    Trajectory,
     community_rhs,
     continuum_interaction,
     functional_response,
@@ -44,6 +46,8 @@ from ecolab.continuous import (
     _all_finite,
     _clamp_extinctions,
     _compile_structure,
+    _integrate_rk4,
+    _integrate_rk45,
     _kernel,
     _max_exceeds,
     _rms,
@@ -321,7 +325,7 @@ class TestIntegrate:
 
     def test_first_integral_conserved_short_run(self):
         scenario = predation_scenario(initial=(30.0, 8.0), horizon=20.0)
-        traj = integrate(scenario, lambda s: np.array(lv_derivative(s[0], s[1], CANONICAL)))
+        traj = integrate(scenario)
         v = [lv_first_integral(x, y, CANONICAL) for x, y in traj.values]
         drift = np.max(np.abs(np.array(v) - v[0])) / abs(v[0])
         assert drift < 1e-4
@@ -400,7 +404,7 @@ class TestIntegratorFailureModes:
 
         scenario = single_species(growth=0.0, initial=1.0, horizon=1.0, step=0.1)
         with pytest.raises(NonFiniteDerivativeError) as err:
-            integrate(scenario, lambda s: [float("nan")])
+            _report_through(scenario, lambda s: [float("nan")])
         assert err.value.state is not None
         assert "t=" in str(err.value)
 
@@ -417,7 +421,7 @@ class TestIntegratorFailureModes:
         # a constant strongly negative field forces the step below the
         # floor once the density is pinned at zero
         with pytest.raises(StepSizeUnderflowError, match="underflow"):
-            integrate(scenario, lambda s: [-1e6])
+            _report_through(scenario, lambda s: [-1e6])
 
     def test_adaptive_negative_guard_halves_not_fails(self):
         scenario = Scenario(
@@ -449,6 +453,22 @@ def test_lv_scenario_roundtrip_parameters():
 # (tests/helpers.py): every sample, extinction and error must be identical.
 
 _RUN_ERRORS = (DivergenceError, NonFiniteDerivativeError, StepSizeUnderflowError, ValueError)
+
+
+def _never_runs(y, h, half, sixth, count, lo, hi, out):
+    """An `rk4_run` that makes no step, so every step goes down the careful path."""
+
+
+def _report_through(scenario, f):
+    """What `integrate_report` gives with `f` in place of the compiled derivative."""
+    y0 = scenario.initial_state().tolist()
+    names = scenario.species_ids
+    cfg = scenario.integrator
+    if cfg.method == "rk4_fixed":
+        times, states, extinctions = _integrate_rk4(_Kernel(f, _never_runs), y0, cfg, scenario.horizon, names)
+    else:
+        times, states, extinctions = _integrate_rk45(f, y0, cfg, scenario.horizon, names)
+    return IntegrationResult(Trajectory(names, np.array(times), np.array(states)), tuple(extinctions))
 
 
 def _outcome(run):
@@ -559,7 +579,7 @@ def test_divergence_matches_reference_path(method):
 )
 def test_non_finite_derivative_matches_reference_path(method, derivative):
     scenario = predation_scenario(method=method)
-    got = _outcome(lambda: integrate_report(scenario, lambda y: derivative(np.array(y)).tolist()))
+    got = _outcome(lambda: _report_through(scenario, lambda y: derivative(np.array(y)).tolist()))
     want = _outcome(lambda: reference_integrate_report(scenario, derivative))
     assert want[0] is NonFiniteDerivativeError
     _assert_same_outcome(got, want)
@@ -571,7 +591,7 @@ def test_overflowing_step_matches_reference_path(method):
     # divergence check sees the infinite state
     scenario = predation_scenario(method=method, step=1.0)
     derivative = lambda s: np.full(s.shape, 1e308)
-    got = _outcome(lambda: integrate_report(scenario, lambda y: derivative(np.array(y)).tolist()))
+    got = _outcome(lambda: _report_through(scenario, lambda y: derivative(np.array(y)).tolist()))
     with np.errstate(over="ignore", invalid="ignore"):
         want = _outcome(lambda: reference_integrate_report(scenario, derivative))
     _assert_same_outcome(got, want)
@@ -625,6 +645,16 @@ def _decay():
     return single_species(growth=1.0, initial=1.0, role=Role.CONSUMER, horizon=3.0, step=0.1)
 
 
+def _decay_to(horizon, step=0.1):
+    """x' = -x from 1 up to `horizon`."""
+    return single_species(growth=1.0, initial=1.0, role=Role.CONSUMER, horizon=horizon, step=step)
+
+
+def _grow_to(horizon):
+    """x' = x from DIVERGENCE_LIMIT / 2.8 up to `horizon`, in steps of 0.1."""
+    return single_species(growth=1.0, initial=DIVERGENCE_LIMIT / 2.8, horizon=horizon, step=0.1)
+
+
 def _decay_value(k):
     return float(integrate_report(_decay()).trajectory.values[k, 0])
 
@@ -664,7 +694,12 @@ _HANDOFFS = {
     "on-limit": (lambda: _logistic_to(DIVERGENCE_LIMIT), [80], None),
     "above-limit": (lambda: _logistic_to(math.nextafter(DIVERGENCE_LIMIT, math.inf)), [42], DivergenceError),
     "ivlev-overflow": (_ivlev_overflow, [15], NonFiniteDerivativeError),
-    "remainder": (lambda: predation_scenario(horizon=1.05, step=0.1), [10], None),
+    "remainder": (lambda: predation_scenario(horizon=1.05, step=0.1), [10, 1], None),
+    # x' = -x stays above 0.36 for 10 steps of 0.1, then the remainder step of 0.05 clamps it
+    "clamp-in-remainder": (lambda: _with_epsilon(_decay_to(1.05), 0.36), [10, 0], None),
+    # x' = x from DIVERGENCE_LIMIT / 2.8 passes the limit only in the remainder step
+    "divergence-in-remainder": (lambda: _grow_to(1.05), [10, 0], DivergenceError),
+    "extinction-then-remainder": (lambda: _decay_to(30.005, step=0.01), [2072, 927, 1], None),
     # 3 * 0.1 is not 0.3, but the last sample of a run without a remainder is the horizon
     "no-remainder": (lambda: predation_scenario(horizon=0.3, step=0.1), [3], None),
 }
@@ -702,6 +737,8 @@ def test_rk4_run_hands_off_to_the_careful_step(case, monkeypatch):
         assert got.extinctions == (("only", got.trajectory.times[11]),)
     if case == "below-epsilon":
         assert got.extinctions == (("only", got.trajectory.times[10]),)
+    if case == "clamp-in-remainder":
+        assert got.extinctions == (("only", 1.05),) and values[-1, 0] == 0.0 and values[-2, 0] > 0.36
     if case == "negative-zero":
         assert np.all(np.signbit(values[:, 0]))
     if case == "on-limit":
@@ -776,18 +813,23 @@ def test_rk45_step_budget_ends_a_finite_time_blowup():
     assert 1e-12 < h < 1e-5  # a tiny step, but far above the underflow floor
 
 
-def test_rk45_bench_document_stays_far_below_the_step_budget():
+def test_rk45_bench_document_stays_far_below_the_step_budget(monkeypatch):
     # the document-runs bench's food-chain-rk45 document
     scenario = _relabel(saturating_chain_scenario("rk45_adaptive"), ("plant", "grazer", "carnivore"))
-    rhs = community_rhs(scenario)
     calls = 0
 
-    def counted(x):
-        nonlocal calls
-        calls += 1
-        return rhs(x)
+    def counting_kernel(scenario):
+        rhs, run = _kernel(scenario)
 
-    result = integrate_report(scenario, counted)
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return rhs(x)
+
+        return _Kernel(counted, run)
+
+    monkeypatch.setattr(continuous, "_kernel", counting_kernel)
+    result = integrate_report(scenario)
     assert result.trajectory.n_samples - 1 == 64
     attempts = calls // 6  # six stages per attempted step
     assert 100 * attempts < _RK45_STEP_BUDGET

@@ -287,8 +287,9 @@ class TestTrajectory:
 
     @pytest.mark.parametrize(
         "names, message",
-        [(("a", "a"), "must be distinct"), (("a", ""), "must not be empty")],
-        ids=["duplicate", "empty"],
+        [(("a", "a"), "must be distinct"), (("a", ""), "must not be empty"),
+         ((), "^trajectory needs at least one variable$")],
+        ids=["duplicate", "empty", "none"],
     )
     def test_rejects_bad_variable_names(self, names, message):
         with pytest.raises(ValueError, match=message):

@@ -298,8 +298,10 @@ class TestCsv:
             ("time,a\n0,1\ninf,1\n", "times must be finite"),
             ("time,a,a\n0,1,2\n", "must be distinct"),
             ("time,a,a,\n0,1,2,3\n", "must not be empty"),
+            ("time\n0\n", "^trajectory needs at least one variable$"),
         ],
-        ids=["header-only", "late-start", "decreasing", "repeated", "nan-cell", "inf-time", "repeated-name", "empty-name"],
+        ids=["header-only", "late-start", "decreasing", "repeated", "nan-cell", "inf-time", "repeated-name", "empty-name",
+             "time-only"],
     )
     def test_read_csv_rejects_tables_that_are_not_a_series(self, text, message):
         with pytest.raises(ValueError, match=message):

@@ -7,8 +7,9 @@
 Every command runs in-process through `ecolab.cli_main`, imported from
 `--src` (default: this checkout's `src/`): each demo with and without
 `--emit`, `run --csv --svg` on each demo's document, on the three extra
-documents of the benchmark's document-runs workload, on an SIR epidemic
-and on a predator-prey community whose predator dies out, `stability` on
+documents of the benchmark's document-runs workload, on an SIR epidemic,
+on a predator-prey community whose predator dies out and on one whose
+horizon ends in a shorter RK4 step (the remainder step), `stability` on
 the community documents, one arms-race `sweep` over the continuum dial,
 one `sweep` of the dying predator's conversion efficiency, one epidemic
 `sweep` over beta, `threshold` on the malware demo with and without
@@ -20,7 +21,8 @@ species, a CSV path in a missing directory, a sweep metric naming no
 species, a sweep given `--svg`, `stability` on a competition pair with
 rates of 1e200, a sweep of `coeff_j` on a predation entry (which has
 none), `sweep` on a selection and `stability` on an epidemic document,
-a sweep to `--to inf` and a sweep of `--points -1`. For each
+a sweep to `--to inf`, a sweep of `--points -1` and a sweep of a trophic
+level through 1.5. For each
 command it prints one line per stdout, stderr, exit code and written file:
 
     <command>  <what>  <sha256>
@@ -79,6 +81,21 @@ EXTINCTION = {
     ],
     "initial_densities": {"prey": 10.0, "predator": 8.0},
     "horizon": 20.0,
+}
+# 200 RK4 steps of 0.1, then a remainder step of 0.05 that ends on the horizon
+REMAINDER = {
+    "kind": "community",
+    "species": [
+        {"id": "prey", "role": "producer", "growth_rate": 1.0, "self_limitation": 0.02},
+        {"id": "predator", "role": "consumer", "trophic_level": 1, "growth_rate": 0.4},
+    ],
+    "interactions": [
+        {"species_i": "predator", "species_j": "prey", "kind": "predation", "coeff_i": 0.5,
+         "response": {"type": "holling2", "rate": 0.2, "handling": 0.1}}
+    ],
+    "initial_densities": {"prey": 20.0, "predator": 5.0},
+    "integrator": {"method": "rk4_fixed", "step": 0.1},
+    "horizon": 20.05,
 }
 
 # competition at rates of 1e200: Newton's residual norms overflow to inf
@@ -163,7 +180,8 @@ def digest_lines() -> list[str]:
                 record("demo", demo, "--csv", f"demo-{demo}.csv", "--svg", f"demo-{demo}.svg")
             texts = {name: text for name, text in texts.items() if text}
             texts.update(_documents(workdir))
-            texts.update({"sir-epidemic": json.dumps(SIR_EPIDEMIC), "extinction": json.dumps(EXTINCTION)})
+            texts.update({"sir-epidemic": json.dumps(SIR_EPIDEMIC), "extinction": json.dumps(EXTINCTION),
+                          "remainder": json.dumps(REMAINDER)})
             for name, text in texts.items():
                 with open(f"{name}.json", "w", encoding="utf-8") as handle:
                     handle.write(text)
@@ -227,6 +245,8 @@ def digest_lines() -> list[str]:
             arms_sweep = ("sweep", "arms-race.json", "--param", "interaction.attacker:victim.alpha", "--from", "1")
             record(*arms_sweep, "--to", "inf", "--points", "2")
             record(*arms_sweep, "--to", "-1", "--points", "-1")
+            record("sweep", "lv-classic.json", "--param", "species.predator.trophic_level", "--from", "1", "--to", "2",
+                   "--points", "3")
         finally:
             os.chdir(cwd)
     return lines
