@@ -19,7 +19,7 @@ from .core import (
     Trajectory,
     validate_scenario,
 )
-from .continuous import _all_finite, community_rhs, integrate_report
+from .continuous import _all_finite, _kernel, integrate_report
 from .epidemic import EpidemicModel, persistence_fraction, run_seed
 from .scenario_io import _entry_to_json, _parse_entry, _record_json
 
@@ -95,6 +95,8 @@ def _central_jacobian(
 
     Column i is (rhs(x + h e_i) - rhs(x - h e_i)) / 2h with the per-axis
     step h = fd_step*max(1, |x_i|); a non-finite evaluation is a ValueError.
+    A community's compiled kernel generates the same computation as its
+    `jacobian`; this form serves `jacobian_of`'s arbitrary functions.
     """
     columns = []
     for i, xi in enumerate(x):
@@ -122,13 +124,17 @@ def jacobian_of(fn: Callable[[np.ndarray], np.ndarray], point: Sequence[float]) 
 
 
 def jacobian_at(scenario: Scenario, point: Sequence[float]) -> np.ndarray:
-    """Jacobian of the community derivative at a state vector."""
+    """Jacobian of the community derivative at a state vector.
+
+    The central differences of `jacobian_of`, step 1e-5*max(1, |x_i|),
+    made by the scenario's compiled kernel with the derivative inlined.
+    """
     point = np.asarray(point, dtype=float)
     if point.shape != (len(scenario.species),):
         raise ValueError(
             f"point has shape {point.shape}, scenario declares {len(scenario.species)} species"
         )
-    return _central_jacobian(community_rhs(scenario), point.tolist(), _FD_STEP)
+    return _kernel(scenario).jacobian(point.tolist(), _FD_STEP)
 
 
 def _as_classical_pair(scenario: Scenario):
@@ -193,15 +199,17 @@ def _norm(values: list[float]) -> float:
     return math.sqrt(a.dot(a))
 
 
-def _newton(rhs, x: list[float]) -> tuple[list[float], bool]:
+def _newton(rhs, jacobian, x: list[float]) -> tuple[list[float], bool]:
     """Damped Newton from x: the last iterate and whether its residual norm is below _RESIDUAL_TOL.
 
     Each iteration solves J step = -f(x) with the central-difference
-    Jacobian (fd_step 1e-7) and halves the step, down to 1e-4 of it,
-    until the residual norm drops.  Stops early once the norm is below
-    _RESIDUAL_TOL * 1e-2.  The solve is np.linalg.solve's own gufunc,
-    `solve1`, called without the wrapper; a singular Jacobian ends the
-    iteration, as do a non-finite derivative and a failed line search.
+    Jacobian `jacobian(x, 1e-7)` (the kernel's compiled one, which is
+    `_central_jacobian(rhs, x, 1e-7)` bit for bit) and halves the step,
+    down to 1e-4 of it, until the residual norm drops.  Stops early once
+    the norm is below _RESIDUAL_TOL * 1e-2.  The solve is
+    np.linalg.solve's own gufunc, `solve1`, called without the wrapper; a
+    singular Jacobian ends the iteration, as do a non-finite derivative
+    and a failed line search.
     """
     with np.errstate(**_SOLVE_ERRSTATE):
         for _ in range(_MAX_ITERATIONS):
@@ -212,7 +220,7 @@ def _newton(rhs, x: list[float]) -> tuple[list[float], bool]:
             if norm < _RESIDUAL_TOL * 1e-2:
                 return x, True
             try:
-                step = _solve1(_central_jacobian(rhs, x, 1e-7), [-v for v in fx], signature="dd->d").tolist()
+                step = _solve1(jacobian(x, 1e-7), [-v for v in fx], signature="dd->d").tolist()
             except (FloatingPointError, ValueError):
                 break
             lam = 1.0
@@ -253,7 +261,7 @@ def find_fixed_points(
         interior[pred_idx] = growth / encounter
         return [np.zeros(n), interior]
 
-    rhs = community_rhs(scenario)
+    rhs, _, jacobian = _kernel(scenario)
     roots: list[list[float]] = []
     scale = max(1.0, max((abs(g) for g in scenario.initial_state()), default=1.0))
     starts = _newton_starts(scenario)
@@ -266,7 +274,7 @@ def find_fixed_points(
     # a re-checked residual norm that overflows is inf, which is no root: no warning needed
     with np.errstate(over="ignore"):
         for start in starts:
-            x, ok = _newton(rhs, start)
+            x, ok = _newton(rhs, jacobian, start)
             if not ok:
                 continue
             if any(v < -1e-9 for v in x):

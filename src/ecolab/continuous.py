@@ -257,16 +257,20 @@ def continuum_interaction(species_i: str, species_j: str, p: ContinuumParams) ->
 #   g<k>  signed growth rate of species k     s<k>  its self-limitation
 #   v<m>  conversion of trophic entry m       f<m>  its linear rate, or its response
 #   p<m>  coefficient of mass-action entry m on its i side, q<m> on its j side
+#   array  numpy.array                                isfinite  math.isfinite
+# Generated locals never take one of these names: a local p<m> would shadow
+# the coefficient of mass-action entry m.
 
 #: Compiled structures kept at once; a sweep over one scenario needs one or two.
 _KERNEL_CACHE_SIZE = 64
 
 
 class _Kernel(NamedTuple):
-    """A scenario's derivative and its RK4 step loop, both over floats."""
+    """A scenario's derivative, its RK4 step loop and its central-difference Jacobian, all over floats."""
 
     rhs: Callable[[Sequence[float]], list[float]]
     rk4_run: Callable[..., None]
+    jacobian: Callable[[Sequence[float], float], np.ndarray]
 
 
 def _derivative_lines(structure, x: str, d: str) -> list[str]:
@@ -296,7 +300,7 @@ def _names(prefix: str, n: int) -> str:
 
 @functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def _compile_structure(structure):
-    """Code object defining `rhs` and `rk4_run` for one scenario structure.
+    """Code object defining `rhs`, `rk4_run` and `jacobian` for one scenario structure.
 
     The structure is (species count, self-limited indices, (aggressor,
     victim, response type) per trophic entry, (i, j) per mass-action
@@ -306,11 +310,18 @@ def _compile_structure(structure):
     one local per species and makes one RK4 step per item of `count`,
     inlining the derivative once per stage and combining the stages as
     y + sixth * (d1 + 2.0*d2 + 2.0*d3 + d4), the grouping of
-    `_rk4_stages`.  It appends each new state to `out` as a tuple, and
-    returns before appending the first one with a density z outside
-    `lo <= z <= hi` that is not 0.0: a NaN, an infinity, a density the
-    extinction clamp would change (lo is `extinction_epsilon`) or one
-    above the divergence bound (hi).
+    `_rk4_stages`.  It extends the flat float list `out` by each new
+    state, and returns before adding the first one with a density z
+    outside `lo <= z <= hi` that is not 0.0: a NaN, an infinity, a
+    density the extinction clamp would change (lo is
+    `extinction_epsilon`) or one above the divergence bound (hi).
+
+    `jacobian(x, fd_step)` is `analysis._central_jacobian(rhs, x,
+    fd_step)` with the derivative inlined: per axis i it holds x + h e_i
+    and then x - h e_i in locals (h = fd_step*max(1, |x_i|)), raises
+    ValueError("non-finite derivative evaluation near axis <i>") if one
+    of the 2n values is not finite, and returns the transpose of the
+    array of columns (f(x + h e_i) - f(x - h e_i)) / 2h.
     """
     n = structure[0]
     indent = "\n    "
@@ -321,12 +332,28 @@ def _compile_structure(structure):
         step += _derivative_lines(structure, "x", f"k{stage}_")
     step += [f"y{k} = y{k} + sixth * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})" for k in range(n)]
     in_bounds = " and ".join(f"(lo <= y{k} <= hi or y{k} == 0.0)" for k in range(n))
-    step += [f"if not ({in_bounds}):", "    return", f"append(({_names('y', n)},))"]
-    run = [f"[{_names('y', n)}] = y", "append = out.append", "for _ in count:"]
+    step += [f"if not ({in_bounds}):", "    return", f"extend(({_names('y', n)},))"]
+    run = [f"[{_names('y', n)}] = y", "extend = out.extend", "for _ in count:"]
     run += [f"    {line}" for line in step]
+    # the derivative at x + h e_i goes to d<k>, at x - h e_i to e<k>; column i is j<i>
+    jac = [f"[{_names('x', n)}] = x"]
+    for i in range(n):
+        jac += [f"h = fd_step * max(1.0, abs(x{i}))"]
+        jac += [f"y{k} = x{k} + h" if k == i else f"y{k} = x{k}" for k in range(n)]
+        jac += _derivative_lines(structure, "y", "d")
+        jac += [f"y{i} = x{i} - h", *_derivative_lines(structure, "y", "e")]
+        values = [f"{v}{k}" for v in "de" for k in range(n)]
+        jac += [
+            f"if not (isfinite({' + '.join(values)}) or {' and '.join(f'isfinite({v})' for v in values)}):",
+            f"    raise ValueError('non-finite derivative evaluation near axis {i}')",
+            "two_h = 2.0 * h",
+            f"j{i} = [{', '.join(f'(d{k} - e{k}) / two_h' for k in range(n))}]",
+        ]
+    jac += [f"return array([{_names('j', n)}]).T"]
     source = (
         f"def rhs(x):{indent}{indent.join(rhs)}\n\n"
-        f"def rk4_run(y, h, half, sixth, count, lo, hi, out):{indent}{indent.join(run)}\n"
+        f"def rk4_run(y, h, half, sixth, count, lo, hi, out):{indent}{indent.join(run)}\n\n"
+        f"def jacobian(x, fd_step):{indent}{indent.join(jac)}\n"
     )
     return compile(source, "<ecolab community kernel>", "exec")
 
@@ -334,7 +361,7 @@ def _compile_structure(structure):
 def _kernel(scenario: Scenario) -> _Kernel:
     """Bind the scenario's values into the compiled code of its structure."""
     index = {sp.id: k for k, sp in enumerate(scenario.species)}
-    namespace = {}
+    namespace = {"array": np.array, "isfinite": math.isfinite}
     limited = []
     for k, sp in enumerate(scenario.species):
         namespace[f"g{k}"] = sp.growth_rate if sp.role == Role.PRODUCER else -sp.growth_rate
@@ -360,7 +387,7 @@ def _kernel(scenario: Scenario) -> _Kernel:
                 namespace[f"p{m}"], namespace[f"q{m}"] = entry.coeff_i, entry.coeff_j
     code = _compile_structure((len(scenario.species), tuple(limited), tuple(trophic), tuple(mass_action)))
     exec(code, namespace)
-    return _Kernel(namespace["rhs"], namespace["rk4_run"])
+    return _Kernel(namespace["rhs"], namespace["rk4_run"], namespace["jacobian"])
 
 
 def community_rhs(scenario: Scenario) -> Callable[[Sequence[float]], list[float]]:
@@ -464,50 +491,60 @@ def _rk4_stages(f, y, hk, half, sixth):
     return y_next, (k1, k2, k3, k4)
 
 
+#: Steps (horizon / step) an RK4 run may make.  The run keeps every state and
+#: builds its time grid first, so this bounds its memory and time before a
+#: step is made: a horizon of 1e300 would otherwise ask for about 1e302 samples.
+_RK4_STEP_BUDGET = 1_000_000
+
+
 def _integrate_rk4(kernel, y0, cfg, horizon, names):
-    """Fixed-step RK4 through the kernel's compiled step loop.
+    """Fixed-step RK4 through the kernel's compiled step loop: times, flat states, extinctions.
 
     `kernel.rk4_run` makes the full steps, then the remainder step that
     ends on the horizon.  The step it hands off on (a state that is not
     finite, needs clamping or exceeds DIVERGENCE_LIMIT) is made again
     stage by stage through `kernel.rhs`, the same arithmetic, which
     clamps, reports extinctions and raises; then `rk4_run` takes over
-    again.
+    again.  The states are one flat float list, sample after sample.
     """
-    f, run = kernel
+    f, run, _ = kernel
     h = cfg.step
+    if not horizon / h <= _RK4_STEP_BUDGET:  # an overflowing quotient is inf
+        raise ValueError(f"rk4_fixed horizon / step must be <= {_RK4_STEP_BUDGET} steps, got {horizon / h:g}")
     n_full = int(math.floor(horizon / h + 1e-9))
     remainder = horizon - n_full * h
     if remainder < 1e-12 * max(1.0, horizon):
         remainder = 0.0
     n_steps = n_full + (remainder > 0.0)
-    times = [k * h for k in range(n_steps + 1)]
+    times = np.arange(n_steps + 1) * h  # bit-equal to [k * h for k in range(n_steps + 1)]
     if n_steps:
         times[-1] = horizon
     epsilon = cfg.extinction_epsilon
     extinct: set[int] = set()
     extinctions: list[tuple[str, float]] = []
-    y = list(y0)
-    _clamp_extinctions(y, 0.0, epsilon, names, extinct, extinctions)
-    states = [y]
-    while len(states) <= n_steps:
-        k = len(states) - 1
+    out = list(y0)
+    _clamp_extinctions(out, 0.0, epsilon, names, extinct, extinctions)
+    n = len(out)
+    k = 0
+    while k < n_steps:
         hk, end = (h, n_full) if k < n_full else (remainder, n_steps)
         half, sixth = 0.5 * hk, hk / 6.0
-        run(states[-1], hk, half, sixth, range(end - k), epsilon, DIVERGENCE_LIMIT, states)
-        k = len(states) - 1
+        run(out[-n:], hk, half, sixth, range(end - k), epsilon, DIVERGENCE_LIMIT, out)
+        k = len(out) // n - 1
         if k == end:
             continue
-        y = states[-1]
+        y = out[-n:]
         y_next, stages = _rk4_stages(f, y, hk, half, sixth)
         # a non-finite stage always leaves the new state non-finite
         if not _all_finite(y_next) and not all(map(_all_finite, stages)):
             raise NonFiniteDerivativeError(k * h, y)
-        _clamp_extinctions(y_next, times[k + 1], epsilon, names, extinct, extinctions)
+        t = float(times[k + 1])
+        _clamp_extinctions(y_next, t, epsilon, names, extinct, extinctions)
         if _max_exceeds(y_next, DIVERGENCE_LIMIT):
-            raise DivergenceError(times[k + 1], y_next)
-        states.append(y_next)
-    return times, states, extinctions
+            raise DivergenceError(t, y_next)
+        out.extend(y_next)
+        k += 1
+    return times, out, extinctions
 
 
 # Runge-Kutta-Fehlberg 4(5) tableau, without the nodes c: the derivative does not depend on t.
@@ -529,6 +566,7 @@ _RK45_STEP_BUDGET = 50_000
 
 
 def _integrate_rk45(f, y0, cfg, horizon, names):
+    """Adaptive RKF45 through the derivative f: times, flat states, extinctions."""
     t = 0.0
     y = list(y0)
     h = min(cfg.step, horizon)
@@ -537,7 +575,7 @@ def _integrate_rk45(f, y0, cfg, horizon, names):
     extinctions: list[tuple[str, float]] = []
     _clamp_extinctions(y, 0.0, epsilon, names, extinct, extinctions)
     times = [0.0]
-    states = [y]
+    out = list(y)
     err_prev = 1.0
     attempts = 0
     while t < horizon * (1.0 - 1e-14):
@@ -580,7 +618,7 @@ def _integrate_rk45(f, y0, cfg, horizon, names):
             if _max_exceeds(y, DIVERGENCE_LIMIT):
                 raise DivergenceError(t, y)
             times.append(t)
-            states.append(y)
+            out.extend(y)
             factor = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
             err_prev = max(err, 1e-10)
         else:
@@ -588,7 +626,7 @@ def _integrate_rk45(f, y0, cfg, horizon, names):
         h *= min(5.0, max(0.2, factor))
     if times[-1] != horizon:
         times[-1] = horizon
-    return times, states, extinctions
+    return times, out, extinctions
 
 
 def integrate_report(scenario: Scenario) -> IntegrationResult:
@@ -603,7 +641,9 @@ def integrate_report(scenario: Scenario) -> IntegrationResult:
     whose new state is not finite, needs clamping or exceeds
     DIVERGENCE_LIMIT to a stage-by-stage step through the derivative, with
     the same result.  Clamping every density below `extinction_epsilon`
-    to 0 keeps the samples nonnegative.
+    to 0 keeps the samples nonnegative.  Both integrators collect the
+    samples in one flat float list, which becomes the `values` array in
+    one conversion.
     """
     validate_scenario(scenario)
     y0 = scenario.initial_state().tolist()
@@ -611,10 +651,10 @@ def integrate_report(scenario: Scenario) -> IntegrationResult:
     kernel = _kernel(scenario)
     cfg = scenario.integrator
     if cfg.method == "rk4_fixed":
-        times, states, extinctions = _integrate_rk4(kernel, y0, cfg, scenario.horizon, names)
+        times, flat, extinctions = _integrate_rk4(kernel, y0, cfg, scenario.horizon, names)
     else:
-        times, states, extinctions = _integrate_rk45(kernel.rhs, y0, cfg, scenario.horizon, names)
-    trajectory = Trajectory(names, np.array(times), np.array(states))
+        times, flat, extinctions = _integrate_rk45(kernel.rhs, y0, cfg, scenario.horizon, names)
+    trajectory = Trajectory(names, times, np.array(flat).reshape(-1, len(names)))
     return IntegrationResult(trajectory=trajectory, extinctions=tuple(extinctions))
 
 

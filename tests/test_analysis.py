@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -36,8 +37,16 @@ from ecolab import (
     sweep_epidemic,
 )
 from ecolab import EpidemicModel, complete_graph
-from ecolab.analysis import _SOLVE_ERRSTATE, _as_classical_pair, _newton, _newton_starts, _norm, _solve1
-from ecolab.continuous import community_rhs
+from ecolab.analysis import (
+    _SOLVE_ERRSTATE,
+    _as_classical_pair,
+    _central_jacobian,
+    _newton,
+    _newton_starts,
+    _norm,
+    _solve1,
+)
+from ecolab.continuous import _kernel
 from ecolab.core import TROPHIC_KINDS
 from ecolab.demos import DEMO_NAMES, demo_document
 from helpers import (
@@ -647,23 +656,23 @@ def test_overflowing_norms_find_the_reference_roots_without_a_warning():
 # every start, and the unwrapped form must warn of nothing whoever calls it.
 
 
-def _newton_outcome(newton, rhs, start):
+def _newton_outcome(newton, start):
     try:
-        x, ok = newton(rhs, list(start))
+        x, ok = newton(list(start))
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
     return np.array(x).tobytes(), ok
 
 
 def _assert_newton_matches_reference(scenario):
-    rhs = community_rhs(scenario)
+    rhs, _, jacobian = _kernel(scenario)
     for start in _newton_starts(scenario):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _newton_outcome(_newton, rhs, start)
+            got = _newton_outcome(lambda x: _newton(rhs, jacobian, x), start)
         # the reference's norms overflow quietly only under find_fixed_points' errstate
         with np.errstate(over="ignore"):
-            want = _newton_outcome(reference_newton, rhs, start)
+            want = _newton_outcome(lambda x: reference_newton(rhs, x), start)
         assert got == want
 
 
@@ -689,8 +698,58 @@ def test_a_singular_jacobian_ends_newton_without_a_warning(caller_errstate):
 
     with warnings.catch_warnings(), np.errstate(**caller_errstate):
         warnings.simplefilter("error")
-        assert _newton(rhs, [0.5, 0.5]) == ([0.5, 0.5], False)
+        assert _newton(rhs, functools.partial(_central_jacobian, rhs), [0.5, 0.5]) == ([0.5, 0.5], False)
     assert reference_newton(rhs, [0.5, 0.5]) == ([0.5, 0.5], False)
+
+
+# The kernel's generated Jacobian against `_central_jacobian` through the
+# kernel's derivative: the same array, bit for bit and in the same layout,
+# or the same error, at states that include negative probes, densities
+# whose derivative overflows, infinities and NaNs.
+
+_PROBES = st.sampled_from([0.0, -0.0, -1e-9, 1.0, -1.0, 1e155, -1e155, 1e300, math.inf, math.nan])
+_STATES = _PROBES | st.floats(-20.0, 20.0)
+
+
+def _jacobian_outcome(jacobian, x, fd_step):
+    try:
+        j = jacobian(list(x), fd_step)
+    except ValueError as exc:
+        return str(exc)
+    return j.tobytes(), j.strides, j.shape, j.dtype
+
+
+def _assert_generated_jacobian_matches(scenario, x, fd_step):
+    kernel = _kernel(scenario)
+    got = _jacobian_outcome(kernel.jacobian, x, fd_step)
+    want = _jacobian_outcome(functools.partial(_central_jacobian, kernel.rhs), x, fd_step)
+    assert got == want
+    return got
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(community_scenarios(), st.data(), st.sampled_from([1e-7, 1e-5]))
+def test_generated_jacobian_matches_central_differences(scenario, data, fd_step):
+    x = data.draw(st.lists(_STATES, min_size=len(scenario.species), max_size=len(scenario.species)))
+    _assert_generated_jacobian_matches(scenario, x, fd_step)
+
+
+@pytest.mark.parametrize("fd_step", [1e-7, 1e-5])
+@pytest.mark.parametrize(
+    "scenario",
+    [parse_scenario(json.dumps(HUGE_RATES)), *_NEWTON_FALLBACKS.values()],
+    ids=["huge-rates", *_NEWTON_FALLBACKS.keys()],
+)
+def test_generated_jacobian_matches_central_differences_on_the_fallbacks(scenario, fd_step):
+    n = len(scenario.species)
+    rng = random.Random(n)
+    points = _newton_starts(scenario)
+    points += [[rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3) for _ in range(n)] for _ in range(20)]
+    points += [[v] * n for v in (-0.5, 1e155, math.inf, math.nan)]
+    outcomes = [_assert_generated_jacobian_matches(scenario, x, fd_step) for x in points]
+    # both ends are reached: arrays, and the error of a non-finite evaluation
+    assert "non-finite derivative evaluation near axis 0" in outcomes
+    assert any(isinstance(outcome, tuple) for outcome in outcomes)
 
 
 # numpy.linalg._umath_linalg is private to numpy.  These guards fail if a

@@ -361,10 +361,13 @@ def test_sweep_has_no_svg_option(tmp_path, capsys):
      "grid needs at least two points"),
     (("sweep", "{lv}", "--param", "species.predator.trophic_level", "--from", "1", "--to", "2", "--points", "3"),
      "species.predator.trophic_level must be an integer, got 1.5"),
+    # refused before its first step, where it used to ask for about 1e302 samples and never return
+    (("sweep", "{lv}", "--param", "horizon", "--from", "1e300", "--to", "1e301", "--points", "2"),
+     "rk4_fixed horizon / step must be <= 1000000 steps, got 1e+302"),
 ], ids=["run-no-species", "stability-no-species", "unknown-metric-species", "csv-in-missing-dir",
         "svg-in-missing-dir", "sweep-selection", "sweep-epidemic-metric", "sweep-unknown-metric",
         "stability-epidemic", "sweep-predation-coeff_j", "sweep-to-inf", "sweep-negative-points",
-        "sweep-one-point-of-a-selection", "sweep-fractional-trophic-level"])
+        "sweep-one-point-of-a-selection", "sweep-fractional-trophic-level", "sweep-horizon-past-the-step-budget"])
 def test_input_errors_exit_1_with_a_fixed_message(tmp_path, capsys, argv, message):
     paths = {name: tmp_path / f"{name}.json" for name in ("empty", "lv", "sel", "epi")}
     paths["missing"] = tmp_path / "missing"

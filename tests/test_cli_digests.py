@@ -35,15 +35,16 @@ def test_two_runs_print_the_same_lines():
         "sweep arms-race.json --param interaction.attacker:victim.alpha --from 1 --to inf --points 2",
         "sweep arms-race.json --param interaction.attacker:victim.alpha --from 1 --to -1 --points -1",
         "sweep lv-classic.json --param species.predator.trophic_level --from 1 --to 2 --points 3",
+        "run horizon-1e300.json",
     }
-    assert len(commands) == 48
+    assert len(commands) == 50
     written = [line for line in first if line.split("\t")[1] not in ("stdout", "stderr", "exit")]
     # CSV and SVG of 5 demos and 10 runs, and the three sweeps' CSVs; a failed run writes nothing
     assert len(written) == 2 * (5 + 10) + 3
     assert {"run sir-epidemic.json --csv run-sir-epidemic.csv --svg run-sir-epidemic.svg",
             "run extinction.json --csv run-extinction.csv --svg run-extinction.svg",
             "run remainder.json --csv run-remainder.csv --svg run-remainder.svg",
-            "stability extinction.json", "stability huge-rates.json"} <= commands
+            "stability extinction.json", "stability huge-rates.json", "stability three-kinds.json"} <= commands
 
 
 def test_warning_locations_are_masked():

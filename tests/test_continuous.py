@@ -41,6 +41,7 @@ from ecolab import (
 from ecolab import continuous
 from ecolab.continuous import (
     DIVERGENCE_LIMIT,
+    _RK4_STEP_BUDGET,
     _RK45_STEP_BUDGET,
     _Kernel,
     _all_finite,
@@ -53,7 +54,7 @@ from ecolab.continuous import (
     _rms,
 )
 from ecolab.core import METHODS
-from ecolab.demos import demo_document
+from ecolab.demos import DEMO_NAMES, demo_document
 from helpers import (
     chain_equilibrium_oracle,
     chain_scenario,
@@ -465,10 +466,10 @@ def _report_through(scenario, f):
     names = scenario.species_ids
     cfg = scenario.integrator
     if cfg.method == "rk4_fixed":
-        times, states, extinctions = _integrate_rk4(_Kernel(f, _never_runs), y0, cfg, scenario.horizon, names)
+        times, flat, extinctions = _integrate_rk4(_Kernel(f, _never_runs, None), y0, cfg, scenario.horizon, names)
     else:
-        times, states, extinctions = _integrate_rk45(f, y0, cfg, scenario.horizon, names)
-    return IntegrationResult(Trajectory(names, np.array(times), np.array(states)), tuple(extinctions))
+        times, flat, extinctions = _integrate_rk45(f, y0, cfg, scenario.horizon, names)
+    return IntegrationResult(Trajectory(names, times, np.array(flat).reshape(-1, len(names))), tuple(extinctions))
 
 
 def _outcome(run):
@@ -712,14 +713,14 @@ def test_rk4_run_hands_off_to_the_careful_step(case, monkeypatch):
     made = []
 
     def counting_kernel(scenario):
-        rhs, run = _kernel(scenario)
+        rhs, run, jacobian = _kernel(scenario)
 
         def counted_run(y, h, half, sixth, count, lo, hi, out):
             before = len(out)
             run(y, h, half, sixth, count, lo, hi, out)
-            made.append(len(out) - before)
+            made.append((len(out) - before) // len(y))  # out holds the states' floats one after another
 
-        return _Kernel(rhs, counted_run)
+        return _Kernel(rhs, counted_run, jacobian)
 
     monkeypatch.setattr(continuous, "_kernel", counting_kernel)
     got = _outcome(lambda: integrate_report(scenario))
@@ -763,9 +764,9 @@ def test_rk4_run_hand_off_predicate_is_the_careful_checks():
         for state in ([v, 1.0], [1.0, v]):
             out = []
             run(state, 0.1, 0.05, 0.1 / 6.0, range(1), _EPSILON, DIVERGENCE_LIMIT, out)
-            assert len(out) == careful_passes, v
+            assert len(out) // 2 == careful_passes, v
             if out:
-                assert repr(out[0]) == repr(tuple(state))
+                assert repr(tuple(out)) == repr(tuple(state))
 
 
 def _cooperation_blowup():
@@ -819,20 +820,75 @@ def test_rk45_bench_document_stays_far_below_the_step_budget(monkeypatch):
     calls = 0
 
     def counting_kernel(scenario):
-        rhs, run = _kernel(scenario)
+        rhs, run, jacobian = _kernel(scenario)
 
         def counted(x):
             nonlocal calls
             calls += 1
             return rhs(x)
 
-        return _Kernel(counted, run)
+        return _Kernel(counted, run, jacobian)
 
     monkeypatch.setattr(continuous, "_kernel", counting_kernel)
     result = integrate_report(scenario)
     assert result.trajectory.n_samples - 1 == 64
     attempts = calls // 6  # six stages per attempted step
     assert 100 * attempts < _RK45_STEP_BUDGET
+
+def test_rk4_step_budget_refuses_a_run_before_its_first_step(monkeypatch):
+    monkeypatch.setattr(continuous, "_RK4_STEP_BUDGET", 100)
+    assert integrate(single_species(horizon=1.0, step=0.01)).n_samples == 101
+    # the adaptive integrator has its own budget, of attempted steps
+    adaptive = single_species(horizon=1.01, step=0.01)
+    adaptive = replace(adaptive, integrator=replace(adaptive.integrator, method="rk45_adaptive"))
+    assert integrate(adaptive).times[-1] == 1.01
+    calls = []
+
+    def recording_kernel(scenario):
+        return _Kernel(lambda x: calls.append("rhs"), lambda *args: calls.append("rk4_run"), None)
+
+    monkeypatch.setattr(continuous, "_kernel", recording_kernel)
+    with pytest.raises(ValueError, match=r"^rk4_fixed horizon / step must be <= 100 steps, got 101$"):
+        integrate_report(single_species(horizon=1.01, step=0.01))
+    # a horizon / step that overflows is refused too
+    with pytest.raises(ValueError, match=r"^rk4_fixed horizon / step must be <= 100 steps, got inf$"):
+        integrate_report(single_species(horizon=1e300, step=1e-10))
+    assert calls == []
+
+
+def test_rk4_documents_stay_far_below_the_step_budget():
+    documents = [demo_document(name) for name in DEMO_NAMES if name != "mimicry"]
+    steps = [
+        doc.horizon / doc.integrator.step
+        for doc in documents
+        if isinstance(doc, Scenario) and doc.integrator.method == "rk4_fixed"
+    ]
+    assert max(steps) == 12000  # food-chain
+    assert 50 * max(steps) < _RK4_STEP_BUDGET
+
+
+# The RK4 time grid is numpy's arange times the step; the times a run
+# reports from it (extinctions and errors) stay Python floats.
+
+
+@pytest.mark.parametrize("step", [0.01, 0.07, 0.1, 1 / 3])
+def test_arange_time_grid_is_k_times_h_bit_for_bit(step):
+    n = 10**5
+    assert (np.arange(n) * step).tobytes() == np.array([k * step for k in range(n)]).tobytes()
+
+
+@pytest.mark.parametrize("case", ["extinction", "clamp-in-remainder", "above-limit", "divergence-in-remainder",
+                                  "ivlev-overflow"])
+def test_reported_times_are_python_floats(case):
+    build, _, error = _HANDOFFS[case]
+    outcome = _outcome(lambda: integrate_report(build()))
+    if error is None:
+        times = [t for _, t in outcome.extinctions]
+    else:
+        assert outcome[0] is error
+        times = [outcome[2]]
+    assert times and all(type(t) is float for t in times)
+
 
 # Independent oracle: scipy's DOP853 at tight tolerances, sampled where
 # the integrator sampled.  Error is relative to max(1, |y|).
@@ -878,7 +934,12 @@ def test_integrators_match_dop853(name, method):
 # The compiled kernel: one code object per scenario structure, with every
 # value and id kept out of the source.
 
-_KERNEL_NAME = re.compile(r"(?:[xydgsvfpq]|k[1-4]_)\d+|[xyc_]|h|half|sixth|lo|hi|count|out|append")
+_KERNEL_NAME = re.compile(
+    r"(?:[xydegjsvfpq]|k[1-4]_)\d+|[xyc_T]|h|two_h|half|sixth|lo|hi|count|out|extend|fd_step"
+    r"|max|abs|isfinite|array|ValueError"
+)
+# the names `_kernel` binds in the namespace the code runs in: a local of one of these would shadow it
+_BOUND_NAME = re.compile(r"[gsvfpq]\d+|array|isfinite")
 
 
 def _relabel(scenario, ids):
@@ -905,10 +966,14 @@ def test_one_structure_shares_one_code_object():
     assert _compile_structure.cache_info().misses == 1
     assert a.rhs.__code__ is b.rhs.__code__
     assert a.rk4_run.__code__ is b.rk4_run.__code__
+    assert a.jacobian.__code__ is b.jacobian.__code__
     assert a.rhs([3.0, 2.0]) != b.rhs([3.0, 2.0])  # the values are bound apart from the code
-    for code in (a.rhs.__code__, a.rk4_run.__code__):
+    # the Jacobian's own constants: max(1.0, |x_i|) and its error text, which names an axis by index
+    jacobian_consts = {1.0, *(f"non-finite derivative evaluation near axis {i}" for i in range(2))}
+    for code, own in ((a.rhs.__code__, set()), (a.rk4_run.__code__, set()), (a.jacobian.__code__, jacobian_consts)):
         assert all(_KERNEL_NAME.fullmatch(name) for name in code.co_names + code.co_varnames)
-        assert set(code.co_consts) <= {None, 0.0, 2.0}
+        assert not any(_BOUND_NAME.fullmatch(name) for name in code.co_varnames)
+        assert set(code.co_consts) <= {None, 0.0, 2.0, *own}
 
 
 @pytest.mark.parametrize("method", METHODS)

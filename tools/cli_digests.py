@@ -21,8 +21,10 @@ species, a CSV path in a missing directory, a sweep metric naming no
 species, a sweep given `--svg`, `stability` on a competition pair with
 rates of 1e200, a sweep of `coeff_j` on a predation entry (which has
 none), `sweep` on a selection and `stability` on an epidemic document,
-a sweep to `--to inf`, a sweep of `--points -1` and a sweep of a trophic
-level through 1.5. For each
+a sweep to `--to inf`, a sweep of `--points -1`, a sweep of a trophic
+level through 1.5, `stability` on a community with a competition, a
+symbiosis and a predation entry, and `run` on an RK4 document whose
+horizon of 1e300 is past the step budget. For each
 command it prints one line per stdout, stderr, exit code and written file:
 
     <command>  <what>  <sha256>
@@ -110,6 +112,23 @@ HUGE_RATES = {
     "horizon": 1.0,
 }
 NO_SPECIES = {"kind": "community", "species": [], "interactions": [], "initial_densities": {}, "horizon": 1}
+# one entry of each mass-action kind next to a predation entry: the stability Jacobian inlines all three
+THREE_KINDS = {
+    "kind": "community",
+    "species": [
+        {"id": "grass", "role": "producer", "growth_rate": 1.0, "self_limitation": 0.1},
+        {"id": "shrub", "role": "producer", "growth_rate": 0.8, "self_limitation": 0.1},
+        {"id": "grazer", "role": "consumer", "trophic_level": 1, "growth_rate": 0.3, "self_limitation": 0.05},
+    ],
+    "interactions": [
+        {"species_i": "grass", "species_j": "shrub", "kind": "competition", "coeff_i": 0.05, "coeff_j": 0.04},
+        {"species_i": "shrub", "species_j": "grazer", "kind": "symbiosis", "coeff_i": 0.02, "coeff_j": 0.01},
+        {"species_i": "grazer", "species_j": "grass", "kind": "predation", "coeff_i": 0.5,
+         "response": {"type": "linear", "rate": 0.1}},
+    ],
+    "initial_densities": {"grass": 5.0, "shrub": 4.0, "grazer": 1.0},
+    "horizon": 20.0,
+}
 
 
 def _sha256(data) -> str:
@@ -238,6 +257,13 @@ def digest_lines() -> list[str]:
             with open("huge-rates.json", "w", encoding="utf-8") as handle:
                 json.dump(HUGE_RATES, handle)
             record("stability", "huge-rates.json")
+            with open("three-kinds.json", "w", encoding="utf-8") as handle:
+                json.dump(THREE_KINDS, handle)
+            record("stability", "three-kinds.json")
+            # about 1e302 RK4 steps of 0.1: the step budget refuses the document
+            with open("horizon-1e300.json", "w", encoding="utf-8") as handle:
+                json.dump(dict(REMAINDER, horizon=1e300), handle)
+            record("run", "horizon-1e300.json")
             record("sweep", "lv-classic.json", "--param", "interaction.predator:prey.coeff_j", "--from", "0",
                    "--to", "1", "--points", "2")
             record("sweep", "selection.json", "--param", "beta", "--from", "0.1", "--to", "0.2", "--points", "2")
