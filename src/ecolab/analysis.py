@@ -9,7 +9,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .core import (
     InteractionKind,
@@ -49,8 +48,20 @@ _CLASSIFY_TOL = 1e-7
 _RESIDUAL_TOL = 1e-10
 _DEDUPE_TOL = 1e-8
 _MAX_ITERATIONS = 50
+#: What find_fixed_points hands the kernel's `newton` after the start: the
+#: iterations, the Jacobian's fd_step, the stop and keep bounds on the
+#: residual norm, and the fractions of the step that the line search tries,
+#: halving from 1 while above 1e-4.
+_NEWTON_ARGS = (
+    range(_MAX_ITERATIONS),
+    1e-7,
+    _RESIDUAL_TOL * 1e-2,
+    _RESIDUAL_TOL,
+    tuple(itertools.takewhile(lambda lam: lam > 1e-4, (0.5**k for k in itertools.count()))),
+)
 #: np.linalg.solve's own errstate around its gufunc, but for a singular matrix,
 #: which raises FloatingPointError where np.linalg.solve raises LinAlgError.
+#: Newton's residual norms that overflow are inf under it, without a warning.
 _SOLVE_ERRSTATE = {"invalid": "raise", "over": "ignore", "divide": "ignore", "under": "ignore"}
 
 
@@ -71,11 +82,14 @@ def classify(eigenvalues: Sequence[complex]) -> Classification:
     a saddle); any imaginary part beyond 1e-7 marks a focus.  When the
     largest real part sits inside the tolerance band and imaginary parts
     are present the honest answer is "center_like": finite precision
-    cannot tell a true center from a very weak focus.
+    cannot tell a true center from a very weak focus.  A NaN part is a
+    ValueError: no label follows from it.
     """
     ev = [complex(v) for v in eigenvalues]
     if not ev:
         raise ValueError("need at least one eigenvalue")
+    if any(math.isnan(v.real) or math.isnan(v.imag) for v in ev):
+        raise ValueError(f"eigenvalues must not be NaN, got {ev}")
     re = [v.real for v in ev]
     rotating = any(abs(v.imag) > _CLASSIFY_TOL for v in ev)
     re_max, re_min = max(re), min(re)
@@ -199,44 +213,6 @@ def _norm(values: list[float]) -> float:
     return math.sqrt(a.dot(a))
 
 
-def _newton(rhs, jacobian, x: list[float]) -> tuple[list[float], bool]:
-    """Damped Newton from x: the last iterate and whether its residual norm is below _RESIDUAL_TOL.
-
-    Each iteration solves J step = -f(x) with the central-difference
-    Jacobian `jacobian(x, 1e-7)` (the kernel's compiled one, which is
-    `_central_jacobian(rhs, x, 1e-7)` bit for bit) and halves the step,
-    down to 1e-4 of it, until the residual norm drops.  Stops early once
-    the norm is below _RESIDUAL_TOL * 1e-2.  The solve is
-    np.linalg.solve's own gufunc, `solve1`, called without the wrapper; a
-    singular Jacobian ends the iteration, as do a non-finite derivative
-    and a failed line search.
-    """
-    with np.errstate(**_SOLVE_ERRSTATE):
-        for _ in range(_MAX_ITERATIONS):
-            fx = rhs(x)
-            if not _all_finite(fx):
-                break
-            norm = _norm(fx)
-            if norm < _RESIDUAL_TOL * 1e-2:
-                return x, True
-            try:
-                step = _solve1(jacobian(x, 1e-7), [-v for v in fx], signature="dd->d").tolist()
-            except (FloatingPointError, ValueError):
-                break
-            lam = 1.0
-            while lam > 1e-4:
-                candidate = [v + lam * d for v, d in zip(x, step)]
-                fc = rhs(candidate)
-                if _all_finite(fc) and _norm(fc) < norm:
-                    x = candidate
-                    break
-                lam *= 0.5
-            else:
-                break
-        fx = rhs(x)
-        return x, bool(_all_finite(fx) and _norm(fx) < _RESIDUAL_TOL)
-
-
 def find_fixed_points(
     scenario: Scenario, extra_starts: Sequence[Sequence[float]] | None = None
 ) -> list[np.ndarray]:
@@ -249,6 +225,14 @@ def find_fixed_points(
     residual norm below 1e-10, and de-duplicates within 1e-8 (times the
     largest initial density, if above 1).  Every term of the derivative
     carries a density factor, so the origin start always converges.
+
+    Newton is the scenario's compiled `newton`: at most 50 steps, each
+    solving with the central-difference Jacobian of step 1e-7 through
+    np.linalg.solve's gufunc and halving the step, down to 1e-4 of it,
+    until the residual norm drops; a start stops early once the norm is
+    below 1e-12.  All starts, and the re-check of each root, run inside
+    one np.errstate, np.linalg.solve's own, under which a singular
+    Jacobian ends a start and an overflowing norm is quietly inf.
     """
     validate_scenario(scenario)
     n = len(scenario.species)
@@ -261,7 +245,8 @@ def find_fixed_points(
         interior[pred_idx] = growth / encounter
         return [np.zeros(n), interior]
 
-    rhs, _, jacobian = _kernel(scenario)
+    kernel = _kernel(scenario)
+    rhs, newton = kernel.rhs, kernel.newton
     roots: list[list[float]] = []
     scale = max(1.0, max((abs(g) for g in scenario.initial_state()), default=1.0))
     starts = _newton_starts(scenario)
@@ -271,10 +256,9 @@ def find_fixed_points(
             if extra.shape != (n,):
                 raise ValueError(f"extra start has shape {extra.shape}, scenario declares {n} species")
             starts.append(extra.tolist())
-    # a re-checked residual norm that overflows is inf, which is no root: no warning needed
-    with np.errstate(over="ignore"):
+    with np.errstate(**_SOLVE_ERRSTATE):
         for start in starts:
-            x, ok = _newton(rhs, jacobian, start)
+            x, ok = newton(start, *_NEWTON_ARGS)
             if not ok:
                 continue
             if any(v < -1e-9 for v in x):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .core import (
     FunctionalResponse,
@@ -257,7 +258,8 @@ def continuum_interaction(species_i: str, species_j: str, p: ContinuumParams) ->
 #   g<k>  signed growth rate of species k     s<k>  its self-limitation
 #   v<m>  conversion of trophic entry m       f<m>  its linear rate, or its response
 #   p<m>  coefficient of mass-action entry m on its i side, q<m> on its j side
-#   array  numpy.array                                isfinite  math.isfinite
+#   array  numpy.array      isfinite  math.isfinite      sqrt  math.sqrt
+#   solve1  the gufunc np.linalg.solve calls, numpy.linalg._umath_linalg.solve1
 # Generated locals never take one of these names: a local p<m> would shadow
 # the coefficient of mass-action entry m.
 
@@ -266,11 +268,12 @@ _KERNEL_CACHE_SIZE = 64
 
 
 class _Kernel(NamedTuple):
-    """A scenario's derivative, its RK4 step loop and its central-difference Jacobian, all over floats."""
+    """A scenario's derivative, RK4 step loop, central-difference Jacobian and damped Newton, all over floats."""
 
     rhs: Callable[[Sequence[float]], list[float]]
     rk4_run: Callable[..., None]
     jacobian: Callable[[Sequence[float], float], np.ndarray]
+    newton: Callable[..., tuple[list[float], bool]]
 
 
 def _derivative_lines(structure, x: str, d: str) -> list[str]:
@@ -298,9 +301,14 @@ def _names(prefix: str, n: int) -> str:
     return ", ".join(f"{prefix}{k}" for k in range(n))
 
 
+def _finite_test(values: list[str]) -> str:
+    """`_all_finite` of the named values, as an expression."""
+    return f"isfinite({' + '.join(values)}) or {' and '.join(f'isfinite({v})' for v in values)}"
+
+
 @functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def _compile_structure(structure):
-    """Code object defining `rhs`, `rk4_run` and `jacobian` for one scenario structure.
+    """Code object defining `rhs`, `rk4_run`, `jacobian` and `newton` for one scenario structure.
 
     The structure is (species count, self-limited indices, (aggressor,
     victim, response type) per trophic entry, (i, j) per mass-action
@@ -322,6 +330,21 @@ def _compile_structure(structure):
     ValueError("non-finite derivative evaluation near axis <i>") if one
     of the 2n values is not finite, and returns the transpose of the
     array of columns (f(x + h e_i) - f(x - h e_i)) / 2h.
+
+    `newton(x, iterations, fd_step, stop, keep, fractions)` is damped
+    Newton from x with the derivative inlined at the iterate and at each
+    line-search candidate, one local per species.  Each item of
+    `iterations` makes one step: it returns (iterate, True) once the
+    residual norm is below `stop`, solves J t = -f(x) with `solve1` and
+    J = `jacobian(x, fd_step)`, and moves to the first candidate
+    x + lam*t, lam in `fractions`, whose residual is finite and of lower
+    norm.  A ValueError from the Jacobian, a FloatingPointError from
+    `solve1` (a singular J, under the caller's errstate) and a failed
+    line search end the iteration early.  The result is the last
+    iterate and whether its residual is finite with norm below `keep`.
+    Each norm is sqrt(a.dot(a)) of a = array(residual), the dot
+    np.linalg.norm takes; the accepted candidate's residual and norm
+    are kept for the next step, not evaluated again.
     """
     n = structure[0]
     indent = "\n    "
@@ -342,18 +365,54 @@ def _compile_structure(structure):
         jac += [f"y{k} = x{k} + h" if k == i else f"y{k} = x{k}" for k in range(n)]
         jac += _derivative_lines(structure, "y", "d")
         jac += [f"y{i} = x{i} - h", *_derivative_lines(structure, "y", "e")]
-        values = [f"{v}{k}" for v in "de" for k in range(n)]
         jac += [
-            f"if not (isfinite({' + '.join(values)}) or {' and '.join(f'isfinite({v})' for v in values)}):",
+            f"if not ({_finite_test([f'{v}{k}' for v in 'de' for k in range(n)])}):",
             f"    raise ValueError('non-finite derivative evaluation near axis {i}')",
             "two_h = 2.0 * h",
             f"j{i} = [{', '.join(f'(d{k} - e{k}) / two_h' for k in range(n))}]",
         ]
     jac += [f"return array([{_names('j', n)}]).T"]
+    # the iterate is x<k> with residual d<k>; the step is t<k>; the candidate is y<k> with residual e<k>
+    iterate = f"[{_names('x', n)}]"
+    search = [f"y{k} = x{k} + lam * t{k}" for k in range(n)]
+    search += _derivative_lines(structure, "y", "e")
+    search += [
+        f"if {_finite_test([f'e{k}' for k in range(n)])}:",
+        f"    a = array(({_names('e', n)},))",
+        "    trial = sqrt(a.dot(a))",
+        "    if trial < norm:",
+        *(f"        x{k} = y{k}" for k in range(n)),
+        *(f"        d{k} = e{k}" for k in range(n)),
+        "        norm = trial",
+        "        break",
+    ]
+    newton = [f"{iterate} = x", *_derivative_lines(structure, "x", "d")]
+    newton += [
+        f"if not ({_finite_test([f'd{k}' for k in range(n)])}):",
+        f"    return {iterate}, False",
+        f"a = array(({_names('d', n)},))",
+        "norm = sqrt(a.dot(a))",
+        "for _ in iterations:",
+        "    if norm < stop:",
+        f"        return {iterate}, True",
+        "    try:",
+        f"        [{_names('t', n)}] = solve1(",
+        f"            jacobian(({_names('x', n)},), fd_step), [{', '.join(f'-d{k}' for k in range(n))}], "
+        "signature='dd->d'",
+        "        ).tolist()",
+        "    except (FloatingPointError, ValueError):",
+        "        break",
+        "    for lam in fractions:",
+        *(f"        {line}" for line in search),
+        "    else:",
+        "        break",
+        f"return {iterate}, norm < keep",
+    ]
     source = (
         f"def rhs(x):{indent}{indent.join(rhs)}\n\n"
         f"def rk4_run(y, h, half, sixth, count, lo, hi, out):{indent}{indent.join(run)}\n\n"
-        f"def jacobian(x, fd_step):{indent}{indent.join(jac)}\n"
+        f"def jacobian(x, fd_step):{indent}{indent.join(jac)}\n\n"
+        f"def newton(x, iterations, fd_step, stop, keep, fractions):{indent}{indent.join(newton)}\n"
     )
     return compile(source, "<ecolab community kernel>", "exec")
 
@@ -361,7 +420,7 @@ def _compile_structure(structure):
 def _kernel(scenario: Scenario) -> _Kernel:
     """Bind the scenario's values into the compiled code of its structure."""
     index = {sp.id: k for k, sp in enumerate(scenario.species)}
-    namespace = {"array": np.array, "isfinite": math.isfinite}
+    namespace = {"array": np.array, "isfinite": math.isfinite, "sqrt": math.sqrt, "solve1": _solve1}
     limited = []
     for k, sp in enumerate(scenario.species):
         namespace[f"g{k}"] = sp.growth_rate if sp.role == Role.PRODUCER else -sp.growth_rate
@@ -387,7 +446,7 @@ def _kernel(scenario: Scenario) -> _Kernel:
                 namespace[f"p{m}"], namespace[f"q{m}"] = entry.coeff_i, entry.coeff_j
     code = _compile_structure((len(scenario.species), tuple(limited), tuple(trophic), tuple(mass_action)))
     exec(code, namespace)
-    return _Kernel(namespace["rhs"], namespace["rk4_run"], namespace["jacobian"])
+    return _Kernel(namespace["rhs"], namespace["rk4_run"], namespace["jacobian"], namespace["newton"])
 
 
 def community_rhs(scenario: Scenario) -> Callable[[Sequence[float]], list[float]]:
@@ -507,7 +566,7 @@ def _integrate_rk4(kernel, y0, cfg, horizon, names):
     clamps, reports extinctions and raises; then `rk4_run` takes over
     again.  The states are one flat float list, sample after sample.
     """
-    f, run, _ = kernel
+    f, run = kernel.rhs, kernel.rk4_run
     h = cfg.step
     if not horizon / h <= _RK4_STEP_BUDGET:  # an overflowing quotient is inf
         raise ValueError(f"rk4_fixed horizon / step must be <= {_RK4_STEP_BUDGET} steps, got {horizon / h:g}")

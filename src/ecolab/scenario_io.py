@@ -135,15 +135,24 @@ def _check_keys(data: dict, path: str, required: set[str], optional: set[str]) -
         raise ParseError(f"{path}: missing required field(s) {', '.join(missing)}")
 
 
+def _finite(value: int | float, path: str) -> float:
+    """A JSON number as a float; an infinity, a NaN or an integer too large for a float is not finite."""
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParseError(f"{path}: must be finite")
+    return value
+
+
 def _number(data: dict, key: str, path: str, default=None) -> float:
     if key not in data:
         return default
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}.{key}: expected a number")
-    if not math.isfinite(value):
-        raise ParseError(f"{path}.{key}: must be finite")
-    return float(value)
+    return _finite(value, f"{path}.{key}")
 
 
 def _integer(data: dict, key: str, path: str, default=None) -> int:
@@ -174,9 +183,7 @@ def _vector(data: dict, key: str, path: str, length: int, default=None):
     for k, item in enumerate(value):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ParseError(f"{path}.{key}[{k}]: expected a number")
-        if not math.isfinite(item):
-            raise ParseError(f"{path}.{key}[{k}]: must be finite")
-        out.append(float(item))
+        out.append(_finite(item, f"{path}.{key}[{k}]"))
     return tuple(out)
 
 
@@ -310,7 +317,7 @@ def _parse_community(data: dict) -> Scenario:
     for key, value in densities_raw.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParseError(f"document.initial_densities.{key}: expected a number")
-        densities[key] = float(value)
+        densities[key] = _finite(value, f"document.initial_densities.{key}")
 
     integrator_raw = _require_object(data.get("integrator", {}), "document.integrator")
     scenario = Scenario(
@@ -422,12 +429,12 @@ def _parse_gradient(raw: Any, path: str) -> GradientSpec:
         for k, row in enumerate(matrix_raw):
             if not isinstance(row, list) or len(row) != 3:
                 raise ParseError(f"{path}.matrix[{k}]: expected 3 numbers")
+            values = []
             for item in row:
                 if isinstance(item, bool) or not isinstance(item, (int, float)):
                     raise ParseError(f"{path}.matrix[{k}]: expected 3 numbers")
-                if not math.isfinite(item):
-                    raise ParseError(f"{path}.matrix[{k}]: must be finite")
-            rows.append(tuple(float(v) for v in row))
+                values.append(_finite(item, f"{path}.matrix[{k}]"))
+            rows.append(tuple(values))
         return GradientSpec(
             type="linear",
             intercept=_vector(raw, "intercept", path, 3),

@@ -33,12 +33,21 @@ from ecolab import (
     Trajectory,
     validate_scenario,
 )
-from ecolab.analysis import _MAX_ITERATIONS, _RESIDUAL_TOL, _as_classical_pair, _central_jacobian, _split_path
+from ecolab.analysis import (
+    _MAX_ITERATIONS,
+    _RESIDUAL_TOL,
+    _SOLVE_ERRSTATE,
+    _as_classical_pair,
+    _central_jacobian,
+    _norm,
+    _split_path,
+)
 from ecolab.continuous import (
     _RK45_STEP_BUDGET,
     DIVERGENCE_LIMIT,
     ContinuumParams,
     _all_finite,
+    _solve1,
     continuum_interaction,
 )
 from ecolab.core import METHODS, TROPHIC_KINDS
@@ -578,6 +587,52 @@ def reference_newton(rhs, x: list[float]) -> tuple[list[float], bool]:
             break
     fx = rhs(x)
     return x, bool(_all_finite(fx) and np.linalg.norm(fx) < _RESIDUAL_TOL)
+
+
+# Reference unwrapped Newton: the damped Newton of ecolab.analysis before
+# the community kernel generated it, kept verbatim but for its name.  It
+# calls numpy's solve and norm kernels without their Python wrappers, as
+# the generated one does, but evaluates the derivative through `rhs`,
+# evaluates the residual at each iterate afresh, and enters the errstate
+# once per start.
+
+
+def reference_unwrapped_newton(rhs, jacobian, x: list[float]) -> tuple[list[float], bool]:
+    """Damped Newton from x: the last iterate and whether its residual norm is below _RESIDUAL_TOL.
+
+    Each iteration solves J step = -f(x) with the central-difference
+    Jacobian `jacobian(x, 1e-7)` (the kernel's compiled one, which is
+    `_central_jacobian(rhs, x, 1e-7)` bit for bit) and halves the step,
+    down to 1e-4 of it, until the residual norm drops.  Stops early once
+    the norm is below _RESIDUAL_TOL * 1e-2.  The solve is
+    np.linalg.solve's own gufunc, `solve1`, called without the wrapper; a
+    singular Jacobian ends the iteration, as do a non-finite derivative
+    and a failed line search.
+    """
+    with np.errstate(**_SOLVE_ERRSTATE):
+        for _ in range(_MAX_ITERATIONS):
+            fx = rhs(x)
+            if not _all_finite(fx):
+                break
+            norm = _norm(fx)
+            if norm < _RESIDUAL_TOL * 1e-2:
+                return x, True
+            try:
+                step = _solve1(jacobian(x, 1e-7), [-v for v in fx], signature="dd->d").tolist()
+            except (FloatingPointError, ValueError):
+                break
+            lam = 1.0
+            while lam > 1e-4:
+                candidate = [v + lam * d for v, d in zip(x, step)]
+                fc = rhs(candidate)
+                if _all_finite(fc) and _norm(fc) < norm:
+                    x = candidate
+                    break
+                lam *= 0.5
+            else:
+                break
+        fx = rhs(x)
+        return x, bool(_all_finite(fx) and _norm(fx) < _RESIDUAL_TOL)
 
 
 # Reference parameter edit: the case-by-case set_parameter that

@@ -38,15 +38,14 @@ from ecolab import (
 )
 from ecolab import EpidemicModel, complete_graph
 from ecolab.analysis import (
+    _NEWTON_ARGS,
     _SOLVE_ERRSTATE,
     _as_classical_pair,
     _central_jacobian,
-    _newton,
     _newton_starts,
     _norm,
-    _solve1,
 )
-from ecolab.continuous import _kernel
+from ecolab.continuous import _kernel, _solve1
 from ecolab.core import TROPHIC_KINDS
 from ecolab.demos import DEMO_NAMES, demo_document
 from helpers import (
@@ -60,6 +59,7 @@ from helpers import (
     reference_jacobian_of,
     reference_newton,
     reference_set_parameter,
+    reference_unwrapped_newton,
     saturating_chain_scenario,
     single_species,
 )
@@ -91,6 +91,13 @@ class TestClassify:
     def test_needs_input(self):
         with pytest.raises(ValueError):
             classify([])
+
+    @pytest.mark.parametrize("nan", [complex(math.nan, 0.0), complex(0.0, math.nan)], ids=["real", "imag"])
+    def test_a_nan_part_is_refused_in_either_order(self, nan):
+        # max and min over a NaN depend on where it sits: [1, nan] read as unstable_node, [nan, 1] as undetermined
+        for eigenvalues in ([1 + 0j, nan], [nan, 1 + 0j]):
+            with pytest.raises(ValueError, match="eigenvalues must not be NaN"):
+                classify(eigenvalues)
 
     @given(
         reals=st.lists(
@@ -650,10 +657,12 @@ def test_overflowing_norms_find_the_reference_roots_without_a_warning():
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-# Newton calls np.linalg.solve's gufunc and takes np.linalg.norm's dot
-# without the Python wrappers; reference_newton (tests/helpers.py) is the
-# wrapped form.  Both must stop at the same iterate, bit for bit, from
-# every start, and the unwrapped form must warn of nothing whoever calls it.
+# The kernel's generated Newton against the references in tests/helpers.py:
+# reference_unwrapped_newton, the Python loop it replaced, which calls
+# np.linalg.solve's gufunc and takes np.linalg.norm's dot without the
+# Python wrappers, and reference_newton, the wrapped form.  All three must
+# stop at the same iterate, bit for bit, from every start, and the
+# generated one must warn of nothing under find_fixed_points' errstate.
 
 
 def _newton_outcome(newton, start):
@@ -665,15 +674,17 @@ def _newton_outcome(newton, start):
 
 
 def _assert_newton_matches_reference(scenario):
-    rhs, _, jacobian = _kernel(scenario)
+    kernel = _kernel(scenario)
     for start in _newton_starts(scenario):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _newton_outcome(lambda x: _newton(rhs, jacobian, x), start)
-        # the reference's norms overflow quietly only under find_fixed_points' errstate
+            with np.errstate(**_SOLVE_ERRSTATE):
+                got = _newton_outcome(lambda x: kernel.newton(x, *_NEWTON_ARGS), start)
+            unwrapped = _newton_outcome(lambda x: reference_unwrapped_newton(kernel.rhs, kernel.jacobian, x), start)
+        # the wrapped reference's norms overflow quietly only under find_fixed_points' errstate
         with np.errstate(over="ignore"):
-            want = _newton_outcome(lambda x: reference_newton(rhs, x), start)
-        assert got == want
+            want = _newton_outcome(lambda x: reference_newton(kernel.rhs, x), start)
+        assert got == unwrapped == want
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -691,15 +702,40 @@ def test_unwrapped_newton_matches_reference_on_the_fallbacks(scenario):
     _assert_newton_matches_reference(scenario)
 
 
+def _singular_at_the_start() -> Scenario:
+    """A prey eaten by a self-limited predator whose Jacobian at (0, 2) is singular: about [[0, 0], [0.5, -1.5]]."""
+    return Scenario(
+        species=(
+            SpeciesSpec(id="prey", role=Role.PRODUCER, growth_rate=1.0),
+            SpeciesSpec(id="predator", role=Role.CONSUMER, trophic_level=1, growth_rate=0.5, self_limitation=0.25),
+        ),
+        interactions=(
+            InteractionSpec("predator", "prey", InteractionKind.PREDATION, coeff_i=0.5, response=LinearResponse(0.5)),
+        ),
+        initial_densities={"prey": 0.0, "predator": 2.0},
+        horizon=1.0,
+    )
+
+
 @pytest.mark.parametrize("caller_errstate", [{}, {"all": "raise"}, {"all": "warn"}], ids=["default", "raise", "warn"])
 def test_a_singular_jacobian_ends_newton_without_a_warning(caller_errstate):
-    def rhs(x):
-        return [x[0] * x[0] + 1.0] * 2
-
+    scenario = _singular_at_the_start()
+    kernel = _kernel(scenario)
+    jacobian = kernel.jacobian([0.0, 2.0], _NEWTON_ARGS[1])
+    # the prey's row is exactly 0: its growth x and its loss 0.5 * x * 2 cancel on every probe
+    assert jacobian[0].tolist() == [0.0, 0.0]
+    np.testing.assert_allclose(jacobian[1], [0.5, -1.5], rtol=1e-8)
     with warnings.catch_warnings(), np.errstate(**caller_errstate):
         warnings.simplefilter("error")
-        assert _newton(rhs, functools.partial(_central_jacobian, rhs), [0.5, 0.5]) == ([0.5, 0.5], False)
-    assert reference_newton(rhs, [0.5, 0.5]) == ([0.5, 0.5], False)
+        # find_fixed_points' own errstate, inside whatever its caller set
+        with np.errstate(**_SOLVE_ERRSTATE):
+            assert kernel.newton([0.0, 2.0], *_NEWTON_ARGS) == ([0.0, 2.0], False)
+        got = find_fixed_points(scenario)
+    assert reference_unwrapped_newton(kernel.rhs, kernel.jacobian, [0.0, 2.0]) == ([0.0, 2.0], False)
+    assert reference_newton(kernel.rhs, [0.0, 2.0]) == ([0.0, 2.0], False)
+    want = reference_find_fixed_points(scenario)
+    assert len(got) == len(want) > 0
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # The kernel's generated Jacobian against `_central_jacobian` through the

@@ -108,3 +108,14 @@ def test_main_exits_1_after_writing_when_a_run_is_not_correct(tmp_path, monkeypa
         "base": {"attempted": 8, "failed": 0},
         "change": {"attempted": 8, "failed": 0 if change_correct else 2},
     }
+
+
+@pytest.mark.parametrize("spec", ["community-sweep:0:0", "community-sweep:0:-2"])
+def test_a_run_of_no_pairs_is_a_usage_error(spec, capsys):
+    # summarize needs a pair to read the metric names from
+    for option in ("--run", "--trace-run"):
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.parse_args(["--out", "x.json", option, spec])
+        assert exit_info.value.code == 2
+        assert f"PAIRS must be at least 1, got '{spec}'" in capsys.readouterr().err
+    assert bench_pairs.parse_spec("community-sweep:11:1") == ("community-sweep", 11, 1)

@@ -364,16 +364,26 @@ def test_sweep_has_no_svg_option(tmp_path, capsys):
     # refused before its first step, where it used to ask for about 1e302 samples and never return
     (("sweep", "{lv}", "--param", "horizon", "--from", "1e300", "--to", "1e301", "--points", "2"),
      "rk4_fixed horizon / step must be <= 1000000 steps, got 1e+302"),
+    # JSON integers too large for a float, where float() raises OverflowError
+    (("run", "{huge_horizon}"), "document.horizon: must be finite"),
+    (("stability", "{huge_growth}"), "species[1].growth_rate: must be finite"),
 ], ids=["run-no-species", "stability-no-species", "unknown-metric-species", "csv-in-missing-dir",
         "svg-in-missing-dir", "sweep-selection", "sweep-epidemic-metric", "sweep-unknown-metric",
         "stability-epidemic", "sweep-predation-coeff_j", "sweep-to-inf", "sweep-negative-points",
-        "sweep-one-point-of-a-selection", "sweep-fractional-trophic-level", "sweep-horizon-past-the-step-budget"])
+        "sweep-one-point-of-a-selection", "sweep-fractional-trophic-level", "sweep-horizon-past-the-step-budget",
+        "run-huge-integer-horizon", "stability-huge-integer-growth-rate"])
 def test_input_errors_exit_1_with_a_fixed_message(tmp_path, capsys, argv, message):
     paths = {name: tmp_path / f"{name}.json" for name in ("empty", "lv", "sel", "epi")}
     paths["missing"] = tmp_path / "missing"
     paths["empty"].write_text('{"kind": "community", "species": [], "interactions": [], '
                               '"initial_densities": {}, "horizon": 1}')
     paths["lv"].write_text(serialize_scenario(demo_document("lv-classic")))
+    lv = json.loads(paths["lv"].read_text())
+    paths["huge_horizon"] = tmp_path / "huge-horizon.json"
+    paths["huge_horizon"].write_text(json.dumps(dict(lv, horizon=10**400)))
+    lv["species"][1]["growth_rate"] = 10**400
+    paths["huge_growth"] = tmp_path / "huge-growth.json"
+    paths["huge_growth"].write_text(json.dumps(lv))
     paths["sel"].write_text(json.dumps(RUNAWAY_SELECTION))
     paths["epi"].write_text(json.dumps(K20_EPIDEMIC))
     with warnings.catch_warnings():

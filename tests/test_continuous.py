@@ -466,7 +466,7 @@ def _report_through(scenario, f):
     names = scenario.species_ids
     cfg = scenario.integrator
     if cfg.method == "rk4_fixed":
-        times, flat, extinctions = _integrate_rk4(_Kernel(f, _never_runs, None), y0, cfg, scenario.horizon, names)
+        times, flat, extinctions = _integrate_rk4(_Kernel(f, _never_runs, None, None), y0, cfg, scenario.horizon, names)
     else:
         times, flat, extinctions = _integrate_rk45(f, y0, cfg, scenario.horizon, names)
     return IntegrationResult(Trajectory(names, times, np.array(flat).reshape(-1, len(names))), tuple(extinctions))
@@ -713,14 +713,15 @@ def test_rk4_run_hands_off_to_the_careful_step(case, monkeypatch):
     made = []
 
     def counting_kernel(scenario):
-        rhs, run, jacobian = _kernel(scenario)
+        kernel = _kernel(scenario)
+        run = kernel.rk4_run
 
         def counted_run(y, h, half, sixth, count, lo, hi, out):
             before = len(out)
             run(y, h, half, sixth, count, lo, hi, out)
             made.append((len(out) - before) // len(y))  # out holds the states' floats one after another
 
-        return _Kernel(rhs, counted_run, jacobian)
+        return kernel._replace(rk4_run=counted_run)
 
     monkeypatch.setattr(continuous, "_kernel", counting_kernel)
     got = _outcome(lambda: integrate_report(scenario))
@@ -820,14 +821,14 @@ def test_rk45_bench_document_stays_far_below_the_step_budget(monkeypatch):
     calls = 0
 
     def counting_kernel(scenario):
-        rhs, run, jacobian = _kernel(scenario)
+        kernel = _kernel(scenario)
 
         def counted(x):
             nonlocal calls
             calls += 1
-            return rhs(x)
+            return kernel.rhs(x)
 
-        return _Kernel(counted, run, jacobian)
+        return kernel._replace(rhs=counted)
 
     monkeypatch.setattr(continuous, "_kernel", counting_kernel)
     result = integrate_report(scenario)
@@ -845,7 +846,7 @@ def test_rk4_step_budget_refuses_a_run_before_its_first_step(monkeypatch):
     calls = []
 
     def recording_kernel(scenario):
-        return _Kernel(lambda x: calls.append("rhs"), lambda *args: calls.append("rk4_run"), None)
+        return _Kernel(lambda x: calls.append("rhs"), lambda *args: calls.append("rk4_run"), None, None)
 
     monkeypatch.setattr(continuous, "_kernel", recording_kernel)
     with pytest.raises(ValueError, match=r"^rk4_fixed horizon / step must be <= 100 steps, got 101$"):
@@ -935,11 +936,13 @@ def test_integrators_match_dop853(name, method):
 # value and id kept out of the source.
 
 _KERNEL_NAME = re.compile(
-    r"(?:[xydegjsvfpq]|k[1-4]_)\d+|[xyc_T]|h|two_h|half|sixth|lo|hi|count|out|extend|fd_step"
-    r"|max|abs|isfinite|array|ValueError"
+    r"(?:[xydegjsvfpqt]|k[1-4]_)\d+|[xyca_T]|h|two_h|half|sixth|lo|hi|count|out|extend|fd_step"
+    r"|iterations|stop|keep|fractions|norm|trial|lam|jacobian|solve1|sqrt|dot|tolist"
+    r"|max|abs|isfinite|array|ValueError|FloatingPointError"
 )
-# the names `_kernel` binds in the namespace the code runs in: a local of one of these would shadow it
-_BOUND_NAME = re.compile(r"[gsvfpq]\d+|array|isfinite")
+# the names `_kernel` binds in the namespace the code runs in, and the functions the code defines
+# there: a local of one of these would shadow it
+_BOUND_NAME = re.compile(r"[gsvfpq]\d+|array|isfinite|sqrt|solve1|rhs|rk4_run|jacobian|newton")
 
 
 def _relabel(scenario, ids):
@@ -967,13 +970,25 @@ def test_one_structure_shares_one_code_object():
     assert a.rhs.__code__ is b.rhs.__code__
     assert a.rk4_run.__code__ is b.rk4_run.__code__
     assert a.jacobian.__code__ is b.jacobian.__code__
+    assert a.newton.__code__ is b.newton.__code__
     assert a.rhs([3.0, 2.0]) != b.rhs([3.0, 2.0])  # the values are bound apart from the code
     # the Jacobian's own constants: max(1.0, |x_i|) and its error text, which names an axis by index
     jacobian_consts = {1.0, *(f"non-finite derivative evaluation near axis {i}" for i in range(2))}
-    for code, own in ((a.rhs.__code__, set()), (a.rk4_run.__code__, set()), (a.jacobian.__code__, jacobian_consts)):
+    # Newton's: its verdicts and solve1's keyword; every number comes in as an argument
+    newton_consts = {False, True, "dd->d", ("signature",)}
+
+    def typed(values):  # constants with their types, since 0.0 == False and 1.0 == True
+        return {(type(v), v) for v in values}
+
+    for code, own in (
+        (a.rhs.__code__, set()),
+        (a.rk4_run.__code__, set()),
+        (a.jacobian.__code__, jacobian_consts),
+        (a.newton.__code__, newton_consts),
+    ):
         assert all(_KERNEL_NAME.fullmatch(name) for name in code.co_names + code.co_varnames)
         assert not any(_BOUND_NAME.fullmatch(name) for name in code.co_varnames)
-        assert set(code.co_consts) <= {None, 0.0, 2.0, *own}
+        assert typed(code.co_consts) <= typed([None, 0.0, 2.0]) | typed(own)
 
 
 @pytest.mark.parametrize("method", METHODS)

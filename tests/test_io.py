@@ -587,6 +587,7 @@ def graph(spec: dict) -> str:
 
 NAN = float("nan")
 INF = float("inf")
+HUGE = 10**400  # a JSON integer too large for a float
 
 MALFORMED = [
     # document level
@@ -609,6 +610,8 @@ MALFORMED = [
     ("horizon-type", patched(MINIMAL_COMMUNITY, (("horizon",), "x")), "ParseError",
      "document.horizon: expected a number"),
     ("horizon-nan", patched(MINIMAL_COMMUNITY, (("horizon",), NAN)), "ParseError",
+     "document.horizon: must be finite"),
+    ("horizon-huge-integer", patched(MINIMAL_COMMUNITY, (("horizon",), HUGE)), "ParseError",
      "document.horizon: must be finite"),
     # json.loads alone would keep the last of two equal keys
     ("duplicate-key", patched(DISCRETE)[:-1] + ', "generations": 0}', "ParseError",
@@ -674,6 +677,12 @@ MALFORMED = [
      "interactions[0].base_strength: must be finite"),
     ("density-type", patched(MINIMAL_COMMUNITY, (("initial_densities", "prey"), "x")),
      "ParseError", "document.initial_densities.prey: expected a number"),
+    ("density-inf", patched(MINIMAL_COMMUNITY, (("initial_densities", "prey"), INF)),
+     "ParseError", "document.initial_densities.prey: must be finite"),
+    ("density-huge-integer", patched(MINIMAL_COMMUNITY, (("initial_densities", "prey"), HUGE)),
+     "ParseError", "document.initial_densities.prey: must be finite"),
+    ("growth-rate-huge-integer", patched(MINIMAL_COMMUNITY, (("species", 0, "growth_rate"), -HUGE)),
+     "ParseError", "species[0].growth_rate: must be finite"),
     ("densities-not-object", patched(MINIMAL_COMMUNITY, (("initial_densities",), [])),
      "ParseError", "document.initial_densities: expected an object, got list"),
     ("integrator-unknown-field", patched(FOOD_CHAIN_RK45, (("integrator", "mthod"), "rk4_fixed")),
@@ -745,6 +754,8 @@ MALFORMED = [
      "document.mutation[1]: expected a number"),
     ("mutation-nan", patched(SELECTION, (("mutation", 0), NAN)), "ParseError",
      "document.mutation[0]: must be finite"),
+    ("mutation-huge-integer", patched(SELECTION, (("mutation", 2), HUGE)), "ParseError",
+     "document.mutation[2]: must be finite"),
     ("gradient-value-inf", patched(SELECTION, (("natural_gradient", "value", 2), INF)), "ParseError",
      "document.natural_gradient.value[2]: must be finite"),
     ("gradient-intercept-nan", patched(SELECTION, (("sexual_gradient", "intercept", 1), NAN)),
@@ -765,6 +776,8 @@ MALFORMED = [
      "ParseError", "document.sexual_gradient.matrix[2]: must be finite"),
     ("gradient-matrix-inf", patched(SELECTION, (("sexual_gradient", "matrix", 1, 1), -INF)),
      "ParseError", "document.sexual_gradient.matrix[1]: must be finite"),
+    ("gradient-matrix-huge-integer", patched(SELECTION, (("sexual_gradient", "matrix", 0, 1), HUGE)),
+     "ParseError", "document.sexual_gradient.matrix[0]: must be finite"),
     ("steps-negative", patched(SELECTION, (("steps",), -1)), "ParseError",
      "document.steps: must be >= 0"),
     ("not-psd", patched(SELECTION, (("covariance", "c_display_preference"), 2.0)), "ParseError",

@@ -148,9 +148,12 @@ def group_record(workload: str, seed: int, trace: int, pairs: list[dict], bounds
 def parse_spec(text: str) -> tuple[str, int, int]:
     try:
         workload, seed, pairs = text.split(":")
-        return workload, int(seed), int(pairs)
+        spec = workload, int(seed), int(pairs)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected WORKLOAD:SEED:PAIRS, got {text!r}") from None
+    if spec[2] < 1:
+        raise argparse.ArgumentTypeError(f"PAIRS must be at least 1, got {text!r}")
+    return spec
 
 
 def parse_args(argv=None):

@@ -23,8 +23,9 @@ rates of 1e200, a sweep of `coeff_j` on a predation entry (which has
 none), `sweep` on a selection and `stability` on an epidemic document,
 a sweep to `--to inf`, a sweep of `--points -1`, a sweep of a trophic
 level through 1.5, `stability` on a community with a competition, a
-symbiosis and a predation entry, and `run` on an RK4 document whose
-horizon of 1e300 is past the step budget. For each
+symbiosis and a predation entry, `run` on an RK4 document whose
+horizon of 1e300 is past the step budget, and `run` on a document whose
+horizon is an integer too large for a float. For each
 command it prints one line per stdout, stderr, exit code and written file:
 
     <command>  <what>  <sha256>
@@ -264,6 +265,9 @@ def digest_lines() -> list[str]:
             with open("horizon-1e300.json", "w", encoding="utf-8") as handle:
                 json.dump(dict(REMAINDER, horizon=1e300), handle)
             record("run", "horizon-1e300.json")
+            with open("horizon-huge-integer.json", "w", encoding="utf-8") as handle:
+                json.dump(dict(REMAINDER, horizon=10**400), handle)
+            record("run", "horizon-huge-integer.json")
             record("sweep", "lv-classic.json", "--param", "interaction.predator:prey.coeff_j", "--from", "0",
                    "--to", "1", "--points", "2")
             record("sweep", "selection.json", "--param", "beta", "--from", "0.1", "--to", "0.2", "--points", "2")
