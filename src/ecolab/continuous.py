@@ -271,7 +271,7 @@ class _Kernel(NamedTuple):
     """A scenario's derivative, RK4 step loop, central-difference Jacobian and damped Newton, all over floats."""
 
     rhs: Callable[[Sequence[float]], list[float]]
-    rk4_run: Callable[..., None]
+    rk4_run: Callable[..., tuple[list[float], bool] | None]
     jacobian: Callable[[Sequence[float], float], np.ndarray]
     newton: Callable[..., tuple[list[float], bool]]
 
@@ -317,12 +317,13 @@ def _compile_structure(structure):
     `rk4_run(y, h, half, sixth, count, lo, hi, out)` keeps the state in
     one local per species and makes one RK4 step per item of `count`,
     inlining the derivative once per stage and combining the stages as
-    y + sixth * (d1 + 2.0*d2 + 2.0*d3 + d4), the grouping of
-    `_rk4_stages`.  It extends the flat float list `out` by each new
-    state, and returns before adding the first one with a density z
-    outside `lo <= z <= hi` that is not 0.0: a NaN, an infinity, a
-    density the extinction clamp would change (lo is
-    `extinction_epsilon`) or one above the divergence bound (hi).
+    y + sixth * (d1 + 2.0*d2 + 2.0*d3 + d4).  It extends the flat float
+    list `out` by each new state and returns None once `count` runs
+    out.  It refuses the first new state with a density z outside
+    `lo <= z <= hi` that is not 0.0: a NaN, an infinity, a density the
+    extinction clamp would change (lo is `extinction_epsilon`) or one
+    above the divergence bound (hi).  That state is not added; it is
+    returned as a list, with whether all 4n stage values are finite.
 
     `jacobian(x, fd_step)` is `analysis._central_jacobian(rhs, x,
     fd_step)` with the derivative inlined: per axis i it holds x + h e_i
@@ -355,7 +356,9 @@ def _compile_structure(structure):
         step += _derivative_lines(structure, "x", f"k{stage}_")
     step += [f"y{k} = y{k} + sixth * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})" for k in range(n)]
     in_bounds = " and ".join(f"(lo <= y{k} <= hi or y{k} == 0.0)" for k in range(n))
-    step += [f"if not ({in_bounds}):", "    return", f"extend(({_names('y', n)},))"]
+    stages = [f"k{stage}_{k}" for stage in range(1, 5) for k in range(n)]
+    step += [f"if not ({in_bounds}):", f"    return [{_names('y', n)}], {_finite_test(stages)}"]
+    step += [f"extend(({_names('y', n)},))"]
     run = [f"[{_names('y', n)}] = y", "extend = out.extend", "for _ in count:"]
     run += [f"    {line}" for line in step]
     # the derivative at x + h e_i goes to d<k>, at x - h e_i to e<k>; column i is j<i>
@@ -537,36 +540,22 @@ def _rms(values: list[float]) -> float:
     return math.sqrt(total / n)
 
 
-def _rk4_stages(f, y, hk, half, sixth):
-    """One RK4 step through separate derivative calls: the new state and the four stages."""
-    k1 = f(y)
-    k2 = f([v + half * d for v, d in zip(y, k1)])
-    k3 = f([v + half * d for v, d in zip(y, k2)])
-    k4 = f([v + hk * d for v, d in zip(y, k3)])
-    y_next = [
-        v + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
-    ]
-    return y_next, (k1, k2, k3, k4)
-
-
 #: Steps (horizon / step) an RK4 run may make.  The run keeps every state and
 #: builds its time grid first, so this bounds its memory and time before a
 #: step is made: a horizon of 1e300 would otherwise ask for about 1e302 samples.
 _RK4_STEP_BUDGET = 1_000_000
 
 
-def _integrate_rk4(kernel, y0, cfg, horizon, names):
-    """Fixed-step RK4 through the kernel's compiled step loop: times, flat states, extinctions.
+def _integrate_rk4(run, y0, cfg, horizon, names):
+    """Fixed-step RK4 through a kernel's compiled step loop `run`: times, flat states, extinctions.
 
-    `kernel.rk4_run` makes the full steps, then the remainder step that
-    ends on the horizon.  The step it hands off on (a state that is not
-    finite, needs clamping or exceeds DIVERGENCE_LIMIT) is made again
-    stage by stage through `kernel.rhs`, the same arithmetic, which
-    clamps, reports extinctions and raises; then `rk4_run` takes over
-    again.  The states are one flat float list, sample after sample.
+    `run` (a kernel's `rk4_run`) makes the full steps, then the remainder
+    step that ends on the horizon.  The state it refuses (one that is not
+    finite, needs clamping or exceeds DIVERGENCE_LIMIT) is checked here:
+    it raises, or is clamped with its extinctions reported and added,
+    and `run` goes on from it.  The states are one flat float list,
+    sample after sample.
     """
-    f, run = kernel.rhs, kernel.rk4_run
     h = cfg.step
     if not horizon / h <= _RK4_STEP_BUDGET:  # an overflowing quotient is inf
         raise ValueError(f"rk4_fixed horizon / step must be <= {_RK4_STEP_BUDGET} steps, got {horizon / h:g}")
@@ -588,15 +577,14 @@ def _integrate_rk4(kernel, y0, cfg, horizon, names):
     while k < n_steps:
         hk, end = (h, n_full) if k < n_full else (remainder, n_steps)
         half, sixth = 0.5 * hk, hk / 6.0
-        run(out[-n:], hk, half, sixth, range(end - k), epsilon, DIVERGENCE_LIMIT, out)
+        refused = run(out[-n:], hk, half, sixth, range(end - k), epsilon, DIVERGENCE_LIMIT, out)
         k = len(out) // n - 1
-        if k == end:
+        if refused is None:
             continue
-        y = out[-n:]
-        y_next, stages = _rk4_stages(f, y, hk, half, sixth)
-        # a non-finite stage always leaves the new state non-finite
-        if not _all_finite(y_next) and not all(map(_all_finite, stages)):
-            raise NonFiniteDerivativeError(k * h, y)
+        y_next, stages_finite = refused
+        # a non-finite stage makes the new state non-finite, so only a refused step can have one
+        if not stages_finite:
+            raise NonFiniteDerivativeError(k * h, out[-n:])
         t = float(times[k + 1])
         _clamp_extinctions(y_next, t, epsilon, names, extinct, extinctions)
         if _max_exceeds(y_next, DIVERGENCE_LIMIT):
@@ -696,11 +684,11 @@ def integrate_report(scenario: Scenario) -> IntegrationResult:
     rk45_adaptive).  The run is deterministic for identical inputs.
     The step loop runs on Python floats through the scenario's compiled
     derivative.  Every RK4 step, the remainder step that ends on the
-    horizon included, runs in the compiled step loop, which hands a step
-    whose new state is not finite, needs clamping or exceeds
-    DIVERGENCE_LIMIT to a stage-by-stage step through the derivative, with
-    the same result.  Clamping every density below `extinction_epsilon`
-    to 0 keeps the samples nonnegative.  Both integrators collect the
+    horizon included, is made once, in the compiled step loop.  It hands
+    back a new state that is not finite, needs clamping or exceeds
+    DIVERGENCE_LIMIT, with whether its stages were finite, and the
+    integrator raises or clamps it.  Clamping every density below
+    `extinction_epsilon` to 0 keeps the samples nonnegative.  Both integrators collect the
     samples in one flat float list, which becomes the `values` array in
     one conversion.
     """
@@ -710,7 +698,7 @@ def integrate_report(scenario: Scenario) -> IntegrationResult:
     kernel = _kernel(scenario)
     cfg = scenario.integrator
     if cfg.method == "rk4_fixed":
-        times, flat, extinctions = _integrate_rk4(kernel, y0, cfg, scenario.horizon, names)
+        times, flat, extinctions = _integrate_rk4(kernel.rk4_run, y0, cfg, scenario.horizon, names)
     else:
         times, flat, extinctions = _integrate_rk45(kernel.rhs, y0, cfg, scenario.horizon, names)
     trajectory = Trajectory(names, times, np.array(flat).reshape(-1, len(names)))

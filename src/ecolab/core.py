@@ -11,6 +11,7 @@ Units are dimensionless throughout (both time and density).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Union
@@ -205,6 +206,17 @@ class ScenarioValidationError(ValueError):
 
 def _finite(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _count(name: str, value, minimum: int) -> int:
+    """A count argument as an int >= minimum; an integer type such as numpy's passes, 2.5 or 2.0 does not."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return value
 
 
 def _response_errors(response: FunctionalResponse, where: str) -> list[str]:

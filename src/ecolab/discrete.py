@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Trajectory
+from .core import Trajectory, _count
 
 __all__ = [
     "NicholsonBaileyParams",
@@ -96,13 +96,12 @@ def iterate_map(
     returns a non-finite value, and if any state, the initial one
     included, holds a negative density.
     """
-    if n_generations < 0:
-        raise ValueError("n_generations must be >= 0")
+    n_generations = _count("n_generations", n_generations, 0)
     state = tuple(float(v) for v in initial)
     if variable_names is None:
         variable_names = tuple(f"x{k}" for k in range(len(state)))
     rows = [state]
-    for generation in range(int(n_generations)):
+    for generation in range(n_generations):
         state = tuple(float(v) for v in step_fn(state))
         if not all(math.isfinite(v) for v in state):
             raise ValueError(f"step function returned a non-finite value at generation {generation + 1}")

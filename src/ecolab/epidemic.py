@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import Trajectory
+from .core import Trajectory, _count
 
 __all__ = [
     "Graph",
@@ -592,8 +592,7 @@ def persistence_fraction(
     Run k uses the derived seed run_seed(master_seed, k), so the answer
     depends on the inputs and master_seed alone.
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
+    n_runs = _count("n_runs", n_runs, 1)
     model = _monte_carlo_model(graph, beta, gamma, kind, initial_infected)
     return sum(itertools.islice(_runs_alive(model, horizon, master_seed), n_runs)) / n_runs
 
@@ -648,10 +647,8 @@ def estimate_threshold(
     low, high = float(beta_range[0]), float(beta_range[1])
     if not (0 <= low < high):
         raise ValueError("beta_range must satisfy 0 <= low < high")
-    if runs_per_point < 1:
-        raise ValueError("runs_per_point must be >= 1")
-    if n_bisections < 0:
-        raise ValueError("n_bisections must be >= 0")
+    runs_per_point = _count("runs_per_point", runs_per_point, 1)
+    n_bisections = _count("n_bisections", n_bisections, 0)
 
     def survival(beta: float, evaluation: int) -> float:
         return persistence_fraction(

@@ -135,8 +135,10 @@ def _check_keys(data: dict, path: str, required: set[str], optional: set[str]) -
         raise ParseError(f"{path}: missing required field(s) {', '.join(missing)}")
 
 
-def _finite(value: int | float, path: str) -> float:
+def _finite(value: Any, path: str) -> float:
     """A JSON number as a float; an infinity, a NaN or an integer too large for a float is not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{path}: expected a number")
     try:
         value = float(value)
     except OverflowError:
@@ -149,10 +151,7 @@ def _finite(value: int | float, path: str) -> float:
 def _number(data: dict, key: str, path: str, default=None) -> float:
     if key not in data:
         return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{path}.{key}: expected a number")
-    return _finite(value, f"{path}.{key}")
+    return _finite(data[key], f"{path}.{key}")
 
 
 def _integer(data: dict, key: str, path: str, default=None) -> int:
@@ -179,12 +178,7 @@ def _vector(data: dict, key: str, path: str, length: int, default=None):
     value = data[key]
     if not isinstance(value, list) or len(value) != length:
         raise ParseError(f"{path}.{key}: expected a list of {length} numbers")
-    out = []
-    for k, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ParseError(f"{path}.{key}[{k}]: expected a number")
-        out.append(_finite(item, f"{path}.{key}[{k}]"))
-    return tuple(out)
+    return tuple(_finite(item, f"{path}.{key}[{k}]") for k, item in enumerate(value))
 
 
 #: Reader for each field annotation a record may carry; the record modules
@@ -313,11 +307,7 @@ def _parse_community(data: dict) -> Scenario:
     interactions = [_parse_entry(raw, f"interactions[{idx}]", by_id) for idx, raw in enumerate(raw_entries)]
 
     densities_raw = _require_object(data["initial_densities"], "document.initial_densities")
-    densities = {}
-    for key, value in densities_raw.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(f"document.initial_densities.{key}: expected a number")
-        densities[key] = _finite(value, f"document.initial_densities.{key}")
+    densities = {key: _finite(value, f"document.initial_densities.{key}") for key, value in densities_raw.items()}
 
     integrator_raw = _require_object(data.get("integrator", {}), "document.integrator")
     scenario = Scenario(
@@ -606,6 +596,14 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return data
 
 
+def _json_integer(text: str) -> int | float:
+    """A JSON integer; one past int()'s digit limit reads as an infinity, which no field accepts."""
+    try:
+        return int(text)
+    except ValueError:
+        return math.inf
+
+
 def parse_scenario(text: str) -> Document:
     """Parse a scenario document; see the module docstring for the schema.
 
@@ -614,7 +612,7 @@ def parse_scenario(text: str) -> Document:
     through as ScenarioValidationError from validate_scenario.
     """
     try:
-        data = json.loads(text, object_pairs_hook=_unique_keys)
+        data = json.loads(text, object_pairs_hook=_unique_keys, parse_int=_json_integer)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"JSON syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"

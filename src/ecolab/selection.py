@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Trajectory
+from .core import Trajectory, _count
 
 __all__ = [
     "TRAIT_NAMES",
@@ -188,14 +188,13 @@ def iterate_selection(state: SelectionState, n_steps: int) -> Trajectory:
     only what changes, the gradients at the current means and then the
     new means.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
+    n_steps = _count("n_steps", n_steps, 0)
     g, natural, sexual, mutation = state.g_matrix, state.natural, state.sexual, state.mutation_step
     means = state.means
     rows = [means]
     # an overflow is reported by the finiteness check of the value it reaches
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(int(n_steps)):
+        for _ in range(n_steps):
             means = _vector3("means", means + (g @ _gradient_sum(natural, sexual, means) + mutation))
             rows.append(means)
     return Trajectory(TRAIT_NAMES, np.arange(len(rows), dtype=float), np.array(rows))

@@ -432,6 +432,30 @@ def reference_integrate_report(scenario: Scenario, derivative_fn=None) -> Integr
     return IntegrationResult(trajectory=trajectory, extinctions=tuple(extinctions))
 
 
+def stagewise_rk4_run(f):
+    """An `rk4_run` that makes each step stage by stage through the float derivative `f`.
+
+    It keeps the compiled loop's protocol: one step per item of `count`,
+    each new state added to `out`, and the first state outside
+    `lo <= z <= hi` that is not 0.0 returned unadded, with whether every
+    stage value is finite.
+    """
+
+    def rk4_run(y, h, half, sixth, count, lo, hi, out):
+        for _ in count:
+            k1 = f(y)
+            k2 = f([v + half * d for v, d in zip(y, k1)])
+            k3 = f([v + half * d for v, d in zip(y, k2)])
+            k4 = f([v + h * d for v, d in zip(y, k3)])
+            y = [v + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
+            if not all(lo <= v <= hi or v == 0.0 for v in y):
+                return y, all(map(math.isfinite, k1 + k2 + k3 + k4))
+            out.extend(y)
+        return None
+
+    return rk4_run
+
+
 # Reference fixed-point search: the array-based damped Newton and
 # central-difference Jacobian that the float versions in ecolab.analysis
 # replaced, kept verbatim but for the derivative, which is the array

@@ -4,9 +4,19 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ecolab
+from ecolab import (
+    SelectionState,
+    complete_graph,
+    constant_gradient,
+    estimate_threshold,
+    iterate_map,
+    iterate_selection,
+    persistence_fraction,
+)
 
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(ecolab.__path__, "ecolab."))
 
@@ -27,3 +37,31 @@ def test_import_leaves_urllib_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     ).stdout
     assert out == f"{ecolab.__file__}\nFalse\n"
+
+
+_SELECTION = SelectionState(
+    means=np.zeros(3),
+    g_matrix=np.eye(3),
+    natural=constant_gradient((0.1, 0.0, 0.0)),
+    sexual=constant_gradient((0.0, 0.0, 0.0)),
+    mutation_step=np.zeros(3),
+)
+# on K20 with these runs the range (0.005, 0.4) brackets the persistence threshold
+_THRESHOLD = dict(runs_per_point=10, persistence_horizon=20.0, n_bisections=3, master_seed=9)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("n_generations", lambda count: iterate_map(lambda s: (2.0 * s[0],), (1.0,), count).values.tolist()),
+    ("n_steps", lambda count: iterate_selection(_SELECTION, count).values.tolist()),
+    ("n_runs", lambda count: persistence_fraction(complete_graph(10), 0.5, 1.0, 5.0, count)),
+    ("runs_per_point", lambda count: estimate_threshold(
+        complete_graph(20), 1.0, (0.005, 0.4), **dict(_THRESHOLD, runs_per_point=count))),
+    ("n_bisections", lambda count: estimate_threshold(
+        complete_graph(20), 1.0, (0.005, 0.4), **dict(_THRESHOLD, n_bisections=count))),
+])
+def test_counts_must_be_integers(name, call):
+    # int() would have run 2 of 2.5 generations, and islice() named no argument
+    for count in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {count!r}$"):
+            call(count)
+    assert call(np.int64(2)) == call(2)

@@ -367,11 +367,13 @@ def test_sweep_has_no_svg_option(tmp_path, capsys):
     # JSON integers too large for a float, where float() raises OverflowError
     (("run", "{huge_horizon}"), "document.horizon: must be finite"),
     (("stability", "{huge_growth}"), "species[1].growth_rate: must be finite"),
+    # an integer past int()'s limit of 4300 digits, where json.loads alone raises a ValueError naming no field
+    (("run", "{long_horizon}"), "document.horizon: must be finite"),
 ], ids=["run-no-species", "stability-no-species", "unknown-metric-species", "csv-in-missing-dir",
         "svg-in-missing-dir", "sweep-selection", "sweep-epidemic-metric", "sweep-unknown-metric",
         "stability-epidemic", "sweep-predation-coeff_j", "sweep-to-inf", "sweep-negative-points",
         "sweep-one-point-of-a-selection", "sweep-fractional-trophic-level", "sweep-horizon-past-the-step-budget",
-        "run-huge-integer-horizon", "stability-huge-integer-growth-rate"])
+        "run-huge-integer-horizon", "stability-huge-integer-growth-rate", "run-horizon-past-the-digit-limit"])
 def test_input_errors_exit_1_with_a_fixed_message(tmp_path, capsys, argv, message):
     paths = {name: tmp_path / f"{name}.json" for name in ("empty", "lv", "sel", "epi")}
     paths["missing"] = tmp_path / "missing"
@@ -381,6 +383,8 @@ def test_input_errors_exit_1_with_a_fixed_message(tmp_path, capsys, argv, messag
     lv = json.loads(paths["lv"].read_text())
     paths["huge_horizon"] = tmp_path / "huge-horizon.json"
     paths["huge_horizon"].write_text(json.dumps(dict(lv, horizon=10**400)))
+    paths["long_horizon"] = tmp_path / "long-horizon.json"
+    paths["long_horizon"].write_text(json.dumps(dict(lv, horizon="<long>")).replace('"<long>"', "1" + "0" * 5000))
     lv["species"][1]["growth_rate"] = 10**400
     paths["huge_growth"] = tmp_path / "huge-growth.json"
     paths["huge_growth"].write_text(json.dumps(lv))

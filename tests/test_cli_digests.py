@@ -37,8 +37,9 @@ def test_two_runs_print_the_same_lines():
         "sweep lv-classic.json --param species.predator.trophic_level --from 1 --to 2 --points 3",
         "run horizon-1e300.json",
         "run horizon-huge-integer.json",
+        "run horizon-long-integer.json",
     }
-    assert len(commands) == 51
+    assert len(commands) == 52
     written = [line for line in first if line.split("\t")[1] not in ("stdout", "stderr", "exit")]
     # CSV and SVG of 5 demos and 10 runs, and the three sweeps' CSVs; a failed run writes nothing
     assert len(written) == 2 * (5 + 10) + 3

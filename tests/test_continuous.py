@@ -63,6 +63,7 @@ from helpers import (
     reference_integrate_report,
     saturating_chain_scenario,
     single_species,
+    stagewise_rk4_run,
 )
 
 CANONICAL = LotkaVolterraParams(
@@ -456,17 +457,13 @@ def test_lv_scenario_roundtrip_parameters():
 _RUN_ERRORS = (DivergenceError, NonFiniteDerivativeError, StepSizeUnderflowError, ValueError)
 
 
-def _never_runs(y, h, half, sixth, count, lo, hi, out):
-    """An `rk4_run` that makes no step, so every step goes down the careful path."""
-
-
 def _report_through(scenario, f):
     """What `integrate_report` gives with `f` in place of the compiled derivative."""
     y0 = scenario.initial_state().tolist()
     names = scenario.species_ids
     cfg = scenario.integrator
     if cfg.method == "rk4_fixed":
-        times, flat, extinctions = _integrate_rk4(_Kernel(f, _never_runs, None, None), y0, cfg, scenario.horizon, names)
+        times, flat, extinctions = _integrate_rk4(stagewise_rk4_run(f), y0, cfg, scenario.horizon, names)
     else:
         times, flat, extinctions = _integrate_rk45(f, y0, cfg, scenario.horizon, names)
     return IntegrationResult(Trajectory(names, times, np.array(flat).reshape(-1, len(names))), tuple(extinctions))
@@ -623,10 +620,10 @@ def test_ivlev_overflow_is_a_non_finite_derivative():
     _assert_same_outcome(got, want)
 
 
-# The generated RK4 loop hands a step off to the careful path (stages through
-# `rhs`, clamp, divergence and non-finite checks) when its new state is not
-# finite, needs a clamp or exceeds DIVERGENCE_LIMIT; the careful path must
-# then give what it gives for every step.
+# The generated RK4 loop hands back the new state it refuses, with whether
+# its stages were finite, when that state is not finite, needs a clamp or
+# exceeds DIVERGENCE_LIMIT; the careful checks (non-finite stages, clamp,
+# divergence) on it must then give what the reference gives for every step.
 
 _EPSILON = IntegratorConfig().extinction_epsilon
 _SPECIAL = (
@@ -703,6 +700,9 @@ _HANDOFFS = {
     "extinction-then-remainder": (lambda: _decay_to(30.005, step=0.01), [2072, 927, 1], None),
     # 3 * 0.1 is not 0.3, but the last sample of a run without a remainder is the horizon
     "no-remainder": (lambda: predation_scenario(horizon=0.3, step=0.1), [3], None),
+    # every stage is finite (near 4e307), but their weighted sum overflows: the new state is inf
+    "overflowing-step": (lambda: single_species(growth=4e297, initial=1e10, horizon=1e-299, step=1e-300),
+                         [0], DivergenceError),
 }
 
 
@@ -718,15 +718,17 @@ def test_rk4_run_hands_off_to_the_careful_step(case, monkeypatch):
 
         def counted_run(y, h, half, sixth, count, lo, hi, out):
             before = len(out)
-            run(y, h, half, sixth, count, lo, hi, out)
+            refused = run(y, h, half, sixth, count, lo, hi, out)
             made.append((len(out) - before) // len(y))  # out holds the states' floats one after another
+            return refused
 
         return kernel._replace(rk4_run=counted_run)
 
     monkeypatch.setattr(continuous, "_kernel", counting_kernel)
     got = _outcome(lambda: integrate_report(scenario))
     monkeypatch.undo()
-    want = _outcome(lambda: reference_integrate_report(scenario))
+    with np.errstate(over="ignore"):  # the reference's arrays warn on the overflowing step
+        want = _outcome(lambda: reference_integrate_report(scenario))
     _assert_same_outcome(got, want)
     assert made == run_steps
     if error is not None:
@@ -764,10 +766,12 @@ def test_rk4_run_hand_off_predicate_is_the_careful_checks():
         )
         for state in ([v, 1.0], [1.0, v]):
             out = []
-            run(state, 0.1, 0.05, 0.1 / 6.0, range(1), _EPSILON, DIVERGENCE_LIMIT, out)
-            assert len(out) // 2 == careful_passes, v
+            refused = run(state, 0.1, 0.05, 0.1 / 6.0, range(1), _EPSILON, DIVERGENCE_LIMIT, out)
+            assert len(out) // 2 == careful_passes == (refused is None), v
             if out:
                 assert repr(tuple(out)) == repr(tuple(state))
+            else:  # a stage is 0.0 * v, which is finite exactly when v is
+                assert refused[1] == math.isfinite(v)
 
 
 def _cooperation_blowup():

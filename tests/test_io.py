@@ -588,6 +588,14 @@ def graph(spec: dict) -> str:
 NAN = float("nan")
 INF = float("inf")
 HUGE = 10**400  # a JSON integer too large for a float
+# a JSON integer past int()'s default limit of 4300 digits, which json.dumps cannot write
+PAST_DIGIT_LIMIT = "1" + "0" * 5000
+
+
+def with_long_integer(base: dict, path: tuple) -> str:
+    """base as JSON text with PAST_DIGIT_LIMIT at path."""
+    return patched(base, (path, "<long>")).replace('"<long>"', PAST_DIGIT_LIMIT)
+
 
 MALFORMED = [
     # document level
@@ -613,6 +621,11 @@ MALFORMED = [
      "document.horizon: must be finite"),
     ("horizon-huge-integer", patched(MINIMAL_COMMUNITY, (("horizon",), HUGE)), "ParseError",
      "document.horizon: must be finite"),
+    # json.loads alone would raise int()'s ValueError, whose message names no field
+    ("horizon-past-the-digit-limit", with_long_integer(MINIMAL_COMMUNITY, ("horizon",)), "ParseError",
+     "document.horizon: must be finite"),
+    ("generations-past-the-digit-limit", with_long_integer(DISCRETE, ("generations",)), "ParseError",
+     "document.generations: expected an integer"),
     # json.loads alone would keep the last of two equal keys
     ("duplicate-key", patched(DISCRETE)[:-1] + ', "generations": 0}', "ParseError",
      "duplicate key 'generations'"),

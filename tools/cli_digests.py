@@ -24,8 +24,9 @@ none), `sweep` on a selection and `stability` on an epidemic document,
 a sweep to `--to inf`, a sweep of `--points -1`, a sweep of a trophic
 level through 1.5, `stability` on a community with a competition, a
 symbiosis and a predation entry, `run` on an RK4 document whose
-horizon of 1e300 is past the step budget, and `run` on a document whose
-horizon is an integer too large for a float. For each
+horizon of 1e300 is past the step budget, `run` on a document whose
+horizon is an integer too large for a float, and `run` on one whose
+horizon is an integer past int()'s limit of 4300 digits. For each
 command it prints one line per stdout, stderr, exit code and written file:
 
     <command>  <what>  <sha256>
@@ -268,6 +269,10 @@ def digest_lines() -> list[str]:
             with open("horizon-huge-integer.json", "w", encoding="utf-8") as handle:
                 json.dump(dict(REMAINDER, horizon=10**400), handle)
             record("run", "horizon-huge-integer.json")
+            # json.dumps cannot write an integer of 5001 digits, so it replaces a placeholder
+            with open("horizon-long-integer.json", "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(dict(REMAINDER, horizon="<long>")).replace('"<long>"', "1" + "0" * 5000))
+            record("run", "horizon-long-integer.json")
             record("sweep", "lv-classic.json", "--param", "interaction.predator:prey.coeff_j", "--from", "0",
                    "--to", "1", "--points", "2")
             record("sweep", "selection.json", "--param", "beta", "--from", "0.1", "--to", "0.2", "--points", "2")
