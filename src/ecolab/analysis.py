@@ -16,6 +16,7 @@ from .core import (
     Role,
     Scenario,
     Trajectory,
+    _count,
     validate_scenario,
 )
 from .continuous import _all_finite, _kernel, integrate_report
@@ -48,16 +49,21 @@ _CLASSIFY_TOL = 1e-7
 _RESIDUAL_TOL = 1e-10
 _DEDUPE_TOL = 1e-8
 _MAX_ITERATIONS = 50
-#: What find_fixed_points hands the kernel's `newton` after the start: the
+#: What find_fixed_points hands the kernel's `roots` after the starts: the
 #: iterations, the Jacobian's fd_step, the stop and keep bounds on the
-#: residual norm, and the fractions of the step that the line search tries,
-#: halving from 1 while above 1e-4.
-_NEWTON_ARGS = (
+#: residual norm, the fractions of the step that the line search tries,
+#: halving from 1 while above 1e-4, the density below which a root is
+#: dropped, the one below which a density snaps to 0, and the bound on the
+#: snapped root's residual norm.  The de-duplication distance follows.
+_ROOTS_ARGS = (
     range(_MAX_ITERATIONS),
     1e-7,
     _RESIDUAL_TOL * 1e-2,
     _RESIDUAL_TOL,
     tuple(itertools.takewhile(lambda lam: lam > 1e-4, (0.5**k for k in itertools.count()))),
+    -1e-9,
+    1e-12,
+    _RESIDUAL_TOL,
 )
 #: np.linalg.solve's own errstate around its gufunc, but for a singular matrix,
 #: which raises FloatingPointError where np.linalg.solve raises LinAlgError.
@@ -207,12 +213,6 @@ def _newton_starts(scenario: Scenario) -> list[list[float]]:
     return starts
 
 
-def _norm(values: list[float]) -> float:
-    """np.linalg.norm(values) of a float list: the same dot, without the wrapper."""
-    a = np.array(values)
-    return math.sqrt(a.dot(a))
-
-
 def find_fixed_points(
     scenario: Scenario, extra_starts: Sequence[Sequence[float]] | None = None
 ) -> list[np.ndarray]:
@@ -226,13 +226,16 @@ def find_fixed_points(
     largest initial density, if above 1).  Every term of the derivative
     carries a density factor, so the origin start always converges.
 
-    Newton is the scenario's compiled `newton`: at most 50 steps, each
-    solving with the central-difference Jacobian of step 1e-7 through
-    np.linalg.solve's gufunc and halving the step, down to 1e-4 of it,
-    until the residual norm drops; a start stops early once the norm is
-    below 1e-12.  All starts, and the re-check of each root, run inside
-    one np.errstate, np.linalg.solve's own, under which a singular
-    Jacobian ends a start and an overflowing norm is quietly inf.
+    The search is the scenario's compiled `roots`, which runs every
+    start in generated code.  Newton makes at most 50 steps, each solving
+    with the central-difference Jacobian of step 1e-7 through
+    np.linalg.solve's gufunc into reused float64 buffers and halving the
+    step, down to 1e-4 of it, until the residual norm drops; a start
+    stops early once the norm is below 1e-12.  A root below -1e-9 in any
+    density is dropped, densities below 1e-12 snap to 0, and the snapped
+    root is re-checked against 1e-10.  All starts run inside one
+    np.errstate, np.linalg.solve's own, under which a singular Jacobian
+    ends a start and an overflowing norm is quietly inf.
     """
     validate_scenario(scenario)
     n = len(scenario.species)
@@ -245,9 +248,6 @@ def find_fixed_points(
         interior[pred_idx] = growth / encounter
         return [np.zeros(n), interior]
 
-    kernel = _kernel(scenario)
-    rhs, newton = kernel.rhs, kernel.newton
-    roots: list[list[float]] = []
     scale = max(1.0, max((abs(g) for g in scenario.initial_state()), default=1.0))
     starts = _newton_starts(scenario)
     if extra_starts is not None:
@@ -257,19 +257,7 @@ def find_fixed_points(
                 raise ValueError(f"extra start has shape {extra.shape}, scenario declares {n} species")
             starts.append(extra.tolist())
     with np.errstate(**_SOLVE_ERRSTATE):
-        for start in starts:
-            x, ok = newton(start, *_NEWTON_ARGS)
-            if not ok:
-                continue
-            if any(v < -1e-9 for v in x):
-                continue
-            # |x| < 1e-12 snaps to 0, and the rest of [-1e-9, 0) clips to it
-            x = [v if v >= 1e-12 else 0.0 for v in x]
-            if _norm(rhs(x)) >= _RESIDUAL_TOL:
-                continue
-            if any(max(abs(a - b) for a, b in zip(x, r)) <= _DEDUPE_TOL * scale for r in roots):
-                continue
-            roots.append(x)
+        roots = _kernel(scenario).roots(starts, *_ROOTS_ARGS, _DEDUPE_TOL * scale)
     roots.sort(key=tuple)
     return [np.array(r) for r in roots]
 
@@ -523,6 +511,7 @@ def sweep_epidemic(
         raise ValueError(
             f"unresolvable parameter path '{parameter_path}' for an epidemic (beta, gamma)"
         )
+    runs_per_point = _count("runs_per_point", runs_per_point, 1)
     grid = _monotone_grid(grid)
     points = []
     for idx, value in enumerate(grid):

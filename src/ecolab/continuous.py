@@ -258,7 +258,8 @@ def continuum_interaction(species_i: str, species_j: str, p: ContinuumParams) ->
 #   g<k>  signed growth rate of species k     s<k>  its self-limitation
 #   v<m>  conversion of trophic entry m       f<m>  its linear rate, or its response
 #   p<m>  coefficient of mass-action entry m on its i side, q<m> on its j side
-#   array  numpy.array      isfinite  math.isfinite      sqrt  math.sqrt
+#   array  numpy.array      empty  numpy.empty
+#   isfinite  math.isfinite      sqrt  math.sqrt
 #   solve1  the gufunc np.linalg.solve calls, numpy.linalg._umath_linalg.solve1
 # Generated locals never take one of these names: a local p<m> would shadow
 # the coefficient of mass-action entry m.
@@ -268,12 +269,12 @@ _KERNEL_CACHE_SIZE = 64
 
 
 class _Kernel(NamedTuple):
-    """A scenario's derivative, RK4 step loop, central-difference Jacobian and damped Newton, all over floats."""
+    """A scenario's derivative, RK4 step loop, central-difference Jacobian and fixed-point search, all over floats."""
 
     rhs: Callable[[Sequence[float]], list[float]]
     rk4_run: Callable[..., tuple[list[float], bool] | None]
     jacobian: Callable[[Sequence[float], float], np.ndarray]
-    newton: Callable[..., tuple[list[float], bool]]
+    roots: Callable[..., list[list[float]]]
 
 
 def _derivative_lines(structure, x: str, d: str) -> list[str]:
@@ -306,9 +307,26 @@ def _finite_test(values: list[str]) -> str:
     return f"isfinite({' + '.join(values)}) or {' and '.join(f'isfinite({v})' for v in values)}"
 
 
+def _jacobian_probes(structure, i: int, plus: str, minus: str) -> list[str]:
+    """Statements for axis i of the central-difference Jacobian at the state held in x<k>.
+
+    They set h = fd_step*max(1, |x_i|), the derivative at x + h e_i in
+    plus<k> and at x - h e_i in minus<k> (the probe is held in y<k>), and
+    end in an `if` line testing that all 2n values are finite, which the
+    caller follows with the indented statement for when one is not.
+    """
+    n = structure[0]
+    lines = [f"h = fd_step * max(1.0, abs(x{i}))"]
+    lines += [f"y{k} = x{k} + h" if k == i else f"y{k} = x{k}" for k in range(n)]
+    lines += _derivative_lines(structure, "y", plus)
+    lines += [f"y{i} = x{i} - h", *_derivative_lines(structure, "y", minus)]
+    lines += [f"if not ({_finite_test([f'{v}{k}' for v in (plus, minus) for k in range(n)])}):"]
+    return lines
+
+
 @functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def _compile_structure(structure):
-    """Code object defining `rhs`, `rk4_run`, `jacobian` and `newton` for one scenario structure.
+    """Code object defining `rhs`, `rk4_run`, `jacobian` and `roots` for one scenario structure.
 
     The structure is (species count, self-limited indices, (aggressor,
     victim, response type) per trophic entry, (i, j) per mass-action
@@ -332,18 +350,27 @@ def _compile_structure(structure):
     of the 2n values is not finite, and returns the transpose of the
     array of columns (f(x + h e_i) - f(x - h e_i)) / 2h.
 
-    `newton(x, iterations, fd_step, stop, keep, fractions)` is damped
-    Newton from x with the derivative inlined at the iterate and at each
-    line-search candidate, one local per species.  Each item of
-    `iterations` makes one step: it returns (iterate, True) once the
-    residual norm is below `stop`, solves J t = -f(x) with `solve1` and
-    J = `jacobian(x, fd_step)`, and moves to the first candidate
-    x + lam*t, lam in `fractions`, whose residual is finite and of lower
-    norm.  A ValueError from the Jacobian, a FloatingPointError from
-    `solve1` (a singular J, under the caller's errstate) and a failed
-    line search end the iteration early.  The result is the last
-    iterate and whether its residual is finite with norm below `keep`.
-    Each norm is sqrt(a.dot(a)) of a = array(residual), the dot
+    `roots(starts, iterations, fd_step, stop, keep, fractions, neg, snap,
+    tol, dedupe)` is `analysis.find_fixed_points`' search over the float
+    lists `starts`, one local per species.  From each start it runs
+    damped Newton with the derivative inlined at the iterate and at each
+    line-search candidate.  Each item of `iterations` makes one step: it
+    stops once the residual norm is below `stop`, solves J t = -f(x) with
+    `solve1` and J the Jacobian of `jacobian(x, fd_step)` inlined, and
+    moves to the first candidate x + lam*t, lam in `fractions`, whose
+    residual is finite and of lower norm.  A non-finite Jacobian value, a
+    FloatingPointError from `solve1` (a singular J, under the caller's
+    errstate) and a failed line search end the iteration early.  A start
+    is dropped unless its first residual is finite and its last norm is
+    below `keep` (at least `stop`).  A root is then dropped if a density
+    is below `neg`; every density below `snap` becomes 0.0; the root is
+    dropped if the residual norm there is `>= tol` (a NaN norm is not),
+    or if it is within `dedupe` (the largest density difference) of a
+    root kept before.  The kept roots are returned in start order.
+    The Jacobian, the right-hand side -f(x), the solution t and each
+    residual are written item by item into four float64 buffers that
+    `empty` allocates once per call; `solve1` writes t into its buffer.
+    Each norm is sqrt(a.dot(a)) of the residual buffer a, the dot
     np.linalg.norm takes; the accepted candidate's residual and norm
     are kept for the next step, not evaluated again.
     """
@@ -364,58 +391,77 @@ def _compile_structure(structure):
     # the derivative at x + h e_i goes to d<k>, at x - h e_i to e<k>; column i is j<i>
     jac = [f"[{_names('x', n)}] = x"]
     for i in range(n):
-        jac += [f"h = fd_step * max(1.0, abs(x{i}))"]
-        jac += [f"y{k} = x{k} + h" if k == i else f"y{k} = x{k}" for k in range(n)]
-        jac += _derivative_lines(structure, "y", "d")
-        jac += [f"y{i} = x{i} - h", *_derivative_lines(structure, "y", "e")]
+        jac += _jacobian_probes(structure, i, "d", "e")
         jac += [
-            f"if not ({_finite_test([f'{v}{k}' for v in 'de' for k in range(n)])}):",
             f"    raise ValueError('non-finite derivative evaluation near axis {i}')",
             "two_h = 2.0 * h",
             f"j{i} = [{', '.join(f'(d{k} - e{k}) / two_h' for k in range(n))}]",
         ]
     jac += [f"return array([{_names('j', n)}]).T"]
-    # the iterate is x<k> with residual d<k>; the step is t<k>; the candidate is y<k> with residual e<k>
-    iterate = f"[{_names('x', n)}]"
-    search = [f"y{k} = x{k} + lam * t{k}" for k in range(n)]
-    search += _derivative_lines(structure, "y", "e")
-    search += [
-        f"if {_finite_test([f'e{k}' for k in range(n)])}:",
-        f"    a = array(({_names('e', n)},))",
-        "    trial = sqrt(a.dot(a))",
-        "    if trial < norm:",
-        *(f"        x{k} = y{k}" for k in range(n)),
-        *(f"        d{k} = e{k}" for k in range(n)),
-        "        norm = trial",
-        "        break",
-    ]
-    newton = [f"{iterate} = x", *_derivative_lines(structure, "x", "d")]
+    # the iterate is x<k> with residual d<k>; the Jacobian's derivatives at x + h e_i and x - h e_i
+    # are e<k> and u<k>; the step is t<k>; the candidate is y<k> with residual e<k>
+    newton = []
+    for i in range(n):
+        newton += _jacobian_probes(structure, i, "e", "u")
+        newton += ["    break", "two_h = 2.0 * h", *(f"jac[{k}, {i}] = (e{k} - u{k}) / two_h" for k in range(n))]
     newton += [
+        *(f"b[{k}] = -d{k}" for k in range(n)),
+        "try:",
+        "    solve1(jac, b, signature='dd->d', out=sol)",
+        "except FloatingPointError:",
+        "    break",
+        f"[{_names('t', n)}] = sol.tolist()",
+        "for lam in fractions:",
+        *(f"    y{k} = x{k} + lam * t{k}" for k in range(n)),
+        *(f"    {line}" for line in _derivative_lines(structure, "y", "e")),
+        f"    if {_finite_test([f'e{k}' for k in range(n)])}:",
+        *(f"        res[{k}] = e{k}" for k in range(n)),
+        "        trial = sqrt(res.dot(res))",
+        "        if trial < norm:",
+        *(f"            x{k} = y{k}" for k in range(n)),
+        *(f"            d{k} = e{k}" for k in range(n)),
+        "            norm = trial",
+        "            break",
+        "else:",
+        "    break",
+    ]
+    # a kept root is held in y<k> while the new one, x<k>, is compared with it
+    distance = ", ".join(f"abs(x{k} - y{k})" for k in range(n))
+    if n > 1:
+        distance = f"max({distance})"
+    per_start = [
+        f"[{_names('x', n)}] = x",
+        *_derivative_lines(structure, "x", "d"),
         f"if not ({_finite_test([f'd{k}' for k in range(n)])}):",
-        f"    return {iterate}, False",
-        f"a = array(({_names('d', n)},))",
-        "norm = sqrt(a.dot(a))",
+        "    continue",
+        *(f"res[{k}] = d{k}" for k in range(n)),
+        "norm = sqrt(res.dot(res))",
         "for _ in iterations:",
         "    if norm < stop:",
-        f"        return {iterate}, True",
-        "    try:",
-        f"        [{_names('t', n)}] = solve1(",
-        f"            jacobian(({_names('x', n)},), fd_step), [{', '.join(f'-d{k}' for k in range(n))}], "
-        "signature='dd->d'",
-        "        ).tolist()",
-        "    except (FloatingPointError, ValueError):",
         "        break",
-        "    for lam in fractions:",
-        *(f"        {line}" for line in search),
-        "    else:",
+        *(f"    {line}" for line in newton),
+        f"if not norm < keep or {' or '.join(f'x{k} < neg' for k in range(n))}:",
+        "    continue",
+        *(f"x{k} = x{k} if x{k} >= snap else 0.0" for k in range(n)),
+        *_derivative_lines(structure, "x", "d"),
+        *(f"res[{k}] = d{k}" for k in range(n)),
+        "if sqrt(res.dot(res)) >= tol:",
+        "    continue",
+        "for r in found:",
+        f"    [{_names('y', n)}] = r",
+        f"    if {distance} <= dedupe:",
         "        break",
-        f"return {iterate}, norm < keep",
+        "else:",
+        f"    found.append([{_names('x', n)}])",
     ]
+    roots = [f"jac = empty(({n}, {n}))", f"b = empty({n})", f"sol = empty({n})", f"res = empty({n})", "found = []"]
+    roots += ["for x in starts:", *(f"    {line}" for line in per_start), "return found"]
     source = (
         f"def rhs(x):{indent}{indent.join(rhs)}\n\n"
         f"def rk4_run(y, h, half, sixth, count, lo, hi, out):{indent}{indent.join(run)}\n\n"
         f"def jacobian(x, fd_step):{indent}{indent.join(jac)}\n\n"
-        f"def newton(x, iterations, fd_step, stop, keep, fractions):{indent}{indent.join(newton)}\n"
+        f"def roots(starts, iterations, fd_step, stop, keep, fractions, neg, snap, tol, dedupe):"
+        f"{indent}{indent.join(roots)}\n"
     )
     return compile(source, "<ecolab community kernel>", "exec")
 
@@ -423,7 +469,7 @@ def _compile_structure(structure):
 def _kernel(scenario: Scenario) -> _Kernel:
     """Bind the scenario's values into the compiled code of its structure."""
     index = {sp.id: k for k, sp in enumerate(scenario.species)}
-    namespace = {"array": np.array, "isfinite": math.isfinite, "sqrt": math.sqrt, "solve1": _solve1}
+    namespace = {"array": np.array, "empty": np.empty, "isfinite": math.isfinite, "sqrt": math.sqrt, "solve1": _solve1}
     limited = []
     for k, sp in enumerate(scenario.species):
         namespace[f"g{k}"] = sp.growth_rate if sp.role == Role.PRODUCER else -sp.growth_rate
@@ -449,7 +495,7 @@ def _kernel(scenario: Scenario) -> _Kernel:
                 namespace[f"p{m}"], namespace[f"q{m}"] = entry.coeff_i, entry.coeff_j
     code = _compile_structure((len(scenario.species), tuple(limited), tuple(trophic), tuple(mass_action)))
     exec(code, namespace)
-    return _Kernel(namespace["rhs"], namespace["rk4_run"], namespace["jacobian"], namespace["newton"])
+    return _Kernel(namespace["rhs"], namespace["rk4_run"], namespace["jacobian"], namespace["roots"])
 
 
 def community_rhs(scenario: Scenario) -> Callable[[Sequence[float]], list[float]]:

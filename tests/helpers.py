@@ -34,12 +34,12 @@ from ecolab import (
     validate_scenario,
 )
 from ecolab.analysis import (
+    _DEDUPE_TOL,
     _MAX_ITERATIONS,
     _RESIDUAL_TOL,
     _SOLVE_ERRSTATE,
     _as_classical_pair,
     _central_jacobian,
-    _norm,
     _split_path,
 )
 from ecolab.continuous import (
@@ -621,6 +621,12 @@ def reference_newton(rhs, x: list[float]) -> tuple[list[float], bool]:
 # once per start.
 
 
+def _norm(values: list[float]) -> float:
+    """np.linalg.norm(values) of a float list: the same dot, without the wrapper."""
+    a = np.array(values)
+    return math.sqrt(a.dot(a))
+
+
 def reference_unwrapped_newton(rhs, jacobian, x: list[float]) -> tuple[list[float], bool]:
     """Damped Newton from x: the last iterate and whether its residual norm is below _RESIDUAL_TOL.
 
@@ -657,6 +663,38 @@ def reference_unwrapped_newton(rhs, jacobian, x: list[float]) -> tuple[list[floa
                 break
         fx = rhs(x)
         return x, bool(_all_finite(fx) and _norm(fx) < _RESIDUAL_TOL)
+
+
+# Reference root search: the loop of ecolab.analysis.find_fixed_points
+# before the community kernel generated it, kept verbatim but for its name
+# and the Newton it calls, which is reference_unwrapped_newton, the Python
+# form of the per-start Newton the kernel generated until then.
+
+
+def reference_roots(rhs, jacobian, starts, scale: float) -> list[list[float]]:
+    """The roots that damped Newton finds from `starts`, filtered and de-duplicated, in start order.
+
+    A start is kept when Newton converges from it, no density lies below
+    -1e-9, and after densities below 1e-12 snap to 0 the residual norm is
+    not >= _RESIDUAL_TOL; it is dropped if it lies within
+    _DEDUPE_TOL * scale (largest density difference) of a root kept before.
+    """
+    roots = []
+    with np.errstate(**_SOLVE_ERRSTATE):
+        for start in starts:
+            x, ok = reference_unwrapped_newton(rhs, jacobian, start)
+            if not ok:
+                continue
+            if any(v < -1e-9 for v in x):
+                continue
+            # |x| < 1e-12 snaps to 0, and the rest of [-1e-9, 0) clips to it
+            x = [v if v >= 1e-12 else 0.0 for v in x]
+            if _norm(rhs(x)) >= _RESIDUAL_TOL:
+                continue
+            if any(max(abs(a - b) for a, b in zip(x, r)) <= _DEDUPE_TOL * scale for r in roots):
+                continue
+            roots.append(x)
+    return roots
 
 
 # Reference parameter edit: the case-by-case set_parameter that

@@ -38,18 +38,19 @@ from ecolab import (
 )
 from ecolab import EpidemicModel, complete_graph
 from ecolab.analysis import (
-    _NEWTON_ARGS,
+    _DEDUPE_TOL,
+    _ROOTS_ARGS,
     _SOLVE_ERRSTATE,
     _as_classical_pair,
     _central_jacobian,
     _newton_starts,
-    _norm,
 )
 from ecolab.continuous import _kernel, _solve1
 from ecolab.core import TROPHIC_KINDS
 from ecolab.demos import DEMO_NAMES, demo_document
 from helpers import (
     HUGE_RATES,
+    _norm,
     chain_equilibrium_oracle,
     chain_scenario,
     community_scenarios,
@@ -58,6 +59,7 @@ from helpers import (
     reference_find_fixed_points,
     reference_jacobian_of,
     reference_newton,
+    reference_roots,
     reference_set_parameter,
     reference_unwrapped_newton,
     saturating_chain_scenario,
@@ -657,12 +659,35 @@ def test_overflowing_norms_find_the_reference_roots_without_a_warning():
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-# The kernel's generated Newton against the references in tests/helpers.py:
-# reference_unwrapped_newton, the Python loop it replaced, which calls
+# The kernel's generated root search against the references in
+# tests/helpers.py: reference_roots, the Python loop it replaced, which
+# runs reference_unwrapped_newton from each start; that Newton calls
 # np.linalg.solve's gufunc and takes np.linalg.norm's dot without the
-# Python wrappers, and reference_newton, the wrapped form.  All three must
-# stop at the same iterate, bit for bit, from every start, and the
-# generated one must warn of nothing under find_fixed_points' errstate.
+# Python wrappers, and reference_newton is its wrapped form.  The search
+# must keep the same roots, bit for bit and in the same order, from every
+# start alone and from the whole start list, and must warn of nothing
+# under find_fixed_points' errstate; the two Newtons must stop at the same
+# iterate from every start.
+
+
+def _outcome(call):
+    try:
+        result = call()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return [np.array(x).tobytes() for x in result]
+
+
+def _assert_roots_match_reference(scenario, starts):
+    kernel = _kernel(scenario)
+    scale = max(1.0, max((abs(g) for g in scenario.initial_state()), default=1.0))
+    for some in [[start] for start in starts] + [starts]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(**_SOLVE_ERRSTATE):
+                got = _outcome(lambda: kernel.roots(some, *_ROOTS_ARGS, _DEDUPE_TOL * scale))
+            want = _outcome(lambda: reference_roots(kernel.rhs, kernel.jacobian, some, scale))
+        assert got == want
 
 
 def _newton_outcome(newton, start):
@@ -674,17 +699,17 @@ def _newton_outcome(newton, start):
 
 
 def _assert_newton_matches_reference(scenario):
+    starts = _newton_starts(scenario)
+    _assert_roots_match_reference(scenario, starts)
     kernel = _kernel(scenario)
-    for start in _newton_starts(scenario):
+    for start in starts:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with np.errstate(**_SOLVE_ERRSTATE):
-                got = _newton_outcome(lambda x: kernel.newton(x, *_NEWTON_ARGS), start)
             unwrapped = _newton_outcome(lambda x: reference_unwrapped_newton(kernel.rhs, kernel.jacobian, x), start)
         # the wrapped reference's norms overflow quietly only under find_fixed_points' errstate
         with np.errstate(over="ignore"):
             want = _newton_outcome(lambda x: reference_newton(kernel.rhs, x), start)
-        assert got == unwrapped == want
+        assert unwrapped == want
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -700,6 +725,57 @@ def test_unwrapped_newton_matches_reference(scenario):
 )
 def test_unwrapped_newton_matches_reference_on_the_fallbacks(scenario):
     _assert_newton_matches_reference(scenario)
+
+
+# extra starts as find_fixed_points takes them: near-roots, points the snap and the negativity test
+# act on, repeats that de-duplication drops, and states whose residual is not finite
+_START_VALUES = st.sampled_from(
+    [0.0, -0.0, -1e-10, -1e-9, -1e-3, 1e-13, 1e-11, 0.5, 1.0, 3.0, 1e155, math.inf, math.nan]
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(community_scenarios(), st.data())
+def test_generated_roots_match_reference(scenario, data):
+    n = len(scenario.species)
+    extra = data.draw(st.lists(st.lists(_START_VALUES | st.floats(-1.0, 20.0), min_size=n, max_size=n), max_size=4))
+    starts = _newton_starts(scenario) + extra
+    # a repeated start finds the same root again, which de-duplication drops
+    _assert_roots_match_reference(scenario, starts + starts[-2:])
+
+
+def _competing_pair(eps: float) -> Scenario:
+    """Two competing producers with an equilibrium at about (eps, 1).
+
+    At (0, 1) the derivative of b is about 1000*eps, so that root fails the
+    residual re-check once its density of a snaps to 0.
+    """
+    return Scenario(
+        species=(
+            SpeciesSpec(id="a", role=Role.PRODUCER, growth_rate=1.0 + eps, self_limitation=1.0),
+            SpeciesSpec(id="b", role=Role.PRODUCER, growth_rate=1.0 + 1000.0 * eps, self_limitation=1.0),
+        ),
+        interactions=(InteractionSpec("a", "b", InteractionKind.COMPETITION, coeff_i=1.0, coeff_j=1000.0),),
+        initial_densities={"a": 1.0, "b": 1.0},
+        horizon=1.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "eps, kept",
+    [(1e-10, True), (5e-13, False), (-5e-10, False), (-5e-9, False)],
+    ids=["kept", "snapped-then-dropped", "clipped-then-dropped", "negative"],
+)
+def test_generated_roots_filter_as_the_reference_does(eps, kept):
+    scenario = _competing_pair(eps)
+    _assert_roots_match_reference(scenario, [[eps, 1.0]])
+    kernel = _kernel(scenario)
+    with np.errstate(**_SOLVE_ERRSTATE):
+        x, ok = reference_unwrapped_newton(kernel.rhs, kernel.jacobian, [eps, 1.0])
+        got = kernel.roots([[eps, 1.0]], *_ROOTS_ARGS, _DEDUPE_TOL)
+    # Newton converges from every one of these starts: the negativity test, the snap and the re-check decide
+    assert ok
+    assert got == ([x] if kept else [])
 
 
 def _singular_at_the_start() -> Scenario:
@@ -721,7 +797,7 @@ def _singular_at_the_start() -> Scenario:
 def test_a_singular_jacobian_ends_newton_without_a_warning(caller_errstate):
     scenario = _singular_at_the_start()
     kernel = _kernel(scenario)
-    jacobian = kernel.jacobian([0.0, 2.0], _NEWTON_ARGS[1])
+    jacobian = kernel.jacobian([0.0, 2.0], _ROOTS_ARGS[1])
     # the prey's row is exactly 0: its growth x and its loss 0.5 * x * 2 cancel on every probe
     assert jacobian[0].tolist() == [0.0, 0.0]
     np.testing.assert_allclose(jacobian[1], [0.5, -1.5], rtol=1e-8)
@@ -729,8 +805,9 @@ def test_a_singular_jacobian_ends_newton_without_a_warning(caller_errstate):
         warnings.simplefilter("error")
         # find_fixed_points' own errstate, inside whatever its caller set
         with np.errstate(**_SOLVE_ERRSTATE):
-            assert kernel.newton([0.0, 2.0], *_NEWTON_ARGS) == ([0.0, 2.0], False)
+            assert kernel.roots([[0.0, 2.0]], *_ROOTS_ARGS, _DEDUPE_TOL * 2.0) == []
         got = find_fixed_points(scenario)
+    assert reference_roots(kernel.rhs, kernel.jacobian, [[0.0, 2.0]], 2.0) == []
     assert reference_unwrapped_newton(kernel.rhs, kernel.jacobian, [0.0, 2.0]) == ([0.0, 2.0], False)
     assert reference_newton(kernel.rhs, [0.0, 2.0]) == ([0.0, 2.0], False)
     want = reference_find_fixed_points(scenario)
@@ -805,6 +882,23 @@ def test_solve1_computes_what_linalg_solve_computes(n):
                 got = _solve1(matrix, b, signature="dd->d")
             assert got.dtype == np.float64
             assert got.tobytes() == np.linalg.solve(matrix, b).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_solve1_writes_what_linalg_solve_computes_into_its_out_buffer(n):
+    # the buffers the generated root search reuses: written item by item, solved in place
+    rng = np.random.default_rng(n)
+    jac, b, sol = np.empty((n, n)), np.empty(n), np.empty(n)
+    for _ in range(2000):
+        jac[...] = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
+        b[...] = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        with np.errstate(**_SOLVE_ERRSTATE):
+            assert _solve1(jac, b, signature="dd->d", out=sol) is sol
+        assert sol.tobytes() == np.linalg.solve(jac, b).tobytes()
+    # a zero row, as the Jacobian of `_singular_at_the_start` has
+    jac[0] = 0.0
+    with np.errstate(**_SOLVE_ERRSTATE), pytest.raises(FloatingPointError):
+        _solve1(jac, b, signature="dd->d", out=sol)
 
 
 def test_a_singular_matrix_raises_floating_point_error_where_linalg_solve_raises_linalg_error():

@@ -9,6 +9,7 @@ import pytest
 
 import ecolab
 from ecolab import (
+    EpidemicModel,
     SelectionState,
     complete_graph,
     constant_gradient,
@@ -16,6 +17,7 @@ from ecolab import (
     iterate_map,
     iterate_selection,
     persistence_fraction,
+    sweep_epidemic,
 )
 
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(ecolab.__path__, "ecolab."))
@@ -58,6 +60,9 @@ _THRESHOLD = dict(runs_per_point=10, persistence_horizon=20.0, n_bisections=3, m
         complete_graph(20), 1.0, (0.005, 0.4), **dict(_THRESHOLD, runs_per_point=count))),
     ("n_bisections", lambda count: estimate_threshold(
         complete_graph(20), 1.0, (0.005, 0.4), **dict(_THRESHOLD, n_bisections=count))),
+    pytest.param("runs_per_point", lambda count: sweep_epidemic(
+        EpidemicModel(graph=complete_graph(10), beta=0.5, gamma=1.0), "beta", [0.4, 0.6], horizon=5.0,
+        runs_per_point=count), id="sweep_epidemic"),
 ])
 def test_counts_must_be_integers(name, call):
     # int() would have run 2 of 2.5 generations, and islice() named no argument

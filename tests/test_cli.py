@@ -204,7 +204,7 @@ def test_threshold_empirical_ignores_document_initial_infected(tmp_path, capsys)
     [
         (("threshold", "--empirical", "--runs", "0"), "runs_per_point must be >= 1"),
         (("sweep", "--param", "beta", "--from", "0.05", "--to", "0.2", "--points", "2", "--runs", "0"),
-         "n_runs must be >= 1"),
+         "runs_per_point must be >= 1"),
     ],
     ids=["threshold", "sweep"],
 )

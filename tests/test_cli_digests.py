@@ -39,14 +39,15 @@ def test_two_runs_print_the_same_lines():
         "run horizon-huge-integer.json",
         "run horizon-long-integer.json",
     }
-    assert len(commands) == 52
+    assert len(commands) == 53
     written = [line for line in first if line.split("\t")[1] not in ("stdout", "stderr", "exit")]
     # CSV and SVG of 5 demos and 10 runs, and the three sweeps' CSVs; a failed run writes nothing
     assert len(written) == 2 * (5 + 10) + 3
     assert {"run sir-epidemic.json --csv run-sir-epidemic.csv --svg run-sir-epidemic.svg",
             "run extinction.json --csv run-extinction.csv --svg run-extinction.svg",
             "run remainder.json --csv run-remainder.csv --svg run-remainder.svg",
-            "stability extinction.json", "stability huge-rates.json", "stability three-kinds.json"} <= commands
+            "stability extinction.json", "stability huge-rates.json", "stability three-kinds.json",
+            "stability one-species.json"} <= commands
 
 
 def test_warning_locations_are_masked():

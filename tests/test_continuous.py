@@ -940,13 +940,13 @@ def test_integrators_match_dop853(name, method):
 # value and id kept out of the source.
 
 _KERNEL_NAME = re.compile(
-    r"(?:[xydegjsvfpqt]|k[1-4]_)\d+|[xyca_T]|h|two_h|half|sixth|lo|hi|count|out|extend|fd_step"
-    r"|iterations|stop|keep|fractions|norm|trial|lam|jacobian|solve1|sqrt|dot|tolist"
-    r"|max|abs|isfinite|array|ValueError|FloatingPointError"
+    r"(?:[xydegjsvfpqtu]|k[1-4]_)\d+|[xycabr_T]|h|two_h|half|sixth|lo|hi|count|out|extend|fd_step"
+    r"|starts|iterations|stop|keep|fractions|neg|snap|tol|dedupe|norm|trial|lam|jac|sol|res|found"
+    r"|solve1|sqrt|dot|tolist|append|max|abs|isfinite|array|empty|ValueError|FloatingPointError"
 )
 # the names `_kernel` binds in the namespace the code runs in, and the functions the code defines
 # there: a local of one of these would shadow it
-_BOUND_NAME = re.compile(r"[gsvfpq]\d+|array|isfinite|sqrt|solve1|rhs|rk4_run|jacobian|newton")
+_BOUND_NAME = re.compile(r"[gsvfpq]\d+|array|empty|isfinite|sqrt|solve1|rhs|rk4_run|jacobian|roots")
 
 
 def _relabel(scenario, ids):
@@ -974,12 +974,13 @@ def test_one_structure_shares_one_code_object():
     assert a.rhs.__code__ is b.rhs.__code__
     assert a.rk4_run.__code__ is b.rk4_run.__code__
     assert a.jacobian.__code__ is b.jacobian.__code__
-    assert a.newton.__code__ is b.newton.__code__
+    assert a.roots.__code__ is b.roots.__code__
     assert a.rhs([3.0, 2.0]) != b.rhs([3.0, 2.0])  # the values are bound apart from the code
     # the Jacobian's own constants: max(1.0, |x_i|) and its error text, which names an axis by index
     jacobian_consts = {1.0, *(f"non-finite derivative evaluation near axis {i}" for i in range(2))}
-    # Newton's: its verdicts and solve1's keyword; every number comes in as an argument
-    newton_consts = {False, True, "dd->d", ("signature",)}
+    # the root search's: max(1.0, |x_i|), solve1's keywords, and its buffers' sizes and indices, which
+    # only the species count sets; every other number comes in as an argument (a list: in a set, 1 is 1.0)
+    roots_consts = [1.0, "dd->d", ("signature", "out"), 2, (2, 2), 0, 1, (0, 0), (0, 1), (1, 0), (1, 1)]
 
     def typed(values):  # constants with their types, since 0.0 == False and 1.0 == True
         return {(type(v), v) for v in values}
@@ -988,7 +989,7 @@ def test_one_structure_shares_one_code_object():
         (a.rhs.__code__, set()),
         (a.rk4_run.__code__, set()),
         (a.jacobian.__code__, jacobian_consts),
-        (a.newton.__code__, newton_consts),
+        (a.roots.__code__, roots_consts),
     ):
         assert all(_KERNEL_NAME.fullmatch(name) for name in code.co_names + code.co_varnames)
         assert not any(_BOUND_NAME.fullmatch(name) for name in code.co_varnames)

@@ -23,10 +23,11 @@ rates of 1e200, a sweep of `coeff_j` on a predation entry (which has
 none), `sweep` on a selection and `stability` on an epidemic document,
 a sweep to `--to inf`, a sweep of `--points -1`, a sweep of a trophic
 level through 1.5, `stability` on a community with a competition, a
-symbiosis and a predation entry, `run` on an RK4 document whose
-horizon of 1e300 is past the step budget, `run` on a document whose
-horizon is an integer too large for a float, and `run` on one whose
-horizon is an integer past int()'s limit of 4300 digits. For each
+symbiosis and a predation entry, `stability` on a logistic producer
+alone, `run` on an RK4 document whose horizon of 1e300 is past the step
+budget, `run` on a document whose horizon is an integer too large for a
+float, and `run` on one whose horizon is an integer past int()'s limit
+of 4300 digits. For each
 command it prints one line per stdout, stderr, exit code and written file:
 
     <command>  <what>  <sha256>
@@ -114,6 +115,14 @@ HUGE_RATES = {
     "horizon": 1.0,
 }
 NO_SPECIES = {"kind": "community", "species": [], "interactions": [], "initial_densities": {}, "horizon": 1}
+# a logistic producer alone: the fixed-point search of one species, whose de-duplication distance is one abs
+ONE_SPECIES = {
+    "kind": "community",
+    "species": [{"id": "algae", "role": "producer", "growth_rate": 0.8, "self_limitation": 0.2}],
+    "interactions": [],
+    "initial_densities": {"algae": 1.0},
+    "horizon": 10.0,
+}
 # one entry of each mass-action kind next to a predation entry: the stability Jacobian inlines all three
 THREE_KINDS = {
     "kind": "community",
@@ -262,6 +271,9 @@ def digest_lines() -> list[str]:
             with open("three-kinds.json", "w", encoding="utf-8") as handle:
                 json.dump(THREE_KINDS, handle)
             record("stability", "three-kinds.json")
+            with open("one-species.json", "w", encoding="utf-8") as handle:
+                json.dump(ONE_SPECIES, handle)
+            record("stability", "one-species.json")
             # about 1e302 RK4 steps of 0.1: the step budget refuses the document
             with open("horizon-1e300.json", "w", encoding="utf-8") as handle:
                 json.dump(dict(REMAINDER, horizon=1e300), handle)
