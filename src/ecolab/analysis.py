@@ -115,8 +115,9 @@ def _central_jacobian(
 
     Column i is (rhs(x + h e_i) - rhs(x - h e_i)) / 2h with the per-axis
     step h = fd_step*max(1, |x_i|); a non-finite evaluation is a ValueError.
-    A community's compiled kernel generates the same computation as its
-    `jacobian`; this form serves `jacobian_of`'s arbitrary functions.
+    It serves `jacobian_of`'s arbitrary functions and `jacobian_at`'s
+    compiled community derivative; the compiled root search inlines the
+    same computation for its Newton steps.
     """
     columns = []
     for i, xi in enumerate(x):
@@ -147,14 +148,16 @@ def jacobian_at(scenario: Scenario, point: Sequence[float]) -> np.ndarray:
     """Jacobian of the community derivative at a state vector.
 
     The central differences of `jacobian_of`, step 1e-5*max(1, |x_i|),
-    made by the scenario's compiled kernel with the derivative inlined.
+    over the scenario's compiled derivative.  The scenario is validated
+    first, as `find_fixed_points` does.
     """
+    validate_scenario(scenario)
     point = np.asarray(point, dtype=float)
     if point.shape != (len(scenario.species),):
         raise ValueError(
             f"point has shape {point.shape}, scenario declares {len(scenario.species)} species"
         )
-    return _kernel(scenario).jacobian(point.tolist(), _FD_STEP)
+    return _central_jacobian(_kernel(scenario).rhs, point.tolist(), _FD_STEP)
 
 
 def _as_classical_pair(scenario: Scenario):

@@ -159,7 +159,14 @@ def _response_fn(fr: FunctionalResponse) -> Callable[[float], float]:
         return lambda x: rate * x
     if isinstance(fr, HollingTypeII):
         rate, rate_handling = fr.rate, fr.rate * fr.handling
-        return lambda x: rate * x / (1.0 + rate_handling * x)
+
+        def holling(x):
+            try:
+                return rate * x / (1.0 + rate_handling * x)
+            except ZeroDivisionError:  # x = -1/(rate*handling), the pole: +-inf, as in IEEE
+                return rate * x * math.inf
+
+        return holling
     if isinstance(fr, IvlevResponse):
         rate, neg_saturation = fr.rate, -fr.saturation
 
@@ -258,8 +265,7 @@ def continuum_interaction(species_i: str, species_j: str, p: ContinuumParams) ->
 #   g<k>  signed growth rate of species k     s<k>  its self-limitation
 #   v<m>  conversion of trophic entry m       f<m>  its linear rate, or its response
 #   p<m>  coefficient of mass-action entry m on its i side, q<m> on its j side
-#   array  numpy.array      empty  numpy.empty
-#   isfinite  math.isfinite      sqrt  math.sqrt
+#   empty  numpy.empty      isfinite  math.isfinite      sqrt  math.sqrt
 #   solve1  the gufunc np.linalg.solve calls, numpy.linalg._umath_linalg.solve1
 # Generated locals never take one of these names: a local p<m> would shadow
 # the coefficient of mass-action entry m.
@@ -269,11 +275,10 @@ _KERNEL_CACHE_SIZE = 64
 
 
 class _Kernel(NamedTuple):
-    """A scenario's derivative, RK4 step loop, central-difference Jacobian and fixed-point search, all over floats."""
+    """A scenario's derivative, RK4 step loop and fixed-point search, all over floats."""
 
     rhs: Callable[[Sequence[float]], list[float]]
     rk4_run: Callable[..., tuple[list[float], bool] | None]
-    jacobian: Callable[[Sequence[float], float], np.ndarray]
     roots: Callable[..., list[list[float]]]
 
 
@@ -307,26 +312,9 @@ def _finite_test(values: list[str]) -> str:
     return f"isfinite({' + '.join(values)}) or {' and '.join(f'isfinite({v})' for v in values)}"
 
 
-def _jacobian_probes(structure, i: int, plus: str, minus: str) -> list[str]:
-    """Statements for axis i of the central-difference Jacobian at the state held in x<k>.
-
-    They set h = fd_step*max(1, |x_i|), the derivative at x + h e_i in
-    plus<k> and at x - h e_i in minus<k> (the probe is held in y<k>), and
-    end in an `if` line testing that all 2n values are finite, which the
-    caller follows with the indented statement for when one is not.
-    """
-    n = structure[0]
-    lines = [f"h = fd_step * max(1.0, abs(x{i}))"]
-    lines += [f"y{k} = x{k} + h" if k == i else f"y{k} = x{k}" for k in range(n)]
-    lines += _derivative_lines(structure, "y", plus)
-    lines += [f"y{i} = x{i} - h", *_derivative_lines(structure, "y", minus)]
-    lines += [f"if not ({_finite_test([f'{v}{k}' for v in (plus, minus) for k in range(n)])}):"]
-    return lines
-
-
 @functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def _compile_structure(structure):
-    """Code object defining `rhs`, `rk4_run`, `jacobian` and `roots` for one scenario structure.
+    """Code object defining `rhs`, `rk4_run` and `roots` for one scenario structure.
 
     The structure is (species count, self-limited indices, (aggressor,
     victim, response type) per trophic entry, (i, j) per mass-action
@@ -343,22 +331,17 @@ def _compile_structure(structure):
     above the divergence bound (hi).  That state is not added; it is
     returned as a list, with whether all 4n stage values are finite.
 
-    `jacobian(x, fd_step)` is `analysis._central_jacobian(rhs, x,
-    fd_step)` with the derivative inlined: per axis i it holds x + h e_i
-    and then x - h e_i in locals (h = fd_step*max(1, |x_i|)), raises
-    ValueError("non-finite derivative evaluation near axis <i>") if one
-    of the 2n values is not finite, and returns the transpose of the
-    array of columns (f(x + h e_i) - f(x - h e_i)) / 2h.
-
     `roots(starts, iterations, fd_step, stop, keep, fractions, neg, snap,
     tol, dedupe)` is `analysis.find_fixed_points`' search over the float
     lists `starts`, one local per species.  From each start it runs
     damped Newton with the derivative inlined at the iterate and at each
     line-search candidate.  Each item of `iterations` makes one step: it
     stops once the residual norm is below `stop`, solves J t = -f(x) with
-    `solve1` and J the Jacobian of `jacobian(x, fd_step)` inlined, and
-    moves to the first candidate x + lam*t, lam in `fractions`, whose
-    residual is finite and of lower norm.  A non-finite Jacobian value, a
+    `solve1`, and moves to the first candidate x + lam*t, lam in
+    `fractions`, whose residual is finite and of lower norm.  J is
+    `analysis._central_jacobian(rhs, x, fd_step)` with the derivative
+    inlined: column i is (f(x + h e_i) - f(x - h e_i)) / 2h, with
+    h = fd_step*max(1, |x_i|).  A non-finite derivative at a probe, a
     FloatingPointError from `solve1` (a singular J, under the caller's
     errstate) and a failed line search end the iteration early.  A start
     is dropped unless its first residual is finite and its last norm is
@@ -388,22 +371,21 @@ def _compile_structure(structure):
     step += [f"extend(({_names('y', n)},))"]
     run = [f"[{_names('y', n)}] = y", "extend = out.extend", "for _ in count:"]
     run += [f"    {line}" for line in step]
-    # the derivative at x + h e_i goes to d<k>, at x - h e_i to e<k>; column i is j<i>
-    jac = [f"[{_names('x', n)}] = x"]
-    for i in range(n):
-        jac += _jacobian_probes(structure, i, "d", "e")
-        jac += [
-            f"    raise ValueError('non-finite derivative evaluation near axis {i}')",
-            "two_h = 2.0 * h",
-            f"j{i} = [{', '.join(f'(d{k} - e{k}) / two_h' for k in range(n))}]",
-        ]
-    jac += [f"return array([{_names('j', n)}]).T"]
-    # the iterate is x<k> with residual d<k>; the Jacobian's derivatives at x + h e_i and x - h e_i
-    # are e<k> and u<k>; the step is t<k>; the candidate is y<k> with residual e<k>
+    # the iterate is x<k> with residual d<k>; the Jacobian's probe x + h e_i, then x - h e_i, is held
+    # in y<k> (h = fd_step*max(1, |x_i|)) with derivatives e<k> and u<k>; the step is t<k>; the
+    # candidate is y<k> with residual e<k>
     newton = []
     for i in range(n):
-        newton += _jacobian_probes(structure, i, "e", "u")
-        newton += ["    break", "two_h = 2.0 * h", *(f"jac[{k}, {i}] = (e{k} - u{k}) / two_h" for k in range(n))]
+        newton += [f"h = fd_step * max(1.0, abs(x{i}))"]
+        newton += [f"y{k} = x{k} + h" if k == i else f"y{k} = x{k}" for k in range(n)]
+        newton += _derivative_lines(structure, "y", "e")
+        newton += [f"y{i} = x{i} - h", *_derivative_lines(structure, "y", "u")]
+        newton += [
+            f"if not ({_finite_test([f'{v}{k}' for v in 'eu' for k in range(n)])}):",
+            "    break",
+            "two_h = 2.0 * h",
+            *(f"jac[{k}, {i}] = (e{k} - u{k}) / two_h" for k in range(n)),
+        ]
     newton += [
         *(f"b[{k}] = -d{k}" for k in range(n)),
         "try:",
@@ -459,7 +441,6 @@ def _compile_structure(structure):
     source = (
         f"def rhs(x):{indent}{indent.join(rhs)}\n\n"
         f"def rk4_run(y, h, half, sixth, count, lo, hi, out):{indent}{indent.join(run)}\n\n"
-        f"def jacobian(x, fd_step):{indent}{indent.join(jac)}\n\n"
         f"def roots(starts, iterations, fd_step, stop, keep, fractions, neg, snap, tol, dedupe):"
         f"{indent}{indent.join(roots)}\n"
     )
@@ -469,7 +450,7 @@ def _compile_structure(structure):
 def _kernel(scenario: Scenario) -> _Kernel:
     """Bind the scenario's values into the compiled code of its structure."""
     index = {sp.id: k for k, sp in enumerate(scenario.species)}
-    namespace = {"array": np.array, "empty": np.empty, "isfinite": math.isfinite, "sqrt": math.sqrt, "solve1": _solve1}
+    namespace = {"empty": np.empty, "isfinite": math.isfinite, "sqrt": math.sqrt, "solve1": _solve1}
     limited = []
     for k, sp in enumerate(scenario.species):
         namespace[f"g{k}"] = sp.growth_rate if sp.role == Role.PRODUCER else -sp.growth_rate
@@ -495,7 +476,7 @@ def _kernel(scenario: Scenario) -> _Kernel:
                 namespace[f"p{m}"], namespace[f"q{m}"] = entry.coeff_i, entry.coeff_j
     code = _compile_structure((len(scenario.species), tuple(limited), tuple(trophic), tuple(mass_action)))
     exec(code, namespace)
-    return _Kernel(namespace["rhs"], namespace["rk4_run"], namespace["jacobian"], namespace["roots"])
+    return _Kernel(namespace["rhs"], namespace["rk4_run"], namespace["roots"])
 
 
 def community_rhs(scenario: Scenario) -> Callable[[Sequence[float]], list[float]]:
@@ -519,8 +500,10 @@ def community_rhs(scenario: Scenario) -> Callable[[Sequence[float]], list[float]
     compiled code object.
 
     On a two-species predation pair with a linear response and no
-    self-limitation this reproduces `lv_derivative` exactly.
+    self-limitation this reproduces `lv_derivative` exactly.  The scenario
+    is validated first, as `integrate_report` does.
     """
+    validate_scenario(scenario)
     return _kernel(scenario).rhs
 
 

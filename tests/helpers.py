@@ -250,7 +250,10 @@ def _reference_response_value(fr, x):
     if isinstance(fr, LinearResponse):
         return fr.rate * x
     if isinstance(fr, HollingTypeII):
-        return fr.rate * x / (1.0 + fr.rate * fr.handling * x)
+        try:
+            return fr.rate * x / (1.0 + fr.rate * fr.handling * x)
+        except ZeroDivisionError:
+            return fr.rate * x * math.inf
     if isinstance(fr, IvlevResponse):
         try:
             return fr.rate * (1.0 - math.exp(-fr.saturation * x))
@@ -631,8 +634,8 @@ def reference_unwrapped_newton(rhs, jacobian, x: list[float]) -> tuple[list[floa
     """Damped Newton from x: the last iterate and whether its residual norm is below _RESIDUAL_TOL.
 
     Each iteration solves J step = -f(x) with the central-difference
-    Jacobian `jacobian(x, 1e-7)` (the kernel's compiled one, which is
-    `_central_jacobian(rhs, x, 1e-7)` bit for bit) and halves the step,
+    Jacobian `jacobian(x, 1e-7)` (callers pass `_central_jacobian` over
+    `rhs`, the computation the kernel inlines) and halves the step,
     down to 1e-4 of it, until the residual norm drops.  Stops early once
     the norm is below _RESIDUAL_TOL * 1e-2.  The solve is
     np.linalg.solve's own gufunc, `solve1`, called without the wrapper; a

@@ -3,6 +3,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +11,21 @@ import pytest
 import ecolab
 from ecolab import (
     EpidemicModel,
+    ScenarioValidationError,
     SelectionState,
+    community_rhs,
     complete_graph,
     constant_gradient,
     estimate_threshold,
+    glv_derivative,
     iterate_map,
     iterate_selection,
+    jacobian_at,
     persistence_fraction,
+    stability_report,
     sweep_epidemic,
 )
+from helpers import predation_scenario
 
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(ecolab.__path__, "ecolab."))
 
@@ -70,3 +77,27 @@ def test_counts_must_be_integers(name, call):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {count!r}$"):
             call(count)
     assert call(np.int64(2)) == call(2)
+
+
+# predation_scenario()'s entry with one field replaced, and the one violation that names
+_INVALID_ENTRIES = [
+    ({"species_j": "prye"}, "dangling reference: interaction pred:prye names unknown species 'prye'"),
+    ({"coeff_i": -0.2}, "interaction pred:prey: coeff_i must be a finite value >= 0"),
+]
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda scenario: community_rhs(scenario)([1.0, 1.0]), id="community_rhs"),
+    pytest.param(lambda scenario: glv_derivative([1.0, 1.0], scenario), id="glv_derivative"),
+    pytest.param(lambda scenario: jacobian_at(scenario, [1.0, 1.0]), id="jacobian_at"),
+    pytest.param(lambda scenario: stability_report(scenario, [1.0, 1.0]), id="stability_report"),
+])
+def test_derivative_and_jacobian_validate_the_scenario(call):
+    # as integrate_report and find_fixed_points do: an unknown id was a bare KeyError, and a
+    # negative conversion went through
+    scenario = predation_scenario()
+    for fields, error in _INVALID_ENTRIES:
+        invalid = replace(scenario, interactions=(replace(scenario.interactions[0], **fields),))
+        with pytest.raises(ScenarioValidationError) as err:
+            call(invalid)
+        assert err.value.errors == [error]

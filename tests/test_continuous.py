@@ -850,7 +850,7 @@ def test_rk4_step_budget_refuses_a_run_before_its_first_step(monkeypatch):
     calls = []
 
     def recording_kernel(scenario):
-        return _Kernel(lambda x: calls.append("rhs"), lambda *args: calls.append("rk4_run"), None, None)
+        return _Kernel(lambda x: calls.append("rhs"), lambda *args: calls.append("rk4_run"), None)
 
     monkeypatch.setattr(continuous, "_kernel", recording_kernel)
     with pytest.raises(ValueError, match=r"^rk4_fixed horizon / step must be <= 100 steps, got 101$"):
@@ -940,13 +940,13 @@ def test_integrators_match_dop853(name, method):
 # value and id kept out of the source.
 
 _KERNEL_NAME = re.compile(
-    r"(?:[xydegjsvfpqtu]|k[1-4]_)\d+|[xycabr_T]|h|two_h|half|sixth|lo|hi|count|out|extend|fd_step"
+    r"(?:[xydegsvfpqtu]|k[1-4]_)\d+|[xycbr_]|h|two_h|half|sixth|lo|hi|count|out|extend|fd_step"
     r"|starts|iterations|stop|keep|fractions|neg|snap|tol|dedupe|norm|trial|lam|jac|sol|res|found"
-    r"|solve1|sqrt|dot|tolist|append|max|abs|isfinite|array|empty|ValueError|FloatingPointError"
+    r"|solve1|sqrt|dot|tolist|append|max|abs|isfinite|empty|FloatingPointError"
 )
 # the names `_kernel` binds in the namespace the code runs in, and the functions the code defines
 # there: a local of one of these would shadow it
-_BOUND_NAME = re.compile(r"[gsvfpq]\d+|array|empty|isfinite|sqrt|solve1|rhs|rk4_run|jacobian|roots")
+_BOUND_NAME = re.compile(r"[gsvfpq]\d+|empty|isfinite|sqrt|solve1|rhs|rk4_run|roots")
 
 
 def _relabel(scenario, ids):
@@ -973,11 +973,8 @@ def test_one_structure_shares_one_code_object():
     assert _compile_structure.cache_info().misses == 1
     assert a.rhs.__code__ is b.rhs.__code__
     assert a.rk4_run.__code__ is b.rk4_run.__code__
-    assert a.jacobian.__code__ is b.jacobian.__code__
     assert a.roots.__code__ is b.roots.__code__
     assert a.rhs([3.0, 2.0]) != b.rhs([3.0, 2.0])  # the values are bound apart from the code
-    # the Jacobian's own constants: max(1.0, |x_i|) and its error text, which names an axis by index
-    jacobian_consts = {1.0, *(f"non-finite derivative evaluation near axis {i}" for i in range(2))}
     # the root search's: max(1.0, |x_i|), solve1's keywords, and its buffers' sizes and indices, which
     # only the species count sets; every other number comes in as an argument (a list: in a set, 1 is 1.0)
     roots_consts = [1.0, "dd->d", ("signature", "out"), 2, (2, 2), 0, 1, (0, 0), (0, 1), (1, 0), (1, 1)]
@@ -988,12 +985,16 @@ def test_one_structure_shares_one_code_object():
     for code, own in (
         (a.rhs.__code__, set()),
         (a.rk4_run.__code__, set()),
-        (a.jacobian.__code__, jacobian_consts),
         (a.roots.__code__, roots_consts),
     ):
         assert all(_KERNEL_NAME.fullmatch(name) for name in code.co_names + code.co_varnames)
         assert not any(_BOUND_NAME.fullmatch(name) for name in code.co_varnames)
         assert typed(code.co_consts) <= typed([None, 0.0, 2.0]) | typed(own)
+    # every fixed name `_kernel` binds is read by some generated function: a binding left unused fails here
+    bound = set(a.rhs.__globals__) - {"__builtins__", *a._fields}
+    fixed = {name for name in bound if not re.fullmatch(r"[gsvfpq]\d+", name)}
+    assert fixed == {"empty", "isfinite", "sqrt", "solve1"}
+    assert fixed <= {name for function in a for name in function.__code__.co_names}
 
 
 @pytest.mark.parametrize("method", METHODS)
