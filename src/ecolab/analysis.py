@@ -19,7 +19,7 @@ from .core import (
     _count,
     validate_scenario,
 )
-from .continuous import _all_finite, _kernel, integrate_report
+from .continuous import _Kernel, _all_finite, _integrate_report, _kernel
 from .epidemic import EpidemicModel, persistence_fraction, run_seed
 from .scenario_io import _entry_to_json, _parse_entry, _record_json
 
@@ -65,6 +65,17 @@ _ROOTS_ARGS = (
     1e-12,
     _RESIDUAL_TOL,
 )
+
+
+def _norm_margin(n: int) -> float:
+    """The relative margin by which `roots` trusts a float residual norm of n terms.
+
+    It is 8 times (n+2)*2^-53, the bound on how far numpy's norm can lie
+    from the float norm; see `find_fixed_points`.
+    """
+    return (n + 2) * 2.0**-50
+
+
 #: np.linalg.solve's own errstate around its gufunc, but for a singular matrix,
 #: which raises FloatingPointError where np.linalg.solve raises LinAlgError.
 #: Newton's residual norms that overflow are inf under it, without a warning.
@@ -152,12 +163,17 @@ def jacobian_at(scenario: Scenario, point: Sequence[float]) -> np.ndarray:
     first, as `find_fixed_points` does.
     """
     validate_scenario(scenario)
+    return _central_jacobian(_kernel(scenario).rhs, _state_of(scenario, point).tolist(), _FD_STEP)
+
+
+def _state_of(scenario: Scenario, point: Sequence[float]) -> np.ndarray:
+    """The point as a float array, checked to hold one density per species."""
     point = np.asarray(point, dtype=float)
     if point.shape != (len(scenario.species),):
         raise ValueError(
             f"point has shape {point.shape}, scenario declares {len(scenario.species)} species"
         )
-    return _central_jacobian(_kernel(scenario).rhs, point.tolist(), _FD_STEP)
+    return point
 
 
 def _as_classical_pair(scenario: Scenario):
@@ -232,15 +248,28 @@ def find_fixed_points(
     The search is the scenario's compiled `roots`, which runs every
     start in generated code.  Newton makes at most 50 steps, each solving
     with the central-difference Jacobian of step 1e-7 through
-    np.linalg.solve's gufunc into reused float64 buffers and halving the
-    step, down to 1e-4 of it, until the residual norm drops; a start
-    stops early once the norm is below 1e-12.  A root below -1e-9 in any
-    density is dropped, densities below 1e-12 snap to 0, and the snapped
-    root is re-checked against 1e-10.  All starts run inside one
-    np.errstate, np.linalg.solve's own, under which a singular Jacobian
-    ends a start and an overflowing norm is quietly inf.
+    np.linalg.solve's gufunc into reused float64 buffers, written and
+    read through memoryviews, and halving the step, down to 1e-4 of it,
+    until the residual norm drops; a start stops early once the norm is
+    below 1e-12.  A root below -1e-9 in any density is dropped, densities
+    below 1e-12 snap to 0, and the snapped root is re-checked against
+    1e-10.  Each of those norm decisions is np.linalg.norm's, but numpy
+    is asked only when the float norm (squares added left to right) lies
+    within `_norm_margin(n)` of the other side, relative: numpy's norm
+    of n terms is within (n+2)*2^-53 of the float norm, and the margin
+    is 8 times that (see `continuous._compile_structure`).  All starts
+    run inside one np.errstate, np.linalg.solve's own, under which a
+    singular Jacobian ends a start and an overflowing norm is quietly
+    inf.
     """
     validate_scenario(scenario)
+    return _find_fixed_points(scenario, _kernel(scenario), extra_starts)
+
+
+def _find_fixed_points(
+    scenario: Scenario, kernel: _Kernel, extra_starts: Sequence[Sequence[float]] | None = None
+) -> list[np.ndarray]:
+    """`find_fixed_points` of a validated scenario, searched by its bound kernel."""
     n = len(scenario.species)
 
     classical = _as_classical_pair(scenario)
@@ -260,7 +289,7 @@ def find_fixed_points(
                 raise ValueError(f"extra start has shape {extra.shape}, scenario declares {n} species")
             starts.append(extra.tolist())
     with np.errstate(**_SOLVE_ERRSTATE):
-        roots = _kernel(scenario).roots(starts, *_ROOTS_ARGS, _DEDUPE_TOL * scale)
+        roots = kernel.roots(starts, *_ROOTS_ARGS, _DEDUPE_TOL * scale, _norm_margin(n))
     roots.sort(key=tuple)
     return [np.array(r) for r in roots]
 
@@ -276,12 +305,19 @@ class StabilityReport:
 
 
 def stability_report(scenario: Scenario, point: Sequence[float]) -> StabilityReport:
-    jac = jacobian_at(scenario, point)
+    """Jacobian (as `jacobian_at` computes it), eigenvalues and classification at a point."""
+    validate_scenario(scenario)
+    return _stability_report(_kernel(scenario), _state_of(scenario, point))
+
+
+def _stability_report(kernel: _Kernel, point: np.ndarray) -> StabilityReport:
+    """`stability_report` at a float array of one density per species, through a bound kernel."""
+    jac = _central_jacobian(kernel.rhs, point.tolist(), _FD_STEP)
     ev = np.linalg.eigvals(jac)
     order = np.lexsort((ev.imag, ev.real))
     eigenvalues = tuple(complex(v) for v in ev[order])
     return StabilityReport(
-        fixed_point=np.asarray(point, dtype=float),
+        fixed_point=point,
         jacobian=jac,
         eigenvalues=eigenvalues,
         classification=classify(eigenvalues),
@@ -289,8 +325,14 @@ def stability_report(scenario: Scenario, point: Sequence[float]) -> StabilityRep
 
 
 def analyze_scenario(scenario: Scenario) -> list[StabilityReport]:
-    """Stability report for every fixed point found."""
-    return [stability_report(scenario, point) for point in find_fixed_points(scenario)]
+    """Stability report for every fixed point found.
+
+    The scenario is validated and its kernel bound once, for the search
+    and every report.
+    """
+    validate_scenario(scenario)
+    kernel = _kernel(scenario)
+    return [_stability_report(kernel, point) for point in _find_fixed_points(scenario, kernel)]
 
 
 def oscillation_period(
@@ -432,10 +474,10 @@ class SweepReport:
     transitions: tuple[tuple[float, float], ...]
 
 
-def _attractor_classification(scenario: Scenario, final: np.ndarray) -> Classification:
-    points = find_fixed_points(scenario, extra_starts=[final])
+def _attractor_classification(scenario: Scenario, kernel: _Kernel, final: np.ndarray) -> Classification:
+    points = _find_fixed_points(scenario, kernel, extra_starts=[final])
     nearest = min(points, key=lambda pt: float(np.linalg.norm(pt - final)))
-    return stability_report(scenario, nearest).classification
+    return _stability_report(kernel, nearest).classification
 
 
 def _monotone_grid(grid: Sequence[float]) -> tuple[float, ...]:
@@ -460,15 +502,19 @@ def sweep(
     Each point integrates the updated scenario, classifies the fixed
     point nearest the trajectory's final state (the attractor the run
     settled toward) and evaluates the optional user metric.  Points are
-    independent; they run, and are reported, in grid order.
+    independent; they run, and are reported, in grid order.  Each
+    updated scenario is validated once and its kernel bound once: the
+    integration, the root search and the attractor's Jacobian share it.
     """
     grid = _monotone_grid(grid)
     points = []
     for value in grid:
         updated = set_parameter(scenario, parameter_path, value)
-        result = integrate_report(updated)
+        validate_scenario(updated)
+        kernel = _kernel(updated)
+        result = _integrate_report(updated, kernel)
         final = result.trajectory.final_state()
-        classification = _attractor_classification(updated, final)
+        classification = _attractor_classification(updated, kernel, final)
         metric_value = None
         if metric is not None:
             metric_value = float(metric(updated, result.trajectory))

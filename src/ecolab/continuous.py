@@ -312,6 +312,15 @@ def _finite_test(values: list[str]) -> str:
     return f"isfinite({' + '.join(values)}) or {' and '.join(f'isfinite({v})' for v in values)}"
 
 
+def _squares(prefix: str, n: int) -> str:
+    """The sum of squares of prefix<k>, added left to right, as an expression."""
+    return " + ".join(f"{prefix}{k} * {prefix}{k}" for k in range(n))
+
+
+# The range of float norms whose relative bound `roots` trusts, as source that compiles to constants.
+_TINY, _HUGE = "2.0 ** -400", "2.0 ** 400"
+
+
 @functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def _compile_structure(structure):
     """Code object defining `rhs`, `rk4_run` and `roots` for one scenario structure.
@@ -332,17 +341,17 @@ def _compile_structure(structure):
     returned as a list, with whether all 4n stage values are finite.
 
     `roots(starts, iterations, fd_step, stop, keep, fractions, neg, snap,
-    tol, dedupe)` is `analysis.find_fixed_points`' search over the float
-    lists `starts`, one local per species.  From each start it runs
-    damped Newton with the derivative inlined at the iterate and at each
-    line-search candidate.  Each item of `iterations` makes one step: it
-    stops once the residual norm is below `stop`, solves J t = -f(x) with
-    `solve1`, and moves to the first candidate x + lam*t, lam in
-    `fractions`, whose residual is finite and of lower norm.  J is
-    `analysis._central_jacobian(rhs, x, fd_step)` with the derivative
-    inlined: column i is (f(x + h e_i) - f(x - h e_i)) / 2h, with
-    h = fd_step*max(1, |x_i|).  A non-finite derivative at a probe, a
-    FloatingPointError from `solve1` (a singular J, under the caller's
+    tol, dedupe, margin)` is `analysis.find_fixed_points`' search over
+    the float lists `starts`, one local per species.  From each start it
+    runs damped Newton with the derivative inlined at the iterate and at
+    each line-search candidate.  Each item of `iterations` makes one
+    step: it stops once the residual norm is below `stop`, solves
+    J t = -f(x) with `solve1`, and moves to the first candidate
+    x + lam*t, lam in `fractions`, whose residual is finite and of lower
+    norm.  J is `analysis._central_jacobian(rhs, x, fd_step)` with the
+    derivative inlined: column i is (f(x + h e_i) - f(x - h e_i)) / 2h,
+    with h = fd_step*max(1, |x_i|).  A non-finite derivative at a probe,
+    a FloatingPointError from `solve1` (a singular J, under the caller's
     errstate) and a failed line search end the iteration early.  A start
     is dropped unless its first residual is finite and its last norm is
     below `keep` (at least `stop`).  A root is then dropped if a density
@@ -350,12 +359,36 @@ def _compile_structure(structure):
     dropped if the residual norm there is `>= tol` (a NaN norm is not),
     or if it is within `dedupe` (the largest density difference) of a
     root kept before.  The kept roots are returned in start order.
-    The Jacobian, the right-hand side -f(x), the solution t and each
-    residual are written item by item into four float64 buffers that
-    `empty` allocates once per call; `solve1` writes t into its buffer.
-    Each norm is sqrt(a.dot(a)) of the residual buffer a, the dot
-    np.linalg.norm takes; the accepted candidate's residual and norm
-    are kept for the next step, not evaluated again.
+
+    The residual norm of every one of those decisions is numpy's,
+    sqrt(a.dot(a)) of the residual a (the dot np.linalg.norm takes), but
+    numpy is asked only when the float norm P, math.sqrt of the squares
+    added left to right, cannot decide.  To first order in u = 2^-53,
+    each of the two lies within (n/2 + 1)*u of the exact norm: a sum of
+    n non-negative terms in any order, one rounding per square and one
+    per square root (Higham 2002, sections 3-4).  So they differ by at
+    most (n+2)*u*P, plus 2^-500 where squares fall below the normal
+    range, as long as P <= 2^400 keeps every sum of squares finite.
+    `margin` is 8 times that relative bound (`analysis._norm_margin`),
+    which also covers the rounding of the comparisons themselves.  A
+    comparison of P with a bound c (`stop`, `keep` or `tol`, each between
+    2^-400 and 2^399) is taken from P when P < c*(1 - margin) or
+    P*(1 - margin) >= c; a P above 2^400 means a numpy norm of at least
+    2^399.  `trial < norm` is taken from the two float norms when both
+    lie in [2^-400, 2^400] and one is below the other times
+    (1 - margin).  Otherwise, and for a NaN, the residuals are written
+    into the residual buffer and numpy's norms decide.  These are the
+    filtered predicates of Shewchuk 1997, with numpy as the exact
+    fallback: every decision, and so every root bit, is the one numpy's
+    norms give, and a margin of 1 sends every decision to numpy.
+
+    The Jacobian, the right-hand side -f(x) and the residual are
+    written, and the solution t read, item by item through memoryviews
+    of four float64 buffers that `empty` allocates once per call
+    (a flat view of the Jacobian, in C order); `solve1(jac, b, sol)`
+    writes t into its buffer with the dd->d loop that float64 inputs
+    select.  The accepted candidate's residual and float norm are kept
+    for the next step, not evaluated again.
     """
     n = structure[0]
     indent = "\n    "
@@ -371,12 +404,12 @@ def _compile_structure(structure):
     step += [f"extend(({_names('y', n)},))"]
     run = [f"[{_names('y', n)}] = y", "extend = out.extend", "for _ in count:"]
     run += [f"    {line}" for line in step]
-    # the iterate is x<k> with residual d<k>; the Jacobian's probe x + h e_i, then x - h e_i, is held
-    # in y<k> (h = fd_step*max(1, |x_i|)) with derivatives e<k> and u<k>; the step is t<k>; the
-    # candidate is y<k> with residual e<k>
+    # the iterate is x<k> with residual d<k> and float norm `norm`; the Jacobian's probe x + h e_i, then
+    # x - h e_i, is held in y<k> (h = fd_step*max(1, |x_i|)) with derivatives e<k> and u<k>; the step is
+    # t<k>; the candidate is y<k> with residual e<k> and float norm `trial`
     newton = []
     for i in range(n):
-        newton += [f"h = fd_step * max(1.0, abs(x{i}))"]
+        newton += [f"h = fd_step * (x{i} if x{i} > 1.0 else -x{i} if x{i} < -1.0 else 1.0)"]
         newton += [f"y{k} = x{k} + h" if k == i else f"y{k} = x{k}" for k in range(n)]
         newton += _derivative_lines(structure, "y", "e")
         newton += [f"y{i} = x{i} - h", *_derivative_lines(structure, "y", "u")]
@@ -384,26 +417,46 @@ def _compile_structure(structure):
             f"if not ({_finite_test([f'{v}{k}' for v in 'eu' for k in range(n)])}):",
             "    break",
             "two_h = 2.0 * h",
-            *(f"jac[{k}, {i}] = (e{k} - u{k}) / two_h" for k in range(n)),
+            *(f"jw[{k * n + i}] = (e{k} - u{k}) / two_h" for k in range(n)),
         ]
+    # each decision on a residual norm is taken from the float norms when they are clear of the other
+    # side by the margin, and from numpy's norms of the residuals written into `res` otherwise
+    def exact(v: str, name: str = "exact") -> list[str]:  # numpy's norm of v<k>, set into `name`
+        return [*(f"rw[{k}] = {v}{k}" for k in range(n)), f"{name} = sqrt(res.dot(res))"]
+
+    def drop_unless_below(bound: str, dropped: str) -> list[str]:  # `dropped` is numpy's test of `exact`
+        return [
+            f"if not norm < {bound}_clear:",
+            f"    if norm * clear >= {bound}:",
+            "        continue",
+            *(f"    {line}" for line in exact("d")),
+            f"    if {dropped}:",
+            "        continue",
+        ]
+
     newton += [
-        *(f"b[{k}] = -d{k}" for k in range(n)),
+        *(f"bw[{k}] = -d{k}" for k in range(n)),
         "try:",
-        "    solve1(jac, b, signature='dd->d', out=sol)",
+        "    solve1(jac, b, sol)",
         "except FloatingPointError:",
         "    break",
-        f"[{_names('t', n)}] = sol.tolist()",
+        f"[{_names('t', n)}] = sw",
         "for lam in fractions:",
         *(f"    y{k} = x{k} + lam * t{k}" for k in range(n)),
         *(f"    {line}" for line in _derivative_lines(structure, "y", "e")),
         f"    if {_finite_test([f'e{k}' for k in range(n)])}:",
-        *(f"        res[{k}] = e{k}" for k in range(n)),
-        "        trial = sqrt(res.dot(res))",
-        "        if trial < norm:",
-        *(f"            x{k} = y{k}" for k in range(n)),
-        *(f"            d{k} = e{k}" for k in range(n)),
-        "            norm = trial",
-        "            break",
+        f"        trial = sqrt({_squares('e', n)})",
+        f"        if not (trial < norm * clear and {_TINY} <= trial and norm <= {_HUGE}):",
+        f"            if trial * clear >= norm and {_TINY} <= norm and trial <= {_HUGE}:",
+        "                continue",
+        *(f"            {line}" for line in exact("d")),
+        *(f"            {line}" for line in exact("e", "exact_trial")),
+        "            if not exact_trial < exact:",
+        "                continue",
+        *(f"        x{k} = y{k}" for k in range(n)),
+        *(f"        d{k} = e{k}" for k in range(n)),
+        "        norm = trial",
+        "        break",
         "else:",
         "    break",
     ]
@@ -416,19 +469,22 @@ def _compile_structure(structure):
         *_derivative_lines(structure, "x", "d"),
         f"if not ({_finite_test([f'd{k}' for k in range(n)])}):",
         "    continue",
-        *(f"res[{k}] = d{k}" for k in range(n)),
-        "norm = sqrt(res.dot(res))",
+        f"norm = sqrt({_squares('d', n)})",
         "for _ in iterations:",
-        "    if norm < stop:",
+        "    if norm < stop_clear:",
         "        break",
+        "    if not norm * clear >= stop:",
+        *(f"        {line}" for line in exact("d")),
+        "        if exact < stop:",
+        "            break",
         *(f"    {line}" for line in newton),
-        f"if not norm < keep or {' or '.join(f'x{k} < neg' for k in range(n))}:",
+        *drop_unless_below("keep", "not exact < keep"),
+        f"if {' or '.join(f'x{k} < neg' for k in range(n))}:",
         "    continue",
         *(f"x{k} = x{k} if x{k} >= snap else 0.0" for k in range(n)),
         *_derivative_lines(structure, "x", "d"),
-        *(f"res[{k}] = d{k}" for k in range(n)),
-        "if sqrt(res.dot(res)) >= tol:",
-        "    continue",
+        f"norm = sqrt({_squares('d', n)})",
+        *drop_unless_below("tol", "exact >= tol"),
         "for r in found:",
         f"    [{_names('y', n)}] = r",
         f"    if {distance} <= dedupe:",
@@ -436,12 +492,26 @@ def _compile_structure(structure):
         "else:",
         f"    found.append([{_names('x', n)}])",
     ]
-    roots = [f"jac = empty(({n}, {n}))", f"b = empty({n})", f"sol = empty({n})", f"res = empty({n})", "found = []"]
+    roots = [
+        f"jac = empty(({n}, {n}))",
+        'jw = memoryview(jac).cast("B").cast("d")',
+        f"b = empty({n})",
+        "bw = memoryview(b)",
+        f"sol = empty({n})",
+        "sw = memoryview(sol)",
+        f"res = empty({n})",
+        "rw = memoryview(res)",
+        "clear = 1.0 - margin",
+        "stop_clear = stop * clear",
+        "keep_clear = keep * clear",
+        "tol_clear = tol * clear",
+        "found = []",
+    ]
     roots += ["for x in starts:", *(f"    {line}" for line in per_start), "return found"]
     source = (
         f"def rhs(x):{indent}{indent.join(rhs)}\n\n"
         f"def rk4_run(y, h, half, sixth, count, lo, hi, out):{indent}{indent.join(run)}\n\n"
-        f"def roots(starts, iterations, fd_step, stop, keep, fractions, neg, snap, tol, dedupe):"
+        f"def roots(starts, iterations, fd_step, stop, keep, fractions, neg, snap, tol, dedupe, margin):"
         f"{indent}{indent.join(roots)}\n"
     )
     return compile(source, "<ecolab community kernel>", "exec")
@@ -722,9 +792,13 @@ def integrate_report(scenario: Scenario) -> IntegrationResult:
     one conversion.
     """
     validate_scenario(scenario)
+    return _integrate_report(scenario, _kernel(scenario))
+
+
+def _integrate_report(scenario: Scenario, kernel: _Kernel) -> IntegrationResult:
+    """`integrate_report` of a validated scenario through its bound kernel."""
     y0 = scenario.initial_state().tolist()
     names = tuple(sp.id for sp in scenario.species)
-    kernel = _kernel(scenario)
     cfg = scenario.integrator
     if cfg.method == "rk4_fixed":
         times, flat, extinctions = _integrate_rk4(kernel.rk4_run, y0, cfg, scenario.horizon, names)

@@ -26,6 +26,7 @@ from ecolab import (
     community_rhs,
     find_fixed_points,
     integrate,
+    integrate_report,
     jacobian_at,
     jacobian_of,
     lv_derivative,
@@ -39,6 +40,7 @@ from ecolab import (
     sweep_epidemic,
 )
 from ecolab import EpidemicModel, complete_graph
+from ecolab import analysis, continuous, core
 from ecolab.analysis import (
     _DEDUPE_TOL,
     _ROOTS_ARGS,
@@ -46,6 +48,7 @@ from ecolab.analysis import (
     _as_classical_pair,
     _central_jacobian,
     _newton_starts,
+    _norm_margin,
 )
 from ecolab.continuous import _kernel, _solve1
 from ecolab.core import TROPHIC_KINDS
@@ -533,6 +536,54 @@ def test_sweep_is_deterministic():
     assert first == second
 
 
+_ARMS_RACE_DIAL = "interaction.attacker:victim.alpha"
+
+
+def _count_calls(monkeypatch, names=("validate_scenario", "_kernel")):
+    """Count the calls of each named function, through every ecolab module that holds it."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(core, name, None) or getattr(continuous, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (core, continuous, analysis):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_sweep_validates_and_binds_each_point_once(monkeypatch):
+    arms = replace(demo_document("arms-race"), horizon=6.0)
+    grid = np.linspace(1.0, -1.0, 21)
+    calls = _count_calls(monkeypatch)
+    report = sweep(arms, _ARMS_RACE_DIAL, grid)
+    assert calls == {"validate_scenario": 21, "_kernel": 21}
+    monkeypatch.undo()
+    # the points the public functions give, each validating and binding on its own
+    for value, point in zip(grid, report.points):
+        updated = set_parameter(arms, _ARMS_RACE_DIAL, value)
+        result = integrate_report(updated)
+        final = result.trajectory.final_state()
+        nearest = min(find_fixed_points(updated, extra_starts=[final]), key=lambda pt: float(np.linalg.norm(pt - final)))
+        assert point.classification == stability_report(updated, nearest).classification
+        assert point.final_state == tuple(final.tolist())
+        assert point.extinctions == result.extinctions
+
+
+def test_analyze_scenario_validates_and_binds_once(monkeypatch):
+    scenario = demo_document("food-chain")
+    want = [(r.fixed_point.tobytes(), r.jacobian.tobytes(), r.eigenvalues, r.classification)
+            for r in (stability_report(scenario, point) for point in find_fixed_points(scenario))]
+    assert len(want) > 1
+    calls = _count_calls(monkeypatch)
+    got = analyze_scenario(scenario)
+    assert calls == {"validate_scenario": 1, "_kernel": 1}
+    assert [(r.fixed_point.tobytes(), r.jacobian.tobytes(), r.eigenvalues, r.classification) for r in got] == want
+
+
 # The float Newton and Jacobian against the array versions they replaced
 # (tests/helpers.py): the same roots, bit for bit and in the same order,
 # and the same warning or error.
@@ -708,13 +759,15 @@ def _assert_roots_match_reference(scenario, starts):
     kernel = _kernel(scenario)
     jacobian = functools.partial(_central_jacobian, kernel.rhs)
     scale = max(1.0, max((abs(g) for g in scenario.initial_state()), default=1.0))
+    # the real margin, and a margin of 1 under which numpy's norm takes every decision
+    margins = (_norm_margin(len(scenario.species)), 1.0)
     for some in [[start] for start in starts] + [starts]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(**_SOLVE_ERRSTATE):
-                got = _outcome(lambda: kernel.roots(some, *_ROOTS_ARGS, _DEDUPE_TOL * scale))
+                got = [_outcome(lambda: kernel.roots(some, *_ROOTS_ARGS, _DEDUPE_TOL * scale, m)) for m in margins]
             want = _outcome(lambda: reference_roots(kernel.rhs, jacobian, some, scale))
-        assert got == want
+        assert got == [want, want]
 
 
 def _newton_outcome(newton, start):
@@ -772,6 +825,30 @@ def test_generated_roots_match_reference(scenario, data):
     _assert_roots_match_reference(scenario, starts + starts[-2:])
 
 
+def test_generated_roots_match_reference_on_the_arms_race_dial():
+    arms = replace(demo_document("arms-race"), horizon=6.0)
+    for alpha in np.linspace(1.0, -1.0, 21):
+        scenario = set_parameter(arms, _ARMS_RACE_DIAL, alpha)
+        starts = _newton_starts(scenario) + [integrate(scenario).final_state().tolist()]
+        _assert_roots_match_reference(scenario, starts)
+        # the float norm is `sqrt` of a float, numpy's of a numpy float; count each
+        kernel = _kernel(scenario)
+        taken = {"float": 0, "numpy": 0}
+
+        def counted(value, _sqrt=math.sqrt):
+            taken["numpy" if isinstance(value, np.floating) else "float"] += 1
+            return _sqrt(value)
+
+        kernel.roots.__globals__["sqrt"] = counted
+        with np.errstate(**_SOLVE_ERRSTATE):
+            kernel.roots(starts, *_ROOTS_ARGS, _DEDUPE_TOL, 1.0)
+            # under a margin of 1 every decision on a float norm is numpy's
+            assert taken["numpy"] >= taken["float"] > 0
+            taken.update(float=0, numpy=0)
+            kernel.roots(starts, *_ROOTS_ARGS, _DEDUPE_TOL, _norm_margin(2))
+            assert taken["numpy"] * 20 < taken["float"]
+
+
 def _competing_pair(eps: float) -> Scenario:
     """Two competing producers with an equilibrium at about (eps, 1).
 
@@ -800,7 +877,7 @@ def test_generated_roots_filter_as_the_reference_does(eps, kept):
     kernel = _kernel(scenario)
     with np.errstate(**_SOLVE_ERRSTATE):
         x, ok = reference_unwrapped_newton(kernel.rhs, functools.partial(_central_jacobian, kernel.rhs), [eps, 1.0])
-        got = kernel.roots([[eps, 1.0]], *_ROOTS_ARGS, _DEDUPE_TOL)
+        got = kernel.roots([[eps, 1.0]], *_ROOTS_ARGS, _DEDUPE_TOL, _norm_margin(2))
     # Newton converges from every one of these starts: the negativity test, the snap and the re-check decide
     assert ok
     assert got == ([x] if kept else [])
@@ -833,7 +910,7 @@ def test_a_singular_jacobian_ends_newton_without_a_warning(caller_errstate):
         warnings.simplefilter("error")
         # find_fixed_points' own errstate, inside whatever its caller set
         with np.errstate(**_SOLVE_ERRSTATE):
-            assert kernel.roots([[0.0, 2.0]], *_ROOTS_ARGS, _DEDUPE_TOL * 2.0) == []
+            assert kernel.roots([[0.0, 2.0]], *_ROOTS_ARGS, _DEDUPE_TOL * 2.0, _norm_margin(2)) == []
         got = find_fixed_points(scenario)
     central = functools.partial(_central_jacobian, kernel.rhs)
     assert reference_roots(kernel.rhs, central, [[0.0, 2.0]], 2.0) == []
@@ -868,16 +945,23 @@ def test_solve1_writes_what_linalg_solve_computes_into_its_out_buffer(n):
     # the buffers the generated root search reuses: written item by item, solved in place
     rng = np.random.default_rng(n)
     jac, b, sol = np.empty((n, n)), np.empty(n), np.empty(n)
+    # written through memoryviews, and solved with the loop that float64 inputs select, as the search does
+    jw, bw = memoryview(jac).cast("B").cast("d"), memoryview(b)
+    # numpy picks the first loop that both inputs cast to safely
+    assert next(t for t in _solve1.types if all(np.can_cast(np.float64, c) for c in t[:2])) == "dd->d"
     for _ in range(2000):
-        jac[...] = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
-        b[...] = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        for k, v in enumerate(rng.normal(size=n * n) * 10.0 ** rng.integers(-3, 4)):
+            jw[k] = float(v)
+        for k, v in enumerate(rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)):
+            bw[k] = float(v)
         with np.errstate(**_SOLVE_ERRSTATE):
-            assert _solve1(jac, b, signature="dd->d", out=sol) is sol
+            assert _solve1(jac, b, sol) is sol
         assert sol.tobytes() == np.linalg.solve(jac, b).tobytes()
+        assert list(memoryview(sol)) == sol.tolist()
     # a zero row, as the Jacobian of `_singular_at_the_start` has
     jac[0] = 0.0
     with np.errstate(**_SOLVE_ERRSTATE), pytest.raises(FloatingPointError):
-        _solve1(jac, b, signature="dd->d", out=sol)
+        _solve1(jac, b, sol)
 
 
 def test_a_singular_matrix_raises_floating_point_error_where_linalg_solve_raises_linalg_error():
@@ -900,3 +984,39 @@ def test_the_norm_computes_what_linalg_norm_computes():
     # squares that overflow
     with np.errstate(over="ignore"):
         assert _norm([1e200, -1e200]) == np.linalg.norm([1e200, -1e200]) == math.inf
+
+
+def _float_norm(values) -> float:
+    """The generated root search's float norm: the squares added left to right, then `math.sqrt`."""
+    total = 0.0
+    for v in values:
+        total += v * v
+    return math.sqrt(total)
+
+
+def _norm_test_vectors(rng: random.Random, n: int):
+    for _ in range(150):
+        yield [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        yield [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-170.0, 150.0) for _ in range(n)]
+        # squares at and below the subnormal threshold
+        yield [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-163.0, -150.0) for _ in range(n)]
+        start = rng.uniform(0.5, 2.0) * 10.0 ** rng.randint(-100, 100)
+        run = [start]
+        while len(run) < n:
+            run.append(math.nextafter(run[-1], math.inf))
+        yield run
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_numpy_norm_stays_within_the_margin_of_the_float_norm(n):
+    # The root search decides on the float norm P when it is clear of the other side by
+    # _norm_margin(n), 8 times this bound; numpy's BLAS dot, whose order of summation is its own,
+    # must keep sqrt(a.dot(a)) within (n+2)*2^-53*P + 2^-500 of P whenever P <= 2^400.
+    rng = random.Random(n)
+    for values in _norm_test_vectors(rng, n):
+        p = _float_norm(values)
+        a = np.array(values)
+        got = math.sqrt(a.dot(a))
+        if p <= 2.0**400:
+            assert abs(got - p) <= (n + 2) * 2.0**-53 * p + 2.0**-500, values
+    assert _norm_margin(n) == 8 * (n + 2) * 2.0**-53

@@ -941,8 +941,9 @@ def test_integrators_match_dop853(name, method):
 
 _KERNEL_NAME = re.compile(
     r"(?:[xydegsvfpqtu]|k[1-4]_)\d+|[xycbr_]|h|two_h|half|sixth|lo|hi|count|out|extend|fd_step"
-    r"|starts|iterations|stop|keep|fractions|neg|snap|tol|dedupe|norm|trial|lam|jac|sol|res|found"
-    r"|solve1|sqrt|dot|tolist|append|max|abs|isfinite|empty|FloatingPointError"
+    r"|starts|iterations|stop|keep|fractions|neg|snap|tol|dedupe|margin|norm|trial|exact|exact_trial|lam"
+    r"|jac|sol|res|[jbsr]w|clear|(?:stop|keep|tol)_clear|found"
+    r"|solve1|sqrt|dot|memoryview|cast|append|max|abs|isfinite|empty|FloatingPointError"
 )
 # the names `_kernel` binds in the namespace the code runs in, and the functions the code defines
 # there: a local of one of these would shadow it
@@ -975,9 +976,16 @@ def test_one_structure_shares_one_code_object():
     assert a.rk4_run.__code__ is b.rk4_run.__code__
     assert a.roots.__code__ is b.roots.__code__
     assert a.rhs([3.0, 2.0]) != b.rhs([3.0, 2.0])  # the values are bound apart from the code
-    # the root search's: max(1.0, |x_i|), solve1's keywords, and its buffers' sizes and indices, which
-    # only the species count sets; every other number comes in as an argument (a list: in a set, 1 is 1.0)
-    roots_consts = [1.0, "dd->d", ("signature", "out"), 2, (2, 2), 0, 1, (0, 0), (0, 1), (1, 0), (1, 1)]
+    # the root search's: max(1, |x_i|) as comparisons with +-1.0, the range [2^-400, 2^400] of the float
+    # norms it trusts, the formats of its flat Jacobian view, and its buffers' sizes and indices, which only
+    # the species count sets; every other number comes in as an argument (a list: in a set, 1 is 1.0)
+    roots_consts = [1.0, -1.0, 2.0**-400, 2.0**400, "B", "d", 2, (2, 2), 0, 1, 3]
+    roots = a.roots.__code__
+    assert roots.co_varnames[: roots.co_argcount] == (
+        "starts", "iterations", "fd_step", "stop", "keep", "fractions", "neg", "snap", "tol", "dedupe", "margin"
+    )
+    # the Jacobian, right-hand side, solution and residual buffers are written and read through memoryviews
+    assert {"jw", "bw", "sw", "rw", "memoryview"} <= set(roots.co_varnames + roots.co_names)
 
     def typed(values):  # constants with their types, since 0.0 == False and 1.0 == True
         return {(type(v), v) for v in values}
