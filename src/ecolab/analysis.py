@@ -17,9 +17,9 @@ from .core import (
     Scenario,
     Trajectory,
     _count,
-    validate_scenario,
 )
-from .continuous import _Kernel, _all_finite, _integrate_report, _kernel
+from ._kernel import _Kernel, _kernel, _norm_margin
+from .continuous import _all_finite, _integrate_report
 from .epidemic import EpidemicModel, persistence_fraction, run_seed
 from .scenario_io import _entry_to_json, _parse_entry, _record_json
 
@@ -65,15 +65,6 @@ _ROOTS_ARGS = (
     1e-12,
     _RESIDUAL_TOL,
 )
-
-
-def _norm_margin(n: int) -> float:
-    """The relative margin by which `roots` trusts a float residual norm of n terms.
-
-    It is 8 times (n+2)*2^-53, the bound on how far numpy's norm can lie
-    from the float norm; see `find_fixed_points`.
-    """
-    return (n + 2) * 2.0**-50
 
 
 #: np.linalg.solve's own errstate around its gufunc, but for a singular matrix,
@@ -162,7 +153,6 @@ def jacobian_at(scenario: Scenario, point: Sequence[float]) -> np.ndarray:
     over the scenario's compiled derivative.  The scenario is validated
     first, as `find_fixed_points` does.
     """
-    validate_scenario(scenario)
     return _central_jacobian(_kernel(scenario).rhs, _state_of(scenario, point).tolist(), _FD_STEP)
 
 
@@ -262,7 +252,6 @@ def find_fixed_points(
     singular Jacobian ends a start and an overflowing norm is quietly
     inf.
     """
-    validate_scenario(scenario)
     return _find_fixed_points(scenario, _kernel(scenario), extra_starts)
 
 
@@ -306,7 +295,6 @@ class StabilityReport:
 
 def stability_report(scenario: Scenario, point: Sequence[float]) -> StabilityReport:
     """Jacobian (as `jacobian_at` computes it), eigenvalues and classification at a point."""
-    validate_scenario(scenario)
     return _stability_report(_kernel(scenario), _state_of(scenario, point))
 
 
@@ -330,7 +318,6 @@ def analyze_scenario(scenario: Scenario) -> list[StabilityReport]:
     The scenario is validated and its kernel bound once, for the search
     and every report.
     """
-    validate_scenario(scenario)
     kernel = _kernel(scenario)
     return [_stability_report(kernel, point) for point in _find_fixed_points(scenario, kernel)]
 
@@ -510,7 +497,6 @@ def sweep(
     points = []
     for value in grid:
         updated = set_parameter(scenario, parameter_path, value)
-        validate_scenario(updated)
         kernel = _kernel(updated)
         result = _integrate_report(updated, kernel)
         final = result.trajectory.final_state()

@@ -3,33 +3,29 @@
 The classical two-species predator-prey system, its multi-species
 extension over the full interaction vocabulary, functional responses,
 the mutualism-parasitism continuum, and the fixed/adaptive Runge-Kutta
-integrators that drive them.
+integrators that drive them.  The compiled community kernel they run on
+lives in `_kernel`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from numpy.linalg._umath_linalg import solve1 as _solve1
 
+from ._kernel import _Kernel, _kernel, _response_fn
 from .core import (
     FunctionalResponse,
-    HollingTypeII,
     IntegratorConfig,
     InteractionKind,
     InteractionSpec,
-    IvlevResponse,
     LinearResponse,
     Role,
     Scenario,
     SpeciesSpec,
     Trajectory,
-    TROPHIC_KINDS,
-    validate_scenario,
 )
 
 __all__ = [
@@ -148,38 +144,6 @@ def lv_first_integral(x: float, y: float, p: LotkaVolterraParams) -> float:
     )
 
 
-def _response_fn(fr: FunctionalResponse) -> Callable[[float], float]:
-    """The response as a one-argument function of prey density.
-
-    Bare formula, no domain check: root finding and finite differences
-    probe slightly negative states.
-    """
-    if isinstance(fr, LinearResponse):
-        rate = fr.rate
-        return lambda x: rate * x
-    if isinstance(fr, HollingTypeII):
-        rate, rate_handling = fr.rate, fr.rate * fr.handling
-
-        def holling(x):
-            try:
-                return rate * x / (1.0 + rate_handling * x)
-            except ZeroDivisionError:  # x = -1/(rate*handling), the pole: +-inf, as in IEEE
-                return rate * x * math.inf
-
-        return holling
-    if isinstance(fr, IvlevResponse):
-        rate, neg_saturation = fr.rate, -fr.saturation
-
-        def ivlev(x):
-            try:
-                return rate * (1.0 - math.exp(neg_saturation * x))
-            except OverflowError:  # a diverging stage far below 0: exp is +inf, as in IEEE
-                return rate * -math.inf
-
-        return ivlev
-    raise TypeError(f"unknown functional response {fr!r}")
-
-
 def functional_response(fr: FunctionalResponse, x: float) -> float:
     """Per-predator consumption rate at prey density x.
 
@@ -258,297 +222,6 @@ def continuum_interaction(species_i: str, species_j: str, p: ContinuumParams) ->
     )
 
 
-# A scenario is compiled into Python source with one local per species, so
-# one derivative evaluation runs as straight-line float arithmetic.  Only
-# indices and these fixed names enter the source; every coefficient and
-# response closure is bound by name in the namespace the source runs in:
-#   g<k>  signed growth rate of species k     s<k>  its self-limitation
-#   v<m>  conversion of trophic entry m       f<m>  its linear rate, or its response
-#   p<m>  coefficient of mass-action entry m on its i side, q<m> on its j side
-#   empty  numpy.empty      isfinite  math.isfinite      sqrt  math.sqrt
-#   solve1  the gufunc np.linalg.solve calls, numpy.linalg._umath_linalg.solve1
-# Generated locals never take one of these names: a local p<m> would shadow
-# the coefficient of mass-action entry m.
-
-#: Compiled structures kept at once; a sweep over one scenario needs one or two.
-_KERNEL_CACHE_SIZE = 64
-
-
-class _Kernel(NamedTuple):
-    """A scenario's derivative, RK4 step loop and fixed-point search, all over floats."""
-
-    rhs: Callable[[Sequence[float]], list[float]]
-    rk4_run: Callable[..., tuple[list[float], bool] | None]
-    roots: Callable[..., list[list[float]]]
-
-
-def _derivative_lines(structure, x: str, d: str) -> list[str]:
-    """Statements setting d<k> to the derivative at the state held in x<k>.
-
-    Terms are added in a fixed order: growth, self-limitation, trophic
-    entries, then mass-action entries, each in declaration order.
-    """
-    n, limited, trophic, mass_action = structure
-    lines = [f"{d}{k} = g{k} * {x}{k}" for k in range(n)]
-    lines += [f"{d}{k} -= s{k} * {x}{k} * {x}{k}" for k in limited]
-    for m, (agg, victim, response) in enumerate(trophic):
-        consumed = f"f{m} * {x}{victim}" if response is LinearResponse else f"f{m}({x}{victim})"
-        lines += [
-            f"c = {consumed}",
-            f"{d}{victim} -= c * {x}{agg}",
-            f"{d}{agg} += v{m} * c * {x}{agg}",
-        ]
-    for m, (i, j) in enumerate(mass_action):
-        lines += [f"{d}{i} += p{m} * {x}{i} * {x}{j}", f"{d}{j} += q{m} * {x}{i} * {x}{j}"]
-    return lines
-
-
-def _names(prefix: str, n: int) -> str:
-    return ", ".join(f"{prefix}{k}" for k in range(n))
-
-
-def _finite_test(values: list[str]) -> str:
-    """`_all_finite` of the named values, as an expression."""
-    return f"isfinite({' + '.join(values)}) or {' and '.join(f'isfinite({v})' for v in values)}"
-
-
-def _squares(prefix: str, n: int) -> str:
-    """The sum of squares of prefix<k>, added left to right, as an expression."""
-    return " + ".join(f"{prefix}{k} * {prefix}{k}" for k in range(n))
-
-
-# The range of float norms whose relative bound `roots` trusts, as source that compiles to constants.
-_TINY, _HUGE = "2.0 ** -400", "2.0 ** 400"
-
-
-@functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
-def _compile_structure(structure):
-    """Code object defining `rhs`, `rk4_run` and `roots` for one scenario structure.
-
-    The structure is (species count, self-limited indices, (aggressor,
-    victim, response type) per trophic entry, (i, j) per mass-action
-    entry), so scenarios that differ only in values or ids share it.
-
-    `rk4_run(y, h, half, sixth, count, lo, hi, out)` keeps the state in
-    one local per species and makes one RK4 step per item of `count`,
-    inlining the derivative once per stage and combining the stages as
-    y + sixth * (d1 + 2.0*d2 + 2.0*d3 + d4).  It extends the flat float
-    list `out` by each new state and returns None once `count` runs
-    out.  It refuses the first new state with a density z outside
-    `lo <= z <= hi` that is not 0.0: a NaN, an infinity, a density the
-    extinction clamp would change (lo is `extinction_epsilon`) or one
-    above the divergence bound (hi).  That state is not added; it is
-    returned as a list, with whether all 4n stage values are finite.
-
-    `roots(starts, iterations, fd_step, stop, keep, fractions, neg, snap,
-    tol, dedupe, margin)` is `analysis.find_fixed_points`' search over
-    the float lists `starts`, one local per species.  From each start it
-    runs damped Newton with the derivative inlined at the iterate and at
-    each line-search candidate.  Each item of `iterations` makes one
-    step: it stops once the residual norm is below `stop`, solves
-    J t = -f(x) with `solve1`, and moves to the first candidate
-    x + lam*t, lam in `fractions`, whose residual is finite and of lower
-    norm.  J is `analysis._central_jacobian(rhs, x, fd_step)` with the
-    derivative inlined: column i is (f(x + h e_i) - f(x - h e_i)) / 2h,
-    with h = fd_step*max(1, |x_i|).  A non-finite derivative at a probe,
-    a FloatingPointError from `solve1` (a singular J, under the caller's
-    errstate) and a failed line search end the iteration early.  A start
-    is dropped unless its first residual is finite and its last norm is
-    below `keep` (at least `stop`).  A root is then dropped if a density
-    is below `neg`; every density below `snap` becomes 0.0; the root is
-    dropped if the residual norm there is `>= tol` (a NaN norm is not),
-    or if it is within `dedupe` (the largest density difference) of a
-    root kept before.  The kept roots are returned in start order.
-
-    The residual norm of every one of those decisions is numpy's,
-    sqrt(a.dot(a)) of the residual a (the dot np.linalg.norm takes), but
-    numpy is asked only when the float norm P, math.sqrt of the squares
-    added left to right, cannot decide.  To first order in u = 2^-53,
-    each of the two lies within (n/2 + 1)*u of the exact norm: a sum of
-    n non-negative terms in any order, one rounding per square and one
-    per square root (Higham 2002, sections 3-4).  So they differ by at
-    most (n+2)*u*P, plus 2^-500 where squares fall below the normal
-    range, as long as P <= 2^400 keeps every sum of squares finite.
-    `margin` is 8 times that relative bound (`analysis._norm_margin`),
-    which also covers the rounding of the comparisons themselves.  A
-    comparison of P with a bound c (`stop`, `keep` or `tol`, each between
-    2^-400 and 2^399) is taken from P when P < c*(1 - margin) or
-    P*(1 - margin) >= c; a P above 2^400 means a numpy norm of at least
-    2^399.  `trial < norm` is taken from the two float norms when both
-    lie in [2^-400, 2^400] and one is below the other times
-    (1 - margin).  Otherwise, and for a NaN, the residuals are written
-    into the residual buffer and numpy's norms decide.  These are the
-    filtered predicates of Shewchuk 1997, with numpy as the exact
-    fallback: every decision, and so every root bit, is the one numpy's
-    norms give, and a margin of 1 sends every decision to numpy.
-
-    The Jacobian, the right-hand side -f(x) and the residual are
-    written, and the solution t read, item by item through memoryviews
-    of four float64 buffers that `empty` allocates once per call
-    (a flat view of the Jacobian, in C order); `solve1(jac, b, sol)`
-    writes t into its buffer with the dd->d loop that float64 inputs
-    select.  The accepted candidate's residual and float norm are kept
-    for the next step, not evaluated again.
-    """
-    n = structure[0]
-    indent = "\n    "
-    rhs = [f"[{_names('x', n)}] = x", *_derivative_lines(structure, "x", "d"), f"return [{_names('d', n)}]"]
-    step = _derivative_lines(structure, "y", "k1_")
-    for stage, scale in ((2, "half"), (3, "half"), (4, "h")):
-        step += [f"x{k} = y{k} + {scale} * k{stage - 1}_{k}" for k in range(n)]
-        step += _derivative_lines(structure, "x", f"k{stage}_")
-    step += [f"y{k} = y{k} + sixth * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})" for k in range(n)]
-    in_bounds = " and ".join(f"(lo <= y{k} <= hi or y{k} == 0.0)" for k in range(n))
-    stages = [f"k{stage}_{k}" for stage in range(1, 5) for k in range(n)]
-    step += [f"if not ({in_bounds}):", f"    return [{_names('y', n)}], {_finite_test(stages)}"]
-    step += [f"extend(({_names('y', n)},))"]
-    run = [f"[{_names('y', n)}] = y", "extend = out.extend", "for _ in count:"]
-    run += [f"    {line}" for line in step]
-    # the iterate is x<k> with residual d<k> and float norm `norm`; the Jacobian's probe x + h e_i, then
-    # x - h e_i, is held in y<k> (h = fd_step*max(1, |x_i|)) with derivatives e<k> and u<k>; the step is
-    # t<k>; the candidate is y<k> with residual e<k> and float norm `trial`
-    newton = []
-    for i in range(n):
-        newton += [f"h = fd_step * (x{i} if x{i} > 1.0 else -x{i} if x{i} < -1.0 else 1.0)"]
-        newton += [f"y{k} = x{k} + h" if k == i else f"y{k} = x{k}" for k in range(n)]
-        newton += _derivative_lines(structure, "y", "e")
-        newton += [f"y{i} = x{i} - h", *_derivative_lines(structure, "y", "u")]
-        newton += [
-            f"if not ({_finite_test([f'{v}{k}' for v in 'eu' for k in range(n)])}):",
-            "    break",
-            "two_h = 2.0 * h",
-            *(f"jw[{k * n + i}] = (e{k} - u{k}) / two_h" for k in range(n)),
-        ]
-    # each decision on a residual norm is taken from the float norms when they are clear of the other
-    # side by the margin, and from numpy's norms of the residuals written into `res` otherwise
-    def exact(v: str, name: str = "exact") -> list[str]:  # numpy's norm of v<k>, set into `name`
-        return [*(f"rw[{k}] = {v}{k}" for k in range(n)), f"{name} = sqrt(res.dot(res))"]
-
-    def drop_unless_below(bound: str, dropped: str) -> list[str]:  # `dropped` is numpy's test of `exact`
-        return [
-            f"if not norm < {bound}_clear:",
-            f"    if norm * clear >= {bound}:",
-            "        continue",
-            *(f"    {line}" for line in exact("d")),
-            f"    if {dropped}:",
-            "        continue",
-        ]
-
-    newton += [
-        *(f"bw[{k}] = -d{k}" for k in range(n)),
-        "try:",
-        "    solve1(jac, b, sol)",
-        "except FloatingPointError:",
-        "    break",
-        f"[{_names('t', n)}] = sw",
-        "for lam in fractions:",
-        *(f"    y{k} = x{k} + lam * t{k}" for k in range(n)),
-        *(f"    {line}" for line in _derivative_lines(structure, "y", "e")),
-        f"    if {_finite_test([f'e{k}' for k in range(n)])}:",
-        f"        trial = sqrt({_squares('e', n)})",
-        f"        if not (trial < norm * clear and {_TINY} <= trial and norm <= {_HUGE}):",
-        f"            if trial * clear >= norm and {_TINY} <= norm and trial <= {_HUGE}:",
-        "                continue",
-        *(f"            {line}" for line in exact("d")),
-        *(f"            {line}" for line in exact("e", "exact_trial")),
-        "            if not exact_trial < exact:",
-        "                continue",
-        *(f"        x{k} = y{k}" for k in range(n)),
-        *(f"        d{k} = e{k}" for k in range(n)),
-        "        norm = trial",
-        "        break",
-        "else:",
-        "    break",
-    ]
-    # a kept root is held in y<k> while the new one, x<k>, is compared with it
-    distance = ", ".join(f"abs(x{k} - y{k})" for k in range(n))
-    if n > 1:
-        distance = f"max({distance})"
-    per_start = [
-        f"[{_names('x', n)}] = x",
-        *_derivative_lines(structure, "x", "d"),
-        f"if not ({_finite_test([f'd{k}' for k in range(n)])}):",
-        "    continue",
-        f"norm = sqrt({_squares('d', n)})",
-        "for _ in iterations:",
-        "    if norm < stop_clear:",
-        "        break",
-        "    if not norm * clear >= stop:",
-        *(f"        {line}" for line in exact("d")),
-        "        if exact < stop:",
-        "            break",
-        *(f"    {line}" for line in newton),
-        *drop_unless_below("keep", "not exact < keep"),
-        f"if {' or '.join(f'x{k} < neg' for k in range(n))}:",
-        "    continue",
-        *(f"x{k} = x{k} if x{k} >= snap else 0.0" for k in range(n)),
-        *_derivative_lines(structure, "x", "d"),
-        f"norm = sqrt({_squares('d', n)})",
-        *drop_unless_below("tol", "exact >= tol"),
-        "for r in found:",
-        f"    [{_names('y', n)}] = r",
-        f"    if {distance} <= dedupe:",
-        "        break",
-        "else:",
-        f"    found.append([{_names('x', n)}])",
-    ]
-    roots = [
-        f"jac = empty(({n}, {n}))",
-        'jw = memoryview(jac).cast("B").cast("d")',
-        f"b = empty({n})",
-        "bw = memoryview(b)",
-        f"sol = empty({n})",
-        "sw = memoryview(sol)",
-        f"res = empty({n})",
-        "rw = memoryview(res)",
-        "clear = 1.0 - margin",
-        "stop_clear = stop * clear",
-        "keep_clear = keep * clear",
-        "tol_clear = tol * clear",
-        "found = []",
-    ]
-    roots += ["for x in starts:", *(f"    {line}" for line in per_start), "return found"]
-    source = (
-        f"def rhs(x):{indent}{indent.join(rhs)}\n\n"
-        f"def rk4_run(y, h, half, sixth, count, lo, hi, out):{indent}{indent.join(run)}\n\n"
-        f"def roots(starts, iterations, fd_step, stop, keep, fractions, neg, snap, tol, dedupe, margin):"
-        f"{indent}{indent.join(roots)}\n"
-    )
-    return compile(source, "<ecolab community kernel>", "exec")
-
-
-def _kernel(scenario: Scenario) -> _Kernel:
-    """Bind the scenario's values into the compiled code of its structure."""
-    index = {sp.id: k for k, sp in enumerate(scenario.species)}
-    namespace = {"empty": np.empty, "isfinite": math.isfinite, "sqrt": math.sqrt, "solve1": _solve1}
-    limited = []
-    for k, sp in enumerate(scenario.species):
-        namespace[f"g{k}"] = sp.growth_rate if sp.role == Role.PRODUCER else -sp.growth_rate
-        if sp.self_limitation != 0.0:
-            limited.append(k)
-            namespace[f"s{k}"] = sp.self_limitation
-    trophic = []
-    mass_action = []
-    for entry in scenario.interactions:
-        i, j = index[entry.species_i], index[entry.species_j]
-        if entry.kind in TROPHIC_KINDS:
-            m = len(trophic)
-            response = entry.response
-            trophic.append((i, j, type(response)))
-            namespace[f"v{m}"] = entry.coeff_i
-            namespace[f"f{m}"] = response.rate if type(response) is LinearResponse else _response_fn(response)
-        else:
-            m = len(mass_action)
-            mass_action.append((i, j))
-            if entry.kind == InteractionKind.COMPETITION:
-                namespace[f"p{m}"], namespace[f"q{m}"] = -entry.coeff_i, -entry.coeff_j
-            else:
-                namespace[f"p{m}"], namespace[f"q{m}"] = entry.coeff_i, entry.coeff_j
-    code = _compile_structure((len(scenario.species), tuple(limited), tuple(trophic), tuple(mass_action)))
-    exec(code, namespace)
-    return _Kernel(namespace["rhs"], namespace["rk4_run"], namespace["roots"])
-
-
 def community_rhs(scenario: Scenario) -> Callable[[Sequence[float]], list[float]]:
     """Compile the scenario into a derivative function over state vectors.
 
@@ -573,7 +246,6 @@ def community_rhs(scenario: Scenario) -> Callable[[Sequence[float]], list[float]
     self-limitation this reproduces `lv_derivative` exactly.  The scenario
     is validated first, as `integrate_report` does.
     """
-    validate_scenario(scenario)
     return _kernel(scenario).rhs
 
 
@@ -791,7 +463,6 @@ def integrate_report(scenario: Scenario) -> IntegrationResult:
     samples in one flat float list, which becomes the `values` array in
     one conversion.
     """
-    validate_scenario(scenario)
     return _integrate_report(scenario, _kernel(scenario))
 
 

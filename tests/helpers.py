@@ -42,12 +42,12 @@ from ecolab.analysis import (
     _central_jacobian,
     _split_path,
 )
+from ecolab._kernel import _solve1
 from ecolab.continuous import (
     _RK45_STEP_BUDGET,
     DIVERGENCE_LIMIT,
     ContinuumParams,
     _all_finite,
-    _solve1,
     continuum_interaction,
 )
 from ecolab.core import METHODS, TROPHIC_KINDS

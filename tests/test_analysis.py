@@ -40,7 +40,8 @@ from ecolab import (
     sweep_epidemic,
 )
 from ecolab import EpidemicModel, complete_graph
-from ecolab import analysis, continuous, core
+from ecolab import _kernel as kernel_module
+from ecolab import analysis, continuous
 from ecolab.analysis import (
     _DEDUPE_TOL,
     _ROOTS_ARGS,
@@ -48,9 +49,8 @@ from ecolab.analysis import (
     _as_classical_pair,
     _central_jacobian,
     _newton_starts,
-    _norm_margin,
 )
-from ecolab.continuous import _kernel, _solve1
+from ecolab._kernel import _kernel, _norm_margin, _solve1
 from ecolab.core import TROPHIC_KINDS
 from ecolab.demos import DEMO_NAMES, demo_document
 from helpers import (
@@ -543,13 +543,13 @@ def _count_calls(monkeypatch, names=("validate_scenario", "_kernel")):
     """Count the calls of each named function, through every ecolab module that holds it."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(core, name, None) or getattr(continuous, name)
+        original = getattr(kernel_module, name)
 
         def counted(*args, _original=original, _name=name):
             calls[_name] += 1
             return _original(*args)
 
-        for module in (core, continuous, analysis):
+        for module in (kernel_module, continuous, analysis):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     return calls

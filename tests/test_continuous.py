@@ -21,6 +21,7 @@ from ecolab import (
     NonFiniteDerivativeError,
     Role,
     Scenario,
+    ScenarioValidationError,
     SpeciesSpec,
     StepSizeUnderflowError,
     Trajectory,
@@ -39,17 +40,15 @@ from ecolab import (
     sweep,
 )
 from ecolab import continuous
+from ecolab._kernel import _Kernel, _compile_structure, _kernel
 from ecolab.continuous import (
     DIVERGENCE_LIMIT,
     _RK4_STEP_BUDGET,
     _RK45_STEP_BUDGET,
-    _Kernel,
     _all_finite,
     _clamp_extinctions,
-    _compile_structure,
     _integrate_rk4,
     _integrate_rk45,
-    _kernel,
     _max_exceeds,
     _rms,
 )
@@ -1015,6 +1014,13 @@ def test_hostile_species_ids_never_reach_the_source(method):
     _assert_same_outcome(got, want)
     assert got.trajectory.variable_names == hostile
     assert _kernel(scenario).rhs.__code__ is _kernel(saturating_chain_scenario()).rhs.__code__
+
+
+def test_binding_an_invalid_scenario_is_a_validation_error():
+    scenario = predation_scenario()
+    ghost = replace(scenario, interactions=(replace(scenario.interactions[0], species_j="ghost"),))
+    with pytest.raises(ScenarioValidationError, match="names unknown species 'ghost'"):
+        _kernel(ghost)
 
 
 def test_arms_race_sweep_compiles_two_structures():
