@@ -1,9 +1,8 @@
-"""The community kernel: a scenario compiled into straight-line float code.
+"""The community kernel: each scenario structure compiled once into straight-line float code.
 
-A scenario's structure is compiled once into three generated functions,
-each written by its own emitter: the derivative `rhs`, the RK4 step loop
-`rk4_run` and the fixed-point search `roots`.  `_kernel` validates a
-scenario and binds its values into the code of its structure.
+`_kernel` validates a scenario and binds its values into the code of its
+structure: the derivative `rhs`, the RK4 step loop `rk4_run` and the
+fixed-point search `roots`, each generated by its own emitter.
 """
 
 from __future__ import annotations
@@ -29,10 +28,8 @@ from .core import (
 
 __all__ = ["_Kernel", "_kernel", "_norm_margin", "_response_fn", "_solve1"]
 
-# A scenario is compiled into Python source with one local per species, so
-# one derivative evaluation runs as straight-line float arithmetic.  Only
-# indices and these fixed names enter the source; every coefficient and
-# response closure is bound by name in the namespace the source runs in:
+# Only indices and these fixed names enter the generated source, one local per species; every
+# coefficient and response closure is bound by name in the namespace the source runs in:
 #   g<k>  signed growth rate of species k     s<k>  its self-limitation
 #   v<m>  conversion of trophic entry m       f<m>  its linear rate, or its response
 #   p<m>  coefficient of mass-action entry m on its i side, q<m> on its j side
@@ -110,8 +107,9 @@ def _names(prefix: str, n: int) -> str:
     return ", ".join(f"{prefix}{k}" for k in range(n))
 
 
-def _finite_test(values: list[str]) -> str:
-    """`_all_finite` of the named values, as an expression."""
+def _finite_test(prefixes, n: int) -> str:
+    """`_all_finite` of the values p<k>, prefix by prefix, as an expression."""
+    values = [f"{p}{k}" for p in prefixes for k in range(n)]
     return f"isfinite({' + '.join(values)}) or {' and '.join(f'isfinite({v})' for v in values)}"
 
 
@@ -128,9 +126,8 @@ def _function(signature: str, body: list[str]) -> str:
 def _emit_rhs(structure) -> str:
     """`rhs(x)`: the derivative at the float sequence x, one local per species, as a list."""
     n = structure[0]
-    return _function(
-        "rhs(x)", [f"[{_names('x', n)}] = x", *_derivative_lines(structure, "x", "d"), f"return [{_names('d', n)}]"]
-    )
+    body = [f"[{_names('x', n)}] = x", *_derivative_lines(structure, "x", "d"), f"return [{_names('d', n)}]"]
+    return _function("rhs(x)", body)
 
 
 def _emit_rk4_run(structure) -> str:
@@ -153,20 +150,16 @@ def _emit_rk4_run(structure) -> str:
         step += _derivative_lines(structure, "x", f"k{stage}_")
     step += [f"y{k} = y{k} + sixth * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})" for k in range(n)]
     in_bounds = " and ".join(f"(lo <= y{k} <= hi or y{k} == 0.0)" for k in range(n))
-    stages = [f"k{stage}_{k}" for stage in range(1, 5) for k in range(n)]
-    step += [f"if not ({in_bounds}):", f"    return [{_names('y', n)}], {_finite_test(stages)}"]
+    stages_finite = _finite_test(("k1_", "k2_", "k3_", "k4_"), n)
+    step += [f"if not ({in_bounds}):", f"    return [{_names('y', n)}], {stages_finite}"]
     step += [f"extend(({_names('y', n)},))"]
     run = [f"[{_names('y', n)}] = y", "extend = out.extend", "for _ in count:"]
     run += [f"    {line}" for line in step]
     return _function("rk4_run(y, h, half, sixth, count, lo, hi, out)", run)
 
 
-# The range of float norms whose relative bound `roots` trusts, as source that compiles to constants.
-_TINY, _HUGE = "2.0 ** -400", "2.0 ** 400"
-
-
 def _emit_roots(structure) -> str:
-    """`roots(starts, iterations, fd_step, stop, keep, fractions, neg, snap, tol, dedupe, margin)`.
+    """`roots(starts, iterations, fd_step, stop, fractions, neg, snap, tol, dedupe, margin)`.
 
     It is `analysis.find_fixed_points`' search over the float lists
     `starts`, one local per species.  From each start it runs damped
@@ -175,17 +168,16 @@ def _emit_roots(structure) -> str:
     stops once the residual norm is below `stop`, solves J t = -f(x) with
     `solve1`, and moves to the first candidate x + lam*t, lam in
     `fractions`, whose residual is finite and of lower norm.  J is
-    `analysis._central_jacobian(rhs, x, fd_step)` with the derivative
-    inlined: column i is (f(x + h e_i) - f(x - h e_i)) / 2h, with
-    h = fd_step*max(1, |x_i|).  A non-finite derivative at a probe, a
-    FloatingPointError from `solve1` (a singular J, under the caller's
-    errstate) and a failed line search end the iteration early.  A start
-    is dropped unless its first residual is finite and its last norm is
-    below `keep` (at least `stop`).  A root is then dropped if a density
-    is below `neg`; every density below `snap` becomes 0.0; the root is
-    dropped if the residual norm there is `>= tol` (a NaN norm is not),
-    or if it is within `dedupe` (the largest density difference) of a
-    root kept before.  The kept roots are returned in start order.
+    `analysis._central_jacobian(rhs, x, fd_step)`, the derivative
+    inlined.  A non-finite derivative at a probe, a FloatingPointError
+    from `solve1` (a singular J, under the caller's errstate) and a
+    failed line search end the iteration early.  A start is dropped
+    unless its first residual is finite and its last norm is below `tol`
+    (at least `stop`).  A root is then dropped if a density is below
+    `neg`; every density below `snap` becomes 0.0; the root is dropped if
+    the residual norm there is `>= tol` (a NaN norm is not), or if it is
+    within `dedupe` (the largest density difference) of a root kept
+    before.  The kept roots are returned in start order.
 
     The residual norm of every one of those decisions is numpy's,
     sqrt(a.dot(a)) of the residual a (the dot np.linalg.norm takes), but
@@ -198,8 +190,8 @@ def _emit_roots(structure) -> str:
     range, as long as P <= 2^400 keeps every sum of squares finite.
     `margin` is 8 times that relative bound (`_norm_margin`), which also
     covers the rounding of the comparisons themselves.  A comparison of P
-    with a bound c (`stop`, `keep` or `tol`, each between 2^-400 and
-    2^399) is taken from P when P < c*(1 - margin) or P*(1 - margin) >= c;
+    with a bound c (`stop` or `tol`, each between 2^-400 and 2^399) is
+    taken from P when P < c*(1 - margin) or P*(1 - margin) >= c;
     a P above 2^400 means a numpy norm of at least 2^399.  `trial < norm`
     is taken from the two float norms when both lie in [2^-400, 2^400]
     and one is below the other times (1 - margin).  Otherwise, and for a
@@ -218,6 +210,8 @@ def _emit_roots(structure) -> str:
     for the next step, not evaluated again.
     """
     n = structure[0]
+    # the range of float norms whose relative bound `roots` trusts, as source that compiles to constants
+    tiny, huge = "2.0 ** -400", "2.0 ** 400"
     # the iterate is x<k> with residual d<k> and float norm `norm`; the Jacobian's probe x + h e_i, then
     # x - h e_i, is held in y<k> (h = fd_step*max(1, |x_i|)) with derivatives e<k> and u<k>; the step is
     # t<k>; the candidate is y<k> with residual e<k> and float norm `trial`
@@ -228,7 +222,7 @@ def _emit_roots(structure) -> str:
         newton += _derivative_lines(structure, "y", "e")
         newton += [f"y{i} = x{i} - h", *_derivative_lines(structure, "y", "u")]
         newton += [
-            f"if not ({_finite_test([f'{v}{k}' for v in 'eu' for k in range(n)])}):",
+            f"if not ({_finite_test('eu', n)}):",
             "    break",
             "two_h = 2.0 * h",
             *(f"jw[{k * n + i}] = (e{k} - u{k}) / two_h" for k in range(n)),
@@ -238,10 +232,10 @@ def _emit_roots(structure) -> str:
     def exact(v: str, name: str = "exact") -> list[str]:  # numpy's norm of v<k>, set into `name`
         return [*(f"rw[{k}] = {v}{k}" for k in range(n)), f"{name} = sqrt(res.dot(res))"]
 
-    def drop_unless_below(bound: str, dropped: str) -> list[str]:  # `dropped` is numpy's test of `exact`
+    def drop_unless_below_tol(dropped: str) -> list[str]:  # `dropped` is numpy's test of `exact`
         return [
-            f"if not norm < {bound}_clear:",
-            f"    if norm * clear >= {bound}:",
+            "if not norm < tol_clear:",
+            "    if norm * clear >= tol:",
             "        continue",
             *(f"    {line}" for line in exact("d")),
             f"    if {dropped}:",
@@ -258,10 +252,10 @@ def _emit_roots(structure) -> str:
         "for lam in fractions:",
         *(f"    y{k} = x{k} + lam * t{k}" for k in range(n)),
         *(f"    {line}" for line in _derivative_lines(structure, "y", "e")),
-        f"    if {_finite_test([f'e{k}' for k in range(n)])}:",
+        f"    if {_finite_test('e', n)}:",
         f"        trial = sqrt({_squares('e', n)})",
-        f"        if not (trial < norm * clear and {_TINY} <= trial and norm <= {_HUGE}):",
-        f"            if trial * clear >= norm and {_TINY} <= norm and trial <= {_HUGE}:",
+        f"        if not (trial < norm * clear and {tiny} <= trial and norm <= {huge}):",
+        f"            if trial * clear >= norm and {tiny} <= norm and trial <= {huge}:",
         "                continue",
         *(f"            {line}" for line in exact("d")),
         *(f"            {line}" for line in exact("e", "exact_trial")),
@@ -281,7 +275,7 @@ def _emit_roots(structure) -> str:
     per_start = [
         f"[{_names('x', n)}] = x",
         *_derivative_lines(structure, "x", "d"),
-        f"if not ({_finite_test([f'd{k}' for k in range(n)])}):",
+        f"if not ({_finite_test('d', n)}):",
         "    continue",
         f"norm = sqrt({_squares('d', n)})",
         "for _ in iterations:",
@@ -292,13 +286,13 @@ def _emit_roots(structure) -> str:
         "        if exact < stop:",
         "            break",
         *(f"    {line}" for line in newton),
-        *drop_unless_below("keep", "not exact < keep"),
+        *drop_unless_below_tol("not exact < tol"),
         f"if {' or '.join(f'x{k} < neg' for k in range(n))}:",
         "    continue",
         *(f"x{k} = x{k} if x{k} >= snap else 0.0" for k in range(n)),
         *_derivative_lines(structure, "x", "d"),
         f"norm = sqrt({_squares('d', n)})",
-        *drop_unless_below("tol", "exact >= tol"),
+        *drop_unless_below_tol("exact >= tol"),
         "for r in found:",
         f"    [{_names('y', n)}] = r",
         f"    if {distance} <= dedupe:",
@@ -317,20 +311,15 @@ def _emit_roots(structure) -> str:
         "rw = memoryview(res)",
         "clear = 1.0 - margin",
         "stop_clear = stop * clear",
-        "keep_clear = keep * clear",
         "tol_clear = tol * clear",
         "found = []",
     ]
     roots += ["for x in starts:", *(f"    {line}" for line in per_start), "return found"]
-    return _function("roots(starts, iterations, fd_step, stop, keep, fractions, neg, snap, tol, dedupe, margin)", roots)
+    return _function("roots(starts, iterations, fd_step, stop, fractions, neg, snap, tol, dedupe, margin)", roots)
 
 
 def _norm_margin(n: int) -> float:
-    """The relative margin by which `roots` trusts a float residual norm of n terms.
-
-    It is 8 times (n+2)*2^-53, the bound on how far numpy's norm can lie
-    from the float norm; see `_emit_roots`.
-    """
+    """`roots`' margin for n species: 8 times the bound (n+2)*2^-53 of `_emit_roots` on the norms."""
     return (n + 2) * 2.0**-50
 
 
@@ -341,7 +330,6 @@ def _compile_structure(structure):
     The structure is (species count, self-limited indices, (aggressor,
     victim, response type) per trophic entry, (i, j) per mass-action
     entry), so scenarios that differ only in values or ids share it.
-    Each function's source comes from its emitter.
     """
     source = "\n".join(emit(structure) for emit in (_emit_rhs, _emit_rk4_run, _emit_roots))
     return compile(source, "<ecolab community kernel>", "exec")

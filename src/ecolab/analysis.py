@@ -49,17 +49,12 @@ _CLASSIFY_TOL = 1e-7
 _RESIDUAL_TOL = 1e-10
 _DEDUPE_TOL = 1e-8
 _MAX_ITERATIONS = 50
-#: What find_fixed_points hands the kernel's `roots` after the starts: the
-#: iterations, the Jacobian's fd_step, the stop and keep bounds on the
-#: residual norm, the fractions of the step that the line search tries,
-#: halving from 1 while above 1e-4, the density below which a root is
-#: dropped, the one below which a density snaps to 0, and the bound on the
-#: snapped root's residual norm.  The de-duplication distance follows.
+#: The arguments of the kernel's `roots` between the starts and the
+#: de-duplication distance, in its order (see `_kernel._emit_roots`).
 _ROOTS_ARGS = (
     range(_MAX_ITERATIONS),
     1e-7,
     _RESIDUAL_TOL * 1e-2,
-    _RESIDUAL_TOL,
     tuple(itertools.takewhile(lambda lam: lam > 1e-4, (0.5**k for k in itertools.count()))),
     -1e-9,
     1e-12,
@@ -150,8 +145,7 @@ def jacobian_at(scenario: Scenario, point: Sequence[float]) -> np.ndarray:
     """Jacobian of the community derivative at a state vector.
 
     The central differences of `jacobian_of`, step 1e-5*max(1, |x_i|),
-    over the scenario's compiled derivative.  The scenario is validated
-    first, as `find_fixed_points` does.
+    over the compiled derivative of the scenario, validated first.
     """
     return _central_jacobian(_kernel(scenario).rhs, _state_of(scenario, point).tolist(), _FD_STEP)
 
@@ -235,22 +229,17 @@ def find_fixed_points(
     largest initial density, if above 1).  Every term of the derivative
     carries a density factor, so the origin start always converges.
 
-    The search is the scenario's compiled `roots`, which runs every
-    start in generated code.  Newton makes at most 50 steps, each solving
-    with the central-difference Jacobian of step 1e-7 through
-    np.linalg.solve's gufunc into reused float64 buffers, written and
-    read through memoryviews, and halving the step, down to 1e-4 of it,
-    until the residual norm drops; a start stops early once the norm is
-    below 1e-12.  A root below -1e-9 in any density is dropped, densities
-    below 1e-12 snap to 0, and the snapped root is re-checked against
-    1e-10.  Each of those norm decisions is np.linalg.norm's, but numpy
-    is asked only when the float norm (squares added left to right) lies
-    within `_norm_margin(n)` of the other side, relative: numpy's norm
-    of n terms is within (n+2)*2^-53 of the float norm, and the margin
-    is 8 times that (see `continuous._compile_structure`).  All starts
-    run inside one np.errstate, np.linalg.solve's own, under which a
-    singular Jacobian ends a start and an overflowing norm is quietly
-    inf.
+    The search is the scenario's compiled `roots` (`_kernel._emit_roots`),
+    which runs every start in generated code.  Newton makes at most 50
+    steps, each solving with the central-difference Jacobian of step 1e-7
+    and halving the step, down to 1e-4 of it, until the residual norm
+    drops; a start stops early once the norm is below 1e-12.  A root
+    below -1e-9 in any density is dropped, densities below 1e-12 snap to
+    0, and the snapped root is re-checked against 1e-10.  Each of those
+    norm decisions is np.linalg.norm's, unless the float norm is clear of
+    the bound by `_norm_margin(n)`, relative.  All starts run inside one
+    np.errstate, np.linalg.solve's own, under which a singular Jacobian
+    ends a start and an overflowing norm is quietly inf.
     """
     return _find_fixed_points(scenario, _kernel(scenario), extra_starts)
 
@@ -313,11 +302,7 @@ def _stability_report(kernel: _Kernel, point: np.ndarray) -> StabilityReport:
 
 
 def analyze_scenario(scenario: Scenario) -> list[StabilityReport]:
-    """Stability report for every fixed point found.
-
-    The scenario is validated and its kernel bound once, for the search
-    and every report.
-    """
+    """Stability report for every fixed point found, with one kernel bound for the search and every report."""
     kernel = _kernel(scenario)
     return [_stability_report(kernel, point) for point in _find_fixed_points(scenario, kernel)]
 
@@ -490,7 +475,7 @@ def sweep(
     point nearest the trajectory's final state (the attractor the run
     settled toward) and evaluates the optional user metric.  Points are
     independent; they run, and are reported, in grid order.  Each
-    updated scenario is validated once and its kernel bound once: the
+    updated scenario's kernel is bound once, which validates it, and the
     integration, the root search and the attractor's Jacobian share it.
     """
     grid = _monotone_grid(grid)

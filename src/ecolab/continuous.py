@@ -3,8 +3,7 @@
 The classical two-species predator-prey system, its multi-species
 extension over the full interaction vocabulary, functional responses,
 the mutualism-parasitism continuum, and the fixed/adaptive Runge-Kutta
-integrators that drive them.  The compiled community kernel they run on
-lives in `_kernel`.
+integrators that drive them through the compiled kernel of `_kernel`.
 """
 
 from __future__ import annotations
@@ -321,11 +320,9 @@ def _integrate_rk4(run, y0, cfg, horizon, names):
     """Fixed-step RK4 through a kernel's compiled step loop `run`: times, flat states, extinctions.
 
     `run` (a kernel's `rk4_run`) makes the full steps, then the remainder
-    step that ends on the horizon.  The state it refuses (one that is not
-    finite, needs clamping or exceeds DIVERGENCE_LIMIT) is checked here:
-    it raises, or is clamped with its extinctions reported and added,
-    and `run` goes on from it.  The states are one flat float list,
-    sample after sample.
+    step that ends on the horizon.  The state it refuses is checked here:
+    it raises, or is clamped with its extinctions reported and added, and
+    `run` goes on from it.  The states are one flat float list.
     """
     h = cfg.step
     if not horizon / h <= _RK4_STEP_BUDGET:  # an overflowing quotient is inf
@@ -448,20 +445,13 @@ def _integrate_rk45(f, y0, cfg, horizon, names):
 
 
 def integrate_report(scenario: Scenario) -> IntegrationResult:
-    """Integrate a validated scenario and report extinctions alongside.
+    """Integrate a scenario, validated first, and report extinctions alongside.
 
     Samples sit at the integrator's accepted steps (every `step` for
     rk4_fixed, the accepted adaptive steps plus the horizon endpoint for
     rk45_adaptive).  The run is deterministic for identical inputs.
-    The step loop runs on Python floats through the scenario's compiled
-    derivative.  Every RK4 step, the remainder step that ends on the
-    horizon included, is made once, in the compiled step loop.  It hands
-    back a new state that is not finite, needs clamping or exceeds
-    DIVERGENCE_LIMIT, with whether its stages were finite, and the
-    integrator raises or clamps it.  Clamping every density below
-    `extinction_epsilon` to 0 keeps the samples nonnegative.  Both integrators collect the
-    samples in one flat float list, which becomes the `values` array in
-    one conversion.
+    Clamping every density below `extinction_epsilon` to 0 keeps the
+    samples nonnegative.
     """
     return _integrate_report(scenario, _kernel(scenario))
 

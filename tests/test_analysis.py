@@ -540,7 +540,7 @@ _ARMS_RACE_DIAL = "interaction.attacker:victim.alpha"
 
 
 def _count_calls(monkeypatch, names=("validate_scenario", "_kernel")):
-    """Count the calls of each named function, through every ecolab module that holds it."""
+    """Count the calls of each named function, through the binder's module and its callers' modules."""
     calls = dict.fromkeys(names, 0)
     for name in names:
         original = getattr(kernel_module, name)

@@ -940,8 +940,8 @@ def test_integrators_match_dop853(name, method):
 
 _KERNEL_NAME = re.compile(
     r"(?:[xydegsvfpqtu]|k[1-4]_)\d+|[xycbr_]|h|two_h|half|sixth|lo|hi|count|out|extend|fd_step"
-    r"|starts|iterations|stop|keep|fractions|neg|snap|tol|dedupe|margin|norm|trial|exact|exact_trial|lam"
-    r"|jac|sol|res|[jbsr]w|clear|(?:stop|keep|tol)_clear|found"
+    r"|starts|iterations|stop|fractions|neg|snap|tol|dedupe|margin|norm|trial|exact|exact_trial|lam"
+    r"|jac|sol|res|[jbsr]w|clear|(?:stop|tol)_clear|found"
     r"|solve1|sqrt|dot|memoryview|cast|append|max|abs|isfinite|empty|FloatingPointError"
 )
 # the names `_kernel` binds in the namespace the code runs in, and the functions the code defines
@@ -981,7 +981,7 @@ def test_one_structure_shares_one_code_object():
     roots_consts = [1.0, -1.0, 2.0**-400, 2.0**400, "B", "d", 2, (2, 2), 0, 1, 3]
     roots = a.roots.__code__
     assert roots.co_varnames[: roots.co_argcount] == (
-        "starts", "iterations", "fd_step", "stop", "keep", "fractions", "neg", "snap", "tol", "dedupe", "margin"
+        "starts", "iterations", "fd_step", "stop", "fractions", "neg", "snap", "tol", "dedupe", "margin"
     )
     # the Jacobian, right-hand side, solution and residual buffers are written and read through memoryviews
     assert {"jw", "bw", "sw", "rw", "memoryview"} <= set(roots.co_varnames + roots.co_names)
