@@ -65,11 +65,15 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        # each neighbour list is sorted on its own, which is cheaper than
+        # sorting the edge set and gives the same ascending tuples
         neighbors: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for u, v in sorted(self.edges):
+        for u, v in self.edges:
             neighbors[u].append(v)
             neighbors[v].append(u)
-        return tuple(tuple(ns) for ns in neighbors)
+        for ns in neighbors:
+            ns.sort()
+        return tuple(map(tuple, neighbors))
 
     def degrees(self) -> np.ndarray:
         return np.array([len(ns) for ns in self.adjacency], dtype=float)
@@ -276,8 +280,10 @@ def run_seed(master_seed: int, run_index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-#: Each block sum covers 2**_BLOCK_BITS consecutive slots of the infected list.
-_BLOCK_BITS = 6
+#: Each block sum covers 2**_BLOCK_BITS consecutive slots of the infected
+#: list, and each superblock sum 2**_SUPER_BITS of them: 8 blocks of 8.
+_BLOCK_BITS = 3
+_SUPER_BITS = 6
 
 
 def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1.0) -> PrevalenceTrajectory:
@@ -336,22 +342,14 @@ def _event_loop(graph: Graph):
 # Both loops make random.Random's draws themselves, value for value from
 # the same stream, without the method calls around each one:
 # rng.expovariate(r) is -log(1.0 - rng.random()) / r, and rng.randrange(m)
-# is `_below`, CPython's _randbelow_with_getrandbits (3.10 to 3.13).  The
-# complete-graph loop discards those values and writes `_below` out inline.
-# test_epidemic's guard tests fail if a Python upgrade changes either draw.
-
-
-def _below(getrandbits, m: int) -> int:
-    """rng.randrange(m) for an int m >= 1, given rng.getrandbits."""
-    w = m.bit_length()
-    r = getrandbits(w)
-    while r >= m:
-        r = getrandbits(w)
-    return r
+# for an int m >= 1 repeats getrandbits(m.bit_length()) until the value is
+# below m, as CPython's _randbelow_with_getrandbits does (3.10 to 3.13).
+# The complete-graph loop discards the values it draws.  test_epidemic's
+# guard tests fail if a Python upgrade changes either draw.
 
 
 def _contact_graph_events(model, seed, horizon, sample_dt, infected_counts, recovered_counts):
-    """Any graph: O(I/64 + 64) per infection source, O(I) up to 64 nodes, plus O(degree) upkeep."""
+    """Any graph: O(I/64 + 16) per infection source, O(I) up to 64 nodes, plus O(degree) upkeep."""
     graph = model.graph
     n = graph.n_nodes
     adjacency = graph.adjacency
@@ -375,17 +373,20 @@ def _contact_graph_events(model, seed, horizon, sample_dt, infected_counts, reco
         sus_count[node] = count
         total_si += count
 
-    # blocks[b] sums sus_count over infected[b * width:(b + 1) * width], so
-    # an infection source is found by walking the blocks and then scanning
-    # one.  While the whole list fits in one block they cannot shorten the
-    # scan, so graphs of at most `width` nodes skip their upkeep.
-    bits = _BLOCK_BITS
-    width = 1 << bits
-    blocked = n > width
-    blocks = [0] * -(-n // width)
+    # blocks[b] sums sus_count over the 8 slots infected[8 * b:8 * b + 8],
+    # and supers[s] over the 64 slots infected[64 * s:64 * s + 64], so an
+    # infection source is found by walking the superblocks, then at most 8
+    # blocks, then scanning at most 8 slots.  While the whole list fits in
+    # one superblock, a plain scan of it was measured to cost less than the
+    # sums' upkeep, so graphs of at most 64 nodes skip it.
+    bits, super_bits = _BLOCK_BITS, _SUPER_BITS
+    blocked = n > 1 << super_bits
+    blocks = [0] * -(-n // (1 << bits))
+    supers = [0] * -(-n // (1 << super_bits))
     if blocked:
         for pos, node in enumerate(infected):
             blocks[pos >> bits] += sus_count[node]
+            supers[pos >> super_bits] += sus_count[node]
 
     beta, gamma = model.beta, model.gamma
     t = 0.0
@@ -415,18 +416,28 @@ def _contact_graph_events(model, seed, horizon, sample_dt, infected_counts, reco
             # susceptible-neighbor count, then a uniform susceptible neighbor
             target_weight = uniform() * total_si
             acc = 0
-            scan = infected
+            slot = 0
             if blocked:
-                b = 0
+                s = 0
+                while target_weight >= acc + supers[s]:
+                    acc += supers[s]
+                    s += 1
+                b = s << (super_bits - bits)
                 while target_weight >= acc + blocks[b]:
                     acc += blocks[b]
                     b += 1
-                scan = infected[b << bits:(b + 1) << bits]
-            for source in scan:
+                slot = b << bits
+            source = infected[slot]
+            acc += sus_count[source]
+            while target_weight >= acc:
+                slot += 1
+                source = infected[slot]
                 acc += sus_count[source]
-                if target_weight < acc:
-                    break
-            which = _below(getrandbits, sus_count[source])
+            m = sus_count[source]
+            w = m.bit_length()
+            which = getrandbits(w)
+            while which >= m:
+                which = getrandbits(w)
             new = -1
             for nb in adjacency[source]:
                 if status[nb] == S:
@@ -446,24 +457,33 @@ def _contact_graph_events(model, seed, horizon, sample_dt, infected_counts, reco
                     sus_count[nb] -= 1
                     total_si -= 1
                     if blocked:
-                        blocks[position[nb] >> bits] -= 1
+                        pos = position[nb]
+                        blocks[pos >> bits] -= 1
+                        supers[pos >> super_bits] -= 1
             sus_count[new] = count
             total_si += count
             if blocked:
                 blocks[n_infected >> bits] += count
+                supers[n_infected >> super_bits] += count
             n_infected += 1
         else:
-            node = infected[_below(getrandbits, n_infected)]
+            w = n_infected.bit_length()
+            pos = getrandbits(w)
+            while pos >= n_infected:
+                pos = getrandbits(w)
+            node = infected[pos]
             last = infected[-1]
-            pos = position[node]
             infected[pos] = last
             position[last] = pos
             infected.pop()
             position[node] = -1
             n_infected -= 1
             if blocked:
-                blocks[pos >> bits] += sus_count[last] - sus_count[node]
+                moved = sus_count[last] - sus_count[node]
+                blocks[pos >> bits] += moved
+                supers[pos >> super_bits] += moved
                 blocks[n_infected >> bits] -= sus_count[last]
+                supers[n_infected >> super_bits] -= sus_count[last]
             total_si -= sus_count[node]
             sus_count[node] = 0
             if sir:
@@ -476,7 +496,9 @@ def _contact_graph_events(model, seed, horizon, sample_dt, infected_counts, reco
                         sus_count[nb] += 1
                         total_si += 1
                         if blocked:
-                            blocks[position[nb] >> bits] += 1
+                            pos = position[nb]
+                            blocks[pos >> bits] += 1
+                            supers[pos >> super_bits] += 1
         t = t_next
 
 
@@ -521,7 +543,7 @@ def _complete_graph_events(model, seed, horizon, sample_dt, infected_counts, rec
         pick = uniform() * total_rate
         if pick < infection_rate:
             uniform()  # weighs the infection sources
-            # picks the source's susceptible neighbour: `_below`'s draws, inline
+            # picks the source's susceptible neighbour: randrange's draws, inline
             w = n_susceptible.bit_length()
             while getrandbits(w) >= n_susceptible:
                 pass

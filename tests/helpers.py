@@ -814,7 +814,16 @@ def saturating_chain_scenario(method="rk4_fixed") -> Scenario:
 # Reference epidemic samplers: the linear-scan generator and simulator that
 # the Fenwick tree and the block sums in ecolab.epidemic replaced, kept
 # verbatim (but for the horizon fill noted below) so equivalence tests can
-# compare the two bit for bit.
+# compare the two bit for bit.  The simulator reads `graph.adjacency`, so
+# the sorted-edge build that `Graph.adjacency` replaced is kept here too.
+
+
+def reference_adjacency(graph: Graph) -> tuple[tuple[int, ...], ...]:
+    neighbors: list[list[int]] = [[] for _ in range(graph.n_nodes)]
+    for u, v in sorted(graph.edges):
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return tuple(tuple(ns) for ns in neighbors)
 
 
 def reference_barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:

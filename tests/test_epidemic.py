@@ -27,9 +27,10 @@ from ecolab import (
     simulate_epidemic,
 )
 from ecolab import epidemic
-from ecolab.epidemic import _below, _FenwickTree, _half_persist, _runs_alive
+from ecolab.epidemic import _FenwickTree, _half_persist, _runs_alive
 from helpers import (
     binomial_band,
+    reference_adjacency,
     reference_barabasi_albert,
     reference_simulate_epidemic,
     sis_complete_persistence,
@@ -534,6 +535,26 @@ def test_barabasi_albert_matches_linear_scan(m, extra, seed):
     assert barabasi_albert(n, m, seed=seed).edges == reference_barabasi_albert(n, m, seed=seed).edges
 
 
+@st.composite
+def any_graphs(draw):
+    family = draw(st.sampled_from(["from_edges", "erdos_renyi", "barabasi_albert"]))
+    if family == "from_edges":
+        # pairs given either way round, and nodes that no pair names
+        n = draw(st.integers(2, 40))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=120))
+        return from_edges(n + draw(st.integers(0, 5)), [(u, v) for u, v in pairs if u != v])
+    if family == "erdos_renyi":
+        n = draw(st.integers(1, 120))
+        return erdos_renyi(n, draw(st.floats(0.0, 1.0)), seed=draw(st.integers(0, 1000)))
+    return barabasi_albert(draw(st.integers(5, 600)), draw(st.integers(1, 4)), seed=draw(st.integers(0, 1000)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=any_graphs())
+def test_adjacency_matches_the_sorted_edge_build(graph):
+    assert graph.adjacency == reference_adjacency(graph)
+
+
 def assert_same_trajectory(model, horizon, sample_dt):
     fast = simulate_epidemic(model, horizon, sample_dt)
     slow = reference_simulate_epidemic(model, horizon, sample_dt)
@@ -586,16 +607,32 @@ def test_simulation_matches_linear_scan(graph, kind, beta_scale, infected_share,
         (complete_graph(130), EpidemicKind.SIR, 0.05, 10),
         (barabasi_albert(600, 3, seed=4), EpidemicKind.SIS, 0.25, 50),
         (barabasi_albert(600, 3, seed=4), EpidemicKind.SIR, 0.4, 100),
+        # just past the 64 nodes up to which the loop scans plainly
+        (barabasi_albert(70, 3, seed=1), EpidemicKind.SIS, 2.0, 5),
+        # an outbreak that rises through five superblocks and dies out
+        (barabasi_albert(600, 3, seed=4), EpidemicKind.SIR, 1.5, 10),
     ],
 )
 def test_infected_list_crosses_block_boundaries(graph, kind, beta, infected):
-    # the infected list grows past and falls back below the first 64-slot block
+    # the infected list grows into and shrinks back out of an 8-slot block
+    # that starts inside a superblock and, on contact graphs, the highest
+    # 64-slot superblock it reaches (complete graphs run the K_n loop, which
+    # keeps no sums)
+    contact = graph.n_edges < graph.n_nodes * (graph.n_nodes - 1) // 2
     model = EpidemicModel(graph, kind, beta, 1.0, frozenset(range(infected)), seed=3)
-    counts = [
-        np.rint(assert_same_trajectory(replace(model, seed=seed), 10.0, 0.05).infected_fraction * graph.n_nodes)
-        for seed in range(3)
-    ]
-    assert all(c.max() > 64 and c.min() < 64 for c in counts)
+    for seed in range(3):
+        trajectory = assert_same_trajectory(replace(model, seed=seed), 10.0, 0.05)
+        counts = np.rint(trajectory.infected_fraction * graph.n_nodes)
+        assert counts.max() > 64 and counts.min() < 64
+        assert any(crosses_both_ways(counts, start) for start in range(8, graph.n_nodes, 8) if start % 64), seed
+        if contact:
+            assert crosses_both_ways(counts, (counts.max() - 1) // 64 * 64), seed
+
+
+def crosses_both_ways(counts, start):
+    """Whether the sampled infected counts fill slot `start` and later empty it, or the reverse."""
+    past = counts > start
+    return bool(np.any(past[1:] & ~past[:-1])) and bool(np.any(past[:-1] & ~past[1:]))
 
 
 @pytest.mark.parametrize("graph", [complete_graph(40), complete_graph(100), barabasi_albert(400, 2, seed=8)])
@@ -641,8 +678,17 @@ BELOW_BOUNDS = sorted({1} | {2**k + d for k in range(1, 65) for d in (-1, 0, 1)}
 @pytest.mark.parametrize("seed", [0, 1, 2**40 + 17])
 def test_below_draws_what_randrange_draws(seed):
     inline, stdlib = random.Random(seed), random.Random(seed)
+    getrandbits = inline.getrandbits
     for m in BELOW_BOUNDS:
-        assert [_below(inline.getrandbits, m) for _ in range(25)] == [stdlib.randrange(m) for _ in range(25)], m
+        drawn = []
+        for _ in range(25):
+            # the event loops' form of rng.randrange(m)
+            w = m.bit_length()
+            r = getrandbits(w)
+            while r >= m:
+                r = getrandbits(w)
+            drawn.append(r)
+        assert drawn == [stdlib.randrange(m) for _ in range(25)], m
         # the same number of words taken from the stream, rejections included
         assert inline.getstate() == stdlib.getstate(), m
 
