@@ -21,7 +21,7 @@ from .core import (
 from ._kernel import _Kernel, _kernel, _norm_margin
 from .continuous import _all_finite, _integrate_report
 from .epidemic import EpidemicModel, persistence_fraction, run_seed
-from .scenario_io import _entry_to_json, _parse_entry, _record_json
+from .scenario_io import set_parameter
 
 __all__ = [
     "Classification",
@@ -329,96 +329,6 @@ def oscillation_period(
             f"found {len(crossings)}"
         )
     return float(np.mean(np.diff(crossings)))
-
-
-def _split_path(path: str) -> list[str]:
-    parts = path.split(".")
-    if not all(parts):
-        raise ValueError(f"unresolvable parameter path '{path}'")
-    return parts
-
-
-def _number_paths(form: dict) -> list[str]:
-    """The dotted paths of the numbers in a document-form object, in document order."""
-    paths = []
-    for key, item in form.items():
-        if isinstance(item, dict):
-            paths.extend(f"{key}.{sub}" for sub in _number_paths(item))
-        elif isinstance(item, (int, float)):
-            paths.append(key)
-    return paths
-
-
-def _set_number(form: dict, fields: list[str], value: float, path: str, owner: str) -> dict:
-    """The document-form object `form` with its number at `fields` set to value."""
-    numbers = _number_paths(form)
-    if ".".join(fields) not in numbers:
-        raise ValueError(
-            f"unresolvable parameter path '{path}': {owner} has no number '{'.'.join(fields)}' "
-            f"(its numbers: {', '.join(numbers)})"
-        )
-    target = form
-    for name in fields[:-1]:
-        target = target[name]
-    target[fields[-1]] = value
-    return form
-
-
-def set_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
-    """Functionally update one number of a scenario's document form.
-
-    Paths:
-        horizon
-        species.<id>.<field>
-        initial.<id>
-        interaction.<i>:<j>.<field>[.<field>]
-
-    A field is a number that `serialize_scenario` writes for that species
-    or entry.  An entry is rebuilt from its edited document form, so a
-    continuum entry edits its dial (alpha, base_strength) and re-derives
-    its coefficients.  A trophic level takes only an integral value.
-    """
-    parts = _split_path(path)
-    head = parts[0]
-    if head == "horizon" and len(parts) == 1:
-        return replace(scenario, horizon=float(value))
-    if head == "species" and len(parts) >= 3:
-        sp_id, fields = parts[1], parts[2:]
-        species = list(scenario.species)
-        for k, sp in enumerate(species):
-            if sp.id == sp_id:
-                _set_number(_record_json(sp), fields, value, path, f"species {sp_id}")
-                value = float(value)
-                if fields == ["trophic_level"]:
-                    if not value.is_integer():
-                        raise ValueError(f"{path} must be an integer, got {value!r}")
-                    value = int(value)
-                species[k] = replace(sp, **{fields[0]: value})
-                return replace(scenario, species=tuple(species))
-        raise ValueError(f"unresolvable parameter path '{path}': no species '{sp_id}'")
-    if head == "initial" and len(parts) == 2:
-        sp_id = parts[1]
-        if sp_id not in scenario.initial_densities:
-            raise ValueError(f"unresolvable parameter path '{path}': no species '{sp_id}'")
-        densities = dict(scenario.initial_densities)
-        densities[sp_id] = float(value)
-        return replace(scenario, initial_densities=densities)
-    if head == "interaction" and len(parts) >= 3:
-        pair = parts[1].split(":")
-        if len(pair) != 2:
-            raise ValueError(f"unresolvable parameter path '{path}': expected interaction.<i>:<j>")
-        entries = list(scenario.interactions)
-        for k, entry in enumerate(entries):
-            if {entry.species_i, entry.species_j} == set(pair):
-                label = f"interaction {parts[1]}"
-                form = _set_number(_entry_to_json(entry), parts[2:], float(value), path, label)
-                entries[k] = _parse_entry(form, label, {sp.id: sp for sp in scenario.species})
-                return replace(scenario, interactions=tuple(entries))
-        raise ValueError(f"unresolvable parameter path '{path}': no entry for pair {parts[1]}")
-    raise ValueError(
-        f"unresolvable parameter path '{path}' "
-        "(roots: horizon, species.<id>, initial.<id>, interaction.<i>:<j>)"
-    )
 
 
 @dataclass(frozen=True)

@@ -243,13 +243,13 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     errors: list[str] = []
     if not scenario.species:
         errors.append("scenario needs at least one species")
-    seen: set[str] = set()
+    ids: dict[str, None] = {}  # declaration order, for the messages
     for sp in scenario.species:
         if not sp.id:
             errors.append("species id must not be empty")
-        if sp.id in seen:
+        if sp.id in ids:
             errors.append(f"duplicate species id '{sp.id}'")
-        seen.add(sp.id)
+        ids[sp.id] = None
         if sp.role == Role.PRODUCER and sp.trophic_level != 0:
             errors.append(f"producer '{sp.id}' must have trophic_level 0")
         if sp.trophic_level < 0:
@@ -259,7 +259,6 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         if not _finite(sp.self_limitation) or sp.self_limitation < 0:
             errors.append(f"species '{sp.id}' needs self_limitation >= 0 and finite")
 
-    ids = dict.fromkeys(sp.id for sp in scenario.species)  # declaration order, for the messages
     for sp_id in ids:
         if sp_id not in scenario.initial_densities:
             errors.append(f"missing initial density for '{sp_id}'")

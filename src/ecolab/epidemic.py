@@ -438,11 +438,9 @@ def _contact_graph_events(model, seed, horizon, sample_dt, infected_counts, reco
             which = getrandbits(w)
             while which >= m:
                 which = getrandbits(w)
-            new = -1
-            for nb in adjacency[source]:
-                if status[nb] == S:
+            for new in adjacency[source]:
+                if status[new] == S:
                     if which == 0:
-                        new = nb
                         break
                     which -= 1
             status[new] = I
@@ -476,7 +474,6 @@ def _contact_graph_events(model, seed, horizon, sample_dt, infected_counts, reco
             infected[pos] = last
             position[last] = pos
             infected.pop()
-            position[node] = -1
             n_infected -= 1
             if blocked:
                 moved = sus_count[last] - sus_count[node]
@@ -485,7 +482,6 @@ def _contact_graph_events(model, seed, horizon, sample_dt, infected_counts, reco
                 blocks[n_infected >> bits] -= sus_count[last]
                 supers[n_infected >> super_bits] -= sus_count[last]
             total_si -= sus_count[node]
-            sus_count[node] = 0
             if sir:
                 status[node] = R
                 n_recovered += 1

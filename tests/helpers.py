@@ -40,7 +40,6 @@ from ecolab.analysis import (
     _SOLVE_ERRSTATE,
     _as_classical_pair,
     _central_jacobian,
-    _split_path,
 )
 from ecolab._kernel import _solve1
 from ecolab.continuous import (
@@ -51,6 +50,7 @@ from ecolab.continuous import (
     continuum_interaction,
 )
 from ecolab.core import METHODS, TROPHIC_KINDS
+from ecolab.scenario_io import _split_path
 from ecolab.selection import TRAIT_NAMES, SelectionState, _vector3
 from ecolab.svg import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, PALETTE, WIDTH, _fmt, _nice_step
 

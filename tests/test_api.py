@@ -37,6 +37,21 @@ def test_every_exported_name_resolves(module_name):
     assert missing == []
 
 
+_DOCUMENT_FORM = ("_entry_to_json", "_parse_entry", "_record_json", "_set_number", "_number_paths", "_split_path")
+
+
+def test_document_form_helpers_stay_in_scenario_io():
+    # parameter edits live beside the document form they edit, and no
+    # other module reaches into its private helpers
+    assert ecolab.set_parameter is ecolab.analysis.set_parameter is ecolab.scenario_io.set_parameter
+    bound = {
+        name: [helper for helper in _DOCUMENT_FORM if hasattr(importlib.import_module(name), helper)]
+        for name in ["ecolab", *MODULES]
+        if name != "ecolab.scenario_io"
+    }
+    assert {name: helpers for name, helpers in bound.items() if helpers} == {}
+
+
 def test_import_leaves_urllib_unloaded():
     # xml.sax.saxutils imports urllib.request, and with it http.client, ssl and email
     src = os.path.dirname(os.path.dirname(ecolab.__file__))

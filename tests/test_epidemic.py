@@ -603,8 +603,6 @@ def test_simulation_matches_linear_scan(graph, kind, beta_scale, infected_share,
 @pytest.mark.parametrize(
     "graph, kind, beta, infected",
     [
-        (complete_graph(130), EpidemicKind.SIS, 0.03, 60),
-        (complete_graph(130), EpidemicKind.SIR, 0.05, 10),
         (barabasi_albert(600, 3, seed=4), EpidemicKind.SIS, 0.25, 50),
         (barabasi_albert(600, 3, seed=4), EpidemicKind.SIR, 0.4, 100),
         # just past the 64 nodes up to which the loop scans plainly
@@ -615,18 +613,16 @@ def test_simulation_matches_linear_scan(graph, kind, beta_scale, infected_share,
 )
 def test_infected_list_crosses_block_boundaries(graph, kind, beta, infected):
     # the infected list grows into and shrinks back out of an 8-slot block
-    # that starts inside a superblock and, on contact graphs, the highest
-    # 64-slot superblock it reaches (complete graphs run the K_n loop, which
-    # keeps no sums)
-    contact = graph.n_edges < graph.n_nodes * (graph.n_nodes - 1) // 2
+    # that starts inside a superblock, and the highest 64-slot superblock it
+    # reaches (complete graphs run the K_n loop, which keeps no sums, so
+    # test_complete_graph_event_loop_matches_linear_scan covers them)
     model = EpidemicModel(graph, kind, beta, 1.0, frozenset(range(infected)), seed=3)
     for seed in range(3):
         trajectory = assert_same_trajectory(replace(model, seed=seed), 10.0, 0.05)
         counts = np.rint(trajectory.infected_fraction * graph.n_nodes)
         assert counts.max() > 64 and counts.min() < 64
         assert any(crosses_both_ways(counts, start) for start in range(8, graph.n_nodes, 8) if start % 64), seed
-        if contact:
-            assert crosses_both_ways(counts, (counts.max() - 1) // 64 * 64), seed
+        assert crosses_both_ways(counts, (counts.max() - 1) // 64 * 64), seed
 
 
 def crosses_both_ways(counts, start):
