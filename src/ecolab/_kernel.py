@@ -46,7 +46,7 @@ class _Kernel(NamedTuple):
     """A scenario's derivative, RK4 step loop and fixed-point search, all over floats."""
 
     rhs: Callable[[Sequence[float]], list[float]]
-    rk4_run: Callable[..., tuple[list[float], bool] | None]
+    rk4_run: Callable[..., tuple[int, list[float], bool] | None]
     roots: Callable[..., list[list[float]]]
 
 
@@ -131,17 +131,19 @@ def _emit_rhs(structure) -> str:
 
 
 def _emit_rk4_run(structure) -> str:
-    """`rk4_run(y, h, half, sixth, count, lo, hi, out)`: RK4 steps from the float list y.
+    """`rk4_run(y, h, half, sixth, count, lo, hi, yw)`: RK4 steps from the float list y.
 
     It keeps the state in one local per species and makes one RK4 step
     per item of `count`, inlining the derivative once per stage and
-    combining the stages as y + sixth * (d1 + 2.0*d2 + 2.0*d3 + d4).  It
-    extends the flat float list `out` by each new state and returns None
-    once `count` runs out.  It refuses the first new state with a density
-    z outside `lo <= z <= hi` that is not 0.0: a NaN, an infinity, a
-    density the extinction clamp would change (lo is `extinction_epsilon`)
-    or one above the divergence bound (hi).  That state is not added; it
-    is returned as a list, with whether all 4n stage values are finite.
+    combining the stages as y + sixth * (d1 + 2.0*d2 + 2.0*d3 + d4).  Each
+    item of `count` is the offset at which the new state is written, item
+    by item, through `yw`, a memoryview of a float64 buffer; it returns
+    None once `count` runs out.  It refuses the first new state with a
+    density z outside `lo <= z <= hi` that is not 0.0: a NaN, an infinity,
+    a density the extinction clamp would change (lo is
+    `extinction_epsilon`) or one above the divergence bound (hi).  That
+    state is not written; it is returned as a list, after its offset and
+    before whether all 4n stage values are finite.
     """
     n = structure[0]
     step = _derivative_lines(structure, "y", "k1_")
@@ -151,11 +153,10 @@ def _emit_rk4_run(structure) -> str:
     step += [f"y{k} = y{k} + sixth * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})" for k in range(n)]
     in_bounds = " and ".join(f"(lo <= y{k} <= hi or y{k} == 0.0)" for k in range(n))
     stages_finite = _finite_test(("k1_", "k2_", "k3_", "k4_"), n)
-    step += [f"if not ({in_bounds}):", f"    return [{_names('y', n)}], {stages_finite}"]
-    step += [f"extend(({_names('y', n)},))"]
-    run = [f"[{_names('y', n)}] = y", "extend = out.extend", "for _ in count:"]
-    run += [f"    {line}" for line in step]
-    return _function("rk4_run(y, h, half, sixth, count, lo, hi, out)", run)
+    step += [f"if not ({in_bounds}):", f"    return i, [{_names('y', n)}], {stages_finite}"]
+    step += [f"yw[i + {k}] = y{k}" if k else "yw[i] = y0" for k in range(n)]
+    run = [f"[{_names('y', n)}] = y", "for i in count:", *(f"    {line}" for line in step)]
+    return _function("rk4_run(y, h, half, sixth, count, lo, hi, yw)", run)
 
 
 def _emit_roots(structure) -> str:

@@ -310,19 +310,23 @@ def _rms(values: list[float]) -> float:
     return math.sqrt(total / n)
 
 
-#: Steps (horizon / step) an RK4 run may make.  The run keeps every state and
-#: builds its time grid first, so this bounds its memory and time before a
-#: step is made: a horizon of 1e300 would otherwise ask for about 1e302 samples.
+#: Steps (horizon / step) an RK4 run may make.  The run keeps every state in
+#: one float64 buffer and builds its time grid first, so this bounds its memory
+#: (8*n MB for n species at the budget) and time before a step is made: a
+#: horizon of 1e300 would otherwise ask for about 1e302 samples.
 _RK4_STEP_BUDGET = 1_000_000
 
 
 def _integrate_rk4(run, y0, cfg, horizon, names):
     """Fixed-step RK4 through a kernel's compiled step loop `run`: times, flat states, extinctions.
 
-    `run` (a kernel's `rk4_run`) makes the full steps, then the remainder
-    step that ends on the horizon.  The state it refuses is checked here:
-    it raises, or is clamped with its extinctions reported and added, and
-    `run` goes on from it.  The states are one flat float list.
+    The states are one flat float64 buffer, allocated once for the run's
+    n_steps + 1 states; `run` (a kernel's `rk4_run`) writes each through a
+    memoryview at the offsets its `count` gives, n apart.  It makes the
+    full steps, then the remainder step that ends on the horizon.  The
+    state it refuses, with its offset, is checked here: it raises, or is
+    clamped with its extinctions reported, written, and `run` goes on
+    from it.
     """
     h = cfg.step
     if not horizon / h <= _RK4_STEP_BUDGET:  # an overflowing quotient is inf
@@ -338,28 +342,34 @@ def _integrate_rk4(run, y0, cfg, horizon, names):
     epsilon = cfg.extinction_epsilon
     extinct: set[int] = set()
     extinctions: list[tuple[str, float]] = []
-    out = list(y0)
-    _clamp_extinctions(out, 0.0, epsilon, names, extinct, extinctions)
-    n = len(out)
+    y = list(y0)
+    _clamp_extinctions(y, 0.0, epsilon, names, extinct, extinctions)
+    n = len(y)
+    flat = np.empty((n_steps + 1) * n)
+    flat[:n] = y
+    view = memoryview(flat)
     k = 0
     while k < n_steps:
         hk, end = (h, n_full) if k < n_full else (remainder, n_steps)
         half, sixth = 0.5 * hk, hk / 6.0
-        refused = run(out[-n:], hk, half, sixth, range(end - k), epsilon, DIVERGENCE_LIMIT, out)
-        k = len(out) // n - 1
+        refused = run(y, hk, half, sixth, range((k + 1) * n, (end + 1) * n, n), epsilon, DIVERGENCE_LIMIT, view)
         if refused is None:
+            k = end
+            y = view[k * n : (k + 1) * n].tolist()
             continue
-        y_next, stages_finite = refused
+        offset, y_next, stages_finite = refused
+        k = offset // n - 1
         # a non-finite stage makes the new state non-finite, so only a refused step can have one
         if not stages_finite:
-            raise NonFiniteDerivativeError(k * h, out[-n:])
+            raise NonFiniteDerivativeError(k * h, view[offset - n : offset].tolist())
         t = float(times[k + 1])
         _clamp_extinctions(y_next, t, epsilon, names, extinct, extinctions)
         if _max_exceeds(y_next, DIVERGENCE_LIMIT):
             raise DivergenceError(t, y_next)
-        out.extend(y_next)
+        flat[offset : offset + n] = y_next
+        y = y_next
         k += 1
-    return times, out, extinctions
+    return times, flat, extinctions
 
 
 # Runge-Kutta-Fehlberg 4(5) tableau, without the nodes c: the derivative does not depend on t.
@@ -457,7 +467,11 @@ def integrate_report(scenario: Scenario) -> IntegrationResult:
 
 
 def _integrate_report(scenario: Scenario, kernel: _Kernel) -> IntegrationResult:
-    """`integrate_report` of a validated scenario through its bound kernel."""
+    """`integrate_report` of a validated scenario through its bound kernel.
+
+    Either integrator's states are flat, n per sample: RK4's a float64
+    buffer, RKF45's a float list, whose length is not known in advance.
+    """
     y0 = scenario.initial_state().tolist()
     names = tuple(sp.id for sp in scenario.species)
     cfg = scenario.integrator
@@ -465,7 +479,7 @@ def _integrate_report(scenario: Scenario, kernel: _Kernel) -> IntegrationResult:
         times, flat, extinctions = _integrate_rk4(kernel.rk4_run, y0, cfg, scenario.horizon, names)
     else:
         times, flat, extinctions = _integrate_rk45(kernel.rhs, y0, cfg, scenario.horizon, names)
-    trajectory = Trajectory(names, times, np.array(flat).reshape(-1, len(names)))
+    trajectory = Trajectory(names, times, np.asarray(flat).reshape(-1, len(names)))
     return IntegrationResult(trajectory=trajectory, extinctions=tuple(extinctions))
 
 

@@ -59,6 +59,16 @@ class Graph:
             normalized.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", frozenset(normalized))
 
+    @classmethod
+    def _built(cls, n_nodes: int, edges: frozenset[tuple[int, int]]) -> Graph:
+        """A generator's graph: its edges are in range and (u, v) with u < v by construction, so unchecked."""
+        if n_nodes <= 0:
+            raise ValueError("n_nodes must be positive")
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n_nodes", n_nodes)
+        object.__setattr__(graph, "edges", edges)
+        return graph
+
     @property
     def n_edges(self) -> int:
         return len(self.edges)
@@ -80,8 +90,7 @@ class Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    edges = frozenset((u, v) for u in range(n) for v in range(u + 1, n))
-    return Graph(n_nodes=n, edges=edges)
+    return Graph._built(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
@@ -94,7 +103,7 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
         for v in range(u + 1, n):
             if rng.random() < p:
                 edges.add((u, v))
-    return Graph(n_nodes=n, edges=frozenset(edges))
+    return Graph._built(n, frozenset(edges))
 
 
 class _FenwickTree:
@@ -145,11 +154,10 @@ def barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
     rng = random.Random(seed)
-    edges: set[tuple[int, int]] = set()
+    # the pairs are distinct and (u, v) with u < v by construction: one list, one frozenset
+    edges = [(u, v) for u in range(m + 1) for v in range(u + 1, m + 1)]
     degree = _FenwickTree(n)
     for u in range(m + 1):
-        for v in range(u + 1, m + 1):
-            edges.add((u, v))
         degree.add(u, m)
     total = m * (m + 1)
     for new in range(m + 1, n):
@@ -157,11 +165,11 @@ def barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
         while len(targets) < m:
             targets.add(degree.find(rng.random() * total))
         for t in targets:
-            edges.add((t, new))
+            edges.append((t, new))
             degree.add(t, 1)
         degree.add(new, m)
         total += 2 * m
-    return Graph(n_nodes=n, edges=frozenset(edges))
+    return Graph._built(n, frozenset(edges))
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

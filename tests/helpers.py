@@ -439,21 +439,23 @@ def stagewise_rk4_run(f):
     """An `rk4_run` that makes each step stage by stage through the float derivative `f`.
 
     It keeps the compiled loop's protocol: one step per item of `count`,
-    each new state added to `out`, and the first state outside
-    `lo <= z <= hi` that is not 0.0 returned unadded, with whether every
+    each new state written through the memoryview `yw` from the offset
+    that item gives, and the first state outside `lo <= z <= hi` that is
+    not 0.0 returned unwritten, after its offset and before whether every
     stage value is finite.
     """
 
-    def rk4_run(y, h, half, sixth, count, lo, hi, out):
-        for _ in count:
+    def rk4_run(y, h, half, sixth, count, lo, hi, yw):
+        for i in count:
             k1 = f(y)
             k2 = f([v + half * d for v, d in zip(y, k1)])
             k3 = f([v + half * d for v, d in zip(y, k2)])
             k4 = f([v + h * d for v, d in zip(y, k3)])
             y = [v + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
             if not all(lo <= v <= hi or v == 0.0 for v in y):
-                return y, all(map(math.isfinite, k1 + k2 + k3 + k4))
-            out.extend(y)
+                return i, y, all(map(math.isfinite, k1 + k2 + k3 + k4))
+            for k, v in enumerate(y):
+                yw[i + k] = v
         return None
 
     return rk4_run

@@ -15,8 +15,8 @@ def test_two_runs_print_the_same_lines():
     commands = {line.split("\t")[0] for line in first}
     exits = {line.split("\t")[0]: line.split("\t")[2] for line in first if line.split("\t")[1] == "exit"}
     assert set(exits) == commands
-    # the mimicry demo has no document form; the error paths exit 1, argparse's usage errors 2; every
-    # other command succeeds
+    # the mimicry demo has no document form; the error paths exit 1, argparse's usage errors and runtime
+    # failures 2; every other command succeeds
     assert {command for command, code in exits.items() if code != "0"} == {
         "demo mimicry --emit",
         "threshold malware-epidemic.json --empirical --runs 4 --horizon 10 --bisections -1",
@@ -38,8 +38,11 @@ def test_two_runs_print_the_same_lines():
         "run horizon-1e300.json",
         "run horizon-huge-integer.json",
         "run horizon-long-integer.json",
+        "run symbiosis-divergence.json",
+        "run ivlev-overflow.json",
     }
-    assert len(commands) == 53
+    assert exits["run symbiosis-divergence.json"] == exits["run ivlev-overflow.json"] == "2"
+    assert len(commands) == 55
     written = [line for line in first if line.split("\t")[1] not in ("stdout", "stderr", "exit")]
     # CSV and SVG of 5 demos and 10 runs, and the three sweeps' CSVs; a failed run writes nothing
     assert len(written) == 2 * (5 + 10) + 3

@@ -715,10 +715,11 @@ def test_rk4_run_hands_off_to_the_careful_step(case, monkeypatch):
         kernel = _kernel(scenario)
         run = kernel.rk4_run
 
-        def counted_run(y, h, half, sixth, count, lo, hi, out):
-            before = len(out)
-            refused = run(y, h, half, sixth, count, lo, hi, out)
-            made.append((len(out) - before) // len(y))  # out holds the states' floats one after another
+        def counted_run(y, h, half, sixth, count, lo, hi, yw):
+            refused = run(y, h, half, sixth, count, lo, hi, yw)
+            # one step per offset of `count` up to the refused state's, whose step is not counted
+            end = count.stop if refused is None else refused[0]
+            made.append(len(range(count.start, end, count.step)))
             return refused
 
         return kernel._replace(rk4_run=counted_run)
@@ -764,13 +765,19 @@ def test_rk4_run_hand_off_predicate_is_the_careful_checks():
             _all_finite([v]) and repr(clamped[0]) == repr(v) and not _max_exceeds([v], DIVERGENCE_LIMIT)
         )
         for state in ([v, 1.0], [1.0, v]):
-            out = []
-            refused = run(state, 0.1, 0.05, 0.1 / 6.0, range(1), _EPSILON, DIVERGENCE_LIMIT, out)
-            assert len(out) // 2 == careful_passes == (refused is None), v
-            if out:
-                assert repr(tuple(out)) == repr(tuple(state))
+            # the one step writes at offset 2 of a buffer whose other cells hold a value no step writes
+            buffer = np.full(6, 0.125)
+            refused = run(state, 0.1, 0.05, 0.1 / 6.0, range(2, 4, 2), _EPSILON, DIVERGENCE_LIMIT, memoryview(buffer))
+            written = buffer[2:4].tolist()
+            assert (written != [0.125, 0.125]) == careful_passes == (refused is None), v
+            assert buffer[:2].tolist() == buffer[4:].tolist() == [0.125, 0.125]
+            if refused is None:
+                assert repr(tuple(written)) == repr(tuple(state))
             else:  # a stage is 0.0 * v, which is finite exactly when v is
-                assert refused[1] == math.isfinite(v)
+                assert refused[0] == 2
+                assert refused[2] == math.isfinite(v)
+                if refused[2]:
+                    assert repr(tuple(refused[1])) == repr(tuple(state))
 
 
 def _cooperation_blowup():
@@ -939,9 +946,9 @@ def test_integrators_match_dop853(name, method):
 # value and id kept out of the source.
 
 _KERNEL_NAME = re.compile(
-    r"(?:[xydegsvfpqtu]|k[1-4]_)\d+|[xycbr_]|h|two_h|half|sixth|lo|hi|count|out|extend|fd_step"
+    r"(?:[xydegsvfpqtu]|k[1-4]_)\d+|[xycbri_]|h|two_h|half|sixth|lo|hi|count|fd_step"
     r"|starts|iterations|stop|fractions|neg|snap|tol|dedupe|margin|norm|trial|exact|exact_trial|lam"
-    r"|jac|sol|res|[jbsr]w|clear|(?:stop|tol)_clear|found"
+    r"|jac|sol|res|[jbsry]w|clear|(?:stop|tol)_clear|found"
     r"|solve1|sqrt|dot|memoryview|cast|append|max|abs|isfinite|empty|FloatingPointError"
 )
 # the names `_kernel` binds in the namespace the code runs in, and the functions the code defines
@@ -985,13 +992,23 @@ def test_one_structure_shares_one_code_object():
     )
     # the Jacobian, right-hand side, solution and residual buffers are written and read through memoryviews
     assert {"jw", "bw", "sw", "rw", "memoryview"} <= set(roots.co_varnames + roots.co_names)
+    # the RK4 loop's: the write offset of each species after the first, which only the species count sets
+    rk4_consts = [1]
+    rk4 = a.rk4_run.__code__
+    assert rk4.co_varnames[: rk4.co_argcount] == ("y", "h", "half", "sixth", "count", "lo", "hi", "yw")
+    # each state is written through the memoryview the caller gives, never collected in a list
+    assert not {"extend", "append", "memoryview"} & set(rk4.co_names)
+    states, stagewise = np.zeros(6), np.zeros(6)
+    for run, buffer in ((a.rk4_run, states), (stagewise_rk4_run(a.rhs), stagewise)):
+        assert run([3.0, 2.0], 0.1, 0.05, 0.1 / 6.0, range(2, 6, 2), 1e-9, 1e12, memoryview(buffer)) is None
+    assert states.tolist() == stagewise.tolist() and states[:2].tolist() == [0.0, 0.0] and states[2:].all()
 
     def typed(values):  # constants with their types, since 0.0 == False and 1.0 == True
         return {(type(v), v) for v in values}
 
     for code, own in (
         (a.rhs.__code__, set()),
-        (a.rk4_run.__code__, set()),
+        (a.rk4_run.__code__, rk4_consts),
         (a.roots.__code__, roots_consts),
     ):
         assert all(_KERNEL_NAME.fullmatch(name) for name in code.co_names + code.co_varnames)

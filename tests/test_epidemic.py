@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from ecolab import (
     EpidemicKind,
     EpidemicModel,
+    Graph,
     PrevalenceTrajectory,
     ThresholdBracketError,
     Trajectory,
@@ -70,6 +71,9 @@ class TestGraphs:
             barabasi_albert(5, 5)
         with pytest.raises(ValueError):
             erdos_renyi(10, 1.5)
+        for empty in (lambda: complete_graph(0), lambda: erdos_renyi(0, 0.5)):
+            with pytest.raises(ValueError, match="^n_nodes must be positive$"):
+                empty()
 
     def test_graph_invariants(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -533,6 +537,35 @@ def test_fenwick_find_is_the_first_prefix_above_the_target(weights, data):
 def test_barabasi_albert_matches_linear_scan(m, extra, seed):
     n = m + extra
     assert barabasi_albert(n, m, seed=seed).edges == reference_barabasi_albert(n, m, seed=seed).edges
+
+
+# The generators skip the per-edge check and normalization of `Graph(...)`: what they build must be
+# what the checked constructor makes of the same edges.
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(["complete_graph", "erdos_renyi", "barabasi_albert"]),
+    n=st.integers(1, 64),
+    m=st.integers(1, 63),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+)
+@example(family="barabasi_albert", n=2, m=1, p=0.0, seed=0)
+@example(family="barabasi_albert", n=64, m=63, p=0.0, seed=1)  # the seed clique alone: n = m + 1
+@example(family="complete_graph", n=1, m=1, p=0.0, seed=0)
+@example(family="erdos_renyi", n=64, m=1, p=1.0, seed=2)
+def test_generators_build_what_the_checked_constructor_builds(family, n, m, p, seed):
+    if family == "barabasi_albert":
+        assume(m < n)
+        graph = barabasi_albert(n, m, seed=seed)
+    elif family == "erdos_renyi":
+        graph = erdos_renyi(n, p, seed=seed)
+    else:
+        graph = complete_graph(n)
+    checked = Graph(n, graph.edges)
+    assert type(graph.edges) is frozenset
+    assert graph.edges == checked.edges
+    assert graph.adjacency == checked.adjacency
+    assert graph == checked
 
 
 @st.composite

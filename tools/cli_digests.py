@@ -26,8 +26,10 @@ level through 1.5, `stability` on a community with a competition, a
 symbiosis and a predation entry, `stability` on a logistic producer
 alone, `run` on an RK4 document whose horizon of 1e300 is past the step
 budget, `run` on a document whose horizon is an integer too large for a
-float, and `run` on one whose horizon is an integer past int()'s limit
-of 4300 digits. For each
+float, `run` on one whose horizon is an integer past int()'s limit
+of 4300 digits, and the RK4 refusal paths: `run` on a symbiosis pair
+that diverges and on a community whose Ivlev response overflows in a
+stage (a non-finite derivative). For each
 command it prints one line per stdout, stderr, exit code and written file:
 
     <command>  <what>  <sha256>
@@ -139,6 +141,32 @@ THREE_KINDS = {
     ],
     "initial_densities": {"grass": 5.0, "shrub": 4.0, "grazer": 1.0},
     "horizon": 20.0,
+}
+# an RK4 symbiosis pair whose densities pass the divergence bound near t = 0.85: the refused state raises
+SYMBIOSIS_DIVERGENCE = {
+    "kind": "community",
+    "species": [
+        {"id": "a", "role": "producer", "growth_rate": 1.0, "self_limitation": 1.0},
+        {"id": "b", "role": "producer", "growth_rate": 1.0, "self_limitation": 1.0},
+    ],
+    "interactions": [{"species_i": "a", "species_j": "b", "kind": "symbiosis", "coeff_i": 3.0, "coeff_j": 1.0}],
+    "initial_densities": {"a": 1.0, "b": 1.0},
+    "integrator": {"method": "rk4_fixed", "step": 0.01},
+    "horizon": 5.0,
+}
+# the s0-s1 symbiosis diverges and s1 preys on s2 through an Ivlev response: an RK4 stage drives s2 far
+# below 0, where exp(-saturation * x) overflows, and the refused state raises a non-finite derivative
+IVLEV_OVERFLOW = {
+    "kind": "community",
+    "species": [{"id": f"s{k}", "role": "producer", "growth_rate": 0.0} for k in range(3)],
+    "interactions": [
+        {"species_i": "s0", "species_j": "s1", "kind": "symbiosis", "coeff_i": 1.0, "coeff_j": 1.0},
+        {"species_i": "s1", "species_j": "s2", "kind": "predation", "coeff_i": 0.0,
+         "response": {"type": "ivlev", "rate": 1.0, "saturation": 1.0}},
+    ],
+    "initial_densities": {"s0": 1.0, "s1": 1.0, "s2": 1.0},
+    "integrator": {"method": "rk4_fixed", "step": 0.07},
+    "horizon": 2.0,
 }
 
 
@@ -294,6 +322,10 @@ def digest_lines() -> list[str]:
             record(*arms_sweep, "--to", "-1", "--points", "-1")
             record("sweep", "lv-classic.json", "--param", "species.predator.trophic_level", "--from", "1", "--to", "2",
                    "--points", "3")
+            for name, document in (("symbiosis-divergence", SYMBIOSIS_DIVERGENCE), ("ivlev-overflow", IVLEV_OVERFLOW)):
+                with open(f"{name}.json", "w", encoding="utf-8") as handle:
+                    json.dump(document, handle)
+                record("run", f"{name}.json")
         finally:
             os.chdir(cwd)
     return lines
