@@ -549,8 +549,9 @@ def test_barabasi_albert_matches_linear_scan(m, extra, seed):
     p=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32),
 )
+# n = m + 1: the seed clique alone
 @example(family="barabasi_albert", n=2, m=1, p=0.0, seed=0)
-@example(family="barabasi_albert", n=64, m=63, p=0.0, seed=1)  # the seed clique alone: n = m + 1
+@example(family="barabasi_albert", n=64, m=63, p=0.0, seed=1)
 @example(family="complete_graph", n=1, m=1, p=0.0, seed=0)
 @example(family="erdos_renyi", n=64, m=1, p=1.0, seed=2)
 def test_generators_build_what_the_checked_constructor_builds(family, n, m, p, seed):
