@@ -7,6 +7,7 @@ scenario-file driven CLI (`ecolab`).
 """
 
 from .core import (
+    ContinuumParams,
     FunctionalResponse,
     HollingTypeII,
     IntegratorConfig,
@@ -19,17 +20,16 @@ from .core import (
     ScenarioValidationError,
     SpeciesSpec,
     Trajectory,
+    continuum_interaction,
     validate_scenario,
 )
 from .continuous import (
-    ContinuumParams,
     DivergenceError,
     IntegrationResult,
     LotkaVolterraParams,
     NonFiniteDerivativeError,
     StepSizeUnderflowError,
     community_rhs,
-    continuum_interaction,
     functional_response,
     glv_derivative,
     integrate,

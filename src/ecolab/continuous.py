@@ -2,8 +2,9 @@
 
 The classical two-species predator-prey system, its multi-species
 extension over the full interaction vocabulary, functional responses,
-the mutualism-parasitism continuum, and the fixed/adaptive Runge-Kutta
-integrators that drive them through the compiled kernel of `_kernel`.
+and the fixed/adaptive Runge-Kutta integrators that drive them through
+the compiled kernel of `_kernel`.  The mutualism-parasitism dial lives
+in `core`, beside the `InteractionSpec` fields it fills.
 """
 
 from __future__ import annotations
@@ -29,12 +30,10 @@ from .core import (
 
 __all__ = [
     "LotkaVolterraParams",
-    "ContinuumParams",
     "lv_derivative",
     "lv_equilibrium",
     "lv_first_integral",
     "functional_response",
-    "continuum_interaction",
     "community_rhs",
     "glv_derivative",
     "IntegrationResult",
@@ -150,75 +149,6 @@ def functional_response(fr: FunctionalResponse, x: float) -> float:
     """
     x = _check_density("prey density", x)
     return _response_fn(fr)(x)
-
-
-@dataclass(frozen=True)
-class ContinuumParams:
-    """Dial for the mutualism-parasitism continuum of one species pair.
-
-    alpha = +1 is pure mutualism (+, +), alpha = -1 pure parasitism
-    (+ to the beneficiary, - to the partner), 0 is commensalism.
-    Positive self-limitation on both species is required because the
-    mutualistic end diverges without it.
-    """
-
-    alpha: float
-    base_strength: float
-    self_limitation_i: float
-    self_limitation_j: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and -1.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in [-1, 1], got {self.alpha!r}")
-        if not (math.isfinite(self.base_strength) and self.base_strength > 0):
-            raise ValueError("base_strength must be > 0")
-        # continuum_interaction stores a negative alpha as 1/|alpha| and |alpha|*base_strength
-        if self.alpha < 0.0 and (math.isinf(1.0 / -self.alpha) or -self.alpha * self.base_strength == 0.0):
-            raise ValueError(
-                f"alpha {self.alpha!r} is too close to 0 for base_strength {self.base_strength!r}: "
-                "1/|alpha| overflows or |alpha|*base_strength underflows to 0"
-            )
-        for name in ("self_limitation_i", "self_limitation_j"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be > 0 (needed for boundedness)")
-
-
-def continuum_interaction(species_i: str, species_j: str, p: ContinuumParams) -> InteractionSpec:
-    """Community-matrix entry for one pair on the mutualism-parasitism dial.
-
-    Species i is the fixed beneficiary: it always gains
-    base_strength * x_i * x_j.  The partner's term interpolates linearly
-    from +base_strength (alpha = 1) through 0 (commensalism at alpha = 0)
-    to -base_strength (alpha = -1).
-
-    Nonnegative alpha is stored as a symbiosis entry.  Negative alpha
-    becomes a parasitism entry whose victim-side harm rate
-    |alpha|*base_strength lives in the linear response, with the
-    conversion coefficient 1/|alpha| restoring the beneficiary's gain.
-    """
-    s = p.base_strength
-    if p.alpha >= 0.0:
-        return InteractionSpec(
-            species_i=species_i,
-            species_j=species_j,
-            kind=InteractionKind.SYMBIOSIS,
-            coeff_i=s,
-            coeff_j=p.alpha * s,
-            continuum_alpha=p.alpha,
-            continuum_strength=s,
-        )
-    harm = -p.alpha * s
-    return InteractionSpec(
-        species_i=species_i,
-        species_j=species_j,
-        kind=InteractionKind.PARASITISM,
-        coeff_i=1.0 / -p.alpha,
-        coeff_j=0.0,
-        response=LinearResponse(harm),
-        continuum_alpha=p.alpha,
-        continuum_strength=s,
-    )
 
 
 def community_rhs(scenario: Scenario) -> Callable[[Sequence[float]], list[float]]:

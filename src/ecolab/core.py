@@ -1,9 +1,12 @@
-"""Shared domain types and scenario validation.
+"""Shared domain types, the continuum dial and scenario validation.
 
 Everything here is a passive container: the dynamics live in the
-`continuous`, `discrete` and `epidemic` modules.  The dataclasses are
-frozen and `Trajectory` holds read-only copies of its arrays, but
-`Scenario.initial_densities` stays a plain, mutable dict.
+`continuous`, `discrete` and `epidemic` modules.  The one derivation is
+the mutualism-parasitism dial: `continuum_interaction` turns a
+`ContinuumParams` into the `InteractionSpec` that carries it, and
+`validate_scenario` derives it again to check each such entry.  The
+dataclasses are frozen and `Trajectory` holds read-only copies of its
+arrays, but `Scenario.initial_densities` stays a plain, mutable dict.
 
 Units are dimensionless throughout (both time and density).
 """
@@ -27,6 +30,8 @@ __all__ = [
     "IvlevResponse",
     "FunctionalResponse",
     "InteractionSpec",
+    "ContinuumParams",
+    "continuum_interaction",
     "IntegratorConfig",
     "Scenario",
     "Trajectory",
@@ -125,9 +130,11 @@ class InteractionSpec:
     * For symbiosis/cooperation, they are the rates at which each side
       benefits.
 
-    Entries produced by `continuous.continuum_interaction` carry their
+    Entries produced by `continuum_interaction` carry their
     mutualism-parasitism dial in `continuum_alpha`/`continuum_strength`
-    so that parameter sweeps can re-derive the entry.
+    so that parameter sweeps can re-derive the entry.  The dial is what
+    a document stores, so `validate_scenario` requires an entry that
+    carries one to equal the entry its dial derives.
     """
 
     species_i: str
@@ -138,6 +145,69 @@ class InteractionSpec:
     response: FunctionalResponse = LinearResponse(0.0)
     continuum_alpha: float | None = None
     continuum_strength: float | None = None
+
+
+@dataclass(frozen=True)
+class ContinuumParams:
+    """Dial for the mutualism-parasitism continuum of one species pair.
+
+    alpha = +1 is pure mutualism (+, +), alpha = -1 pure parasitism
+    (+ to the beneficiary, - to the partner), 0 is commensalism.  The
+    mutualistic end diverges without crowding, so `validate_scenario`
+    also requires positive self-limitation on both species of the pair.
+    """
+
+    alpha: float
+    base_strength: float
+
+    def __post_init__(self) -> None:
+        if not (_finite(self.alpha) and -1.0 <= self.alpha <= 1.0):
+            raise ValueError(f"alpha must lie in [-1, 1], got {self.alpha!r}")
+        if not (_finite(self.base_strength) and self.base_strength > 0):
+            raise ValueError("base_strength must be > 0")
+        # continuum_interaction stores a negative alpha as 1/|alpha| and |alpha|*base_strength
+        if self.alpha < 0.0 and (math.isinf(1.0 / -self.alpha) or -self.alpha * self.base_strength == 0.0):
+            raise ValueError(
+                f"alpha {self.alpha!r} is too close to 0 for base_strength {self.base_strength!r}: "
+                "1/|alpha| overflows or |alpha|*base_strength underflows to 0"
+            )
+
+
+def continuum_interaction(species_i: str, species_j: str, p: ContinuumParams) -> InteractionSpec:
+    """Community-matrix entry for one pair on the mutualism-parasitism dial.
+
+    Species i is the fixed beneficiary: it always gains
+    base_strength * x_i * x_j.  The partner's term interpolates linearly
+    from +base_strength (alpha = 1) through 0 (commensalism at alpha = 0)
+    to -base_strength (alpha = -1).
+
+    Nonnegative alpha is stored as a symbiosis entry.  Negative alpha
+    becomes a parasitism entry whose victim-side harm rate
+    |alpha|*base_strength lives in the linear response, with the
+    conversion coefficient 1/|alpha| restoring the beneficiary's gain.
+    """
+    s = p.base_strength
+    if p.alpha >= 0.0:
+        return InteractionSpec(
+            species_i=species_i,
+            species_j=species_j,
+            kind=InteractionKind.SYMBIOSIS,
+            coeff_i=s,
+            coeff_j=p.alpha * s,
+            continuum_alpha=p.alpha,
+            continuum_strength=s,
+        )
+    harm = -p.alpha * s
+    return InteractionSpec(
+        species_i=species_i,
+        species_j=species_j,
+        kind=InteractionKind.PARASITISM,
+        coeff_i=1.0 / -p.alpha,
+        coeff_j=0.0,
+        response=LinearResponse(harm),
+        continuum_alpha=p.alpha,
+        continuum_strength=s,
+    )
 
 
 @dataclass(frozen=True)
@@ -296,11 +366,14 @@ def validate_scenario(scenario: Scenario) -> Scenario:
                     "(the loss is set by the functional response)"
                 )
             errors.extend(_response_errors(entry.response, label))
-        if entry.continuum_alpha is not None:
-            if not _finite(entry.continuum_alpha) or abs(entry.continuum_alpha) > 1:
-                errors.append(f"{label}: continuum alpha must lie in [-1, 1]")
-            if entry.continuum_strength is None or not _finite(entry.continuum_strength) or entry.continuum_strength <= 0:
-                errors.append(f"{label}: continuum base strength must be > 0")
+        if entry.continuum_alpha is not None or entry.continuum_strength is not None:
+            try:
+                dial = ContinuumParams(entry.continuum_alpha, entry.continuum_strength)
+            except ValueError as exc:
+                errors.append(f"{label}: {exc}")
+            else:
+                if continuum_interaction(entry.species_i, entry.species_j, dial) != entry:
+                    errors.append(f"{label}: entry differs from what its continuum dial derives")
             for sp_id in (entry.species_i, entry.species_j):
                 if sp_id in ids and scenario.species_by_id(sp_id).self_limitation <= 0:
                     errors.append(

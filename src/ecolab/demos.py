@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    ContinuumParams,
     IntegratorConfig,
     InteractionKind,
     InteractionSpec,
@@ -16,8 +17,8 @@ from .core import (
     Role,
     Scenario,
     SpeciesSpec,
+    continuum_interaction,
 )
-from .continuous import ContinuumParams, continuum_interaction
 from .epidemic import EpidemicKind, EpidemicModel, barabasi_albert
 from .scenario_io import Document, EpidemicBundle
 from .selection import MimicryParams, mimic_frequency, mimicry_payoffs
@@ -103,18 +104,7 @@ def _arms_race() -> Scenario:
     Sweeping interaction.attacker:victim.alpha from 1 to -1 moves the
     coexistence point from an overdamped node into a damped-spiral focus.
     """
-    attacker_limit = 0.6
-    victim_limit = 0.6
-    entry = continuum_interaction(
-        "attacker",
-        "victim",
-        ContinuumParams(
-            alpha=-0.6,
-            base_strength=0.5,
-            self_limitation_i=attacker_limit,
-            self_limitation_j=victim_limit,
-        ),
-    )
+    entry = continuum_interaction("attacker", "victim", ContinuumParams(alpha=-0.6, base_strength=0.5))
     return Scenario(
         species=(
             SpeciesSpec(
@@ -123,14 +113,14 @@ def _arms_race() -> Scenario:
                 role=Role.CONSUMER,
                 trophic_level=1,
                 growth_rate=0.5,
-                self_limitation=attacker_limit,
+                self_limitation=0.6,
             ),
             SpeciesSpec(
                 id="victim",
                 name="Victim",
                 role=Role.PRODUCER,
                 growth_rate=1.2,
-                self_limitation=victim_limit,
+                self_limitation=0.6,
             ),
         ),
         interactions=(entry,),
@@ -147,10 +137,10 @@ def _malware_epidemic() -> EpidemicBundle:
     graph (~0.086), so the infection settles into a metastable prevalence
     instead of dying out.
     """
-    n, m, graph_seed = 200, 3, 7
+    recipe = {"n": 200, "m": 3, "seed": 7}
     return EpidemicBundle(
         model=EpidemicModel(
-            graph=barabasi_albert(n, m, seed=graph_seed),
+            graph=barabasi_albert(**recipe),
             kind=EpidemicKind.SIS,
             beta=0.25,
             gamma=1.0,
@@ -159,7 +149,7 @@ def _malware_epidemic() -> EpidemicBundle:
         ),
         horizon=40.0,
         sample_dt=0.5,
-        graph_spec={"generator": "barabasi_albert", "n": n, "m": m, "seed": graph_seed},
+        graph_spec={"generator": "barabasi_albert", **recipe},
     )
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     TROPHIC_KINDS,
+    ContinuumParams,
     HollingTypeII,
     IntegratorConfig,
     InteractionKind,
@@ -30,9 +31,9 @@ from .core import (
     Scenario,
     SpeciesSpec,
     Trajectory,
+    continuum_interaction,
     validate_scenario,
 )
-from .continuous import ContinuumParams, continuum_interaction
 from .discrete import NicholsonBaileyParams
 from .epidemic import (
     EpidemicKind,
@@ -225,29 +226,13 @@ def _parse_response(data: Any, path: str):
     return _record(_RESPONSES[tag], data, path, frozenset({"type"}))
 
 
-def _parse_entry(raw: Any, path: str, by_id: dict[str, SpeciesSpec]) -> InteractionSpec:
-    """One interaction entry of a community document, its species looked up in `by_id`."""
+def _parse_entry(raw: Any, path: str) -> InteractionSpec:
+    """One interaction entry of a community document; `validate_scenario` checks its species."""
     raw = _require_object(raw, path)
     kind_raw = _string(raw, "kind", path)
     if kind_raw == "continuum":
-        _check_keys(raw, path, {"species_i", "species_j", "kind", "alpha", "base_strength"}, set())
-        i_id = _string(raw, "species_i", path)
-        j_id = _string(raw, "species_j", path)
-        for sp_id in (i_id, j_id):
-            if sp_id not in by_id:
-                raise ParseError(f"{path}: unknown species '{sp_id}'")
-        alpha = _number(raw, "alpha", path)
-        base_strength = _number(raw, "base_strength", path)
-        try:
-            params = ContinuumParams(
-                alpha=alpha,
-                base_strength=base_strength,
-                self_limitation_i=by_id[i_id].self_limitation,
-                self_limitation_j=by_id[j_id].self_limitation,
-            )
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from None
-        return continuum_interaction(i_id, j_id, params)
+        params = _record(ContinuumParams, raw, path, frozenset({"species_i", "species_j", "kind"}))
+        return continuum_interaction(_string(raw, "species_i", path), _string(raw, "species_j", path), params)
     try:
         kind = InteractionKind(kind_raw)
     except ValueError:
@@ -300,12 +285,11 @@ def _parse_community(data: dict) -> Scenario:
                 self_limitation=_number(raw, "self_limitation", path, default=0.0),
             )
         )
-    by_id = {sp.id: sp for sp in species}
 
     raw_entries = data["interactions"]
     if not isinstance(raw_entries, list):
         raise ParseError("document.interactions: expected a list")
-    interactions = [_parse_entry(raw, f"interactions[{idx}]", by_id) for idx, raw in enumerate(raw_entries)]
+    interactions = [_parse_entry(raw, f"interactions[{idx}]") for idx, raw in enumerate(raw_entries)]
 
     densities_raw = _require_object(data["initial_densities"], "document.initial_densities")
     densities = {key: _finite(value, f"document.initial_densities.{key}") for key, value in densities_raw.items()}
@@ -330,7 +314,8 @@ _GENERATORS = {
 }
 
 
-def _build_graph(raw: dict, path: str) -> tuple[Graph, dict]:
+def _build_graph(raw: dict, path: str) -> tuple[Graph, dict | None]:
+    """The graph and its generator recipe; an explicit graph has none, since its edges are written from the graph."""
     raw = _require_object(raw, path)
     generator = _string(raw, "generator", path)
     if generator in _GENERATORS:
@@ -353,8 +338,7 @@ def _build_graph(raw: dict, path: str) -> tuple[Graph, dict]:
                 raise ParseError(f"{path}.edges[{k}]: expected [u, v] with integer nodes")
             edges.append((pair[0], pair[1]))
         n = _integer(raw, "n", path)
-        spec = {"generator": "explicit", "n": n, "edges": sorted(tuple(sorted(e)) for e in edges)}
-        build, args = from_edges, (n, edges)
+        build, args, spec = from_edges, (n, edges), None
     else:
         raise ParseError(
             f"{path}.generator: unknown generator {generator!r} "
@@ -726,7 +710,7 @@ def set_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
             if {entry.species_i, entry.species_j} == set(pair):
                 label = f"interaction {parts[1]}"
                 form = _set_number(_entry_to_json(entry), parts[2:], float(value), path, label)
-                entries[k] = _parse_entry(form, label, {sp.id: sp for sp in scenario.species})
+                entries[k] = _parse_entry(form, label)
                 return replace(scenario, interactions=tuple(entries))
         raise ValueError(f"unresolvable parameter path '{path}': no entry for pair {parts[1]}")
     raise ValueError(

@@ -42,14 +42,8 @@ from ecolab.analysis import (
     _central_jacobian,
 )
 from ecolab._kernel import _solve1
-from ecolab.continuous import (
-    _RK45_STEP_BUDGET,
-    DIVERGENCE_LIMIT,
-    ContinuumParams,
-    _all_finite,
-    continuum_interaction,
-)
-from ecolab.core import METHODS, TROPHIC_KINDS
+from ecolab.continuous import _RK45_STEP_BUDGET, DIVERGENCE_LIMIT, _all_finite
+from ecolab.core import METHODS, TROPHIC_KINDS, ContinuumParams, continuum_interaction
 from ecolab.scenario_io import _split_path
 from ecolab.selection import TRAIT_NAMES, SelectionState, _vector3
 from ecolab.svg import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, PALETTE, WIDTH, _fmt, _nice_step
@@ -774,13 +768,7 @@ def _reference_update_entry(
     if dial and entry.continuum_alpha is not None:
         alpha = value if fields == ["alpha"] else entry.continuum_alpha
         strength = value if fields == ["base_strength"] else entry.continuum_strength
-        params = ContinuumParams(
-            alpha=alpha,
-            base_strength=strength,
-            self_limitation_i=scenario.species_by_id(entry.species_i).self_limitation,
-            self_limitation_j=scenario.species_by_id(entry.species_j).self_limitation,
-        )
-        return continuum_interaction(entry.species_i, entry.species_j, params)
+        return continuum_interaction(entry.species_i, entry.species_j, ContinuumParams(alpha, strength))
     # a continuum entry's document form is its dial, which a coefficient edit would not update
     if entry.continuum_alpha is not None:
         reason = ": entry is a continuum interaction (alpha, base_strength)"

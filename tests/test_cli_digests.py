@@ -40,9 +40,12 @@ def test_two_runs_print_the_same_lines():
         "run horizon-long-integer.json",
         "run symbiosis-divergence.json",
         "run ivlev-overflow.json",
+        "run continuum-no-self-limitation.json",
+        "run continuum-unknown-species.json",
     }
     assert exits["run symbiosis-divergence.json"] == exits["run ivlev-overflow.json"] == "2"
-    assert len(commands) == 55
+    assert exits["run continuum-no-self-limitation.json"] == exits["run continuum-unknown-species.json"] == "1"
+    assert len(commands) == 57
     written = [line for line in first if line.split("\t")[1] not in ("stdout", "stderr", "exit")]
     # CSV and SVG of 5 demos and 10 runs, and the three sweeps' CSVs; a failed run writes nothing
     assert len(written) == 2 * (5 + 10) + 3

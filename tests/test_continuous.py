@@ -38,6 +38,7 @@ from ecolab import (
     set_parameter,
     stability_report,
     sweep,
+    validate_scenario,
 )
 from ecolab import continuous
 from ecolab._kernel import _Kernel, _compile_structure, _kernel
@@ -249,33 +250,44 @@ class TestCommunityDerivative:
 
 class TestContinuum:
     def test_pure_mutualism_endpoint(self):
-        entry = continuum_interaction("a", "b", ContinuumParams(1.0, 0.5, 1.0, 1.0))
+        entry = continuum_interaction("a", "b", ContinuumParams(1.0, 0.5))
         assert entry.kind == InteractionKind.SYMBIOSIS
         assert (entry.coeff_i, entry.coeff_j) == (0.5, 0.5)
 
     def test_pure_parasitism_endpoint(self):
-        entry = continuum_interaction("a", "b", ContinuumParams(-1.0, 0.5, 1.0, 1.0))
+        entry = continuum_interaction("a", "b", ContinuumParams(-1.0, 0.5))
         assert entry.kind == InteractionKind.PARASITISM
         assert entry.coeff_i == 1.0
         assert entry.response == LinearResponse(0.5)
 
     def test_commensalism_midpoint(self):
-        entry = continuum_interaction("a", "b", ContinuumParams(0.0, 0.5, 1.0, 1.0))
+        entry = continuum_interaction("a", "b", ContinuumParams(0.0, 0.5))
         assert entry.kind == InteractionKind.SYMBIOSIS
         assert (entry.coeff_i, entry.coeff_j) == (0.5, 0.0)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
-            ContinuumParams(1.5, 0.5, 1.0, 1.0)
+            ContinuumParams(1.5, 0.5)
 
     def test_self_limitation_required(self):
-        with pytest.raises(ValueError, match="boundedness"):
-            ContinuumParams(0.5, 0.5, 0.0, 1.0)
+        species = (
+            SpeciesSpec(id="a", role=Role.PRODUCER, growth_rate=1.0, self_limitation=0.0),
+            SpeciesSpec(id="b", role=Role.PRODUCER, growth_rate=1.0, self_limitation=1.0),
+        )
+        scenario = Scenario(
+            species=species,
+            interactions=(continuum_interaction("a", "b", ContinuumParams(0.5, 0.5)),),
+            initial_densities={"a": 1.0, "b": 1.0},
+            horizon=1.0,
+        )
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(scenario)
+        assert err.value.errors == ["interaction a:b: continuum interaction requires positive self_limitation on 'a'"]
 
     @pytest.mark.parametrize("alpha", [-1.0, -0.5, -0.25, 0.0, 0.5, 1.0])
     def test_coupling_terms_interpolate(self, alpha):
         strength = 0.5
-        entry = continuum_interaction("a", "b", ContinuumParams(alpha, strength, 1.0, 1.0))
+        entry = continuum_interaction("a", "b", ContinuumParams(alpha, strength))
         species = (
             SpeciesSpec(id="a", role=Role.PRODUCER, growth_rate=0.0, self_limitation=1.0),
             SpeciesSpec(id="b", role=Role.PRODUCER, growth_rate=0.0, self_limitation=1.0),

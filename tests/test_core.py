@@ -8,6 +8,7 @@ import pytest
 
 import ecolab
 from ecolab import (
+    ContinuumParams,
     InteractionKind,
     InteractionSpec,
     LinearResponse,
@@ -16,6 +17,7 @@ from ecolab import (
     ScenarioValidationError,
     SpeciesSpec,
     Trajectory,
+    continuum_interaction,
     validate_scenario,
 )
 from helpers import predation_scenario
@@ -201,10 +203,10 @@ def _entry(scenario, **changes) -> Scenario:
 
 
 def _continuum(scenario, pred_limitation=0.1, **changes) -> Scenario:
+    """The scenario with its entry replaced by the symbiosis entry of the dial (0.5, 0.1), then changed."""
     scenario = _species(_species(scenario, "prey", self_limitation=0.1), "pred", self_limitation=pred_limitation)
-    fields = dict(kind=InteractionKind.COMPETITION, coeff_i=0.1, coeff_j=0.1, continuum_alpha=0.5,
-                  continuum_strength=0.1)
-    return _entry(scenario, **{**fields, **changes})
+    entry = continuum_interaction("pred", "prey", ContinuumParams(0.5, 0.1))
+    return replace(scenario, interactions=(replace(entry, **changes),))
 
 
 def _integrator(scenario, **changes) -> Scenario:
@@ -224,8 +226,8 @@ def _integrator(scenario, **changes) -> Scenario:
     (lambda s: _entry(s, response=LinearResponse(-0.1)),
      "interaction pred:prey: response rate must be a finite value >= 0"),
     (lambda s: _entry(s, response="holling"), "interaction pred:prey: unknown functional response 'holling'"),
-    (lambda s: _continuum(s, continuum_alpha=1.5), "interaction pred:prey: continuum alpha must lie in [-1, 1]"),
-    (lambda s: _continuum(s, continuum_strength=None), "interaction pred:prey: continuum base strength must be > 0"),
+    (lambda s: _continuum(s, continuum_alpha=1.5), "interaction pred:prey: alpha must lie in [-1, 1], got 1.5"),
+    (lambda s: _continuum(s, continuum_strength=None), "interaction pred:prey: base_strength must be > 0"),
     (lambda s: _continuum(s, pred_limitation=0.0),
      "interaction pred:prey: continuum interaction requires positive self_limitation on 'pred'"),
     (lambda s: _integrator(s, method="euler"),
@@ -243,6 +245,30 @@ def test_each_violation_has_its_message(change, message):
     base = predation_scenario()
     assert validate_scenario(base) is base
     assert _errors(change(base)) == [message]
+
+
+_NEAR_ZERO_DIAL = ("interaction pred:prey: alpha -1e-300 is too close to 0 for base_strength 1e-30: "
+                   "1/|alpha| overflows or |alpha|*base_strength underflows to 0")
+
+
+@pytest.mark.parametrize("change, message", [
+    # written as its dial, a competition entry would read back as symbiosis
+    (lambda s: _continuum(s, kind=InteractionKind.COMPETITION),
+     "interaction pred:prey: entry differs from what its continuum dial derives"),
+    # written as its dial, coeff_j 5.0 would read back as 0.1 * 0.1
+    (lambda s: _continuum(s, coeff_j=5.0, continuum_alpha=0.1),
+     "interaction pred:prey: entry differs from what its continuum dial derives"),
+    # the parasitism entry of this dial cannot be stored, so its document would not parse
+    (lambda s: _continuum(s, kind=InteractionKind.PARASITISM, coeff_i=1e300, coeff_j=0.0,
+                          response=LinearResponse(0.0), continuum_alpha=-1e-300, continuum_strength=1e-30),
+     _NEAR_ZERO_DIAL),
+    (lambda s: _continuum(s, continuum_strength="x"), "interaction pred:prey: base_strength must be > 0"),
+    (lambda s: _continuum(s, continuum_alpha=None), "interaction pred:prey: alpha must lie in [-1, 1], got None"),
+    (lambda s: _continuum(s, continuum_alpha=True), "interaction pred:prey: alpha must lie in [-1, 1], got True"),
+], ids=["competition-kind", "coeff-j", "near-zero-alpha", "strength-type", "strength-without-alpha", "alpha-bool"])
+def test_continuum_entry_must_equal_what_its_dial_derives(change, message):
+    assert validate_scenario(_continuum(predation_scenario())).interactions[0].kind == InteractionKind.SYMBIOSIS
+    assert _errors(change(predation_scenario())) == [message]
 
 
 def test_violations_reported_together_in_declaration_order():

@@ -35,6 +35,7 @@ from ecolab import (
     erdos_renyi,
     from_edges,
     serialize_scenario,
+    validate_scenario,
     write_csv,
 )
 from ecolab.demos import DEMO_NAMES, demo_document
@@ -667,8 +668,8 @@ MALFORMED = [
      patched(FOOD_CHAIN_RK45, (("interactions", 1, "response", "saturation"), DELETE)),
      "ParseError", "interactions[1].response: missing required field(s) saturation"),
     ("continuum-unknown-species",
-     patched(CONTINUUM, (("interactions", 0, "species_j"), "zz")), "ParseError",
-     "interactions[0]: unknown species 'zz'"),
+     patched(CONTINUUM, (("interactions", 0, "species_j"), "zz")), "ScenarioValidationError",
+     "dangling reference: interaction a:zz names unknown species 'zz'"),
     ("continuum-params", patched(CONTINUUM, (("interactions", 0, "alpha"), 2)), "ParseError",
      "interactions[0]: alpha must lie in [-1, 1], got 2.0"),
     ("continuum-alpha-subnormal",
@@ -681,8 +682,8 @@ MALFORMED = [
      "interactions[0]: alpha -1e-300 is too close to 0 for base_strength 1e-30: "
      "1/|alpha| overflows or |alpha|*base_strength underflows to 0"),
     ("continuum-self-limitation",
-     patched(CONTINUUM, (("species", 1, "self_limitation"), 0)), "ParseError",
-     "interactions[0]: self_limitation_j must be > 0 (needed for boundedness)"),
+     patched(CONTINUUM, (("species", 1, "self_limitation"), 0)), "ScenarioValidationError",
+     "interaction a:b: continuum interaction requires positive self_limitation on 'b'"),
     ("continuum-alpha-type", patched(CONTINUUM, (("interactions", 0, "alpha"), "x")),
      "ParseError", "interactions[0].alpha: expected a number"),
     ("continuum-strength-nan",
@@ -889,12 +890,7 @@ def communities(draw) -> Scenario:
         if form == "continuum" and a.self_limitation > 0 and b.self_limitation > 0:
             alpha = draw(st.floats(-1.0, 1.0))
             try:
-                params = ContinuumParams(
-                    alpha=alpha,
-                    base_strength=draw(POSITIVE),
-                    self_limitation_i=a.self_limitation,
-                    self_limitation_j=b.self_limitation,
-                )
+                params = ContinuumParams(alpha=alpha, base_strength=draw(POSITIVE))
             except ValueError as exc:
                 # a negative alpha too close to 0 to store as a parasitism entry is invalid input
                 assert str(exc).startswith(f"alpha {alpha!r} is too close to 0"), exc
@@ -954,7 +950,7 @@ def epidemics(draw) -> EpidemicBundle:
     else:
         node = st.integers(0, n - 1)
         edges = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=40))
-        spec = {"generator": generator, "n": n, "edges": sorted(tuple(sorted(e)) for e in edges)}
+        spec = None  # an explicit graph is written from its edges
         contacts = from_edges(n, edges)
     model = EpidemicModel(
         graph=contacts,
@@ -1011,3 +1007,42 @@ def test_serialize_parse_round_trip(document):
     again = parse_scenario(text)
     assert again == document
     assert serialize_scenario(again) == text
+
+
+#: Negative alphas near the limit ContinuumParams accepts: 1/|alpha| stays below
+#: 2**1024, and |alpha|*base_strength with base_strength >= 1e-6 stays above 0.
+NEAR_ZERO_ALPHAS = st.floats(min_value=2.0**-1023, max_value=2.0**-1000).map(lambda x: -x)
+ALPHAS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-1.0, 1.0).filter(lambda a: not -(2.0**-1023) < a < 0.0),
+    NEAR_ZERO_ALPHAS,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ALPHAS, POSITIVE, POSITIVE, POSITIVE, st.booleans())
+def test_continuum_dial_round_trips(alpha, base_strength, limit_a, limit_b, swap):
+    pair = ("b", "a") if swap else ("a", "b")
+    scenario = Scenario(
+        species=(
+            SpeciesSpec(id="a", role=Role.PRODUCER, growth_rate=1.0, self_limitation=limit_a),
+            SpeciesSpec(id="b", role=Role.PRODUCER, growth_rate=1.0, self_limitation=limit_b),
+        ),
+        interactions=(continuum_interaction(*pair, ContinuumParams(alpha, base_strength)),),
+        initial_densities={"a": 1.0, "b": 1.0},
+        horizon=5.0,
+    )
+    assert validate_scenario(scenario) is scenario
+    again = parse_scenario(serialize_scenario(scenario))
+    assert again == scenario
+    assert scenario_digest(again) == scenario_digest(scenario)
+
+
+def test_explicit_graph_document_is_its_edges():
+    # the same graph, written with a reversed duplicate edge in the first document
+    first = parse_scenario(as_text(dict(EPIDEMIC, graph={"generator": "explicit", "n": 3,
+                                                         "edges": [[0, 1], [1, 0], [2, 1]]})))
+    second = parse_scenario(as_text(EPIDEMIC))
+    assert first == second
+    assert scenario_digest(first) == scenario_digest(second)
+    assert json.loads(serialize_scenario(first))["graph"]["edges"] == [[0, 1], [1, 2]]

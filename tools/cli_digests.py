@@ -29,8 +29,10 @@ budget, `run` on a document whose horizon is an integer too large for a
 float, `run` on one whose horizon is an integer past int()'s limit
 of 4300 digits, and the RK4 refusal paths: `run` on a symbiosis pair
 that diverges and on a community whose Ivlev response overflows in a
-stage (a non-finite derivative). For each
-command it prints one line per stdout, stderr, exit code and written file:
+stage (a non-finite derivative), and `run` on the arms-race document
+with the victim's self-limitation set to 0 and with its continuum entry
+naming an unknown species. For each command it prints one line per
+stdout, stderr, exit code and written file:
 
     <command>  <what>  <sha256>
 
@@ -323,6 +325,18 @@ def digest_lines() -> list[str]:
             record("sweep", "lv-classic.json", "--param", "species.predator.trophic_level", "--from", "1", "--to", "2",
                    "--points", "3")
             for name, document in (("symbiosis-divergence", SYMBIOSIS_DIVERGENCE), ("ivlev-overflow", IVLEV_OVERFLOW)):
+                with open(f"{name}.json", "w", encoding="utf-8") as handle:
+                    json.dump(document, handle)
+                record("run", f"{name}.json")
+            arms_race = json.loads(texts["arms-race"])
+            attacker, victim = arms_race["species"]
+            continuum_errors = {
+                "continuum-no-self-limitation": dict(arms_race, species=[attacker, dict(victim, self_limitation=0)]),
+                "continuum-unknown-species": dict(
+                    arms_race, interactions=[dict(arms_race["interactions"][0], species_j="zz")]
+                ),
+            }
+            for name, document in continuum_errors.items():
                 with open(f"{name}.json", "w", encoding="utf-8") as handle:
                     json.dump(document, handle)
                 record("run", f"{name}.json")
