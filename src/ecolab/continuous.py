@@ -199,14 +199,12 @@ class IntegrationResult:
     extinctions: tuple[tuple[str, float], ...] = ()
 
 
-def _clamp_extinctions(state, t, epsilon, names, extinct, extinctions):
-    """Clamp sub-epsilon or negative densities to exactly 0, once per species."""
+def _clamp_extinctions(state, t, epsilon, names, first):
+    """Clamp sub-epsilon or negative densities to exactly 0; `first` keeps each species' first clamp time."""
     for k, v in enumerate(state):
         if v != 0.0 and v < epsilon:
             state[k] = 0.0
-            if k not in extinct:
-                extinct.add(k)
-                extinctions.append((names[k], t))
+            first.setdefault(names[k], t)
 
 
 def _all_finite(values) -> bool:
@@ -247,16 +245,14 @@ def _rms(values: list[float]) -> float:
 _RK4_STEP_BUDGET = 1_000_000
 
 
-def _integrate_rk4(run, y0, cfg, horizon, names):
-    """Fixed-step RK4 through a kernel's compiled step loop `run`: times, flat states, extinctions.
+def _integrate_rk4(run, y, cfg, horizon, settle):
+    """Fixed-step RK4 through a kernel's compiled step loop `run`: times and flat states.
 
     The states are one flat float64 buffer, allocated once for the run's
     n_steps + 1 states; `run` (a kernel's `rk4_run`) writes each through a
-    memoryview at the offsets its `count` gives, n apart.  It makes the
-    full steps, then the remainder step that ends on the horizon.  The
-    state it refuses, with its offset, is checked here: it raises, or is
-    clamped with its extinctions reported, written, and `run` goes on
-    from it.
+    memoryview at the offsets its `count` gives, n apart: the full steps,
+    then the remainder step that ends on the horizon.  A state it refuses
+    raises if a stage was non-finite, or is settled, written and run from.
     """
     h = cfg.step
     if not horizon / h <= _RK4_STEP_BUDGET:  # an overflowing quotient is inf
@@ -270,10 +266,6 @@ def _integrate_rk4(run, y0, cfg, horizon, names):
     if n_steps:
         times[-1] = horizon
     epsilon = cfg.extinction_epsilon
-    extinct: set[int] = set()
-    extinctions: list[tuple[str, float]] = []
-    y = list(y0)
-    _clamp_extinctions(y, 0.0, epsilon, names, extinct, extinctions)
     n = len(y)
     flat = np.empty((n_steps + 1) * n)
     flat[:n] = y
@@ -292,14 +284,11 @@ def _integrate_rk4(run, y0, cfg, horizon, names):
         # a non-finite stage makes the new state non-finite, so only a refused step can have one
         if not stages_finite:
             raise NonFiniteDerivativeError(k * h, view[offset - n : offset].tolist())
-        t = float(times[k + 1])
-        _clamp_extinctions(y_next, t, epsilon, names, extinct, extinctions)
-        if _max_exceeds(y_next, DIVERGENCE_LIMIT):
-            raise DivergenceError(t, y_next)
+        settle(y_next, float(times[k + 1]))
         flat[offset : offset + n] = y_next
         y = y_next
         k += 1
-    return times, flat, extinctions
+    return times, flat
 
 
 # Runge-Kutta-Fehlberg 4(5) tableau, without the nodes c: the derivative does not depend on t.
@@ -320,15 +309,11 @@ _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _RK45_STEP_BUDGET = 50_000
 
 
-def _integrate_rk45(f, y0, cfg, horizon, names):
-    """Adaptive RKF45 through the derivative f: times, flat states, extinctions."""
+def _integrate_rk45(f, y, cfg, horizon, settle):
+    """Adaptive RKF45 through the derivative f: times and flat states, each accepted one settled first."""
     t = 0.0
-    y = list(y0)
     h = min(cfg.step, horizon)
     epsilon = cfg.extinction_epsilon
-    extinct: set[int] = set()
-    extinctions: list[tuple[str, float]] = []
-    _clamp_extinctions(y, 0.0, epsilon, names, extinct, extinctions)
     times = [0.0]
     out = list(y)
     err_prev = 1.0
@@ -369,9 +354,7 @@ def _integrate_rk45(f, y0, cfg, horizon, names):
         if err <= 1.0:
             t = t + h
             y = y5
-            _clamp_extinctions(y, t, epsilon, names, extinct, extinctions)
-            if _max_exceeds(y, DIVERGENCE_LIMIT):
-                raise DivergenceError(t, y)
+            settle(y, t)
             times.append(t)
             out.extend(y)
             factor = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
@@ -381,7 +364,7 @@ def _integrate_rk45(f, y0, cfg, horizon, names):
         h *= min(5.0, max(0.2, factor))
     if times[-1] != horizon:
         times[-1] = horizon
-    return times, out, extinctions
+    return times, out
 
 
 def integrate_report(scenario: Scenario) -> IntegrationResult:
@@ -399,18 +382,27 @@ def integrate_report(scenario: Scenario) -> IntegrationResult:
 def _integrate_report(scenario: Scenario, kernel: _Kernel) -> IntegrationResult:
     """`integrate_report` of a validated scenario through its bound kernel.
 
-    Either integrator's states are flat, n per sample: RK4's a float64
-    buffer, RKF45's a float list, whose length is not known in advance.
+    It owns the extinction record and the settle step, which clamps each
+    state `rk4_run` refuses or RKF45 accepts, records first clamps and
+    raises `DivergenceError` past `DIVERGENCE_LIMIT`.  States come flat.
     """
     y0 = scenario.initial_state().tolist()
-    names = tuple(sp.id for sp in scenario.species)
+    names = scenario.species_ids
     cfg = scenario.integrator
+    first: dict[str, float] = {}  # each species' first clamp time, in clamp order
+
+    def settle(y, t):
+        _clamp_extinctions(y, t, cfg.extinction_epsilon, names, first)
+        if _max_exceeds(y, DIVERGENCE_LIMIT):
+            raise DivergenceError(t, y)
+
+    _clamp_extinctions(y0, 0.0, cfg.extinction_epsilon, names, first)
     if cfg.method == "rk4_fixed":
-        times, flat, extinctions = _integrate_rk4(kernel.rk4_run, y0, cfg, scenario.horizon, names)
+        times, flat = _integrate_rk4(kernel.rk4_run, y0, cfg, scenario.horizon, settle)
     else:
-        times, flat, extinctions = _integrate_rk45(kernel.rhs, y0, cfg, scenario.horizon, names)
+        times, flat = _integrate_rk45(kernel.rhs, y0, cfg, scenario.horizon, settle)
     trajectory = Trajectory(names, times, np.asarray(flat).reshape(-1, len(names)))
-    return IntegrationResult(trajectory=trajectory, extinctions=tuple(extinctions))
+    return IntegrationResult(trajectory=trajectory, extinctions=tuple(first.items()))
 
 
 def integrate(scenario: Scenario) -> Trajectory:

@@ -183,9 +183,18 @@ def _vector(data: dict, key: str, path: str, length: int, default=None):
     return tuple(_finite(item, f"{path}.{key}[{k}]") for k, item in enumerate(value))
 
 
+def _role(data: dict, key: str, path: str, default=None) -> Role:
+    if key not in data:
+        return default
+    value = _string(data, key, path)
+    if value not in ("producer", "consumer"):
+        raise ParseError(f"{path}.{key}: expected 'producer' or 'consumer', got {value!r}")
+    return Role(value)
+
+
 #: Reader for each field annotation a record may carry; the record modules
 #: postpone annotation evaluation, so the annotations are these strings.
-_READERS = {"float": _number, "int": _integer, "str": _string}
+_READERS = {"float": _number, "int": _integer, "str": _string, "Role": _role}
 
 
 def _record(record_type, data: dict, path: str, tags: frozenset[str] = frozenset()):
@@ -207,11 +216,15 @@ def _record(record_type, data: dict, path: str, tags: frozenset[str] = frozenset
 
 
 def _record_json(record) -> dict:
-    """A dataclass as the JSON object that `_record` reads back."""
+    """A dataclass as the JSON object that `_record` reads back; a float field is written as a float."""
     out = {}
     for f in fields(record):
         value = getattr(record, f.name)
-        out[f.name] = value.value if isinstance(value, Enum) else value
+        if isinstance(value, Enum):
+            value = value.value
+        elif f.type == "float":
+            value = float(value)
+        out[f.name] = value
     return out
 
 
@@ -263,28 +276,10 @@ def _parse_community(data: dict) -> Scenario:
     for idx, raw in enumerate(raw_species):
         path = f"species[{idx}]"
         raw = _require_object(raw, path)
-        _check_keys(
-            raw,
-            path,
-            {"id", "role", "growth_rate"},
-            {"name", "trophic_level", "self_limitation"},
-        )
-        role_raw = _string(raw, "role", path)
-        if role_raw not in ("producer", "consumer"):
-            raise ParseError(f"{path}.role: expected 'producer' or 'consumer', got {role_raw!r}")
-        role = Role(role_raw)
-        species.append(
-            SpeciesSpec(
-                id=_string(raw, "id", path),
-                name=_string(raw, "name", path, default=""),
-                role=role,
-                trophic_level=_integer(
-                    raw, "trophic_level", path, default=0 if role == Role.PRODUCER else 1
-                ),
-                growth_rate=_number(raw, "growth_rate", path),
-                self_limitation=_number(raw, "self_limitation", path, default=0.0),
-            )
-        )
+        spec = _record(SpeciesSpec, raw, path, frozenset({"role", "growth_rate"}))
+        if spec.role == Role.CONSUMER and "trophic_level" not in raw:  # a consumer sits at level 1 by default
+            spec = replace(spec, trophic_level=1)
+        species.append(spec)
 
     raw_entries = data["interactions"]
     if not isinstance(raw_entries, list):
@@ -483,12 +478,12 @@ def _entry_to_json(entry: InteractionSpec) -> dict:
     out = {"species_i": entry.species_i, "species_j": entry.species_j}
     if entry.continuum_alpha is not None:
         alpha, strength = entry.continuum_alpha, entry.continuum_strength
-        return {**out, "kind": "continuum", "alpha": alpha, "base_strength": strength}
-    out.update(kind=entry.kind.value, coeff_i=entry.coeff_i)
+        return {**out, "kind": "continuum", "alpha": float(alpha), "base_strength": float(strength)}
+    out.update(kind=entry.kind.value, coeff_i=float(entry.coeff_i))
     if entry.kind in TROPHIC_KINDS:
         out["response"] = _response_to_json(entry.response)
     else:
-        out["coeff_j"] = entry.coeff_j
+        out["coeff_j"] = float(entry.coeff_j)
     return out
 
 
@@ -496,15 +491,16 @@ def _community_to_json(scenario: Scenario) -> dict:
     return {
         "species": [_record_json(sp) for sp in scenario.species],
         "interactions": [_entry_to_json(entry) for entry in scenario.interactions],
-        "initial_densities": {sp.id: scenario.initial_densities[sp.id] for sp in scenario.species},
+        "initial_densities": {sp.id: float(scenario.initial_densities[sp.id]) for sp in scenario.species},
         "integrator": _record_json(scenario.integrator),
-        "horizon": scenario.horizon,
+        "horizon": float(scenario.horizon),
     }
 
 
 def _graph_to_json(bundle: EpidemicBundle) -> dict:
     if bundle.graph_spec is not None:
-        return dict(bundle.graph_spec)
+        _, params = _GENERATORS.get(bundle.graph_spec.get("generator"), (None, {}))
+        return {key: float(v) if params.get(key) is _number else v for key, v in bundle.graph_spec.items()}
     return {
         "generator": "explicit",
         "n": bundle.model.graph.n_nodes,
@@ -517,12 +513,12 @@ def _epidemic_to_json(bundle: EpidemicBundle) -> dict:
     return {
         "graph": _graph_to_json(bundle),
         "model": model.kind.value,
-        "beta": model.beta,
-        "gamma": model.gamma,
+        "beta": float(model.beta),
+        "gamma": float(model.gamma),
         "initial_infected": sorted(model.initial_infected),
         "seed": model.seed,
-        "horizon": bundle.horizon,
-        "sample_dt": bundle.sample_dt,
+        "horizon": float(bundle.horizon),
+        "sample_dt": float(bundle.sample_dt),
     }
 
 
@@ -530,11 +526,11 @@ def _gradient_to_json(spec: GradientSpec) -> dict:
     if not isinstance(spec, GradientSpec):
         raise TypeError(f"a selection document stores GradientSpec gradients, not {spec!r}")
     if spec.type == "constant":
-        return {"type": "constant", "value": list(spec.value)}
+        return {"type": "constant", "value": [float(v) for v in spec.value]}
     return {
         "type": "linear",
-        "intercept": list(spec.intercept),
-        "matrix": [list(row) for row in spec.matrix],
+        "intercept": [float(v) for v in spec.intercept],
+        "matrix": [[float(v) for v in row] for row in spec.matrix],
     }
 
 
@@ -557,7 +553,7 @@ def _discrete_to_json(bundle: DiscreteBundle) -> dict:
     return {
         "map": "nicholson_bailey",
         "params": _record_json(bundle.params),
-        "initial": {"host": bundle.initial_host, "parasitoid": bundle.initial_parasitoid},
+        "initial": {"host": float(bundle.initial_host), "parasitoid": float(bundle.initial_parasitoid)},
         "generations": bundle.generations,
     }
 

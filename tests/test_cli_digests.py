@@ -40,15 +40,18 @@ def test_two_runs_print_the_same_lines():
         "run horizon-long-integer.json",
         "run symbiosis-divergence.json",
         "run ivlev-overflow.json",
+        "run symbiosis-divergence-rk45.json",
+        "run ivlev-overflow-rk45.json",
         "run continuum-no-self-limitation.json",
         "run continuum-unknown-species.json",
     }
     assert exits["run symbiosis-divergence.json"] == exits["run ivlev-overflow.json"] == "2"
+    assert exits["run symbiosis-divergence-rk45.json"] == exits["run ivlev-overflow-rk45.json"] == "2"
     assert exits["run continuum-no-self-limitation.json"] == exits["run continuum-unknown-species.json"] == "1"
-    assert len(commands) == 57
+    assert len(commands) == 60
     written = [line for line in first if line.split("\t")[1] not in ("stdout", "stderr", "exit")]
-    # CSV and SVG of 5 demos and 10 runs, and the three sweeps' CSVs; a failed run writes nothing
-    assert len(written) == 2 * (5 + 10) + 3
+    # CSV and SVG of 5 demos and 11 runs, and the three sweeps' CSVs; a failed run writes nothing
+    assert len(written) == 2 * (5 + 11) + 3
     assert {"run sir-epidemic.json --csv run-sir-epidemic.csv --svg run-sir-epidemic.svg",
             "run extinction.json --csv run-extinction.csv --svg run-extinction.svg",
             "run remainder.json --csv run-remainder.csv --svg run-remainder.svg",

@@ -11,7 +11,6 @@ from ecolab import (
     ContinuumParams,
     DivergenceError,
     HollingTypeII,
-    IntegrationResult,
     IntegratorConfig,
     InteractionKind,
     InteractionSpec,
@@ -24,9 +23,9 @@ from ecolab import (
     ScenarioValidationError,
     SpeciesSpec,
     StepSizeUnderflowError,
-    Trajectory,
     community_rhs,
     continuum_interaction,
+    find_fixed_points,
     functional_response,
     glv_derivative,
     integrate,
@@ -48,8 +47,7 @@ from ecolab.continuous import (
     _RK45_STEP_BUDGET,
     _all_finite,
     _clamp_extinctions,
-    _integrate_rk4,
-    _integrate_rk45,
+    _integrate_report,
     _max_exceeds,
     _rms,
 )
@@ -470,14 +468,7 @@ _RUN_ERRORS = (DivergenceError, NonFiniteDerivativeError, StepSizeUnderflowError
 
 def _report_through(scenario, f):
     """What `integrate_report` gives with `f` in place of the compiled derivative."""
-    y0 = scenario.initial_state().tolist()
-    names = scenario.species_ids
-    cfg = scenario.integrator
-    if cfg.method == "rk4_fixed":
-        times, flat, extinctions = _integrate_rk4(stagewise_rk4_run(f), y0, cfg, scenario.horizon, names)
-    else:
-        times, flat, extinctions = _integrate_rk45(f, y0, cfg, scenario.horizon, names)
-    return IntegrationResult(Trajectory(names, times, np.array(flat).reshape(-1, len(names))), tuple(extinctions))
+    return _integrate_report(scenario, _Kernel(f, stagewise_rk4_run(f), None))
 
 
 def _outcome(run):
@@ -772,7 +763,7 @@ def test_rk4_run_hand_off_predicate_is_the_careful_checks():
     run = _kernel(scenario).rk4_run
     for v in _SPECIAL:
         clamped = [v]
-        _clamp_extinctions(clamped, 0.0, _EPSILON, ("a",), set(), [])
+        _clamp_extinctions(clamped, 0.0, _EPSILON, ("a",), {})
         careful_passes = (
             _all_finite([v]) and repr(clamped[0]) == repr(v) and not _max_exceeds([v], DIVERGENCE_LIMIT)
         )
@@ -952,6 +943,73 @@ def test_integrators_match_dop853(name, method):
     expected = solution.y.T
     error = np.max(np.abs(result.trajectory.values - expected) / np.maximum(1.0, np.abs(expected)))
     assert error < _ORACLE_BOUND[method]
+
+
+# Volterra's first integral at n species (Hofbauer & Sigmund 1998, "Evolutionary Games and Population
+# Dynamics"): with linear predation entries that form a tree and no self-limitation, the weights
+# D_aggressor = D_victim / conversion make D A skew-symmetric, so V = sum_i D_i (x_i - x*_i ln x_i) is
+# conserved.  Each tree: producer count, (aggressor, victim) entries, the equilibrium the growth rates
+# are set from, the entries' rates and their conversions.
+_VOLTERRA_TREES = {
+    4: (2, [(2, 0), (2, 1), (3, 1)], [3.0, 5.0, 2.0, 1.5], [0.2, 0.1, 0.3], [0.5, 0.25, 0.4]),
+    6: (
+        3,
+        [(3, 0), (3, 1), (4, 1), (4, 2), (5, 2)],
+        [3.0, 5.0, 4.0, 2.0, 1.5, 1.0],
+        [0.2, 0.1, 0.3, 0.15, 0.25],
+        [0.5, 0.25, 0.4, 0.3, 0.6],
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_VOLTERRA_TREES))
+def test_volterra_first_integral_is_conserved_at_n_species(n):
+    producers, entries, target, rates, conversions = _VOLTERRA_TREES[n]
+    a = np.zeros((n, n))
+    for (i, j), rate, conversion in zip(entries, rates, conversions):
+        a[j, i] -= rate
+        a[i, j] += conversion * rate
+    r = -a @ np.array(target)
+    weights = {entries[0][1]: 1.0}
+    while len(weights) < n:  # out along the tree from one producer
+        for (i, j), conversion in zip(entries, conversions):
+            if j in weights:
+                weights.setdefault(i, weights[j] / conversion)
+            elif i in weights:
+                weights[j] = weights[i] * conversion
+    d = np.array([weights[k] for k in range(n)])
+    np.testing.assert_allclose(d[:, None] * a, -(d[:, None] * a).T, rtol=0, atol=1e-15)
+    ids = [f"s{k}" for k in range(n)]
+    scenario = Scenario(
+        species=tuple(
+            SpeciesSpec(ids[k], role=Role.PRODUCER, growth_rate=r[k]) if k < producers
+            else SpeciesSpec(ids[k], role=Role.CONSUMER, trophic_level=1, growth_rate=-r[k])
+            for k in range(n)
+        ),
+        interactions=tuple(
+            InteractionSpec(ids[i], ids[j], InteractionKind.PREDATION, conversion, response=LinearResponse(rate))
+            for (i, j), rate, conversion in zip(entries, rates, conversions)
+        ),
+        initial_densities={ids[k]: x * f for k, (x, f) in enumerate(zip(target, [1.3, 0.8, 1.1, 0.7, 1.2, 0.9]))},
+        horizon=100.0,
+    )
+    x_star = np.linalg.solve(a, -r)
+    interior = [point for point in find_fixed_points(scenario) if np.all(point > 0)]
+    assert len(interior) == 1
+    np.testing.assert_allclose(interior[0], x_star, rtol=1e-9, atol=0)
+
+    def drift(**config):
+        values = integrate(replace(scenario, integrator=IntegratorConfig(**config))).values
+        v = (d * (values - x_star * np.log(values))).sum(axis=1)
+        return np.max(np.abs(v - v[0]))
+
+    coarse, fine = drift(method="rk4_fixed", step=0.05), drift(method="rk4_fixed", step=0.01)
+    # V is about 1 on both trees; RK4 drifted 3.9e-9 (n = 4) and 1.7e-8 (n = 6) at step 0.05
+    assert coarse < 1e-7
+    # fourth order: a fifth of the step leaves 5**-4 = 1/625 of the drift (1/726 and 1/790 observed)
+    assert fine < 2 * coarse / 5**4
+    # RKF45 drifted 8.5e-8 and 1.1e-7
+    assert drift(method="rk45_adaptive", step=0.01, rel_tol=1e-8) < 1e-6
 
 
 # The compiled kernel: one code object per scenario structure, with every

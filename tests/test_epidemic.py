@@ -422,6 +422,35 @@ def test_sis_complete_persistence_matches_generator_expm():
     assert sis_complete_persistence(n, beta, gamma) == pytest.approx(alive, abs=1e-6)
 
 
+def test_threshold_bracket_holds_the_exact_half_persistence_beta():
+    # criterion 07's call: K50, gamma = 1, a tenth of the nodes infected, horizon 60, 60 runs, 6 bisections
+    linalg = pytest.importorskip("scipy.linalg")
+    optimize = pytest.importorskip("scipy.optimize")
+    n, gamma, horizon = 50, 1.0, 60.0
+    start = len(epidemic.default_initial_infected(complete_graph(n)))
+
+    def alive(beta):
+        """P(infection at the horizon) from the birth-death chain of the infected count."""
+        generator = np.zeros((n + 1, n + 1))
+        for i in range(1, n + 1):
+            up, down = beta * i * (n - i), gamma * i
+            if i < n:
+                generator[i, i + 1] = up
+            generator[i, i - 1] = down
+            generator[i, i] = -(up + down)
+        return 1.0 - linalg.expm(horizon * generator)[start, 0]
+
+    exact = optimize.brentq(lambda beta: alive(beta) - 0.5, 0.005, 0.1, xtol=1e-12)
+    assert exact == pytest.approx(0.0303785, abs=1e-7)
+    estimate = estimate_threshold(
+        complete_graph(n), gamma, (0.005, 0.1), runs_per_point=60, persistence_horizon=horizon, n_bisections=6
+    )
+    low, high = estimate.bracket
+    assert (low, high) == pytest.approx((0.0302344, 0.0317188), abs=1e-7)
+    assert low < exact < high
+    assert (alive(low), alive(high)) == pytest.approx((0.484, 0.637), abs=1e-3)
+
+
 def test_binomial_band_tails():
     p = sis_complete_persistence(50, 0.08, 1.0)
     low, high = binomial_band(100, p, 5e-4)

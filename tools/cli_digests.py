@@ -29,10 +29,13 @@ budget, `run` on a document whose horizon is an integer too large for a
 float, `run` on one whose horizon is an integer past int()'s limit
 of 4300 digits, and the RK4 refusal paths: `run` on a symbiosis pair
 that diverges and on a community whose Ivlev response overflows in a
-stage (a non-finite derivative), and `run` on the arms-race document
-with the victim's self-limitation set to 0 and with its continuum entry
-naming an unknown species. For each command it prints one line per
-stdout, stderr, exit code and written file:
+stage (a non-finite derivative), the paths of RKF45's settle step:
+`run` on those two documents and on the dying predator's, each switched
+to rk45_adaptive from the initial step it has (two divergences, the
+second after a clamp, and an extinction, with `--csv --svg`), and `run`
+on the arms-race document with the victim's self-limitation set to 0 and
+with its continuum entry naming an unknown species. For each command it
+prints one line per stdout, stderr, exit code and written file:
 
     <command>  <what>  <sha256>
 
@@ -328,6 +331,15 @@ def digest_lines() -> list[str]:
                 with open(f"{name}.json", "w", encoding="utf-8") as handle:
                     json.dump(document, handle)
                 record("run", f"{name}.json")
+            for name, document in (("symbiosis-divergence", SYMBIOSIS_DIVERGENCE), ("ivlev-overflow", IVLEV_OVERFLOW),
+                                   ("extinction", EXTINCTION)):
+                integrator = dict(document.get("integrator", {}), method="rk45_adaptive")
+                with open(f"{name}-rk45.json", "w", encoding="utf-8") as handle:
+                    json.dump(dict(document, integrator=integrator), handle)
+            record("run", "symbiosis-divergence-rk45.json")
+            record("run", "ivlev-overflow-rk45.json")
+            record("run", "extinction-rk45.json", "--csv", "run-extinction-rk45.csv",
+                   "--svg", "run-extinction-rk45.svg")
             arms_race = json.loads(texts["arms-race"])
             attacker, victim = arms_race["species"]
             continuum_errors = {
