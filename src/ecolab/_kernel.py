@@ -36,7 +36,10 @@ __all__ = ["_Kernel", "_kernel", "_norm_margin", "_response_fn", "_solve1"]
 #   empty  numpy.empty      isfinite  math.isfinite      sqrt  math.sqrt
 #   solve1  the gufunc np.linalg.solve calls, numpy.linalg._umath_linalg.solve1
 # Generated locals never take one of these names: a local p<m> would shadow
-# the coefficient of mass-action entry m.
+# the coefficient of mass-action entry m.  `rhs` reads each bound name once
+# per call as it is; the loops `rk4_run` and `roots` first copy each bound
+# name they read into the local `_<name>` (`_g0 = g0`), once per call, and
+# then read only that local, a fast local in place of a namespace lookup.
 
 #: Compiled structures kept at once; a sweep over one scenario needs one or two.
 _KERNEL_CACHE_SIZE = 64
@@ -82,25 +85,36 @@ def _response_fn(fr: FunctionalResponse) -> Callable[[float], float]:
     raise TypeError(f"unknown functional response {fr!r}")
 
 
-def _derivative_lines(structure, x: str, d: str) -> list[str]:
+def _derivative_lines(structure, x: str, d: str, bound: str = "") -> list[str]:
     """Statements setting d<k> to the derivative at the state held in x<k>.
 
     Terms are added in a fixed order: growth, self-limitation, trophic
-    entries, then mass-action entries, each in declaration order.
+    entries, then mass-action entries, each in declaration order.  Each
+    coefficient is read as `bound` followed by its bound name.
     """
     n, limited, trophic, mass_action = structure
-    lines = [f"{d}{k} = g{k} * {x}{k}" for k in range(n)]
-    lines += [f"{d}{k} -= s{k} * {x}{k} * {x}{k}" for k in limited]
+    g, s, v, f, p, q = (bound + name for name in "gsvfpq")
+    lines = [f"{d}{k} = {g}{k} * {x}{k}" for k in range(n)]
+    lines += [f"{d}{k} -= {s}{k} * {x}{k} * {x}{k}" for k in limited]
     for m, (agg, victim, response) in enumerate(trophic):
-        consumed = f"f{m} * {x}{victim}" if response is LinearResponse else f"f{m}({x}{victim})"
+        consumed = f"{f}{m} * {x}{victim}" if response is LinearResponse else f"{f}{m}({x}{victim})"
         lines += [
             f"c = {consumed}",
             f"{d}{victim} -= c * {x}{agg}",
-            f"{d}{agg} += v{m} * c * {x}{agg}",
+            f"{d}{agg} += {v}{m} * c * {x}{agg}",
         ]
     for m, (i, j) in enumerate(mass_action):
-        lines += [f"{d}{i} += p{m} * {x}{i} * {x}{j}", f"{d}{j} += q{m} * {x}{i} * {x}{j}"]
+        lines += [f"{d}{i} += {p}{m} * {x}{i} * {x}{j}", f"{d}{j} += {q}{m} * {x}{i} * {x}{j}"]
     return lines
+
+
+def _local_copies(structure, fixed: tuple[str, ...]) -> list[str]:
+    """`_<name> = <name>` for each coefficient the structure binds, then for each name of `fixed`."""
+    n, limited, trophic, mass_action = structure
+    names = [f"g{k}" for k in range(n)] + [f"s{k}" for k in limited]
+    names += [f"{c}{m}" for m in range(len(trophic)) for c in "vf"]
+    names += [f"{c}{m}" for m in range(len(mass_action)) for c in "pq"]
+    return [f"_{name} = {name}" for name in (*names, *fixed)]
 
 
 def _names(prefix: str, n: int) -> str:
@@ -108,9 +122,9 @@ def _names(prefix: str, n: int) -> str:
 
 
 def _finite_test(prefixes, n: int) -> str:
-    """`_all_finite` of the values p<k>, prefix by prefix, as an expression."""
+    """`_all_finite` of the values p<k>, prefix by prefix, as an expression of the local `_isfinite`."""
     values = [f"{p}{k}" for p in prefixes for k in range(n)]
-    return f"isfinite({' + '.join(values)}) or {' and '.join(f'isfinite({v})' for v in values)}"
+    return f"_isfinite({' + '.join(values)}) or {' and '.join(f'_isfinite({v})' for v in values)}"
 
 
 def _squares(prefix: str, n: int) -> str:
@@ -143,19 +157,22 @@ def _emit_rk4_run(structure) -> str:
     a density the extinction clamp would change (lo is
     `extinction_epsilon`) or one above the divergence bound (hi).  That
     state is not written; it is returned as a list, after its offset and
-    before whether all 4n stage values are finite.
+    before whether all 4n stage values are finite.  Before its first step
+    it copies each bound value it reads, the coefficients and `isfinite`,
+    into a local (`_local_copies`), so the steps read only locals.
     """
     n = structure[0]
-    step = _derivative_lines(structure, "y", "k1_")
+    step = _derivative_lines(structure, "y", "k1_", "_")
     for stage, scale in ((2, "half"), (3, "half"), (4, "h")):
         step += [f"x{k} = y{k} + {scale} * k{stage - 1}_{k}" for k in range(n)]
-        step += _derivative_lines(structure, "x", f"k{stage}_")
+        step += _derivative_lines(structure, "x", f"k{stage}_", "_")
     step += [f"y{k} = y{k} + sixth * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})" for k in range(n)]
     in_bounds = " and ".join(f"(lo <= y{k} <= hi or y{k} == 0.0)" for k in range(n))
     stages_finite = _finite_test(("k1_", "k2_", "k3_", "k4_"), n)
     step += [f"if not ({in_bounds}):", f"    return i, [{_names('y', n)}], {stages_finite}"]
     step += [f"yw[i + {k}] = y{k}" if k else "yw[i] = y0" for k in range(n)]
-    run = [f"[{_names('y', n)}] = y", "for i in count:", *(f"    {line}" for line in step)]
+    run = [*_local_copies(structure, ("isfinite",)), f"[{_names('y', n)}] = y", "for i in count:"]
+    run += [f"    {line}" for line in step]
     return _function("rk4_run(y, h, half, sixth, count, lo, hi, yw)", run)
 
 
@@ -208,7 +225,10 @@ def _emit_roots(structure) -> str:
     (a flat view of the Jacobian, in C order); `solve1(jac, b, sol)`
     writes t into its buffer with the dd->d loop that float64 inputs
     select.  The accepted candidate's residual and float norm are kept
-    for the next step, not evaluated again.
+    for the next step, not evaluated again.  Before its first start it
+    copies each bound value it reads, the coefficients, `empty`,
+    `isfinite`, `sqrt` and `solve1`, into a local (`_local_copies`), so
+    the search reads only locals.
     """
     n = structure[0]
     # the range of float norms whose relative bound `roots` trusts, as source that compiles to constants
@@ -220,8 +240,8 @@ def _emit_roots(structure) -> str:
     for i in range(n):
         newton += [f"h = fd_step * (x{i} if x{i} > 1.0 else -x{i} if x{i} < -1.0 else 1.0)"]
         newton += [f"y{k} = x{k} + h" if k == i else f"y{k} = x{k}" for k in range(n)]
-        newton += _derivative_lines(structure, "y", "e")
-        newton += [f"y{i} = x{i} - h", *_derivative_lines(structure, "y", "u")]
+        newton += _derivative_lines(structure, "y", "e", "_")
+        newton += [f"y{i} = x{i} - h", *_derivative_lines(structure, "y", "u", "_")]
         newton += [
             f"if not ({_finite_test('eu', n)}):",
             "    break",
@@ -231,7 +251,7 @@ def _emit_roots(structure) -> str:
     # each decision on a residual norm is taken from the float norms when they are clear of the other
     # side by the margin, and from numpy's norms of the residuals written into `res` otherwise
     def exact(v: str, name: str = "exact") -> list[str]:  # numpy's norm of v<k>, set into `name`
-        return [*(f"rw[{k}] = {v}{k}" for k in range(n)), f"{name} = sqrt(res.dot(res))"]
+        return [*(f"rw[{k}] = {v}{k}" for k in range(n)), f"{name} = _sqrt(res.dot(res))"]
 
     def drop_unless_below_tol(dropped: str) -> list[str]:  # `dropped` is numpy's test of `exact`
         return [
@@ -246,15 +266,15 @@ def _emit_roots(structure) -> str:
     newton += [
         *(f"bw[{k}] = -d{k}" for k in range(n)),
         "try:",
-        "    solve1(jac, b, sol)",
+        "    _solve1(jac, b, sol)",
         "except FloatingPointError:",
         "    break",
         f"[{_names('t', n)}] = sw",
         "for lam in fractions:",
         *(f"    y{k} = x{k} + lam * t{k}" for k in range(n)),
-        *(f"    {line}" for line in _derivative_lines(structure, "y", "e")),
+        *(f"    {line}" for line in _derivative_lines(structure, "y", "e", "_")),
         f"    if {_finite_test('e', n)}:",
-        f"        trial = sqrt({_squares('e', n)})",
+        f"        trial = _sqrt({_squares('e', n)})",
         f"        if not (trial < norm * clear and {tiny} <= trial and norm <= {huge}):",
         f"            if trial * clear >= norm and {tiny} <= norm and trial <= {huge}:",
         "                continue",
@@ -275,10 +295,10 @@ def _emit_roots(structure) -> str:
         distance = f"max({distance})"
     per_start = [
         f"[{_names('x', n)}] = x",
-        *_derivative_lines(structure, "x", "d"),
+        *_derivative_lines(structure, "x", "d", "_"),
         f"if not ({_finite_test('d', n)}):",
         "    continue",
-        f"norm = sqrt({_squares('d', n)})",
+        f"norm = _sqrt({_squares('d', n)})",
         "for _ in iterations:",
         "    if norm < stop_clear:",
         "        break",
@@ -291,8 +311,8 @@ def _emit_roots(structure) -> str:
         f"if {' or '.join(f'x{k} < neg' for k in range(n))}:",
         "    continue",
         *(f"x{k} = x{k} if x{k} >= snap else 0.0" for k in range(n)),
-        *_derivative_lines(structure, "x", "d"),
-        f"norm = sqrt({_squares('d', n)})",
+        *_derivative_lines(structure, "x", "d", "_"),
+        f"norm = _sqrt({_squares('d', n)})",
         *drop_unless_below_tol("exact >= tol"),
         "for r in found:",
         f"    [{_names('y', n)}] = r",
@@ -302,13 +322,14 @@ def _emit_roots(structure) -> str:
         f"    found.append([{_names('x', n)}])",
     ]
     roots = [
-        f"jac = empty(({n}, {n}))",
+        *_local_copies(structure, ("empty", "isfinite", "sqrt", "solve1")),
+        f"jac = _empty(({n}, {n}))",
         'jw = memoryview(jac).cast("B").cast("d")',
-        f"b = empty({n})",
+        f"b = _empty({n})",
         "bw = memoryview(b)",
-        f"sol = empty({n})",
+        f"sol = _empty({n})",
         "sw = memoryview(sol)",
-        f"res = empty({n})",
+        f"res = _empty({n})",
         "rw = memoryview(res)",
         "clear = 1.0 - margin",
         "stop_clear = stop * clear",

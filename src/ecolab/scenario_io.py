@@ -54,7 +54,6 @@ __all__ = [
     "Document",
     "parse_scenario",
     "serialize_scenario",
-    "document_kind",
     "scenario_digest",
     "set_parameter",
     "write_csv",
@@ -111,7 +110,7 @@ _COVARIANCE_KEYS = (
 )
 
 
-def document_kind(document: Document) -> str:
+def _document_kind(document: Document) -> str:
     for kind, (document_type, _, _) in _CODECS.items():
         if isinstance(document, document_type):
             return kind
@@ -611,7 +610,7 @@ def parse_scenario(text: str) -> Document:
 
 def serialize_scenario(document: Document) -> str:
     """Canonical JSON text for a document; parse(serialize(x)) equals x."""
-    kind = document_kind(document)
+    kind = _document_kind(document)
     _, _, write = _CODECS[kind]
     payload = {"schema_version": SCHEMA_VERSION, "kind": kind, **write(document)}
     return json.dumps(payload, indent=2) + "\n"

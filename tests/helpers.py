@@ -161,8 +161,15 @@ def sis_complete_persistence(n: int, beta: float, gamma: float) -> float:
 
 def binomial_band(n_runs: int, p: float, tail: float) -> tuple[int, int]:
     """Narrowest count band [low, high] of Binomial(n_runs, p) whose lower
-    tail P(X < low) and upper tail P(X > high) are each at most `tail`."""
-    pmf = [math.comb(n_runs, k) * p**k * (1.0 - p) ** (n_runs - k) for k in range(n_runs + 1)]
+    tail P(X < low) and upper tail P(X > high) are each at most `tail`, for 0 < p < 1.
+
+    Each term is taken through logarithms, so that counts in the thousands
+    neither overflow the binomial coefficient nor underflow p**k."""
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n_runs + 1)
+    pmf = [
+        math.exp(log_n - math.lgamma(k + 1) - math.lgamma(n_runs - k + 1) + k * log_p + (n_runs - k) * log_q)
+        for k in range(n_runs + 1)
+    ]
     low, below = 0, 0.0
     while below + pmf[low] <= tail:
         below += pmf[low]

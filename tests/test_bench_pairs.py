@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import os
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -93,15 +95,20 @@ def test_group_record_sums_each_sides_operations():
 
 @pytest.mark.parametrize("change_correct, code", [(True, 0), (False, 1)])
 def test_main_exits_1_after_writing_when_a_run_is_not_correct(tmp_path, monkeypatch, change_correct, code):
+    checkouts = {}
+
     def fake_run(checkout, workload, seed, seconds, trace):
-        ok = checkout != bench_pairs.ROOT or change_correct  # ROOT is the change's checkout
+        ok = checkout != checkouts["change"] or change_correct
         return dict(run(2.0, correct=ok, failed=0 if ok else 1), machine={"commit": "x", "env": {}})
 
     monkeypatch.setattr(bench_pairs, "_git", lambda *args: "")
-    monkeypatch.setattr(bench_pairs, "extract", lambda commit, into: into)
+    monkeypatch.setattr(bench_pairs, "extract", lambda commit, into: checkouts.setdefault("base", into))
+    monkeypatch.setattr(bench_pairs, "copy_tracked", lambda into: checkouts.setdefault("change", into))
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     out = tmp_path / "pairs.json"
     assert bench_pairs.main(["--out", str(out), "--run", "document-runs:0:2"]) == code
+    # each side runs from its own temporary directory, neither from this checkout
+    assert len({checkouts["base"], checkouts["change"], bench_pairs.ROOT}) == 3
     group = json.loads(out.read_text())["groups"][0]
     assert group["all_correct"] is change_correct
     assert group["operations"] == {
@@ -119,3 +126,20 @@ def test_a_run_of_no_pairs_is_a_usage_error(spec, capsys):
         assert exit_info.value.code == 2
         assert f"PAIRS must be at least 1, got '{spec}'" in capsys.readouterr().err
     assert bench_pairs.parse_spec("community-sweep:11:1") == ("community-sweep", 11, 1)
+
+
+def test_the_change_side_is_a_copy_of_the_tracked_files(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "pkg" / "__pycache__").mkdir(parents=True)
+    (repo / "pkg" / "kept.py").write_text("committed\n")
+    (repo / "gone.py").write_text("deleted\n")
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", "pkg/kept.py", "gone.py"], cwd=repo, check=True)
+    (repo / "pkg" / "kept.py").write_text("edited\n")  # an unstaged edit is copied as it stands
+    (repo / "gone.py").unlink()  # a tracked file deleted from the working tree is not
+    (repo / "untracked.py").write_text("new\n")
+    (repo / "pkg" / "__pycache__" / "kept.cpython-311.pyc").write_bytes(b"\0")
+    monkeypatch.setattr(bench_pairs, "ROOT", str(repo))
+    copy = Path(bench_pairs.copy_tracked(str(tmp_path / "change")))
+    assert sorted(p.relative_to(copy).as_posix() for p in copy.rglob("*") if p.is_file()) == ["pkg/kept.py"]
+    assert (copy / "pkg" / "kept.py").read_text() == "edited\n"

@@ -1,3 +1,4 @@
+import dis
 import math
 import random
 import re
@@ -1020,10 +1021,22 @@ _KERNEL_NAME = re.compile(
     r"|starts|iterations|stop|fractions|neg|snap|tol|dedupe|margin|norm|trial|exact|exact_trial|lam"
     r"|jac|sol|res|[jbsry]w|clear|(?:stop|tol)_clear|found"
     r"|solve1|sqrt|dot|memoryview|cast|append|max|abs|isfinite|empty|FloatingPointError"
+    r"|_(?:[gsvfpq]\d+|empty|isfinite|sqrt|solve1)"
 )
 # the names `_kernel` binds in the namespace the code runs in, and the functions the code defines
 # there: a local of one of these would shadow it
 _BOUND_NAME = re.compile(r"[gsvfpq]\d+|empty|isfinite|sqrt|solve1|rhs|rk4_run|roots")
+
+
+def _bound_loads(code) -> tuple[list[str], int]:
+    """The bound names `code` loads from its namespace, in order, and how many it loads before its first loop."""
+    loads, before_loop = [], None
+    for instruction in dis.get_instructions(code):
+        if instruction.opname == "FOR_ITER" and before_loop is None:
+            before_loop = len(loads)
+        if instruction.opname == "LOAD_GLOBAL" and _BOUND_NAME.fullmatch(instruction.argval):
+            loads.append(instruction.argval)
+    return loads, len(loads) if before_loop is None else before_loop
 
 
 def _relabel(scenario, ids):
@@ -1089,6 +1102,17 @@ def test_one_structure_shares_one_code_object():
     fixed = {name for name in bound if not re.fullmatch(r"[gsvfpq]\d+", name)}
     assert fixed == {"empty", "isfinite", "sqrt", "solve1"}
     assert fixed <= {name for function in a for name in function.__code__.co_names}
+    # the loops read each bound name once per call, before their first loop, into the local `_<name>`
+    # and from then on only that local; `rhs`, with no loop, reads each bound name where it uses it
+    coefficients = {name for name in bound if re.fullmatch(r"[gsvfpq]\d+", name)}
+    for function, reads in ((a.rk4_run, coefficients | {"isfinite"}), (a.roots, coefficients | fixed)):
+        loads, before_loop = _bound_loads(function.__code__)
+        assert sorted(loads) == sorted(reads) and before_loop == len(loads)
+        assert {f"_{name}" for name in reads} <= set(function.__code__.co_varnames)
+    loads, _ = _bound_loads(a.rhs.__code__)
+    assert sorted(loads) == sorted(coefficients)
+    assert not any(name.startswith("_") for name in a.rhs.__code__.co_varnames)
+    assert not any(i.opname == "FOR_ITER" for i in dis.get_instructions(a.rhs.__code__))
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -460,6 +460,46 @@ def test_binomial_band_tails():
     assert sum(pmf[high + 1 :]) <= 5e-4 < sum(pmf[high:])
 
 
+def _sis_extinct_by(graph, beta, gamma, initial, horizon, linalg):
+    """P(no node infected at the horizon) from the 2^n-state SIS chain on `graph`.
+
+    State s holds the infected nodes as bits: a susceptible node becomes
+    infected at rate beta times its number of infected neighbours, and an
+    infected node recovers at rate gamma (Van Mieghem, Omic & Kooij 2009).
+    """
+    n = graph.n_nodes
+    generator = np.zeros((1 << n, 1 << n))
+    for s in range(1, 1 << n):
+        for v in range(n):
+            bit = 1 << v
+            if s & bit:
+                generator[s, s ^ bit] = gamma
+            else:
+                generator[s, s | bit] = beta * sum(s >> u & 1 for u in graph.adjacency[v])
+        generator[s, s] = -generator[s].sum()
+    return linalg.expm(horizon * generator)[sum(1 << v for v in initial), 0]
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        from_edges(6, [(k, k + 1) for k in range(5)]),
+        from_edges(8, [(0, k) for k in range(1, 8)]),
+        barabasi_albert(9, 2, seed=3),
+    ],
+    ids=["path-6", "star-8", "ba-9"],
+)
+def test_sis_extinctions_on_small_graphs_match_the_exact_chain(graph):
+    # the contact-graph event loop against the exact chain; the master seed and run count were fixed
+    # before the first run: 4000 runs of run_seed(0, k) from node 0 (the star's hub) at beta 1.2, horizon 4
+    linalg = pytest.importorskip("scipy.linalg")
+    n_runs, beta, gamma, horizon, initial = 4000, 1.2, 1.0, 4.0, frozenset({0})
+    low, high = binomial_band(n_runs, _sis_extinct_by(graph, beta, gamma, initial, horizon, linalg), 5e-4)
+    assert 0 < low and high < n_runs  # the band can tell a wrong extinction probability
+    alive = persistence_fraction(graph, beta, gamma, horizon, n_runs, master_seed=0, initial_infected=initial)
+    assert low <= n_runs - round(alive * n_runs) <= high
+
+
 def edge_digest(graph) -> str:
     return hashlib.sha256(repr(sorted(graph.edges)).encode()).hexdigest()
 

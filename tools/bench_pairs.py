@@ -4,9 +4,12 @@
         --run document-runs:0:10 --run document-runs:5:5 \
         --run community-sweep:0:3 --trace-run document-runs:0:1
 
-The change is this checkout as it stands; the base is a commit (`--base`,
-default HEAD, so HEAD~1 once the change is committed), extracted with
-`git archive` into a temporary directory. Each `--run WORKLOAD:SEED:PAIRS`
+The change is this checkout's tracked files (`git ls-files`, so a new file
+counts once it is added) with their contents as they stand, copied into a
+temporary directory; the base is a commit (`--base`, default HEAD, so
+HEAD~1 once the change is committed), extracted with `git archive` into
+another. So neither side runs with this checkout's `__pycache__` or
+untracked files. Each `--run WORKLOAD:SEED:PAIRS`
 runs each side's own `bench/run.py` on its own `src/` PAIRS times,
 alternating which side goes first; `--trace-run` does the same with
 `--trace 1`. Every run lasts BENCHMARK.json's `run_seconds`.
@@ -37,6 +40,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -59,6 +63,18 @@ def extract(commit: str, into: str) -> str:
     archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, capture_output=True, check=True)
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
         tar.extractall(into, filter="data")
+    return into
+
+
+def copy_tracked(into: str) -> str:
+    """Copy the working tree's tracked files, with their current contents, into the directory `into`."""
+    listed = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, capture_output=True, check=True).stdout
+    for name in os.fsdecode(listed).split("\0"):
+        source = os.path.join(ROOT, name)
+        if name and os.path.isfile(source):  # a tracked file deleted from the working tree is left out
+            target = os.path.join(into, name)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy(source, target)
     return into
 
 
@@ -185,7 +201,10 @@ def main(argv=None) -> int:
         "groups": [],
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
-        checkouts = {"base": extract(base_commit, scratch), "change": ROOT}
+        checkouts = {
+            "base": extract(base_commit, os.path.join(scratch, "base")),
+            "change": copy_tracked(os.path.join(scratch, "change")),
+        }
         jobs = [(spec, 0) for spec in args.run] + [(spec, 1) for spec in args.trace_run]
         for (workload, seed, n_pairs), trace in jobs:
             pairs = []
