@@ -137,10 +137,9 @@ def _malware_epidemic() -> EpidemicBundle:
     graph (~0.086), so the infection settles into a metastable prevalence
     instead of dying out.
     """
-    recipe = {"n": 200, "m": 3, "seed": 7}
     return EpidemicBundle(
         model=EpidemicModel(
-            graph=barabasi_albert(**recipe),
+            graph=barabasi_albert(200, 3, seed=7),
             kind=EpidemicKind.SIS,
             beta=0.25,
             gamma=1.0,
@@ -149,7 +148,6 @@ def _malware_epidemic() -> EpidemicBundle:
         ),
         horizon=40.0,
         sample_dt=0.5,
-        graph_spec={"generator": "barabasi_albert", **recipe},
     )
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -42,16 +43,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on nodes 0..n_nodes-1."""
+    """Undirected simple graph on nodes 0..n_nodes-1; a generated graph also keeps its generator's `recipe`."""
 
     n_nodes: int
     edges: frozenset[tuple[int, int]]
+    recipe: tuple[str, tuple] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_nodes <= 0:
             raise ValueError("n_nodes must be positive")
+        object.__setattr__(self, "n_nodes", operator.index(self.n_nodes))
         normalized = set()
         for u, v in self.edges:
+            u, v = operator.index(u), operator.index(v)
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
@@ -60,13 +64,14 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(normalized))
 
     @classmethod
-    def _built(cls, n_nodes: int, edges: frozenset[tuple[int, int]]) -> Graph:
-        """A generator's graph: its edges are in range and (u, v) with u < v by construction, so unchecked."""
+    def _built(cls, n_nodes: int, edges: frozenset[tuple[int, int]], recipe: tuple[str, tuple]) -> Graph:
+        """A generator's graph, with its recipe: edges in range and u < v by construction, so unchecked."""
         if n_nodes <= 0:
             raise ValueError("n_nodes must be positive")
         graph = object.__new__(cls)
-        object.__setattr__(graph, "n_nodes", n_nodes)
+        object.__setattr__(graph, "n_nodes", operator.index(n_nodes))
         object.__setattr__(graph, "edges", edges)
+        object.__setattr__(graph, "recipe", recipe)
         return graph
 
     @property
@@ -90,7 +95,7 @@ class Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph._built(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
+    return Graph._built(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)), ("complete", (n,)))
 
 
 def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
@@ -103,7 +108,7 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
         for v in range(u + 1, n):
             if rng.random() < p:
                 edges.add((u, v))
-    return Graph._built(n, frozenset(edges))
+    return Graph._built(n, frozenset(edges), ("erdos_renyi", (n, p, seed)))
 
 
 class _FenwickTree:
@@ -169,7 +174,7 @@ def barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
             degree.add(t, 1)
         degree.add(new, m)
         total += 2 * m
-    return Graph._built(n, frozenset(edges))
+    return Graph._built(n, frozenset(edges), ("barabasi_albert", (n, m, seed)))
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -227,7 +232,7 @@ class EpidemicModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", EpidemicKind(self.kind))
-        object.__setattr__(self, "initial_infected", frozenset(int(v) for v in self.initial_infected))
+        object.__setattr__(self, "initial_infected", frozenset(map(operator.index, self.initial_infected)))
         if not self.initial_infected:
             raise ValueError("initial_infected must not be empty")
         for node in self.initial_infected:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+import operator
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from typing import Any, Union
 
@@ -69,14 +70,24 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class EpidemicBundle:
+    """An epidemic document: `model` run to `horizon`, sampled every `sample_dt`.
+
+    `recipe` is the graph's generator recipe in document form (ints through `operator.index`, `p` a float),
+    written in place of the edges; None for any other graph, or for an argument such as a str seed."""
+
     model: EpidemicModel
     horizon: float
     sample_dt: float
-    graph_spec: dict | None = None
+    recipe: tuple[str, tuple] | None = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.graph_spec is not None:
-            object.__setattr__(self, "graph_spec", dict(self.graph_spec))
+        try:
+            generator, args = self.model.graph.recipe
+            readers = _GENERATORS[generator][1].values()
+            recipe = generator, tuple(float(a) if r is _number else operator.index(a) for r, a in zip(readers, args))
+        except TypeError:  # no recipe, or an argument that a document field cannot hold
+            recipe = None
+        object.__setattr__(self, "recipe", recipe)
 
 
 @dataclass(frozen=True)
@@ -308,15 +319,13 @@ _GENERATORS = {
 }
 
 
-def _build_graph(raw: dict, path: str) -> tuple[Graph, dict | None]:
-    """The graph and its generator recipe; an explicit graph has none, since its edges are written from the graph."""
+def _build_graph(raw: dict, path: str) -> Graph:
     raw = _require_object(raw, path)
     generator = _string(raw, "generator", path)
     if generator in _GENERATORS:
         build, params = _GENERATORS[generator]
         _check_keys(raw, path, {"generator", *params} - {"seed"}, {"seed"} & set(params))
         args = [read(raw, key, path, 0) for key, read in params.items()]
-        spec = {"generator": generator, **dict(zip(params, args))}
     elif generator == "explicit":
         _check_keys(raw, path, {"generator", "n", "edges"}, set())
         edges_raw = raw["edges"]
@@ -332,14 +341,14 @@ def _build_graph(raw: dict, path: str) -> tuple[Graph, dict | None]:
                 raise ParseError(f"{path}.edges[{k}]: expected [u, v] with integer nodes")
             edges.append((pair[0], pair[1]))
         n = _integer(raw, "n", path)
-        build, args, spec = from_edges, (n, edges), None
+        build, args = from_edges, (n, edges)
     else:
         raise ParseError(
             f"{path}.generator: unknown generator {generator!r} "
             f"({', '.join([*_GENERATORS, 'explicit'])})"
         )
     try:
-        return build(*args), spec
+        return build(*args)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -351,7 +360,7 @@ def _parse_epidemic(data: dict) -> EpidemicBundle:
         {"kind", "graph", "model", "beta", "gamma", "initial_infected", "horizon"},
         {"schema_version", "seed", "sample_dt"},
     )
-    graph, graph_spec = _build_graph(data["graph"], "document.graph")
+    graph = _build_graph(data["graph"], "document.graph")
     model_raw = _string(data, "model", "document")
     if model_raw not in ("sis", "sir"):
         raise ParseError(f"document.model: expected 'sis' or 'sir', got {model_raw!r}")
@@ -380,7 +389,7 @@ def _parse_epidemic(data: dict) -> EpidemicBundle:
     sample_dt = _number(data, "sample_dt", "document", default=1.0)
     if sample_dt <= 0:
         raise ParseError("document.sample_dt: must be > 0")
-    return EpidemicBundle(model=model, horizon=horizon, sample_dt=sample_dt, graph_spec=graph_spec)
+    return EpidemicBundle(model=model, horizon=horizon, sample_dt=sample_dt)
 
 
 def _parse_gradient(raw: Any, path: str) -> GradientSpec:
@@ -497,9 +506,9 @@ def _community_to_json(scenario: Scenario) -> dict:
 
 
 def _graph_to_json(bundle: EpidemicBundle) -> dict:
-    if bundle.graph_spec is not None:
-        _, params = _GENERATORS.get(bundle.graph_spec.get("generator"), (None, {}))
-        return {key: float(v) if params.get(key) is _number else v for key, v in bundle.graph_spec.items()}
+    if bundle.recipe is not None:
+        generator, args = bundle.recipe
+        return {"generator": generator, **dict(zip(_GENERATORS[generator][1], args))}
     return {
         "generator": "explicit",
         "n": bundle.model.graph.n_nodes,

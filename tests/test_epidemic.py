@@ -81,6 +81,18 @@ class TestGraphs:
         with pytest.raises(ValueError, match="outside node range"):
             from_edges(3, [(0, 5)])
 
+    @pytest.mark.parametrize(
+        "n, edges", [(3, [(0, 1.0)]), (3, [(0.0, 2)]), (3.0, [(0, 1)])], ids=["float-node", "float-first", "float-n"]
+    )
+    def test_node_indices_are_integers(self, n, edges):
+        with pytest.raises(TypeError):
+            from_edges(n, edges)
+
+    def test_int_like_nodes_become_ints(self):
+        graph = from_edges(np.int64(4), [(True, np.int64(3)), (np.int64(2), 0)])
+        assert graph.edges == frozenset({(1, 3), (0, 2)})
+        assert all(type(x) is int for x in [graph.n_nodes, *itertools.chain(*graph.edges)])
+
     def test_duplicate_and_reversed_edges_normalize(self):
         graph = from_edges(3, [(0, 1), (1, 0), (0, 1), (2, 1)])
         assert graph.edges == frozenset({(0, 1), (1, 2)})
@@ -235,6 +247,8 @@ class TestSimulation:
             EpidemicModel(graph=complete_graph(5), initial_infected=frozenset())
         with pytest.raises(ValueError, match="outside range"):
             EpidemicModel(graph=complete_graph(5), initial_infected=frozenset({9}))
+        with pytest.raises(TypeError):
+            EpidemicModel(graph=complete_graph(3), initial_infected={0.5, 1.9})
         with pytest.raises(ValueError):
             EpidemicModel(graph=complete_graph(5), beta=-0.1)
         with pytest.raises(ValueError):
@@ -486,8 +500,10 @@ def _sis_extinct_by(graph, beta, gamma, initial, horizon, linalg):
         from_edges(6, [(k, k + 1) for k in range(5)]),
         from_edges(8, [(0, k) for k in range(1, 8)]),
         barabasi_albert(9, 2, seed=3),
+        from_edges(7, [(k, (k + 1) % 7) for k in range(7)]),
+        erdos_renyi(9, 0.4, seed=1),
     ],
-    ids=["path-6", "star-8", "ba-9"],
+    ids=["path-6", "star-8", "ba-9", "cycle-7", "er-9"],
 )
 def test_sis_extinctions_on_small_graphs_match_the_exact_chain(graph):
     # the contact-graph event loop against the exact chain; the master seed and run count were fixed
@@ -497,6 +513,45 @@ def test_sis_extinctions_on_small_graphs_match_the_exact_chain(graph):
     low, high = binomial_band(n_runs, _sis_extinct_by(graph, beta, gamma, initial, horizon, linalg), 5e-4)
     assert 0 < low and high < n_runs  # the band can tell a wrong extinction probability
     alive = persistence_fraction(graph, beta, gamma, horizon, n_runs, master_seed=0, initial_infected=initial)
+    assert low <= n_runs - round(alive * n_runs) <= high
+
+
+def _sir_extinct_by(graph, beta, gamma, initial, horizon, linalg):
+    """P(no node infected at the horizon) from the 3^n-state SIR chain on `graph`.
+
+    Base-3 digit v of state s is node v's state: 0 susceptible, 1 infected, 2 recovered.  A
+    susceptible node becomes infected at rate beta times its number of infected neighbours and an
+    infected node recovers for good at rate gamma; either event adds 3^v to the state.
+    """
+    n = graph.n_nodes
+    generator = np.zeros((3**n, 3**n))
+    for s in range(3**n):
+        digits = [s // 3**v % 3 for v in range(n)]
+        for v in range(n):
+            if digits[v] == 1:
+                generator[s, s + 3**v] = gamma
+            elif digits[v] == 0:
+                generator[s, s + 3**v] = beta * sum(digits[u] == 1 for u in graph.adjacency[v])
+        generator[s, s] = -generator[s].sum()
+    final = linalg.expm(horizon * generator)[sum(3**v for v in initial)]
+    return sum(final[s] for s in range(3**n) if 1 not in [s // 3**v % 3 for v in range(n)])
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [from_edges(7, [(k, k + 1) for k in range(6)]), from_edges(6, [(0, k) for k in range(1, 6)])],
+    ids=["path-7", "star-6"],
+)
+def test_sir_extinctions_on_small_graphs_match_the_exact_chain(graph):
+    # the master seed and run count were fixed before the first run: 4000 runs of run_seed(0, k)
+    # from node 0 (the path's end, the star's hub) at beta 1.5, horizon 2
+    linalg = pytest.importorskip("scipy.linalg")
+    n_runs, beta, gamma, horizon, initial = 4000, 1.5, 1.0, 2.0, frozenset({0})
+    low, high = binomial_band(n_runs, _sir_extinct_by(graph, beta, gamma, initial, horizon, linalg), 5e-4)
+    assert 0 < low and high < n_runs  # the band can tell a wrong extinction probability
+    alive = persistence_fraction(
+        graph, beta, gamma, horizon, n_runs, master_seed=0, kind=EpidemicKind.SIR, initial_infected=initial
+    )
     assert low <= n_runs - round(alive * n_runs) <= high
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import fields, is_dataclass, replace
@@ -11,6 +12,7 @@ from ecolab import (
     ContinuumParams,
     EpidemicKind,
     EpidemicModel,
+    Graph,
     HollingTypeII,
     IntegratorConfig,
     InteractionKind,
@@ -41,7 +43,14 @@ from ecolab import (
     write_csv,
 )
 from ecolab.demos import DEMO_NAMES, demo_document
-from ecolab.scenario_io import CSV_BLOCK_ROWS, DiscreteBundle, EpidemicBundle, GradientSpec, SelectionBundle
+from ecolab.scenario_io import (
+    _GENERATORS,
+    CSV_BLOCK_ROWS,
+    DiscreteBundle,
+    EpidemicBundle,
+    GradientSpec,
+    SelectionBundle,
+)
 from ecolab.svg import BLOCK_POINTS, MARGIN_LEFT, MARGIN_TOP, PLOT_H, PLOT_W, polyline_chart
 from ecolab.svg import escape as svg_escape
 
@@ -142,7 +151,7 @@ class TestParse:
         assert bundle.sample_dt == 1.0  # default
         assert bundle.model.seed == 0
 
-    def test_epidemic_without_graph_spec_writes_explicit_edges(self):
+    def test_a_graph_without_a_recipe_writes_explicit_edges(self):
         model = EpidemicModel(
             graph=from_edges(5, [(3, 1), (0, 4), (1, 0)]),
             kind=EpidemicKind.SIR,
@@ -244,17 +253,15 @@ def epidemic_documents(draw):
     n, seed = draw(st.integers(3, 12)), draw(st.integers(0, 3))
     generator = draw(st.sampled_from(["complete", "erdos_renyi", "barabasi_albert", "explicit"]))
     if generator == "complete":
-        graph, spec = complete_graph(n), {"generator": generator, "n": n}
+        graph = complete_graph(n)
     elif generator == "erdos_renyi":
-        p = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
-        graph, spec = erdos_renyi(n, p, seed), {"generator": generator, "n": n, "p": p, "seed": seed}
+        graph = erdos_renyi(n, draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)), seed)
     elif generator == "barabasi_albert":
-        m = draw(st.integers(1, n - 1))
-        graph, spec = barabasi_albert(n, m, seed), {"generator": generator, "n": n, "m": m, "seed": seed}
+        graph = barabasi_albert(n, draw(st.integers(1, n - 1)), seed)
     else:
-        graph, spec = erdos_renyi(n, 0.5, seed), None
+        graph = from_edges(n, erdos_renyi(n, 0.5, seed).edges)
     model = EpidemicModel(graph, draw(st.sampled_from(EpidemicKind)), draw(_FLOATS), draw(_POSITIVE), {0}, seed)
-    return EpidemicBundle(model, draw(_POSITIVE), draw(_POSITIVE), graph_spec=spec)
+    return EpidemicBundle(model, draw(_POSITIVE), draw(_POSITIVE))
 
 
 @st.composite
@@ -304,8 +311,12 @@ DOCUMENTS = st.one_of(
 def _ints_for_floats(value):
     """`value` with each integral float in it, through dataclasses, tuples and dicts, replaced by an equal int.
 
-    -0.0 stays: JSON writes it apart from 0, and whether the two are one input is an open question.
+    A generated graph is built again from its recipe, since `replace` would drop the recipe. -0.0 stays:
+    JSON writes it apart from 0, and whether the two are one input is an open question.
     """
+    if isinstance(value, Graph) and value.recipe is not None:
+        generator, args = value.recipe
+        return _GENERATORS[generator][0](*_ints_for_floats(args))
     if isinstance(value, float):
         return int(value) if value.is_integer() and repr(value) != "-0.0" else value
     if isinstance(value, tuple):
@@ -352,6 +363,72 @@ class TestRoundTrip:
         demo = demo_document("lv-classic")
         assert replace(demo, horizon=int(demo.horizon)) == demo
         assert scenario_digest(replace(demo, horizon=int(demo.horizon))) == scenario_digest(demo)
+
+
+def _bundle(graph) -> EpidemicBundle:
+    return EpidemicBundle(EpidemicModel(graph), 1.0, 1.0)
+
+
+def _written_graph(bundle: EpidemicBundle) -> dict:
+    return json.loads(serialize_scenario(bundle))["graph"]
+
+
+class TestGraphRecipe:
+    """A generated graph carries its recipe, so an epidemic document states its graph once."""
+
+    def test_a_bundle_takes_no_second_statement_of_its_graph(self):
+        disagreeing = {"generator": "complete", "n": 10}  # a second statement of the graph, which could disagree
+        with pytest.raises(TypeError):
+            EpidemicBundle(EpidemicModel(complete_graph(5)), 1.0, 1.0, **{"graph_spec": disagreeing})
+        assert [f.name for f in fields(EpidemicBundle) if f.init] == ["model", "horizon", "sample_dt"]
+        assert _written_graph(_bundle(complete_graph(5))) == {"generator": "complete", "n": 5}
+
+    def test_a_recipe_without_its_seed_round_trips_with_one_digest(self):
+        bundle = _bundle(barabasi_albert(20, 2))
+        assert _written_graph(bundle) == {"generator": "barabasi_albert", "n": 20, "m": 2, "seed": 0}
+        text = serialize_scenario(bundle)
+        assert parse_scenario(text) == bundle
+        assert scenario_digest(parse_scenario(text)) == scenario_digest(bundle)
+        seedless = json.loads(text)
+        seedless["graph"] = {"generator": "barabasi_albert", "n": 20, "m": 2}
+        assert parse_scenario(json.dumps(seedless)) == bundle
+        assert scenario_digest(parse_scenario(json.dumps(seedless))) == scenario_digest(bundle)
+
+    def test_a_generated_graph_and_its_edges_are_two_documents(self):
+        graph = barabasi_albert(30, 3, seed=4)
+        generated, explicit = _bundle(graph), _bundle(from_edges(30, graph.edges))
+        assert generated.model == explicit.model  # a graph is its nodes and edges
+        assert generated != explicit
+        assert scenario_digest(generated) != scenario_digest(explicit)
+        assert _written_graph(explicit)["generator"] == "explicit"
+
+    @pytest.mark.parametrize("n, seed", [(6, 0), (12, 3)])
+    def test_an_int_edge_probability_keeps_the_digest(self, n, seed):
+        as_int, as_float = _bundle(erdos_renyi(n, 1, seed)), _bundle(erdos_renyi(n, 1.0, seed))
+        assert as_int == as_float
+        assert scenario_digest(as_int) == scenario_digest(as_float)
+        assert _written_graph(as_int) == {"generator": "erdos_renyi", "n": n, "p": 1.0, "seed": seed}
+
+    def test_numpy_int_arguments_are_written_as_ints(self):
+        bundle = _bundle(erdos_renyi(np.int64(7), 0.5, seed=2))
+        assert _written_graph(bundle) == {"generator": "erdos_renyi", "n": 7, "p": 0.5, "seed": 2}
+        assert parse_scenario(serialize_scenario(bundle)) == bundle
+
+    @pytest.mark.parametrize("seed", ["abc", 2.5, 2.0])
+    def test_an_argument_a_document_cannot_hold_writes_explicit_edges(self, seed):
+        bundle = _bundle(erdos_renyi(8, 0.5, seed))
+        assert bundle.recipe is None
+        assert _written_graph(bundle)["generator"] == "explicit"
+        parsed = parse_scenario(serialize_scenario(bundle))
+        assert parsed == bundle
+        assert scenario_digest(parsed) == scenario_digest(bundle)
+
+    def test_bool_and_numpy_int_nodes_write_a_document_that_parses(self):
+        for graph in (from_edges(3, [(True, 2), (0, 2)]), from_edges(np.int64(3), [(np.int64(1), np.int64(2))])):
+            bundle = _bundle(graph)
+            written = _written_graph(bundle)
+            assert all(type(x) is int for x in [written["n"], *itertools.chain(*written["edges"])])
+            assert parse_scenario(serialize_scenario(bundle)) == bundle
 
 
 class TestCsv:
@@ -1041,19 +1118,15 @@ def epidemics(draw) -> EpidemicBundle:
     seed = draw(st.integers(0, 2**31))
     generator = draw(st.sampled_from(["complete", "erdos_renyi", "barabasi_albert", "explicit"]))
     if generator == "complete":
-        spec = {"generator": generator, "n": n}
         contacts = complete_graph(n)
     elif generator == "erdos_renyi":
-        spec = {"generator": generator, "n": n, "p": draw(st.floats(0.0, 1.0)), "seed": seed}
-        contacts = erdos_renyi(n, spec["p"], seed)
+        contacts = erdos_renyi(n, draw(st.floats(0.0, 1.0)), seed)
     elif generator == "barabasi_albert":
-        spec = {"generator": generator, "n": n, "m": draw(st.integers(1, n - 1)), "seed": seed}
-        contacts = barabasi_albert(n, spec["m"], seed)
+        contacts = barabasi_albert(n, draw(st.integers(1, n - 1)), seed)
     else:
         node = st.integers(0, n - 1)
         edges = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=40))
-        spec = None  # an explicit graph is written from its edges
-        contacts = from_edges(n, edges)
+        contacts = from_edges(n, edges)  # an explicit graph is written from its edges
     model = EpidemicModel(
         graph=contacts,
         kind=draw(st.sampled_from(EpidemicKind)),
@@ -1062,7 +1135,7 @@ def epidemics(draw) -> EpidemicBundle:
         initial_infected=frozenset(draw(st.lists(st.integers(0, n - 1), min_size=1))),
         seed=seed,
     )
-    return EpidemicBundle(model, draw(POSITIVE), draw(POSITIVE), graph_spec=spec)
+    return EpidemicBundle(model, draw(POSITIVE), draw(POSITIVE))
 
 
 GRADIENTS = st.one_of(

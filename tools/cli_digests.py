@@ -8,6 +8,8 @@ Every command runs in-process through `ecolab.cli_main`, imported from
 `--src` (default: this checkout's `src/`): each demo with and without
 `--emit`, `run --csv --svg` on each demo's document, on the three extra
 documents of the benchmark's document-runs workload, on an SIR epidemic,
+on an SIS epidemic over the recipe `{"generator": "complete", "n": 30}`
+and on one over a `barabasi_albert` recipe that leaves out its seed,
 on a predator-prey community whose predator dies out and on one whose
 horizon ends in a shorter RK4 step (the remainder step), `stability` on
 the community documents, one arms-race `sweep` over the continuum dial,
@@ -78,6 +80,30 @@ SIR_EPIDEMIC = {
     "initial_infected": [0, 1],
     "seed": 5,
     "horizon": 15.0,
+    "sample_dt": 1.0,
+}
+# SIS over K30 stated by its recipe: the run takes the complete-graph event loop
+K30_EPIDEMIC = {
+    "kind": "epidemic",
+    "graph": {"generator": "complete", "n": 30},
+    "model": "sis",
+    "beta": 0.1,
+    "gamma": 1.0,
+    "initial_infected": [0, 1, 2],
+    "seed": 9,
+    "horizon": 10.0,
+    "sample_dt": 0.5,
+}
+# SIS over a preferential-attachment graph whose recipe leaves out the optional seed
+BA_SEEDLESS_EPIDEMIC = {
+    "kind": "epidemic",
+    "graph": {"generator": "barabasi_albert", "n": 60, "m": 2},
+    "model": "sis",
+    "beta": 0.3,
+    "gamma": 1.0,
+    "initial_infected": [0, 5],
+    "seed": 2,
+    "horizon": 12.0,
     "sample_dt": 1.0,
 }
 # the predator's decline outruns its gain from the prey: it dies out near t = 11.46
@@ -243,8 +269,9 @@ def digest_lines() -> list[str]:
                 record("demo", demo, "--csv", f"demo-{demo}.csv", "--svg", f"demo-{demo}.svg")
             texts = {name: text for name, text in texts.items() if text}
             texts.update(_documents(workdir))
-            texts.update({"sir-epidemic": json.dumps(SIR_EPIDEMIC), "extinction": json.dumps(EXTINCTION),
-                          "remainder": json.dumps(REMAINDER)})
+            texts.update({"sir-epidemic": json.dumps(SIR_EPIDEMIC), "k30-epidemic": json.dumps(K30_EPIDEMIC),
+                          "ba-seedless-epidemic": json.dumps(BA_SEEDLESS_EPIDEMIC),
+                          "extinction": json.dumps(EXTINCTION), "remainder": json.dumps(REMAINDER)})
             for name, text in texts.items():
                 with open(f"{name}.json", "w", encoding="utf-8") as handle:
                     handle.write(text)
