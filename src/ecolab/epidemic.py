@@ -65,11 +65,11 @@ class Graph:
 
     @classmethod
     def _built(cls, n_nodes: int, edges: frozenset[tuple[int, int]], recipe: tuple[str, tuple]) -> Graph:
-        """A generator's graph, with its recipe: edges in range and u < v by construction, so unchecked."""
+        """A generator's graph, with its recipe: an int node count, edges in range and u < v by construction."""
         if n_nodes <= 0:
             raise ValueError("n_nodes must be positive")
         graph = object.__new__(cls)
-        object.__setattr__(graph, "n_nodes", operator.index(n_nodes))
+        object.__setattr__(graph, "n_nodes", n_nodes)
         object.__setattr__(graph, "edges", edges)
         object.__setattr__(graph, "recipe", recipe)
         return graph
@@ -95,11 +95,13 @@ class Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    n = operator.index(n)
     return Graph._built(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)), ("complete", (n,)))
 
 
 def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     """Independent edge sampling; deterministic for a given seed."""
+    n = operator.index(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)
@@ -111,68 +113,47 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     return Graph._built(n, frozenset(edges), ("erdos_renyi", (n, p, seed)))
 
 
-class _FenwickTree:
-    """Integer weights at positions 0..size-1 with O(log size) prefix sums (Fenwick 1994)."""
-
-    __slots__ = ("tree", "top")
-
-    def __init__(self, size: int) -> None:
-        self.tree = [0] * (size + 1)
-        self.top = 1 << (size.bit_length() - 1)
-
-    def add(self, pos: int, delta: int) -> None:
-        tree = self.tree
-        size = len(tree)
-        i = pos + 1
-        while i < size:
-            tree[i] += delta
-            i += i & -i
-
-    def find(self, target: float) -> int:
-        """Smallest position whose prefix sum, itself included, exceeds target.
-
-        The prefix is an exact integer compared with the float target, so
-        this picks what a left-to-right `target < acc` scan picks.
-        """
-        tree = self.tree
-        size = len(tree) - 1
-        pos = 0
-        acc = 0
-        step = self.top
-        while step:
-            up = pos + step
-            if up <= size and acc + tree[up] <= target:
-                pos = up
-                acc += tree[up]
-            step >>= 1
-        return pos
-
-
 def barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
     """Preferential attachment growth, deterministic for a given seed.
 
     Starts from a clique on m+1 nodes; every later node attaches exactly
     m edges to distinct targets drawn proportionally to degree (sampling
-    without replacement, degrees taken as of the node's arrival).  A
-    Fenwick tree over the degrees makes each draw O(log n).
+    without replacement, degrees taken as of the node's arrival).  The
+    degrees sit in one Fenwick list (Fenwick 1994), padded to a power of
+    two and walked with integer steps, so each draw is O(log n).
     """
+    n, m = operator.index(n), operator.index(m)
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
     rng = random.Random(seed)
     # the pairs are distinct and (u, v) with u < v by construction: one list, one frozenset
     edges = [(u, v) for u in range(m + 1) for v in range(u + 1, m + 1)]
-    degree = _FenwickTree(n)
-    for u in range(m + 1):
-        degree.add(u, m)
+    # every node arrives with degree m, so the list starts with m at every position; a draw
+    # below `total`, the degree sum of the nodes placed so far, never reaches a later node,
+    # nor reads the whole sum at index `size`, so the list stops below it
+    size = 1 << (n - 1).bit_length()
+    tree = [m * (i & -i) for i in range(size)]
+    steps = [size >> k for k in range(1, size.bit_length())]
     total = m * (m + 1)
     for new in range(m + 1, n):
         targets: set[int] = set()
         while len(targets) < m:
-            targets.add(degree.find(rng.random() * total))
+            # the prefix sums are integers and the draw is >= 0, so `prefix <= draw` is
+            # `prefix <= floor(draw)`: the first node whose prefix exceeds the draw
+            rest = int(rng.random() * total)
+            pos = 0
+            for step in steps:
+                weight = tree[pos + step]
+                if weight <= rest:
+                    pos += step
+                    rest -= weight
+            targets.add(pos)
         for t in targets:
             edges.append((t, new))
-            degree.add(t, 1)
-        degree.add(new, m)
+            i = t + 1
+            while i < size:
+                tree[i] += 1
+                i += i & -i
         total += 2 * m
     return Graph._built(n, frozenset(edges), ("barabasi_albert", (n, m, seed)))
 
@@ -233,6 +214,7 @@ class EpidemicModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", EpidemicKind(self.kind))
         object.__setattr__(self, "initial_infected", frozenset(map(operator.index, self.initial_infected)))
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if not self.initial_infected:
             raise ValueError("initial_infected must not be empty")
         for node in self.initial_infected:

@@ -48,13 +48,14 @@ def test_two_runs_print_the_same_lines():
     assert exits["run symbiosis-divergence.json"] == exits["run ivlev-overflow.json"] == "2"
     assert exits["run symbiosis-divergence-rk45.json"] == exits["run ivlev-overflow-rk45.json"] == "2"
     assert exits["run continuum-no-self-limitation.json"] == exits["run continuum-unknown-species.json"] == "1"
-    assert len(commands) == 62
+    assert len(commands) == 63
     written = [line for line in first if line.split("\t")[1] not in ("stdout", "stderr", "exit")]
-    # CSV and SVG of 5 demos and 13 runs, and the three sweeps' CSVs; a failed run writes nothing
-    assert len(written) == 2 * (5 + 13) + 3
+    # CSV and SVG of 5 demos and 14 runs, and the three sweeps' CSVs; a failed run writes nothing
+    assert len(written) == 2 * (5 + 14) + 3
     assert {"run sir-epidemic.json --csv run-sir-epidemic.csv --svg run-sir-epidemic.svg",
             "run k30-epidemic.json --csv run-k30-epidemic.csv --svg run-k30-epidemic.svg",
             "run ba-seedless-epidemic.json --csv run-ba-seedless-epidemic.csv --svg run-ba-seedless-epidemic.svg",
+            "run ba-1100-epidemic.json --csv run-ba-1100-epidemic.csv --svg run-ba-1100-epidemic.svg",
             "run extinction.json --csv run-extinction.csv --svg run-extinction.svg",
             "run remainder.json --csv run-remainder.csv --svg run-remainder.svg",
             "stability extinction.json", "stability huge-rates.json", "stability three-kinds.json",

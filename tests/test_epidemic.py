@@ -4,10 +4,13 @@ import math
 import random
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+
+import helpers
 
 from ecolab import (
     EpidemicKind,
@@ -28,7 +31,7 @@ from ecolab import (
     simulate_epidemic,
 )
 from ecolab import epidemic
-from ecolab.epidemic import _FenwickTree, _half_persist, _runs_alive
+from ecolab.epidemic import _half_persist, _runs_alive
 from helpers import (
     binomial_band,
     reference_adjacency,
@@ -92,6 +95,26 @@ class TestGraphs:
         graph = from_edges(np.int64(4), [(True, np.int64(3)), (np.int64(2), 0)])
         assert graph.edges == frozenset({(1, 3), (0, 2)})
         assert all(type(x) is int for x in [graph.n_nodes, *itertools.chain(*graph.edges)])
+
+    @pytest.mark.parametrize(
+        "build, plain",
+        [
+            (lambda: complete_graph(np.int64(4)), lambda: complete_graph(4)),
+            (lambda: erdos_renyi(np.int64(9), 0.5, seed=1), lambda: erdos_renyi(9, 0.5, seed=1)),
+            (lambda: barabasi_albert(np.int64(50), 3), lambda: barabasi_albert(50, 3)),
+            (lambda: barabasi_albert(50, np.int64(3)), lambda: barabasi_albert(50, 3)),
+        ],
+        ids=["complete-n", "erdos-renyi-n", "barabasi-albert-n", "barabasi-albert-m"],
+    )
+    def test_numpy_int_counts_build_the_plain_graph_and_recipe(self, build, plain):
+        graph, expected = build(), plain()
+        assert graph == expected
+        assert graph.recipe == expected.recipe
+        assert [type(x) for x in graph.recipe[1]] == [type(x) for x in expected.recipe[1]]
+
+    def test_a_float_node_count_is_refused(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            barabasi_albert(10.0, 2)
 
     def test_duplicate_and_reversed_edges_normalize(self):
         graph = from_edges(3, [(0, 1), (1, 0), (0, 1), (2, 1)])
@@ -242,6 +265,14 @@ class TestSimulation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PrevalenceTrajectory(names, [0.0, 1.0], values, None)
 
+    def test_int_like_seeds_become_ints(self):
+        assert type(EpidemicModel(complete_graph(3), seed=np.int64(3)).seed) is int
+        flag = EpidemicModel(complete_graph(20), beta=0.3, seed=True)
+        assert type(flag.seed) is int and flag.seed == 1
+        # random.Random seeds a bool by its int value, so True keeps its stream
+        one = simulate_epidemic(replace(flag, seed=1), 5.0, 0.5)
+        assert trajectory_digest(simulate_epidemic(flag, 5.0, 0.5)) == trajectory_digest(one)
+
     def test_model_validation(self):
         with pytest.raises(ValueError, match="not be empty"):
             EpidemicModel(graph=complete_graph(5), initial_infected=frozenset())
@@ -249,6 +280,9 @@ class TestSimulation:
             EpidemicModel(graph=complete_graph(5), initial_infected=frozenset({9}))
         with pytest.raises(TypeError):
             EpidemicModel(graph=complete_graph(3), initial_infected={0.5, 1.9})
+        for seed in (2.5, "a"):
+            with pytest.raises(TypeError):
+                EpidemicModel(graph=complete_graph(3), seed=seed)
         with pytest.raises(ValueError):
             EpidemicModel(graph=complete_graph(5), beta=-0.1)
         with pytest.raises(ValueError):
@@ -574,6 +608,8 @@ BA_EDGE_SHA256 = {
     (60, 2, 7): "7ee21d45bcdfcfde2f1d951892468af95d2646e82ab2fd4035a9699f0dee584b",
     (200, 5, 3): "3d559f289dcd6e1f652602aabbadd8bee25fc1148d5956fd7996e69b80085f2b",
     (500, 4, 11): "4e6a54d3116cce8630876edeb4287eff8c7e7660219c3bd86da0b67cb62415e6",
+    (1024, 2, 5): "ef12ea60a09aacfb7adba37e71cf18e856793f9c4b98dc4c8f9e9bea3d8ff92e",
+    (1025, 3, 4): "0b9351cdb28b0de8567e5046452fc746954193ee486d2225481f80b546b23d92",
     (3000, 3, 0): "27e738a39f4e0e954f1d11cf734dbceea32630072809f807d46d0c1ca51788a7",
 }
 
@@ -644,20 +680,55 @@ def test_last_sample_rounded_past_the_horizon_holds_the_state_there(horizon, sam
         assert traj.recovered_fraction[-1] == at_horizon.recovered_fraction[-1]
 
 
-@given(weights=st.lists(st.integers(0, 20), min_size=1, max_size=70).filter(any), data=st.data())
-def test_fenwick_find_is_the_first_prefix_above_the_target(weights, data):
-    tree = _FenwickTree(len(weights))
-    for pos, weight in enumerate(weights):
-        tree.add(pos, weight)
-    total = sum(weights)
-    prefixes = list(itertools.accumulate(weights))
-    # whole prefix sums are the ties a `<` scan must break the same way
-    target = data.draw(st.one_of(st.integers(0, total - 1).map(float), st.floats(0.0, total, exclude_max=True)))
-    assert tree.find(target) == next(k for k, acc in enumerate(prefixes) if target < acc)
+class _DyadicThenSeeded:
+    """A `random.Random` stand-in: `random()` gives the fractions first, then a seeded stream."""
+
+    def __init__(self, fractions, seed):
+        self._fractions = iter(fractions)
+        self._rest = random.Random(seed)
+
+    def random(self):
+        for value in self._fractions:
+            return value
+        return self._rest.random()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    extra=st.integers(1, 80),
+    numerators=st.lists(st.integers(0, 15), max_size=200),
+    seed=st.integers(0, 2**32),
+)
+def test_barabasi_albert_tie_draws_match_linear_scan(m, extra, numerators, seed):
+    # the degree total is even, so `k/16 * total` often lands on a whole prefix sum, the tie that
+    # the integer descent must break as the `pick < acc` scan does; a real draw almost never does
+    fractions = [k / 16 for k in numerators]
+    stub = SimpleNamespace(Random=lambda _: _DyadicThenSeeded(fractions, seed))
+    n = m + extra
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(epidemic, "random", stub)
+        patch.setattr(helpers, "random", stub)
+        assert barabasi_albert(n, m).edges == reference_barabasi_albert(n, m).edges
 
 
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 5), extra=st.integers(1, 300), seed=st.integers(0, 2**32))
+# the edges of the power-of-two padding
+@example(m=1, extra=1, seed=2)
+@example(m=1, extra=2, seed=3)
+@example(m=1, extra=3, seed=4)
+@example(m=3, extra=1, seed=4)
+@example(m=1, extra=4, seed=5)
+@example(m=3, extra=2, seed=5)
+@example(m=1, extra=63, seed=1)
+@example(m=3, extra=61, seed=1)
+@example(m=1, extra=64, seed=2)
+@example(m=3, extra=62, seed=2)
+@example(m=1, extra=1023, seed=2)
+@example(m=3, extra=1021, seed=2)
+@example(m=1, extra=1024, seed=3)
+@example(m=3, extra=1022, seed=3)
 def test_barabasi_albert_matches_linear_scan(m, extra, seed):
     n = m + extra
     assert barabasi_albert(n, m, seed=seed).edges == reference_barabasi_albert(n, m, seed=seed).edges

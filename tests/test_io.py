@@ -423,6 +423,11 @@ class TestGraphRecipe:
         assert parsed == bundle
         assert scenario_digest(parsed) == scenario_digest(bundle)
 
+    def test_a_numpy_int_model_seed_round_trips(self):
+        bundle = EpidemicBundle(EpidemicModel(complete_graph(3), seed=np.int64(3)), 1.0, 1.0)
+        assert json.loads(serialize_scenario(bundle))["seed"] == 3
+        assert parse_scenario(serialize_scenario(bundle)) == bundle
+
     def test_bool_and_numpy_int_nodes_write_a_document_that_parses(self):
         for graph in (from_edges(3, [(True, 2), (0, 2)]), from_edges(np.int64(3), [(np.int64(1), np.int64(2))])):
             bundle = _bundle(graph)

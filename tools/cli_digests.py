@@ -8,36 +8,38 @@ Every command runs in-process through `ecolab.cli_main`, imported from
 `--src` (default: this checkout's `src/`): each demo with and without
 `--emit`, `run --csv --svg` on each demo's document, on the three extra
 documents of the benchmark's document-runs workload, on an SIR epidemic,
-on an SIS epidemic over the recipe `{"generator": "complete", "n": 30}`
-and on one over a `barabasi_albert` recipe that leaves out its seed,
-on a predator-prey community whose predator dies out and on one whose
-horizon ends in a shorter RK4 step (the remainder step), `stability` on
-the community documents, one arms-race `sweep` over the continuum dial,
-one `sweep` of the dying predator's conversion efficiency, one epidemic
-`sweep` over beta, `threshold` on the malware demo with and without
-`--empirical`, and the error paths of a missing file, bad JSON, a
-negative `--bisections`, a covariance whose symmetrized sum overflows, a
-selection run whose means overflow, a selection document whose linear
-natural gradient overflows at its initial means, a community with no
-species, a CSV path in a missing directory, a sweep metric naming no
-species, a sweep given `--svg`, `stability` on a competition pair with
-rates of 1e200, a sweep of `coeff_j` on a predation entry (which has
-none), `sweep` on a selection and `stability` on an epidemic document,
-a sweep to `--to inf`, a sweep of `--points -1`, a sweep of a trophic
-level through 1.5, `stability` on a community with a competition, a
-symbiosis and a predation entry, `stability` on a logistic producer
-alone, `run` on an RK4 document whose horizon of 1e300 is past the step
-budget, `run` on a document whose horizon is an integer too large for a
-float, `run` on one whose horizon is an integer past int()'s limit
-of 4300 digits, and the RK4 refusal paths: `run` on a symbiosis pair
-that diverges and on a community whose Ivlev response overflows in a
-stage (a non-finite derivative), the paths of RKF45's settle step:
-`run` on those two documents and on the dying predator's, each switched
-to rk45_adaptive from the initial step it has (two divergences, the
-second after a clamp, and an extinction, with `--csv --svg`), and `run`
-on the arms-race document with the victim's self-limitation set to 0 and
-with its continuum entry naming an unknown species. For each command it
-prints one line per stdout, stderr, exit code and written file:
+on an SIS epidemic over the recipe `{"generator": "complete", "n": 30}`,
+on one over a `barabasi_albert` recipe that leaves out its seed and on
+one over a 1100-node `barabasi_albert` graph, past the generator's
+1024-position padding, on a predator-prey community whose predator dies
+out and on one whose horizon ends in a shorter RK4 step (the remainder
+step), `stability` on the community documents, one arms-race `sweep`
+over the continuum dial, one `sweep` of the dying predator's conversion
+efficiency, one epidemic `sweep` over beta, `threshold` on the malware
+demo with and without `--empirical`, and the error paths of a missing
+file, bad JSON, a negative `--bisections`, a covariance whose
+symmetrized sum overflows, a selection run whose means overflow, a
+selection document whose linear natural gradient overflows at its
+initial means, a community with no species, a CSV path in a missing
+directory, a sweep metric naming no species, a sweep given `--svg`,
+`stability` on a competition pair with rates of 1e200, a sweep of
+`coeff_j` on a predation entry (which has none), `sweep` on a selection
+and `stability` on an epidemic document, a sweep to `--to inf`, a sweep
+of `--points -1`, a sweep of a trophic level through 1.5, `stability` on
+a community with a competition, a symbiosis and a predation entry,
+`stability` on a logistic producer alone, `run` on an RK4 document whose
+horizon of 1e300 is past the step budget, `run` on a document whose
+horizon is an integer too large for a float, `run` on one whose horizon
+is an integer past int()'s limit of 4300 digits, and the RK4 refusal
+paths: `run` on a symbiosis pair that diverges and on a community whose
+Ivlev response overflows in a stage (a non-finite derivative), the paths
+of RKF45's settle step: `run` on those two documents and on the dying
+predator's, each switched to rk45_adaptive from the initial step it has
+(two divergences, the second after a clamp, and an extinction, with
+`--csv --svg`), and `run` on the arms-race document with the victim's
+self-limitation set to 0 and with its continuum entry naming an unknown
+species. For each command it prints one line per stdout, stderr, exit
+code and written file:
 
     <command>  <what>  <sha256>
 
@@ -105,6 +107,18 @@ BA_SEEDLESS_EPIDEMIC = {
     "seed": 2,
     "horizon": 12.0,
     "sample_dt": 1.0,
+}
+# SIS over a 1100-node preferential-attachment graph: past 1024 nodes, its Fenwick list pads to 2048
+BA_1100_EPIDEMIC = {
+    "kind": "epidemic",
+    "graph": {"generator": "barabasi_albert", "n": 1100, "m": 2, "seed": 3},
+    "model": "sis",
+    "beta": 0.2,
+    "gamma": 1.0,
+    "initial_infected": [0, 600, 1099],
+    "seed": 4,
+    "horizon": 3.0,
+    "sample_dt": 0.5,
 }
 # the predator's decline outruns its gain from the prey: it dies out near t = 11.46
 EXTINCTION = {
@@ -271,6 +285,7 @@ def digest_lines() -> list[str]:
             texts.update(_documents(workdir))
             texts.update({"sir-epidemic": json.dumps(SIR_EPIDEMIC), "k30-epidemic": json.dumps(K30_EPIDEMIC),
                           "ba-seedless-epidemic": json.dumps(BA_SEEDLESS_EPIDEMIC),
+                          "ba-1100-epidemic": json.dumps(BA_1100_EPIDEMIC),
                           "extinction": json.dumps(EXTINCTION), "remainder": json.dumps(REMAINDER)})
             for name, text in texts.items():
                 with open(f"{name}.json", "w", encoding="utf-8") as handle:
