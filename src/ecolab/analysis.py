@@ -33,7 +33,6 @@ __all__ = [
     "stability_report",
     "analyze_scenario",
     "oscillation_period",
-    "set_parameter",
     "PointSummary",
     "SweepReport",
     "sweep",

@@ -33,6 +33,7 @@ __all__ = [
     "lv_derivative",
     "lv_equilibrium",
     "lv_first_integral",
+    "lv_scenario",
     "functional_response",
     "community_rhs",
     "glv_derivative",

@@ -265,12 +265,13 @@ class PrevalenceTrajectory(Trajectory):
 def run_seed(master_seed: int, run_index: int) -> int:
     """Stable per-run seed derived from a master seed and a run index.
 
-    A cryptographic mix keeps sweeps reproducible across platforms.
+    A cryptographic mix keeps sweeps reproducible across platforms. Both
+    arguments are integers: a float or a string raises TypeError.
     """
     mask = (1 << 64) - 1
     digest = hashlib.sha256(
-        b"ecolab.run" + (int(master_seed) & mask).to_bytes(8, "little")
-        + (int(run_index) & mask).to_bytes(8, "little")
+        b"ecolab.run" + (operator.index(master_seed) & mask).to_bytes(8, "little")
+        + (operator.index(run_index) & mask).to_bytes(8, "little")
     ).digest()
     return int.from_bytes(digest[:8], "little")
 
@@ -279,6 +280,14 @@ def run_seed(master_seed: int, run_index: int) -> int:
 #: list, and each superblock sum 2**_SUPER_BITS of them: 8 blocks of 8.
 _BLOCK_BITS = 3
 _SUPER_BITS = 6
+
+
+def _check_window(horizon: float, sample_dt: float) -> None:
+    """Refuse a horizon or a sampling interval that is not a finite value > 0."""
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be > 0")
+    if not (math.isfinite(sample_dt) and sample_dt > 0):
+        raise ValueError("sample_dt must be > 0")
 
 
 def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1.0) -> PrevalenceTrajectory:
@@ -295,10 +304,7 @@ def simulate_epidemic(model: EpidemicModel, horizon: float, sample_dt: float = 1
     complete graph each event costs O(1), on other graphs O(degree) plus
     the search for an infection source.
     """
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError("horizon must be > 0")
-    if not (math.isfinite(sample_dt) and sample_dt > 0):
-        raise ValueError("sample_dt must be > 0")
+    _check_window(horizon, sample_dt)
     n = model.graph.n_nodes
     sir = model.kind == EpidemicKind.SIR
     n_samples = int(math.floor(horizon / sample_dt + 1e-9)) + 1

@@ -32,6 +32,7 @@ from .core import (
     Scenario,
     SpeciesSpec,
     Trajectory,
+    _count,
     continuum_interaction,
     validate_scenario,
 )
@@ -40,6 +41,7 @@ from .epidemic import (
     EpidemicKind,
     EpidemicModel,
     Graph,
+    _check_window,
     barabasi_albert,
     complete_graph,
     erdos_renyi,
@@ -81,6 +83,7 @@ class EpidemicBundle:
     recipe: tuple[str, tuple] | None = field(init=False)
 
     def __post_init__(self) -> None:
+        _check_window(self.horizon, self.sample_dt)
         try:
             generator, args = self.model.graph.recipe
             readers = _GENERATORS[generator][1].values()
@@ -95,6 +98,9 @@ class SelectionBundle:
     state: SelectionState
     steps: int
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "steps", _count("steps", self.steps, 0))
+
 
 @dataclass(frozen=True)
 class DiscreteBundle:
@@ -102,6 +108,13 @@ class DiscreteBundle:
     initial_host: float
     initial_parasitoid: float
     generations: int
+
+    def __post_init__(self) -> None:
+        for name in ("initial_host", "initial_parasitoid"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite value >= 0, got {value!r}")
+        object.__setattr__(self, "generations", _count("generations", self.generations, 0))
 
 
 Document = Union[Scenario, EpidemicBundle, SelectionBundle, DiscreteBundle]

@@ -20,6 +20,7 @@ __all__ = [
     "TRAIT_NAMES",
     "GradientSpec",
     "SelectionState",
+    "make_g_matrix",
     "selection_step",
     "iterate_selection",
     "constant_gradient",

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -35,6 +36,22 @@ def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+# the modules whose __all__ ecolab republishes, in import order
+_PUBLISHED = [f"ecolab.{name}" for name in (
+    "core", "continuous", "discrete", "epidemic", "selection", "analysis", "scenario_io", "svg", "cli"
+)]
+
+
+def test_top_level_names_are_the_modules_lists():
+    # a public name is stated once, in its module's __all__, and ecolab republishes the lists
+    owners = [(name, module) for module in map(importlib.import_module, _PUBLISHED) for name in module.__all__]
+    assert ecolab.__all__ == [name for name, _ in owners]
+    assert len(set(ecolab.__all__)) == len(ecolab.__all__)
+    assert [name for name, module in owners if getattr(ecolab, name) is not getattr(module, name)] == []
+    public = {name for name, value in vars(ecolab).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(ecolab.__all__)
 
 
 _DOCUMENT_FORM = ("_entry_to_json", "_parse_entry", "_record_json", "_set_number", "_number_paths", "_split_path")

@@ -376,6 +376,18 @@ def test_run_seed_is_stable_across_sessions():
     assert run_seed(2**63 + 5, 3) == run_seed(2**63 + 5, 3)
 
 
+def test_run_seed_takes_integers_only():
+    # int() read 2.7 as 2 and "5" as 5, so master_seed=2.9 silently ran master seed 2's runs
+    for master, index in ((2.7, 0), ("5", 0), (0, 1.0), (0, "1")):
+        with pytest.raises(TypeError):
+            run_seed(master, index)
+    with pytest.raises(TypeError):
+        persistence_fraction(complete_graph(10), 0.5, 1.0, 5.0, 20, master_seed=2.9)
+    assert run_seed(np.int64(7), np.uint8(3)) == run_seed(7, 3)
+    assert run_seed(True, False) == run_seed(1, 0)
+    assert run_seed(-1, -2) == run_seed(2**64 - 1, 2**64 - 2)
+
+
 def test_persistence_fraction_deterministic():
     graph = complete_graph(20)
     a = persistence_fraction(graph, 0.1, 1.0, 20.0, 10, master_seed=4)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import fields, is_dataclass, replace
 
@@ -1038,6 +1039,31 @@ def pinned_document(name: str):
 def test_serialized_bytes_pinned(name):
     text = serialize_scenario(pinned_document(name))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SERIALIZED_SHA256[name]
+
+
+@pytest.mark.parametrize("name, changes, message", [
+    pytest.param("malware-epidemic", {"horizon": -1.0}, "horizon must be > 0", id="horizon-negative"),
+    pytest.param("malware-epidemic", {"horizon": NAN}, "horizon must be > 0", id="horizon-nan"),
+    pytest.param("malware-epidemic", {"sample_dt": 0}, "sample_dt must be > 0", id="sample-dt-zero"),
+    pytest.param("discrete", {"initial_host": -1}, "initial_host must be a finite value >= 0, got -1",
+                 id="initial-negative"),
+    pytest.param("discrete", {"generations": -3}, "generations must be >= 0", id="generations-negative"),
+    pytest.param("discrete", {"generations": 2.5}, "generations must be an integer, got 2.5",
+                 id="generations-float"),
+    pytest.param("discrete", {"generations": True}, None, id="generations-bool"),
+    pytest.param("selection", {"steps": -1}, "steps must be >= 0", id="steps-negative"),
+    pytest.param("selection", {"steps": 2.5}, "steps must be an integer, got 2.5", id="steps-float"),
+    pytest.param("selection", {"steps": True}, None, id="steps-bool"),
+])
+def test_a_bundle_refuses_what_its_document_refuses(name, changes, message):
+    # each of these bundles serialized to text that parse_scenario refused; a bool count is its int
+    if message is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(pinned_document(name), **changes)
+        return
+    bundle = replace(pinned_document(name), **changes)
+    assert parse_scenario(serialize_scenario(bundle)) == bundle
+    assert [type(getattr(bundle, field)) for field in changes] == [int]
 
 
 # ---------------------------------------------------------------------------

@@ -4,42 +4,14 @@
     python3 tools/cli_digests.py --src /path/to/other/checkout/src > base.txt
     diff base.txt change.txt
 
-Every command runs in-process through `ecolab.cli_main`, imported from
-`--src` (default: this checkout's `src/`): each demo with and without
-`--emit`, `run --csv --svg` on each demo's document, on the three extra
-documents of the benchmark's document-runs workload, on an SIR epidemic,
-on an SIS epidemic over the recipe `{"generator": "complete", "n": 30}`,
-on one over a `barabasi_albert` recipe that leaves out its seed and on
-one over a 1100-node `barabasi_albert` graph, past the generator's
-1024-position padding, on a predator-prey community whose predator dies
-out and on one whose horizon ends in a shorter RK4 step (the remainder
-step), `stability` on the community documents, one arms-race `sweep`
-over the continuum dial, one `sweep` of the dying predator's conversion
-efficiency, one epidemic `sweep` over beta, `threshold` on the malware
-demo with and without `--empirical`, and the error paths of a missing
-file, bad JSON, a negative `--bisections`, a covariance whose
-symmetrized sum overflows, a selection run whose means overflow, a
-selection document whose linear natural gradient overflows at its
-initial means, a community with no species, a CSV path in a missing
-directory, a sweep metric naming no species, a sweep given `--svg`,
-`stability` on a competition pair with rates of 1e200, a sweep of
-`coeff_j` on a predation entry (which has none), `sweep` on a selection
-and `stability` on an epidemic document, a sweep to `--to inf`, a sweep
-of `--points -1`, a sweep of a trophic level through 1.5, `stability` on
-a community with a competition, a symbiosis and a predation entry,
-`stability` on a logistic producer alone, `run` on an RK4 document whose
-horizon of 1e300 is past the step budget, `run` on a document whose
-horizon is an integer too large for a float, `run` on one whose horizon
-is an integer past int()'s limit of 4300 digits, and the RK4 refusal
-paths: `run` on a symbiosis pair that diverges and on a community whose
-Ivlev response overflows in a stage (a non-finite derivative), the paths
-of RKF45's settle step: `run` on those two documents and on the dying
-predator's, each switched to rk45_adaptive from the initial step it has
-(two divergences, the second after a clamp, and an extinction, with
-`--csv --svg`), and `run` on the arms-race document with the victim's
-self-limitation set to 0 and with its continuum entry naming an unknown
-species. For each command it prints one line per stdout, stderr, exit
-code and written file:
+`documents()` gives the text of every `<name>.json` the commands read: the
+demos' documents, the benchmark's document-runs documents and the ones
+below, each stating what it reaches. They are all written to a fresh
+temporary work directory; then each command of `COMMANDS`, in order, runs
+there in-process through `ecolab.cli_main`, imported from `--src` (default:
+this checkout's `src/`). `COMMANDS` pairs each command with the exit code
+it is expected to give. For each command the tool prints one line per
+stdout, stderr, exit code and written file:
 
     <command>  <what>  <sha256>
 
@@ -119,6 +91,19 @@ BA_1100_EPIDEMIC = {
     "seed": 4,
     "horizon": 3.0,
     "sample_dt": 0.5,
+}
+# SIR over a graph given by its edges, the edge 2-3 twice, once reversed: the graph keeps it once
+EXPLICIT_EPIDEMIC = {
+    "kind": "epidemic",
+    "graph": {"generator": "explicit", "n": 8,
+              "edges": [[0, 1], [1, 2], [2, 3], [3, 2], [3, 4], [4, 5], [5, 6], [6, 7], [7, 0], [1, 5]]},
+    "model": "sir",
+    "beta": 0.8,
+    "gamma": 1.0,
+    "initial_infected": [0],
+    "seed": 3,
+    "horizon": 10.0,
+    "sample_dt": 1.0,
 }
 # the predator's decline outruns its gain from the prey: it dies out near t = 11.46
 EXTINCTION = {
@@ -215,6 +200,70 @@ IVLEV_OVERFLOW = {
 }
 
 
+# the documents that run with --csv --svg, in order: the demos' (but mimicry's, which has no document form),
+# the document-runs workload's, then the ones above
+DEMOS = ("lv-classic", "food-chain", "arms-race", "malware-epidemic", "mimicry")
+RUNS = (*DEMOS[:-1], "food-chain-rk45", "selection", "discrete", "sir-epidemic", "k30-epidemic",
+        "ba-seedless-epidemic", "ba-1100-epidemic", "explicit-epidemic", "extinction", "remainder")
+COMMUNITIES = ("lv-classic", "food-chain", "arms-race", "food-chain-rk45", "extinction", "remainder")
+EMPIRICAL = "threshold malware-epidemic.json --empirical --runs 4 --horizon 10"
+LV_SWEEP = "sweep lv-classic.json --param initial.prey --from 20 --to 30 --points 2"
+ARMS_SWEEP = "sweep arms-race.json --param interaction.attacker:victim.alpha --from 1"
+
+
+def _outputs(prefix: str) -> str:
+    return f"--csv {prefix}.csv --svg {prefix}.svg"
+
+
+#: Every command in the order it runs, with the exit code it gives.
+COMMANDS = [
+    *((command, code) for name in DEMOS for command, code in (
+        (f"demo {name} --emit", 1 if name == "mimicry" else 0), (f"demo {name} {_outputs(f'demo-{name}')}", 0))),
+    *((f"run {name}.json {_outputs(f'run-{name}')}", 0) for name in RUNS),
+    *((f"stability {name}.json", 0) for name in COMMUNITIES),
+    (f"run malware-epidemic.json --seed 9 {_outputs('run-malware-epidemic-seed-9')}", 0),
+    (f"{ARMS_SWEEP} --to -1 --points 21 --metric final:victim --csv sweep.csv", 0),
+    ("sweep extinction.json --param interaction.predator:prey.coeff_i --from 0.1 --to 10 --points 3"
+     " --csv sweep-extinction.csv", 0),
+    ("sweep malware-epidemic.json --param beta --from 0.02 --to 0.2 --points 3 --runs 4 --csv sweep-epidemic.csv", 0),
+    ("threshold malware-epidemic.json", 0),
+    (f"{EMPIRICAL} --bisections 2", 0),
+    (f"{EMPIRICAL} --bisections -1", 1),
+    ("run missing.json", 1),
+    ("run bad.json", 1),
+    *((f"run {name}.json {_outputs(f'run-{name}')}", 1)
+      for name in ("covariance-overflow", "means-overflow", "gradient-overflow")),
+    ("run no-species.json", 1),
+    ("run lv-classic.json --csv missing/run.csv", 1),
+    (f"{LV_SWEEP} --metric final:nope", 1),
+    (f"{LV_SWEEP} --metric bogus", 1),
+    ("sweep malware-epidemic.json --param beta --from 0.02 --to 0.2 --points 3 --metric final:x", 1),
+    ("threshold lv-classic.json", 1),
+    (f"{LV_SWEEP} --svg sweep.svg", 2),
+    ("stability huge-rates.json", 0),
+    ("stability three-kinds.json", 0),
+    ("stability one-species.json", 0),
+    ("run horizon-1e300.json", 1),
+    ("run horizon-huge-integer.json", 1),
+    ("run horizon-long-integer.json", 1),
+    # a predation entry has no coeff_j
+    ("sweep lv-classic.json --param interaction.predator:prey.coeff_j --from 0 --to 1 --points 2", 1),
+    ("sweep selection.json --param beta --from 0.1 --to 0.2 --points 2", 1),
+    ("stability malware-epidemic.json", 1),
+    (f"{ARMS_SWEEP} --to inf --points 2", 1),
+    (f"{ARMS_SWEEP} --to -1 --points -1", 1),
+    ("sweep lv-classic.json --param species.predator.trophic_level --from 1 --to 2 --points 3", 1),
+    # the RK4 refusal paths, then RKF45's settle step on the same documents and on the dying predator's
+    ("run symbiosis-divergence.json", 2),
+    ("run ivlev-overflow.json", 2),
+    ("run symbiosis-divergence-rk45.json", 2),
+    ("run ivlev-overflow-rk45.json", 2),
+    (f"run extinction-rk45.json {_outputs('run-extinction-rk45')}", 0),
+    ("run continuum-no-self-limitation.json", 1),
+    ("run continuum-unknown-species.json", 1),
+]
+
+
 def _sha256(data) -> str:
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -226,7 +275,7 @@ def mask_warnings(stderr: str) -> str:
     return WARNING.sub(r"<file>:<line>: \1\n", stderr)
 
 
-def _documents(workdir: str) -> dict[str, str]:
+def _workload_documents(workdir: str) -> dict[str, str]:
     """The document-runs workload's extra documents at its default seed, by name."""
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     try:
@@ -234,6 +283,66 @@ def _documents(workdir: str) -> dict[str, str]:
     finally:
         sys.path.pop(0)
     return workloads.DocumentRuns(workdir).inputs(workloads.DEFAULT_SEED)["documents"]
+
+
+def _rk45(document: dict) -> dict:
+    """`document` switched to rk45_adaptive, from the initial step it has."""
+    return dict(document, integrator=dict(document.get("integrator", {}), method="rk45_adaptive"))
+
+
+def documents(workdir: str) -> dict[str, str]:
+    """The text of every `<name>.json` that COMMANDS read, by name."""
+    from ecolab import serialize_scenario
+    from ecolab.demos import demo_document
+
+    texts = {name: serialize_scenario(demo_document(name)) for name in DEMOS[:-1]}
+    texts.update(_workload_documents(workdir))
+    selection, arms_race = json.loads(texts["selection"]), json.loads(texts["arms-race"])
+    attacker, victim = arms_race["species"]
+    objects = {
+        "sir-epidemic": SIR_EPIDEMIC,
+        "k30-epidemic": K30_EPIDEMIC,
+        "ba-seedless-epidemic": BA_SEEDLESS_EPIDEMIC,
+        "ba-1100-epidemic": BA_1100_EPIDEMIC,
+        "explicit-epidemic": EXPLICIT_EPIDEMIC,
+        "extinction": EXTINCTION,
+        "remainder": REMAINDER,
+        # a symmetrized covariance sum that overflows, then means that overflow
+        "covariance-overflow": dict(selection, covariance=dict(selection["covariance"], c_display_preference=1e308)),
+        "means-overflow": dict(selection, steps=100000),
+        # 1e308 * 10 is inf: the linear natural gradient fails at the initial means, before the run starts
+        "gradient-overflow": dict(
+            selection,
+            means=dict(selection["means"], display=10.0),
+            natural_gradient={"type": "linear", "intercept": [0, 0, 0],
+                              "matrix": [[1e308, 0, 0], [0, 0, 0], [0, 0, 0]]},
+        ),
+        "no-species": NO_SPECIES,
+        "huge-rates": HUGE_RATES,
+        "three-kinds": THREE_KINDS,
+        "one-species": ONE_SPECIES,
+        # about 1e302 RK4 steps of 0.1: the step budget refuses the document
+        "horizon-1e300": dict(REMAINDER, horizon=1e300),
+        # an integer horizon too large for a float
+        "horizon-huge-integer": dict(REMAINDER, horizon=10**400),
+        "symbiosis-divergence": SYMBIOSIS_DIVERGENCE,
+        "ivlev-overflow": IVLEV_OVERFLOW,
+        "symbiosis-divergence-rk45": _rk45(SYMBIOSIS_DIVERGENCE),
+        "ivlev-overflow-rk45": _rk45(IVLEV_OVERFLOW),
+        "extinction-rk45": _rk45(EXTINCTION),
+        "continuum-no-self-limitation": dict(arms_race, species=[attacker, dict(victim, self_limitation=0)]),
+        "continuum-unknown-species": dict(
+            arms_race, interactions=[dict(arms_race["interactions"][0], species_j="zz")]
+        ),
+    }
+    texts.update((name, json.dumps(document)) for name, document in objects.items())
+    texts["bad"] = '{"kind": "community",'
+    # an integer horizon past int()'s limit of 4300 digits: json.dumps cannot write one of 5001 digits, so it
+    # replaces a placeholder
+    texts["horizon-long-integer"] = json.dumps(dict(REMAINDER, horizon="<long>")).replace(
+        '"<long>"', "1" + "0" * 5000
+    )
+    return texts
 
 
 def _run(argv: list[str]) -> tuple[int | str, str, str]:
@@ -256,144 +365,23 @@ def _run(argv: list[str]) -> tuple[int | str, str, str]:
 
 def digest_lines() -> list[str]:
     """The digest lines of every command, run in a fresh temporary work directory."""
-    from ecolab import Scenario, parse_scenario
-    from ecolab.demos import DEMO_NAMES
-
     lines = []
-
-    def record(*argv: str) -> str:
-        before = set(os.listdir())
-        code, stdout, stderr = _run(list(argv))
-        label = " ".join(argv)
-        lines.append(f"{label}\tstdout\t{_sha256(WALL_CLOCK.sub('wall clock: <masked>', stdout))}")
-        lines.append(f"{label}\tstderr\t{_sha256(mask_warnings(stderr))}")
-        lines.append(f"{label}\texit\t{code}")
-        for written in sorted(set(os.listdir()) - before):
-            with open(written, "rb") as handle:
-                lines.append(f"{label}\t{written}\t{_sha256(handle.read())}")
-        return stdout if code == 0 else ""
-
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="ecolab-cli-digests-") as workdir:
         os.chdir(workdir)
         try:
-            texts = {}
-            for demo in DEMO_NAMES:
-                texts[demo] = record("demo", demo, "--emit")
-                record("demo", demo, "--csv", f"demo-{demo}.csv", "--svg", f"demo-{demo}.svg")
-            texts = {name: text for name, text in texts.items() if text}
-            texts.update(_documents(workdir))
-            texts.update({"sir-epidemic": json.dumps(SIR_EPIDEMIC), "k30-epidemic": json.dumps(K30_EPIDEMIC),
-                          "ba-seedless-epidemic": json.dumps(BA_SEEDLESS_EPIDEMIC),
-                          "ba-1100-epidemic": json.dumps(BA_1100_EPIDEMIC),
-                          "extinction": json.dumps(EXTINCTION), "remainder": json.dumps(REMAINDER)})
-            for name, text in texts.items():
+            for name, text in documents(workdir).items():
                 with open(f"{name}.json", "w", encoding="utf-8") as handle:
                     handle.write(text)
-            for name in texts:
-                record("run", f"{name}.json", "--csv", f"run-{name}.csv", "--svg", f"run-{name}.svg")
-            for name, text in texts.items():
-                if isinstance(parse_scenario(text), Scenario):
-                    record("stability", f"{name}.json")
-            record(
-                "sweep", "arms-race.json", "--param", "interaction.attacker:victim.alpha",
-                "--from", "1", "--to", "-1", "--points", "21", "--metric", "final:victim", "--csv", "sweep.csv",
-            )
-            record(
-                "sweep", "extinction.json", "--param", "interaction.predator:prey.coeff_i",
-                "--from", "0.1", "--to", "10", "--points", "3", "--csv", "sweep-extinction.csv",
-            )
-            record(
-                "sweep", "malware-epidemic.json", "--param", "beta", "--from", "0.02", "--to", "0.2",
-                "--points", "3", "--runs", "4", "--csv", "sweep-epidemic.csv",
-            )
-            record("threshold", "malware-epidemic.json")
-            empirical = ("threshold", "malware-epidemic.json", "--empirical", "--runs", "4", "--horizon", "10")
-            record(*empirical, "--bisections", "2")
-            record(*empirical, "--bisections", "-1")
-            record("run", "missing.json")
-            with open("bad.json", "w", encoding="utf-8") as handle:
-                handle.write('{"kind": "community",')
-            record("run", "bad.json")
-            selection = json.loads(texts["selection"])
-            covariance = dict(selection["covariance"], c_display_preference=1e308)
-            overflows = {
-                "covariance-overflow": dict(selection, covariance=covariance),
-                "means-overflow": dict(selection, steps=100000),
-                # 1e308 * 10 is inf: the document fails before its run starts
-                "gradient-overflow": dict(
-                    selection,
-                    means=dict(selection["means"], display=10.0),
-                    natural_gradient={"type": "linear", "intercept": [0, 0, 0],
-                                      "matrix": [[1e308, 0, 0], [0, 0, 0], [0, 0, 0]]},
-                ),
-            }
-            for name, document in overflows.items():
-                with open(f"{name}.json", "w", encoding="utf-8") as handle:
-                    json.dump(document, handle)
-                record("run", f"{name}.json", "--csv", f"run-{name}.csv", "--svg", f"run-{name}.svg")
-            with open("no-species.json", "w", encoding="utf-8") as handle:
-                json.dump(NO_SPECIES, handle)
-            record("run", "no-species.json")
-            record("run", "lv-classic.json", "--csv", "missing/run.csv")
-            lv_sweep = ("sweep", "lv-classic.json", "--param", "initial.prey", "--from", "20", "--to", "30",
-                        "--points", "2")
-            record(*lv_sweep, "--metric", "final:nope")
-            record(*lv_sweep, "--svg", "sweep.svg")
-            with open("huge-rates.json", "w", encoding="utf-8") as handle:
-                json.dump(HUGE_RATES, handle)
-            record("stability", "huge-rates.json")
-            with open("three-kinds.json", "w", encoding="utf-8") as handle:
-                json.dump(THREE_KINDS, handle)
-            record("stability", "three-kinds.json")
-            with open("one-species.json", "w", encoding="utf-8") as handle:
-                json.dump(ONE_SPECIES, handle)
-            record("stability", "one-species.json")
-            # about 1e302 RK4 steps of 0.1: the step budget refuses the document
-            with open("horizon-1e300.json", "w", encoding="utf-8") as handle:
-                json.dump(dict(REMAINDER, horizon=1e300), handle)
-            record("run", "horizon-1e300.json")
-            with open("horizon-huge-integer.json", "w", encoding="utf-8") as handle:
-                json.dump(dict(REMAINDER, horizon=10**400), handle)
-            record("run", "horizon-huge-integer.json")
-            # json.dumps cannot write an integer of 5001 digits, so it replaces a placeholder
-            with open("horizon-long-integer.json", "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(dict(REMAINDER, horizon="<long>")).replace('"<long>"', "1" + "0" * 5000))
-            record("run", "horizon-long-integer.json")
-            record("sweep", "lv-classic.json", "--param", "interaction.predator:prey.coeff_j", "--from", "0",
-                   "--to", "1", "--points", "2")
-            record("sweep", "selection.json", "--param", "beta", "--from", "0.1", "--to", "0.2", "--points", "2")
-            record("stability", "malware-epidemic.json")
-            arms_sweep = ("sweep", "arms-race.json", "--param", "interaction.attacker:victim.alpha", "--from", "1")
-            record(*arms_sweep, "--to", "inf", "--points", "2")
-            record(*arms_sweep, "--to", "-1", "--points", "-1")
-            record("sweep", "lv-classic.json", "--param", "species.predator.trophic_level", "--from", "1", "--to", "2",
-                   "--points", "3")
-            for name, document in (("symbiosis-divergence", SYMBIOSIS_DIVERGENCE), ("ivlev-overflow", IVLEV_OVERFLOW)):
-                with open(f"{name}.json", "w", encoding="utf-8") as handle:
-                    json.dump(document, handle)
-                record("run", f"{name}.json")
-            for name, document in (("symbiosis-divergence", SYMBIOSIS_DIVERGENCE), ("ivlev-overflow", IVLEV_OVERFLOW),
-                                   ("extinction", EXTINCTION)):
-                integrator = dict(document.get("integrator", {}), method="rk45_adaptive")
-                with open(f"{name}-rk45.json", "w", encoding="utf-8") as handle:
-                    json.dump(dict(document, integrator=integrator), handle)
-            record("run", "symbiosis-divergence-rk45.json")
-            record("run", "ivlev-overflow-rk45.json")
-            record("run", "extinction-rk45.json", "--csv", "run-extinction-rk45.csv",
-                   "--svg", "run-extinction-rk45.svg")
-            arms_race = json.loads(texts["arms-race"])
-            attacker, victim = arms_race["species"]
-            continuum_errors = {
-                "continuum-no-self-limitation": dict(arms_race, species=[attacker, dict(victim, self_limitation=0)]),
-                "continuum-unknown-species": dict(
-                    arms_race, interactions=[dict(arms_race["interactions"][0], species_j="zz")]
-                ),
-            }
-            for name, document in continuum_errors.items():
-                with open(f"{name}.json", "w", encoding="utf-8") as handle:
-                    json.dump(document, handle)
-                record("run", f"{name}.json")
+            for command, _ in COMMANDS:
+                before = set(os.listdir())
+                code, stdout, stderr = _run(command.split())
+                lines.append(f"{command}\tstdout\t{_sha256(WALL_CLOCK.sub('wall clock: <masked>', stdout))}")
+                lines.append(f"{command}\tstderr\t{_sha256(mask_warnings(stderr))}")
+                lines.append(f"{command}\texit\t{code}")
+                for written in sorted(set(os.listdir()) - before):
+                    with open(written, "rb") as handle:
+                        lines.append(f"{command}\t{written}\t{_sha256(handle.read())}")
         finally:
             os.chdir(cwd)
     return lines
